@@ -4,7 +4,8 @@ Every subcommand prints one JSON object per line so output can be piped
 into the usual line tools, and every run with the same inputs and seed
 produces byte-identical bytes. Exit codes: 0 success, 1 failed check or
 invalid values, 2 unparseable input or configuration, 3 dimension
-mismatch.
+mismatch. The corpus subcommands (rank, uasr, loss) treat an instances
+file with a header but no records as unparseable input (2).
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _build_instance(record: InstanceRecord, tags, tag_emb) -> ContrastiveInstanc
 def _load_corpus(args):
     vocab, vdim = read_vocab(args.vocab)
     records, idim = read_instances(args.instances)
+    if not records:
+        raise ParseError(f"{args.instances}: no instance records after the header")
     if vdim != idim:
         raise DimensionError(
             f"vocabulary dim {vdim} does not match instance dim {idim}"

@@ -108,21 +108,6 @@ class ContrastiveInstance:
             raise ValidationError("global_scores must be cosines in [-1, 1]")
         self.global_scores = scores
 
-    @classmethod
-    def trusted(cls, regions, positives, negatives, caption_nouns, global_scores):
-        """Build without validation, for float64 arrays already checked upstream.
-
-        The trainer verifies every table once per step, so re-validating
-        each per-image slice would only burn time in the hot loop.
-        """
-        obj = object.__new__(cls)
-        obj.regions = regions
-        obj.positives = positives
-        obj.negatives = negatives
-        obj.caption_nouns = caption_nouns
-        obj.global_scores = global_scores
-        return obj
-
     @property
     def num_regions(self) -> int:
         return self.regions.shape[0]

@@ -18,6 +18,9 @@ and r_nl = exp(phi^N_l - Z_n):
 Selection indices and confidence weights are treated as constants
 (straight-through), which the finite-difference oracle mirrors by keeping
 the selection result fixed while perturbing embeddings.
+
+The kernels take leading batch axes, so the trainer evaluates a whole
+block of images per call; :func:`loss_and_grad` is the one-image case.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ if TYPE_CHECKING:
 __all__ = [
     "GradientBundle",
     "GradCheckReport",
+    "compat_forward",
+    "compat_backward",
+    "batch_loss",
     "loss_and_grad",
     "central_difference",
     "finite_diff_grad",
@@ -63,49 +69,107 @@ class GradientBundle:
         }
 
 
-def _compat_forward(tags: np.ndarray, contexts: np.ndarray):
-    # same operation sequence as core.compatibility, minus revalidation,
-    # so the loss reported here is bitwise equal to the losses module's
-    t_raw = tags @ contexts.T
-    scaled = t_raw / np.sqrt(tags.shape[1])
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
+def compat_forward(tags: np.ndarray, contexts: np.ndarray):
+    """Compatibility phi (..., J) of tags (..., J, d) against contexts (..., R, d).
+
+    Leading axes are batch axes. Every step works slice by slice in the
+    same order as :func:`rca.core.compatibility`, so each slice's phi is
+    bitwise equal to the single-image pipeline's. Stacked matmul keeps
+    that equality; phi's row dot product keeps the core module's einsum.
+    """
+    t_raw = tags @ contexts.swapaxes(-1, -2)
+    scaled = t_raw / np.sqrt(tags.shape[-1])
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    alpha = e / e.sum(axis=1, keepdims=True)
+    alpha = e / e.sum(axis=-1, keepdims=True)
     ctx = alpha @ contexts
-    phi = np.einsum("jd,jd->j", tags, ctx)
+    phi = np.einsum("...jd,...jd->...j", tags, ctx)
     return phi, (t_raw, alpha, ctx)
 
 
-def _compat_backward(g: np.ndarray, tags: np.ndarray, contexts: np.ndarray, phi, cache):
+def compat_backward(g: np.ndarray, tags: np.ndarray, contexts: np.ndarray, phi, cache):
+    """Pull the upstream gradient g (..., J) of phi back onto tags and contexts."""
     t_raw, alpha, ctx = cache
-    sd = np.sqrt(tags.shape[1])
+    sd = np.sqrt(tags.shape[-1])
     m = (alpha * t_raw) @ contexts
-    d_tags = g[:, None] * (ctx + (m - phi[:, None] * ctx) / sd)
-    b = g[:, None] * alpha * (1.0 + (t_raw - phi[:, None]) / sd)
-    d_contexts = b.T @ tags
+    d_tags = g[..., None] * (ctx + (m - phi[..., None] * ctx) / sd)
+    b = g[..., None] * alpha * (1.0 + (t_raw - phi[..., None]) / sd)
+    d_contexts = b.swapaxes(-1, -2) @ tags
     return d_tags, d_contexts
 
 
-def _pair_block(contexts, positives, negatives, weights, scale):
-    """Loss and gradients of scale * sum_n q_n * ell_n for one contrastive block."""
-    phi_p, cache_p = _compat_forward(positives, contexts)
-    phi_n, cache_n = _compat_forward(negatives, contexts)
-
+def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
+    """Per-image mean of q_n * ell_n over one context block, and the gradients of scale times its sum."""
+    phi_p, cache_p = compat_forward(positives, contexts)
+    phi_n, cache_n = compat_forward(negatives, contexts)
     terms = nll_terms(phi_p, phi_n)
-    loss = float(terms.mean() if weights is None else (weights * terms).mean())
+    loss = (terms if weights is None else weights * terms).mean(axis=-1)
+    if not with_grad:
+        return loss, None
 
     # z is within an ulp of the true log-partition; plenty for gradients
     z = phi_p + terms
     p = np.exp(-terms)
-    r = np.exp(phi_n[None, :] - z[:, None])
+    r = np.exp(phi_n[..., None, :] - z[..., :, None])
 
     q = np.ones_like(phi_p) if weights is None else weights
     g_pos = scale * q * (p - 1.0)
-    g_neg = scale * (q @ r)
+    g_neg = scale * (q[..., None, :] @ r)[..., 0, :]
 
-    d_pos, d_ctx_p = _compat_backward(g_pos, positives, contexts, phi_p, cache_p)
-    d_neg, d_ctx_n = _compat_backward(g_neg, negatives, contexts, phi_n, cache_n)
-    return loss, d_pos, d_neg, d_ctx_p + d_ctx_n
+    d_pos, d_ctx_p = compat_backward(g_pos, positives, contexts, phi_p, cache_p)
+    d_neg, d_ctx_n = compat_backward(g_neg, negatives, contexts, phi_n, cache_n)
+    return loss, (d_pos, d_neg, d_ctx_p + d_ctx_n)
+
+
+def batch_loss(
+    regions: np.ndarray,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    caption_nouns: np.ndarray,
+    weights: np.ndarray | None = None,
+    lambda_cross: float = 1.0,
+    lambda_inner: float = 1.0,
+    with_grad: bool = True,
+):
+    """Per-image cross and inner losses of a batch, and their gradients.
+
+    Arrays carry a leading batch axis B: regions (B, R, d), positives and
+    negatives (B, K, d), caption_nouns (B, P, d) with P possibly 0, weights
+    (B, K) or None. A zero lambda or P = 0 skips its term, which then
+    reads 0. Returns ``(cross, inner, grads)``: (B,) loss arrays and a
+    :class:`GradientBundle` of each image's gradients of its total loss,
+    or ``None`` without ``with_grad``. Each image's results are bitwise
+    equal to those of a batch holding that image alone.
+    """
+    if lambda_cross < 0.0 or lambda_inner < 0.0:
+        raise InvalidWeightError("lambda weights must be non-negative")
+    k = positives.shape[-2]
+    cross = inner = np.zeros(positives.shape[0])
+    grads = None
+    if with_grad:
+        grads = GradientBundle(
+            d_regions=np.zeros_like(regions),
+            d_positives=np.zeros_like(positives),
+            d_negatives=np.zeros_like(negatives),
+            d_caption_nouns=np.zeros_like(caption_nouns),
+        )
+    if lambda_cross > 0.0:
+        cross, g = _pair_block(
+            regions, positives, negatives, weights, lambda_cross / k, with_grad
+        )
+        if grads is not None:
+            grads.d_positives += g[0]
+            grads.d_negatives += g[1]
+            grads.d_regions += g[2]
+    if lambda_inner > 0.0 and caption_nouns.shape[-2] > 0:
+        inner, g = _pair_block(
+            caption_nouns, positives, negatives, weights, lambda_inner / k, with_grad
+        )
+        if grads is not None:
+            grads.d_positives += g[0]
+            grads.d_negatives += g[1]
+            grads.d_caption_nouns += g[2]
+    return cross, inner, grads
 
 
 def loss_and_grad(
@@ -116,38 +180,20 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, GradientBundle]:
     """Total loss together with its gradients w.r.t. all four tables.
 
-    When a selection result is supplied, the per-filtered-row gradients are
-    scatter-added back onto the source rows (a row picked twice by
-    oversampling accumulates both contributions).
+    The single-image case of :func:`batch_loss`. When a selection result
+    is supplied, the per-filtered-row gradients are scatter-added back
+    onto the source rows (a row picked twice by oversampling accumulates
+    both contributions).
 
     The returned breakdown is bitwise equal to :func:`rca.losses.total_loss`
     on the same arguments.
     """
-    if lambda_cross < 0.0 or lambda_inner < 0.0:
-        raise InvalidWeightError("lambda weights must be non-negative")
     wp, wn, q = gather_filtered(instance, uasr)
-    k = wp.shape[0]
-
-    d_regions = np.zeros_like(instance.regions)
-    d_caption = np.zeros_like(instance.caption_nouns)
-    d_wp = np.zeros_like(wp)
-    d_wn = np.zeros_like(wn)
-
-    cross = inner = 0.0
-    if lambda_cross > 0.0:
-        cross, dp, dn, dctx = _pair_block(
-            instance.regions, wp, wn, q, lambda_cross / k
-        )
-        d_wp += dp
-        d_wn += dn
-        d_regions += dctx
-    if lambda_inner > 0.0 and instance.num_caption_nouns > 0:
-        inner, dp, dn, dctx = _pair_block(
-            instance.caption_nouns, wp, wn, q, lambda_inner / k
-        )
-        d_wp += dp
-        d_wn += dn
-        d_caption += dctx
+    cross, inner, grads = batch_loss(
+        instance.regions[None], wp[None], wn[None], instance.caption_nouns[None],
+        None if q is None else q[None], lambda_cross, lambda_inner,
+    )
+    cross, inner = float(cross[0]), float(inner[0])
     breakdown = LossBreakdown(
         cross=cross,
         inner=inner,
@@ -156,20 +202,20 @@ def loss_and_grad(
         lambda_inner=lambda_inner,
     )
 
-    d_positives = np.zeros_like(instance.positives)
-    d_negatives = np.zeros_like(instance.negatives)
+    d_wp, d_wn = grads.d_positives[0], grads.d_negatives[0]
     if uasr is None:
-        d_positives += d_wp
-        d_negatives += d_wn
+        d_positives, d_negatives = d_wp, d_wn
     else:
+        d_positives = np.zeros_like(instance.positives)
+        d_negatives = np.zeros_like(instance.negatives)
         np.add.at(d_positives, uasr.positive_indices, d_wp)
         np.add.at(d_negatives, uasr.negative_indices, d_wn)
 
     return breakdown, GradientBundle(
-        d_regions=d_regions,
+        d_regions=grads.d_regions[0],
         d_positives=d_positives,
         d_negatives=d_negatives,
-        d_caption_nouns=d_caption,
+        d_caption_nouns=grads.d_caption_nouns[0],
     )
 
 

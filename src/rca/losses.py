@@ -38,14 +38,15 @@ def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
     """Per-positive -log softmax terms, one per positive tag.
 
     term[n] = -log( exp(phi_pos[n]) / (exp(phi_pos[n]) + sum_l exp(phi_neg[l])) )
-    evaluated as logsumexp([phi_pos[n], phi_neg...]) - phi_pos[n].
+    evaluated as logsumexp([phi_pos[n], phi_neg...]) - phi_pos[n]. Leading
+    axes, shared by both arguments, are batch axes.
     """
-    kp = phi_pos.shape[0]
+    wide = phi_pos.shape + phi_neg.shape[-1:]
     stacked = np.concatenate(
-        [phi_pos[:, None], np.broadcast_to(phi_neg, (kp, phi_neg.shape[0]))], axis=1
+        [phi_pos[..., None], np.broadcast_to(phi_neg[..., None, :], wide)], axis=-1
     )
-    m = stacked.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(stacked - m).sum(axis=1))
+    m = stacked.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(stacked - m).sum(axis=-1))
     return lse - phi_pos
 
 

@@ -11,13 +11,20 @@ Tag and caption embeddings live in per-concept tables shared across the
 whole dataset, so the contrastive objective can triangulate each concept
 from its co-occurrences; region embeddings get a row per (image, slot).
 Training runs plain gradient descent on the mean per-image loss, with
-optional candidate subsampling and uncertainty-aware selection applied per
-image per step. Selection and its weights are computed on the frozen
-generation-time embeddings (the stand-in for pretrained encoder features)
-and applied straight-through to the trainable tables, so filter quality is
-a property of the data, not of the training trajectory. Loss history
-records are full-dataset snapshots (no subsampling), so a zero learning
-rate yields a perfectly flat history.
+optional candidate subsampling and uncertainty-aware selection. Selection
+and its weights are computed on the frozen generation-time embeddings (the
+stand-in for pretrained encoder features) and applied straight-through to
+the trainable tables, so filter quality is a property of the data, not of
+the training trajectory. Loss history records are full-dataset snapshots
+(no subsampling), so a zero learning rate yields a perfectly flat history.
+
+Steps and snapshots work on whole blocks of at most ``BLOCK`` images with
+stacked arrays: one selection, one forward/backward and one scatter-add
+per table for each block, so memory does not grow with the dataset. Each
+call stacks the dataset's frozen evidence once and computes its
+region-by-pool cosines once; a subsampled step selects over the column
+subset of its kept rows, exactly as if the pool held only those rows.
+Nothing stacked outlives the call.
 """
 
 from __future__ import annotations
@@ -29,10 +36,8 @@ import numpy as np
 
 from .core import ContrastiveInstance
 from .errors import ConfigError, DivergenceError
-from .gradients import loss_and_grad
-from .losses import total_loss
-from .tags import subsample
-from .uasr import apply_uasr
+from .gradients import batch_loss
+from .uasr import pool_cosines, select_batch, warn_clamped
 
 __all__ = [
     "SyntheticConfig",
@@ -41,6 +46,7 @@ __all__ = [
     "SyntheticDataset",
     "TrainState",
     "HistoryRecord",
+    "StackedEvidence",
     "generate_synthetic",
     "initial_state",
     "aligned_state",
@@ -49,6 +55,8 @@ __all__ = [
     "train_alignment",
     "evaluate_retrieval",
 ]
+
+BLOCK = 64  # images per stacked block in steps and snapshots
 
 
 @dataclass
@@ -135,23 +143,6 @@ class SyntheticInstance:
     positive_embeddings: np.ndarray  # (K, d) as generated, evidence for selection
     negative_embeddings: np.ndarray  # (K, d)
     flipped: bool = False
-
-    def evidence_view(self, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
-        """Frozen-embedding instance for selection, optionally row-subset."""
-        pos = self.positive_embeddings
-        neg = self.negative_embeddings
-        scores = self.global_scores
-        if pos_idx is not None:
-            pos, scores = pos[pos_idx], scores[pos_idx]
-        if neg_idx is not None:
-            neg = neg[neg_idx]
-        return ContrastiveInstance.trusted(
-            regions=self.region_embeddings,
-            positives=pos,
-            negatives=neg,
-            caption_nouns=np.zeros((0, self.region_embeddings.shape[1])),
-            global_scores=scores,
-        )
 
 
 @dataclass
@@ -277,37 +268,14 @@ def aligned_state(dataset: SyntheticDataset) -> TrainState:
 def gather_instance(
     dataset: SyntheticDataset, state: TrainState, index: int
 ) -> ContrastiveInstance:
-    """Materialize one image's contrastive arrays from the current tables.
-
-    Skips per-instance validation: the tables are finite-checked once per
-    training step and the gathered slices inherit that.
-    """
+    """Materialize one image's validated contrastive arrays from the current tables."""
     inst = dataset.instances[index]
-    return ContrastiveInstance.trusted(
+    return ContrastiveInstance(
         regions=state.region_table[inst.row_ids],
         positives=state.tag_table[inst.positive_concepts],
         negatives=state.tag_table[inst.negative_concepts],
         caption_nouns=state.caption_table[inst.caption_concepts],
         global_scores=inst.global_scores,
-    )
-
-
-def snapshot_loss(
-    dataset: SyntheticDataset, state: TrainState, config: TrainerConfig
-) -> "HistoryRecord":
-    """Mean full-dataset loss with the configured selection, no subsampling."""
-    cross = inner = total = 0.0
-    for i in range(len(dataset)):
-        inst = dataset.instances[i]
-        ci = gather_instance(dataset, state, i)
-        sel = apply_uasr(inst.evidence_view()) if config.enable_uasr else None
-        bd = total_loss(ci, sel, config.lambda_cross, config.effective_lambda_inner)
-        cross += bd.cross
-        inner += bd.inner
-        total += bd.total
-    n = len(dataset)
-    return HistoryRecord(
-        step=state.step, cross=cross / n, inner=inner / n, total=total / n
     )
 
 
@@ -319,18 +287,153 @@ class HistoryRecord:
     total: float
 
 
-def _subsampled(ci: ContrastiveInstance, fraction: float, rng):
-    """Row-subset view of an instance; regions and caption stay whole."""
-    k = ci.num_positives
-    pos_idx, neg_idx = subsample(np.arange(k), np.arange(k), fraction, rng)
-    sub = ContrastiveInstance.trusted(
-        regions=ci.regions,
-        positives=ci.positives[pos_idx],
-        negatives=ci.negatives[neg_idx],
-        caption_nouns=ci.caption_nouns,
-        global_scores=ci.global_scores[pos_idx],
+@dataclass
+class StackedEvidence:
+    """A dataset's per-image index rows and frozen selection evidence, stacked for one call.
+
+    Row i describes image i. ``cosines`` holds each image's region-by-pool
+    cosines of the frozen embeddings (positives, then negatives), or is
+    ``None`` when selection is off. ``clamped`` counts the global scores
+    selection has clamped so far, so the call can warn once.
+    """
+
+    row_ids: np.ndarray            # (n, R)
+    positive_concepts: np.ndarray  # (n, K)
+    negative_concepts: np.ndarray  # (n, K)
+    caption_concepts: np.ndarray   # (n, P)
+    global_scores: np.ndarray      # (n, K)
+    cosines: np.ndarray | None     # (n, R, 2K)
+    clamped: int = 0
+
+    @classmethod
+    def of(cls, dataset: SyntheticDataset, with_cosines: bool) -> "StackedEvidence":
+        insts = dataset.instances
+
+        def stacked(name, part=insts):
+            return np.stack([getattr(inst, name) for inst in part])
+
+        cosines = None
+        if with_cosines:
+            first = insts[0]
+            cosines = np.empty((len(insts), first.region_embeddings.shape[0],
+                                2 * first.positive_embeddings.shape[0]))
+            for start in range(0, len(insts), BLOCK):
+                part = insts[start:start + BLOCK]
+                cosines[start:start + BLOCK] = pool_cosines(
+                    stacked("region_embeddings", part),
+                    stacked("positive_embeddings", part),
+                    stacked("negative_embeddings", part),
+                )
+        return cls(
+            row_ids=stacked("row_ids"),
+            positive_concepts=stacked("positive_concepts"),
+            negative_concepts=stacked("negative_concepts"),
+            caption_concepts=stacked("caption_concepts"),
+            global_scores=stacked("global_scores"),
+            cosines=cosines,
+        )
+
+
+def _select_block(evidence, images, subsets=None):
+    """Selection for one block of images over their frozen evidence.
+
+    With ``subsets`` (b, 2, m), the sorted positive and negative rows a
+    subsampled step keeps per image, the argmax runs over those pool
+    columns only. Indices refer to the kept rows.
+    """
+    cosines = evidence.cosines[images]
+    scores = evidence.global_scores[images]
+    if subsets is not None:
+        rows = np.arange(len(images))[:, None]
+        k = scores.shape[1]
+        cols = np.concatenate([subsets[:, 0], k + subsets[:, 1]], axis=1)
+        cosines = cosines[rows[:, :, None], np.arange(cosines.shape[1])[:, None],
+                          cols[:, None, :]]
+        scores = scores[rows, subsets[:, 0]]
+    sel = select_batch(cosines, scores)
+    evidence.clamped += sel.clamped
+    return sel
+
+
+def _block_loss(evidence, state, config, images, subsets=None, grads=None):
+    """Per-image cross and inner losses of one block of images.
+
+    ``subsets`` is as for :func:`_select_block`. With ``grads`` (tag,
+    caption and region gradient tables), the block's gradients are
+    scatter-added onto them.
+    """
+    rows = np.arange(len(images))[:, None]
+    pos_concepts = evidence.positive_concepts[images]
+    neg_concepts = evidence.negative_concepts[images]
+    if subsets is not None:
+        pos_concepts = pos_concepts[rows, subsets[:, 0]]
+        neg_concepts = neg_concepts[rows, subsets[:, 1]]
+    weights = None
+    if config.enable_uasr:
+        sel = _select_block(evidence, images, subsets)
+        pos_concepts = pos_concepts[rows, sel.positive_indices]
+        neg_concepts = neg_concepts[rows, sel.negative_indices]
+        weights = sel.weights
+
+    region_rows = evidence.row_ids[images]
+    caption_concepts = evidence.caption_concepts[images]
+    cross, inner, g = batch_loss(
+        state.region_table[region_rows],
+        state.tag_table[pos_concepts],
+        state.tag_table[neg_concepts],
+        state.caption_table[caption_concepts],
+        weights,
+        config.lambda_cross,
+        config.effective_lambda_inner,
+        with_grad=grads is not None,
     )
-    return sub, pos_idx, neg_idx
+    if grads is not None:
+        g_tag, g_cap, g_reg = grads
+        np.add.at(g_tag, np.concatenate([pos_concepts, neg_concepts], axis=1),
+                  np.concatenate([g.d_positives, g.d_negatives], axis=1))
+        np.add.at(g_cap, caption_concepts, g.d_caption_nouns)
+        np.add.at(g_reg, region_rows, g.d_regions)
+    return cross, inner
+
+
+def snapshot_loss(
+    dataset: SyntheticDataset,
+    state: TrainState,
+    config: TrainerConfig,
+    evidence: StackedEvidence | None = None,
+) -> HistoryRecord:
+    """Mean full-dataset loss with the configured selection, no subsampling.
+
+    ``evidence`` lets a caller share one call's :class:`StackedEvidence`
+    across snapshots; the caller then owns the clamp warning. Without it,
+    this call stacks its own and warns at most once.
+    """
+    own = evidence is None
+    if own:
+        evidence = StackedEvidence.of(dataset, config.enable_uasr)
+    n = len(dataset)
+    cross = inner = total = 0.0
+    for start in range(0, n, BLOCK):
+        c, i = _block_loss(evidence, state, config, np.arange(start, min(start + BLOCK, n)))
+        cross += float(c.sum())
+        inner += float(i.sum())
+        total += float((config.lambda_cross * c + config.effective_lambda_inner * i).sum())
+    if own:
+        warn_clamped(evidence.clamped)
+    return HistoryRecord(
+        step=state.step, cross=cross / n, inner=inner / n, total=total / n
+    )
+
+
+def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
+    """Sorted kept rows (count, 2, m) per image, positives then negatives.
+
+    Draws the stream :func:`rca.tags.subsample` would draw image by image:
+    ceil(fraction * k) rows without replacement, positives first.
+    """
+    m = math.ceil(fraction * k)
+    draws = [rng.choice(k, size=m, replace=False) for _ in range(2 * count)]
+    return np.sort(np.reshape(draws, (count, 2, m)), axis=-1)
 
 
 def train_alignment(
@@ -342,16 +445,18 @@ def train_alignment(
 
     History holds snapshots before the first step, after every tenth step,
     and after the last one. Raises :class:`DivergenceError` as soon as a
-    table or a snapshot stops being finite.
+    table or a snapshot stops being finite. Warns at most once, with the
+    total count, if selection clamped non-positive global scores.
     """
     if state is None:
         state = initial_state(dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
-    k = dataset.config.regions_per_image
+    evidence = StackedEvidence.of(dataset, config.enable_uasr)
+    k = evidence.positive_concepts.shape[1]
 
     def record(history):
-        rec = snapshot_loss(dataset, state, config)
+        rec = snapshot_loss(dataset, state, config, evidence)
         if not math.isfinite(rec.total):
             raise DivergenceError(state.step, "snapshot loss is not finite")
         history.append(rec)
@@ -364,33 +469,19 @@ def train_alignment(
             batch = np.arange(n)
         else:
             batch = rng.choice(n, size=config.batch_size, replace=False)
+        subsets = None
+        if config.enable_subsample:
+            subsets = _draw_subsets(rng, len(batch), k, config.subsample_fraction)
 
-        g_tag = np.zeros_like(state.tag_table)
-        g_cap = np.zeros_like(state.caption_table)
-        g_reg = np.zeros_like(state.region_table)
-
-        for idx in batch:
-            inst = dataset.instances[idx]
-            ci = gather_instance(dataset, state, idx)
-            pos_concepts = inst.positive_concepts
-            neg_concepts = inst.negative_concepts
-            pos_idx = neg_idx = None
-            if config.enable_subsample:
-                ci, pos_idx, neg_idx = _subsampled(ci, config.subsample_fraction, rng)
-                pos_concepts = pos_concepts[pos_idx]
-                neg_concepts = neg_concepts[neg_idx]
-            sel = (
-                apply_uasr(inst.evidence_view(pos_idx, neg_idx))
-                if config.enable_uasr
-                else None
-            )
-            _, grads = loss_and_grad(
-                ci, sel, config.lambda_cross, config.effective_lambda_inner
-            )
-            np.add.at(g_reg, inst.row_ids, grads.d_regions)
-            np.add.at(g_tag, pos_concepts, grads.d_positives)
-            np.add.at(g_tag, neg_concepts, grads.d_negatives)
-            np.add.at(g_cap, inst.caption_concepts, grads.d_caption_nouns)
+        grads = tuple(
+            np.zeros_like(t)
+            for t in (state.tag_table, state.caption_table, state.region_table)
+        )
+        for start in range(0, len(batch), BLOCK):
+            block = slice(start, start + BLOCK)
+            _block_loss(evidence, state, config, batch[block],
+                        None if subsets is None else subsets[block], grads)
+        g_tag, g_cap, g_reg = grads
 
         lr = config.learning_rate / len(batch)
         if not config.freeze_tags:
@@ -410,6 +501,7 @@ def train_alignment(
 
     if not history or history[-1].step != state.step:
         record(history)
+    warn_clamped(evidence.clamped)
     return state, history
 
 

@@ -26,6 +26,10 @@ __all__ = [
     "retrieve_top_tags",
     "select",
     "reweight",
+    "warn_clamped",
+    "BatchSelection",
+    "pool_cosines",
+    "select_batch",
     "apply_uasr",
 ]
 
@@ -75,11 +79,17 @@ def local_uncertainty(v, w) -> float:
 
 
 def _cosine_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    rn = np.linalg.norm(rows, axis=1)
-    cn = np.linalg.norm(cols, axis=1)
+    """Cosines of every row against every column vector, over any leading batch axes."""
+    rn = np.linalg.norm(rows, axis=-1)
+    cn = np.linalg.norm(cols, axis=-1)
     if (rn == 0.0).any() or (cn == 0.0).any():
         raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
-    return (rows @ cols.T) / np.outer(rn, cn)
+    return (rows @ cols.swapaxes(-1, -2)) / (rn[..., :, None] * cn[..., None, :])
+
+
+def pool_cosines(regions, positives, negatives) -> np.ndarray:
+    """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives."""
+    return _cosine_matrix(regions, np.concatenate([positives, negatives], axis=-2))
 
 
 def retrieve_top_tags(regions, all_tags) -> np.ndarray:
@@ -126,18 +136,25 @@ def select(positive_indices, negative_indices, retrieved) -> tuple[list, list, b
     return _cycle_to(pos_kept, len(pos)), _cycle_to(neg_kept, len(neg)), pos_fallback, neg_fallback
 
 
-def _weights_from(best_cosine: np.ndarray, scores: np.ndarray, normalize: bool) -> np.ndarray:
-    q1 = np.exp(best_cosine)
-    if (scores <= 0.0).any():
+def _weights_from(best_cosine: np.ndarray, scores: np.ndarray, normalize: bool):
+    """Weights q = exp(best_cosine) * max(score, floor) along the last axis, and the clamp count."""
+    clamped = int((scores <= 0.0).sum())
+    q = np.exp(best_cosine) * np.maximum(scores, SCORE_FLOOR)
+    if normalize:
+        q = q / q.mean(axis=-1, keepdims=True)
+    return q, clamped
+
+
+def warn_clamped(count: int) -> None:
+    """One ``UserWarning`` for ``count`` clamped global scores; silent when there are none.
+
+    The warning points at the code that called this function's caller.
+    """
+    if count:
         warnings.warn(
-            f"{int((scores <= 0.0).sum())} non-positive global score(s) clamped to {SCORE_FLOOR}",
+            f"{count} non-positive global score(s) clamped to {SCORE_FLOOR}",
             stacklevel=3,
         )
-    q2 = np.maximum(scores, SCORE_FLOOR)
-    q = q1 * q2
-    if normalize:
-        q = q / q.mean()
-    return q
 
 
 def reweight(positives_filtered, regions, global_scores, normalize: bool = True) -> np.ndarray:
@@ -156,40 +173,96 @@ def reweight(positives_filtered, regions, global_scores, normalize: bool = True)
     if scores.shape != (wp.shape[0],):
         raise ValidationError("global_scores must align with positives_filtered rows")
     best = _cosine_matrix(regions, wp).max(axis=0)
-    return _weights_from(best, scores, normalize)
+    q, clamped = _weights_from(best, scores, normalize)
+    warn_clamped(clamped)
+    return q
+
+
+@dataclass
+class BatchSelection:
+    """Selection for B images that share the side length K.
+
+    Index arrays hold rows of each image's own positive or negative side;
+    ``retrieved`` marks the pool slots (positives, then negatives) some
+    region voted for. ``clamped`` counts the non-positive global scores,
+    with oversampling multiplicity, that the weights clamped to
+    ``SCORE_FLOOR``; the caller decides when to warn about them.
+    """
+
+    positive_indices: np.ndarray   # (B, K)
+    negative_indices: np.ndarray   # (B, K)
+    weights: np.ndarray            # (B, K)
+    retrieved: np.ndarray          # (B, 2K) bool
+    positive_fallback: np.ndarray  # (B,) bool
+    negative_fallback: np.ndarray  # (B,) bool
+    clamped: int
+
+
+def _cycle_kept(keep: np.ndarray) -> np.ndarray:
+    """Per row, the kept column indices in ascending order, repeated cyclically to fill the row."""
+    b, k = keep.shape
+    cols = np.arange(k)
+    kept_first = np.sort(cols + k * ~keep, axis=-1)
+    slots = cols % keep.sum(axis=-1, keepdims=True)
+    return kept_first[np.arange(b)[:, None], slots]
+
+
+def select_batch(cosines: np.ndarray, global_scores: np.ndarray, normalize: bool = True) -> BatchSelection:
+    """Retrieval, selection and re-weighting for a batch of images at once.
+
+    ``cosines`` is the (B, R, 2K) region-by-pool block of
+    :func:`pool_cosines` (or a column subset of one, positives first) and
+    ``global_scores`` the (B, K) positive scores. Each region votes for its
+    highest-cosine pool slot, ties going to the lowest slot. Per image,
+    positives keep the voted ones and negatives drop them, each side cycled
+    back to K rows in its original order; a side with no survivors falls
+    back to every positive, or to the last (lowest-ranked) negative.
+    """
+    b, _, pool = cosines.shape
+    k = pool // 2
+    rows = np.arange(b)[:, None]
+    retrieved = np.zeros((b, pool), dtype=bool)
+    retrieved[rows, cosines.argmax(axis=-1)] = True
+
+    pos_keep = retrieved[:, :k]
+    pos_fallback = ~pos_keep.any(axis=-1)
+    pos_keep = pos_keep | pos_fallback[:, None]
+    neg_keep = ~retrieved[:, k:]
+    neg_fallback = ~neg_keep.any(axis=-1)
+    neg_keep[neg_fallback, -1] = True
+
+    positive_indices = _cycle_kept(pos_keep)
+    best = cosines[:, :, :k].max(axis=1)[rows, positive_indices]
+    weights, clamped = _weights_from(best, global_scores[rows, positive_indices], normalize)
+    return BatchSelection(
+        positive_indices=positive_indices,
+        negative_indices=_cycle_kept(neg_keep),
+        weights=weights,
+        retrieved=retrieved,
+        positive_fallback=pos_fallback,
+        negative_fallback=neg_fallback,
+        clamped=clamped,
+    )
 
 
 def apply_uasr(instance: ContrastiveInstance, normalize: bool = True) -> UasrResult:
     """Run retrieval, selection, and re-weighting on one instance.
 
-    The region-to-pool cosine matrix is computed once and reused for both
-    the retrieval argmax and the best-region factor of the weights.
+    The single-image case of :func:`select_batch`; warns once if any
+    global score was clamped.
     """
-    k = instance.num_positives
-    pool = np.vstack([instance.positives, instance.negatives])
-    cos = _cosine_matrix(instance.regions, pool)
-    retrieved = np.unique(np.argmax(cos, axis=1))
-
-    pos_kept, neg_kept, pos_fb, neg_fb = select(
-        range(k), range(k, 2 * k), retrieved.tolist()
-    )
-    positive_indices = np.asarray(pos_kept, dtype=int)
-    negative_indices = np.asarray(neg_kept, dtype=int) - k
-
-    wp_bar = instance.positives[positive_indices]
-    wn_bar = instance.negatives[negative_indices]
-    weights = _weights_from(
-        cos[:, positive_indices].max(axis=0),
-        instance.global_scores[positive_indices],
-        normalize,
-    )
+    cos = pool_cosines(instance.regions, instance.positives, instance.negatives)
+    sel = select_batch(cos[None], instance.global_scores[None], normalize)
+    warn_clamped(sel.clamped)
+    positive_indices = sel.positive_indices[0]
+    negative_indices = sel.negative_indices[0]
     return UasrResult(
-        positives_filtered=wp_bar,
-        negatives_filtered=wn_bar,
-        weights=weights,
-        retrieved_set=retrieved,
+        positives_filtered=instance.positives[positive_indices],
+        negatives_filtered=instance.negatives[negative_indices],
+        weights=sel.weights[0],
+        retrieved_set=np.flatnonzero(sel.retrieved[0]),
         positive_indices=positive_indices,
         negative_indices=negative_indices,
-        positive_fallback=pos_fb,
-        negative_fallback=neg_fb,
+        positive_fallback=bool(sel.positive_fallback[0]),
+        negative_fallback=bool(sel.negative_fallback[0]),
     )

@@ -1,0 +1,200 @@
+"""The stacked trainer, kernel and selection against their per-image references.
+
+``loop_reference.py`` keeps the trainer's per-image loop and its 2-D
+compatibility kernel. The kernel's batched results must equal the 2-D
+results bit for bit, image by image; the trainer reorders float sums
+(one scatter-add per table per block), so its history and tables must
+match the loop within a relative 1e-12.
+"""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loop_reference import evidence_view, loss_and_grad_2d, train_alignment_loop
+from rca import trainer
+from rca.core import ContrastiveInstance, compatibility
+from rca.gradients import batch_loss, compat_forward, loss_and_grad
+from rca.trainer import (
+    StackedEvidence,
+    SyntheticConfig,
+    TrainerConfig,
+    generate_synthetic,
+    initial_state,
+    snapshot_loss,
+    train_alignment,
+)
+from rca.uasr import apply_uasr
+
+# 70 images: two blocks, the second one partial. Noise and flips make the
+# subsampled steps hit both selection fallbacks and clamp some scores.
+NOISY = SyntheticConfig(n_concepts=6, d=8, n_images=70, regions_per_image=3,
+                        noise_sigma=0.3, flip_rate=0.2, seed=5)
+assert NOISY.n_images % trainer.BLOCK != 0
+BASE = dict(steps=12, learning_rate=0.5, seed=2)
+
+
+def _clamp_counts(records):
+    return [int(str(w.message).split()[0]) for w in records if "clamped" in str(w.message)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    b=st.integers(1, 5),
+    k=st.integers(1, 6),
+    r=st.integers(1, 6),
+    p=st.integers(0, 4),
+    d=st.integers(1, 24),
+    scale=st.floats(0.1, 4.0),
+    weighted=st.booleans(),
+    lambdas=st.sampled_from([(1.0, 1.0), (2.0, 0.0), (0.0, 0.7), (0.3, 1.5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weighted, lambdas, seed):
+    rng = np.random.default_rng(seed)
+    regions = scale * rng.standard_normal((b, r, d))
+    positives = scale * rng.standard_normal((b, k, d))
+    negatives = scale * rng.standard_normal((b, k, d))
+    caption = scale * rng.standard_normal((b, p, d))
+    weights = rng.uniform(0.1, 2.0, (b, k)) if weighted else None
+    lc, li = lambdas
+
+    cross, inner, g = batch_loss(regions, positives, negatives, caption, weights, lc, li)
+    phi, _ = compat_forward(positives, regions)
+    for i in range(b):
+        want = loss_and_grad_2d(regions[i], positives[i], negatives[i], caption[i],
+                                None if weights is None else weights[i], lc, li)
+        assert (cross[i], inner[i]) == want[:2]
+        for got, expected in zip((g.d_positives[i], g.d_negatives[i], g.d_regions[i],
+                                  g.d_caption_nouns[i]), want[2:]):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(phi[i], compatibility(positives[i], regions[i]))
+
+    c2, i2, none = batch_loss(regions, positives, negatives, caption, weights, lc, li,
+                              with_grad=False)
+    assert none is None
+    assert np.array_equal(c2, cross) and np.array_equal(i2, inner)
+
+    # loss_and_grad is the one-image batch, with selection scattered back
+    inst = ContrastiveInstance(regions[0], positives[0], negatives[0], caption[0],
+                               np.sort(rng.uniform(0.05, 1.0, k))[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sel = apply_uasr(inst)
+    bd, grads = loss_and_grad(inst, sel, lc, li)
+    cross0, inner0, d_wp, d_wn, d_reg, d_cap = loss_and_grad_2d(
+        inst.regions, inst.positives[sel.positive_indices],
+        inst.negatives[sel.negative_indices], inst.caption_nouns, sel.weights, lc, li)
+    d_pos = np.zeros_like(inst.positives)
+    d_neg = np.zeros_like(inst.negatives)
+    np.add.at(d_pos, sel.positive_indices, d_wp)
+    np.add.at(d_neg, sel.negative_indices, d_wn)
+    assert (bd.cross, bd.inner) == (cross0, inner0)
+    for got, expected in zip((grads.d_positives, grads.d_negatives, grads.d_regions,
+                              grads.d_caption_nouns), (d_pos, d_neg, d_reg, d_cap)):
+        assert np.array_equal(got, expected)
+
+
+def _row_subsets(k):
+    """Every (positive rows, negative rows) pair of equal size, sorted."""
+    out = []
+    for m in range(1, k + 1):
+        sides = [np.array(c) for c in itertools.combinations(range(k), m)]
+        out += [(pos, neg) for pos in sides for neg in sides]
+    return out
+
+
+def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
+    ds = generate_synthetic(NOISY)
+    evidence = StackedEvidence.of(ds, with_cosines=True)
+    n, k = len(ds), NOISY.regions_per_image
+    images = np.arange(n)
+    combos = _row_subsets(k)
+    fallbacks = np.zeros(2, dtype=int)
+
+    def check(sel, i, res, exact):
+        assert sel.positive_indices[i].tolist() == res.positive_indices.tolist()
+        assert sel.negative_indices[i].tolist() == res.negative_indices.tolist()
+        assert np.flatnonzero(sel.retrieved[i]).tolist() == res.retrieved_set.tolist()
+        assert (sel.positive_fallback[i], sel.negative_fallback[i]) == (
+            res.positive_fallback, res.negative_fallback)
+        if exact:
+            assert np.array_equal(sel.weights[i], res.weights)
+        else:  # column subsets of the full-pool cosines, not cosines of the subset pool
+            np.testing.assert_allclose(sel.weights[i], res.weights, rtol=1e-13, atol=0.0)
+
+    with warnings.catch_warnings(record=True) as per_image:
+        warnings.simplefilter("always")
+        sel = trainer._select_block(evidence, images)
+        for i in images:
+            check(sel, i, apply_uasr(evidence_view(ds.instances[i])), exact=True)
+        fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
+        # every image meets every subset, and one block mixes many subsets
+        for shift in range(len(combos)):
+            picked = [combos[(shift + i) % len(combos)] for i in images]
+            for m in range(1, k + 1):
+                rows = [i for i in images if len(picked[i][0]) == m]
+                subsets = np.array([picked[i] for i in rows])
+                sel = trainer._select_block(evidence, np.array(rows), subsets)
+                for j, i in enumerate(rows):
+                    pos, neg = picked[i]
+                    check(sel, j, apply_uasr(evidence_view(ds.instances[i], pos, neg)),
+                          exact=False)
+                fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
+    assert evidence.clamped == sum(_clamp_counts(per_image)) > 0
+    assert (fallbacks > 0).all()  # both fallbacks are exercised
+
+
+VARIANTS = {
+    "default": {},
+    "no-selection": {"enable_uasr": False},
+    "no-subsample": {"enable_subsample": False},
+    "no-inner": {"enable_inner": False},
+    "plain": {"enable_uasr": False, "enable_subsample": False, "enable_inner": False},
+    "freeze-tags": {"freeze_tags": True},
+    "freeze-regions": {"freeze_regions": True},
+    "freeze-caption": {"freeze_caption": True},
+    "minibatch": {"batch_size": 24},
+    "minibatch-plain": {"batch_size": 24, "enable_uasr": False, "enable_subsample": False},
+}
+
+
+@pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
+def test_train_alignment_matches_per_image_loop(overrides):
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, **overrides})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*clamped")
+        got_state, got = train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+        want_state, want = train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
+    assert [h.step for h in got] == [h.step for h in want] == [0, 10, 12]
+    for a, b in zip(got, want):
+        np.testing.assert_allclose([a.cross, a.inner, a.total], [b.cross, b.inner, b.total],
+                                   rtol=1e-12, atol=0.0)
+    for name in ("tag_table", "caption_table", "region_table"):
+        np.testing.assert_allclose(getattr(got_state, name), getattr(want_state, name),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_clamp_warning_counted_once_per_call():
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**BASE)
+    with warnings.catch_warnings(record=True) as batched:
+        warnings.simplefilter("always")
+        train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+    with warnings.catch_warnings(record=True) as looped:
+        warnings.simplefilter("always")
+        train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
+    per_image = _clamp_counts(looped)
+    assert len(per_image) > 1
+    assert _clamp_counts(batched) == [sum(per_image)]
+
+    state = initial_state(ds, seed=cfg.seed)
+    with warnings.catch_warnings(record=True) as snap:
+        warnings.simplefilter("always")
+        snapshot_loss(ds, state, cfg)
+    assert len(_clamp_counts(snap)) == 1

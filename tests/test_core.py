@@ -110,17 +110,6 @@ class TestInstance:
                 global_scores=[0.5],
             )
 
-    def test_trusted_skips_validation(self):
-        # deliberately inconsistent shapes: trusted() must not look
-        inst = ContrastiveInstance.trusted(
-            regions=np.zeros((1, 2)),
-            positives=np.zeros((5, 3)),
-            negatives=np.zeros((2, 3)),
-            caption_nouns=np.zeros((0, 2)),
-            global_scores=np.zeros(9),
-        )
-        assert inst.positives.shape == (5, 3)
-
 
 class TestAttention:
     def test_pairwise_scores_scaling(self):

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,28 @@ class TestCliLoss:
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run_cli(["loss", VOCAB, "/nonexistent.jsonl"], capsys)
         assert code == 2
+
+
+class TestCliEmptyCorpus:
+    """A header with no records is unparseable input for every corpus subcommand."""
+
+    @pytest.mark.parametrize("command", ["rank", "uasr", "loss"])
+    def test_exit_two_without_output(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        write_instances(empty, [], read_vocab(VOCAB)[1])
+        out_file = tmp_path / "ranked.jsonl"
+        argv = [command, VOCAB, str(empty)]
+        if command == "rank":
+            argv += ["--out", str(out_file)]
+        if command == "loss":
+            argv += ["--enable_uasr"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "no instance records" in err
+        assert not out_file.exists()
 
 
 class TestCliGradcheck:
