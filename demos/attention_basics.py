@@ -5,7 +5,7 @@ Run from the repository root:  python3 demos/attention_basics.py
 
 import numpy as np
 
-from rca.core import attention_weights, compatibility, contextualize, pairwise_scores
+from rca.core import compat_forward, compatibility
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -14,20 +14,19 @@ d = 8
 tags = rng.standard_normal((3, d))      # 3 candidate tags
 regions = rng.standard_normal((5, d))   # 5 image regions
 
-scores = pairwise_scores(tags, regions)
-alpha = attention_weights(scores)
-contexts = contextualize(alpha, regions)
-phi = compatibility(tags, regions)
+# the kernel returns phi and the intermediates its backward pass reuses
+phi, (t_raw, alpha, contexts) = compat_forward(tags, regions)
 
 print("scaled scores (tag x region):")
-print(scores)
+print(t_raw / np.sqrt(d))
 print("\nattention rows (each sums to 1):")
 print(alpha)
 print("row sums:", alpha.sum(axis=1))
 print("\nper-tag compatibility phi:", phi)
+print("same through the validated front door:", compatibility(tags, regions))
 
 # the softmax is shift-invariant, so scaling inputs by 1e4 stays finite
-big = attention_weights(pairwise_scores(tags * 1e4, regions))
+_, (_, big, _) = compat_forward(tags * 1e4, regions)
 print("\nafter scaling tags by 1e4 the rows still sum to", big.sum(axis=1))
 print("(the biggest weight saturates toward 1):", big.max(axis=1))
 
@@ -38,6 +37,6 @@ print("\nmax |phi drift| after permuting regions:", drift)
 
 # a tag pointing at one region attends to it almost exclusively
 pointed = regions[2] * 3.0
-alpha_pointed = attention_weights(pairwise_scores(pointed[None, :], regions))
+_, (_, alpha_pointed, _) = compat_forward(pointed[None, :], regions)
 print("\ntag aligned with region 2 -> attention row:")
 print(alpha_pointed[0])

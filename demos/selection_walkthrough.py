@@ -8,7 +8,7 @@ it, selection drops it, and the kept list is cycled back up to K rows.
 import numpy as np
 
 from rca.core import ContrastiveInstance
-from rca.uasr import apply_uasr, local_uncertainty, retrieve_top_tags
+from rca.uasr import apply_uasr, pool_cosines
 
 np.set_printoptions(precision=4, suppress=True)
 rng = np.random.default_rng(12)
@@ -27,16 +27,13 @@ instance = ContrastiveInstance(
     global_scores=np.sort(rng.uniform(0.1, 1.0, size=k))[::-1],
 )
 
-pool = np.vstack([positives, negatives])
 print("pool ids 0..3 are positives, 4..7 negatives; id 5 is the plant\n")
+cosines = pool_cosines(regions, positives, negatives)
 for i in range(r):
-    cos = np.array([local_uncertainty(regions[i], pool[j]) for j in range(2 * k)])
-    print(f"region {i}: best pool id {int(cos.argmax())}  cosines {cos}")
-
-retrieved = retrieve_top_tags(regions, pool)
-print("\nretrieved set (one vote per region, deduplicated):", retrieved)
+    print(f"region {i}: best pool id {int(cosines[i].argmax())}  cosines {cosines[i]}")
 
 sel = apply_uasr(instance)
+print("\nretrieved set (one vote per region, deduplicated):", sel.retrieved_set)
 print("kept positive rows:", sel.positive_indices,
       "(fallback:", sel.positive_fallback, ")")
 print("kept negative rows:", sel.negative_indices,

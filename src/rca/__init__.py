@@ -1,12 +1,6 @@
 """Relative contrastive alignment of tag, region, and caption embeddings."""
 
-from .core import (
-    ContrastiveInstance,
-    attention_weights,
-    compatibility,
-    contextualize,
-    pairwise_scores,
-)
+from .core import ContrastiveInstance, compatibility
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -19,20 +13,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gradients import (
-    GradientBundle,
-    finite_diff_grad,
-    gradient_check,
-    loss_and_grad,
-)
-from .losses import (
-    LossBreakdown,
-    cross_modality_loss,
-    inner_modality_loss,
-    total_loss,
-    weighted_cross_loss,
-    weighted_inner_loss,
-)
+from .gradients import finite_diff_grad, gradient_check, loss_and_grad
+from .losses import GradientBundle, LossBreakdown, pair_loss, total_loss
 from .tags import RankedTagList, TagCandidate, rank_tags, split_pos_neg, subsample
 from .trainer import (
     SyntheticConfig,
@@ -43,6 +25,6 @@ from .trainer import (
     initial_state,
     train_alignment,
 )
-from .uasr import UasrResult, apply_uasr, local_uncertainty, retrieve_top_tags
+from .uasr import UasrResult, apply_uasr
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gradients import finite_diff_grad, loss_and_grad, relative_error
+from .gradients import gradient_check
 from .io import (
     InstanceRecord,
     RunConfig,
@@ -196,38 +196,24 @@ def cmd_gradcheck(args) -> int:
         global_scores=np.sort(rng.uniform(0.05, 1.0, size=args.k))[::-1],
     )
     sel = apply_uasr(instance) if args.enable_uasr else None
-    _, analytic = loss_and_grad(instance, sel, args.lambda_cross, args.lambda_inner)
-    numeric = finite_diff_grad(
-        instance, sel, args.lambda_cross, args.lambda_inner, h=args.h
+    report = gradient_check(
+        instance, sel, args.lambda_cross, args.lambda_inner, args.h, args.tolerance
     )
-
-    errors = {}
-    worst = {"table": None, "index": None, "error": 0.0}
-    for name, a in analytic.as_dict().items():
-        f = numeric.as_dict()[name]
-        errors[name] = relative_error(a, f)
-        if a.size:
-            per = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-            idx = np.unravel_index(int(np.argmax(per)), per.shape)
-            if per[idx] >= worst["error"]:
-                worst = {
-                    "table": name,
-                    "index": [int(i) for i in idx],
-                    "error": float(per[idx]),
-                }
-    max_error = max(errors.values())
-    passed = max_error <= args.tolerance
     _emit(
         {
-            "errors": errors,
-            "max_error": max_error,
-            "h": args.h,
-            "tolerance": args.tolerance,
-            "worst": worst,
-            "passed": passed,
+            "errors": report.errors,
+            "max_error": report.max_error,
+            "h": report.h,
+            "tolerance": report.tolerance,
+            "worst": {
+                "table": report.worst_table,
+                "index": report.worst_index,
+                "error": report.worst_error,
+            },
+            "passed": report.passed,
         }
     )
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _run_config_from(args) -> RunConfig:

@@ -9,8 +9,12 @@ context embeddings (image regions or noun caption words, both d-dim):
     phi[j]       = tags[j] . ctx[j]
 
 phi measures how compatible a tag is with the context it attends to: an
-irrelevant tag cannot collect a context average it is similar to. All
-functions are pure and operate on float64 numpy arrays.
+irrelevant tag cannot collect a context average it is similar to.
+:func:`compat_forward` and :func:`compat_backward` are the one kernel for
+this pipeline and its gradient; they take leading batch axes, so a block
+of images is one call and a single image is the B=1 case.
+:func:`compatibility` is its validated 2-D front door. All functions are
+pure and operate on float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "empty_matrix",
-    "pairwise_scores",
-    "attention_weights",
-    "contextualize",
+    "compat_forward",
+    "compat_backward",
     "compatibility",
 ]
 
@@ -125,47 +128,50 @@ class ContrastiveInstance:
         return self.regions.shape[1]
 
 
-def pairwise_scores(tags, contexts) -> np.ndarray:
-    """Scaled dot products: out[j, k] = tags[j] . contexts[k] / sqrt(d)."""
+def compat_forward(tags: np.ndarray, contexts: np.ndarray):
+    """Compatibility phi (..., J) of tags (..., J, d) against contexts (..., R, d).
+
+    Leading axes are batch axes, and each slice's result is bitwise equal
+    to a call on that slice alone: stacked matmul works slice by slice,
+    and phi's row dot product is an einsum. Returns ``phi`` and the cache
+    ``(t_raw, alpha, ctx)`` that :func:`compat_backward` reads, where
+    ``t_raw`` holds the unscaled dot products and ``alpha`` the attention
+    rows. Inputs are not validated; :func:`compatibility` is the validated
+    front door.
+    """
+    t_raw = tags @ contexts.swapaxes(-1, -2)
+    scaled = t_raw / np.sqrt(tags.shape[-1])
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    ctx = alpha @ contexts
+    phi = np.einsum("...jd,...jd->...j", tags, ctx)
+    return phi, (t_raw, alpha, ctx)
+
+
+def compat_backward(g: np.ndarray, tags: np.ndarray, contexts: np.ndarray, phi, cache):
+    """Pull the upstream gradient g (..., J) of phi back onto tags and contexts.
+
+    The closed form is derived in :mod:`rca.gradients`.
+    """
+    t_raw, alpha, ctx = cache
+    sd = np.sqrt(tags.shape[-1])
+    m = (alpha * t_raw) @ contexts
+    d_tags = g[..., None] * (ctx + (m - phi[..., None] * ctx) / sd)
+    b = g[..., None] * alpha * (1.0 + (t_raw - phi[..., None]) / sd)
+    d_contexts = b.swapaxes(-1, -2) @ tags
+    return d_tags, d_contexts
+
+
+def compatibility(tags, contexts) -> np.ndarray:
+    """phi[j]: dot product of tags[j] with its attention-weighted context.
+
+    Validates both matrices, then evaluates :func:`compat_forward`.
+    """
     tags = as_matrix(tags, "tags")
     contexts = as_matrix(contexts, "contexts")
     if tags.shape[1] != contexts.shape[1]:
         raise DimensionError(
             f"tags dim {tags.shape[1]} != contexts dim {contexts.shape[1]}"
         )
-    return (tags @ contexts.T) / np.sqrt(tags.shape[1])
-
-
-def attention_weights(scores) -> np.ndarray:
-    """Row-wise softmax over the context axis.
-
-    Max-subtraction keeps the exponentials finite for large-magnitude
-    scores; each output row sums to 1.
-    """
-    s = as_matrix(scores, "scores")
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def contextualize(alpha, contexts) -> np.ndarray:
-    """Attention-weighted average of context rows, one output row per query."""
-    alpha = as_matrix(alpha, "alpha")
-    contexts = as_matrix(contexts, "contexts")
-    if alpha.shape[1] != contexts.shape[0]:
-        raise DimensionError(
-            f"alpha has {alpha.shape[1]} columns but contexts has "
-            f"{contexts.shape[0]} rows"
-        )
-    row_sums = alpha.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-6:
-        raise ValidationError("alpha rows must sum to 1")
-    return alpha @ contexts
-
-
-def compatibility(tags, contexts) -> np.ndarray:
-    """phi[j]: dot product of tags[j] with its contextualized representation."""
-    tags = as_matrix(tags, "tags")
-    alpha = attention_weights(pairwise_scores(tags, contexts))
-    ctx = contextualize(alpha, contexts)
-    return np.einsum("jd,jd->j", tags, ctx)
+    return compat_forward(tags, contexts)[0]

@@ -14,7 +14,7 @@ class EmptyInputError(ValidationError):
 
 
 class EmptyContextError(ValidationError):
-    """Inner-modality loss was called with no caption words."""
+    """A contrastive loss was called with no context rows."""
 
 
 class InvalidWeightError(ValidationError):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import ContrastiveInstance
 from .errors import ConfigError, DivergenceError
-from .gradients import batch_loss
+from .losses import batch_loss
 from .uasr import pool_cosines, select_batch, warn_clamped
 
 __all__ = [

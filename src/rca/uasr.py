@@ -8,6 +8,12 @@ survive only if corroborated (Wp & H), negatives are dropped when
 corroborated (Wn - H), and each side is cyclically oversampled back to K.
 Surviving positives are weighted by q = exp(best region cosine) * p(t),
 combining local (region-tag) and global (image-tag) evidence.
+
+:func:`select_batch` is the one implementation of this rule, over a
+stacked block of region-by-pool cosines (:func:`pool_cosines`); the
+trainer selects a whole block per call, and :func:`apply_uasr` is the
+one-image case. A :class:`UasrResult` holds the selected rows by index;
+:func:`rca.losses.gather_filtered` gathers the embeddings a loss sees.
 """
 
 from __future__ import annotations
@@ -17,15 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContrastiveInstance, as_matrix, as_vector
+from .core import ContrastiveInstance
 from .errors import DegenerateEmbeddingError, ValidationError
 
 __all__ = [
     "UasrResult",
-    "local_uncertainty",
-    "retrieve_top_tags",
-    "select",
-    "reweight",
     "warn_clamped",
     "BatchSelection",
     "pool_cosines",
@@ -38,7 +40,7 @@ SCORE_FLOOR = 1e-6  # non-positive global cosines are clamped here
 
 @dataclass
 class UasrResult:
-    """Filtered tag sets, per-positive weights, and the retrieval bookkeeping.
+    """Selected rows, per-positive weights, and the retrieval bookkeeping.
 
     Index fields refer to rows of the source instance; ``retrieved_set``
     holds indices into the concatenated positives+negatives pool, so a
@@ -47,8 +49,6 @@ class UasrResult:
     revert to the originals; negatives keep only the lowest-ranked entry).
     """
 
-    positives_filtered: np.ndarray  # (K, d)
-    negatives_filtered: np.ndarray  # (K, d)
     weights: np.ndarray             # (K,)
     retrieved_set: np.ndarray       # pool indices, sorted ascending
     positive_indices: np.ndarray    # (K,) rows into instance.positives
@@ -57,9 +57,9 @@ class UasrResult:
     negative_fallback: bool = False
 
     def __post_init__(self):
-        k = self.positives_filtered.shape[0]
-        if self.negatives_filtered.shape[0] != k or self.weights.shape != (k,):
-            raise ValidationError("filtered sets and weights must all have K entries")
+        k = self.positive_indices.shape[0]
+        if self.negative_indices.shape != (k,) or self.weights.shape != (k,):
+            raise ValidationError("index arrays and weights must all have K entries")
         if not np.isfinite(self.weights).all() or (self.weights <= 0.0).any():
             raise ValidationError("weights must be positive and finite")
         if not self.negative_fallback:
@@ -68,72 +68,18 @@ class UasrResult:
                 raise ValidationError("kept negatives must not appear in the retrieved set")
 
 
-def local_uncertainty(v, w) -> float:
-    """Cosine similarity between a region and a tag embedding."""
-    v = as_vector(v, "region")
-    w = as_vector(w, "tag")
-    nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-    if nv == 0.0 or nw == 0.0:
-        raise DegenerateEmbeddingError("cosine undefined for zero-norm vectors")
-    return float(v @ w / (nv * nw))
-
-
-def _cosine_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Cosines of every row against every column vector, over any leading batch axes."""
-    rn = np.linalg.norm(rows, axis=-1)
-    cn = np.linalg.norm(cols, axis=-1)
-    if (rn == 0.0).any() or (cn == 0.0).any():
-        raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
-    return (rows @ cols.swapaxes(-1, -2)) / (rn[..., :, None] * cn[..., None, :])
-
-
 def pool_cosines(regions, positives, negatives) -> np.ndarray:
-    """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives."""
-    return _cosine_matrix(regions, np.concatenate([positives, negatives], axis=-2))
+    """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives.
 
-
-def retrieve_top_tags(regions, all_tags) -> np.ndarray:
-    """Indices of each region's most-correlated tag, de-duplicated and sorted.
-
-    Ties go to the lowest tag index.
+    Leading axes are batch axes. A zero-norm row has no cosine and raises
+    :class:`DegenerateEmbeddingError`.
     """
-    regions = as_matrix(regions, "regions")
-    all_tags = as_matrix(all_tags, "all_tags")
-    winners = np.argmax(_cosine_matrix(regions, all_tags), axis=1)
-    return np.unique(winners)
-
-
-def _cycle_to(picked: list, k: int) -> list:
-    return [picked[i % len(picked)] for i in range(k)]
-
-
-def select(positive_indices, negative_indices, retrieved) -> tuple[list, list, bool, bool]:
-    """Filter both sides against the retrieved set and oversample back to K.
-
-    Positives keep members present in ``retrieved``; negatives drop theirs.
-    Values may be any hashables (pool indices, tag ids). Survivors are
-    cycled in their original order until each side regains its input
-    length. Empty-survivor fallbacks: positives revert to the original
-    side, negatives keep only the last (lowest-ranked, assuming the usual
-    descending-score order) entry.
-
-    Returns (positives_kept, negatives_kept, positive_fallback, negative_fallback).
-    """
-    retrieved = set(retrieved)
-    pos = list(positive_indices)
-    neg = list(negative_indices)
-
-    pos_kept = [i for i in pos if i in retrieved]
-    pos_fallback = not pos_kept
-    if pos_fallback:
-        pos_kept = pos
-
-    neg_kept = [i for i in neg if i not in retrieved]
-    neg_fallback = not neg_kept
-    if neg_fallback:
-        neg_kept = [neg[-1]]
-
-    return _cycle_to(pos_kept, len(pos)), _cycle_to(neg_kept, len(neg)), pos_fallback, neg_fallback
+    pool = np.concatenate([positives, negatives], axis=-2)
+    rn = np.linalg.norm(regions, axis=-1)
+    pn = np.linalg.norm(pool, axis=-1)
+    if (rn == 0.0).any() or (pn == 0.0).any():
+        raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
+    return (regions @ pool.swapaxes(-1, -2)) / (rn[..., :, None] * pn[..., None, :])
 
 
 def _weights_from(best_cosine: np.ndarray, scores: np.ndarray, normalize: bool):
@@ -155,27 +101,6 @@ def warn_clamped(count: int) -> None:
             f"{count} non-positive global score(s) clamped to {SCORE_FLOOR}",
             stacklevel=3,
         )
-
-
-def reweight(positives_filtered, regions, global_scores, normalize: bool = True) -> np.ndarray:
-    """Per-positive confidence weights q = exp(best region cosine) * p(t).
-
-    ``global_scores`` must be row-aligned with ``positives_filtered`` (the
-    caller carries them through selection and oversampling). Non-positive
-    global scores are clamped to a small epsilon with a warning, since a
-    non-positive weight would flip the loss sign. With ``normalize`` the
-    weights are rescaled to mean 1 so the weighted loss magnitude stays
-    comparable to the unweighted one.
-    """
-    wp = as_matrix(positives_filtered, "positives_filtered")
-    regions = as_matrix(regions, "regions")
-    scores = np.asarray(global_scores, dtype=np.float64)
-    if scores.shape != (wp.shape[0],):
-        raise ValidationError("global_scores must align with positives_filtered rows")
-    best = _cosine_matrix(regions, wp).max(axis=0)
-    q, clamped = _weights_from(best, scores, normalize)
-    warn_clamped(clamped)
-    return q
 
 
 @dataclass
@@ -254,15 +179,11 @@ def apply_uasr(instance: ContrastiveInstance, normalize: bool = True) -> UasrRes
     cos = pool_cosines(instance.regions, instance.positives, instance.negatives)
     sel = select_batch(cos[None], instance.global_scores[None], normalize)
     warn_clamped(sel.clamped)
-    positive_indices = sel.positive_indices[0]
-    negative_indices = sel.negative_indices[0]
     return UasrResult(
-        positives_filtered=instance.positives[positive_indices],
-        negatives_filtered=instance.negatives[negative_indices],
         weights=sel.weights[0],
         retrieved_set=np.flatnonzero(sel.retrieved[0]),
-        positive_indices=positive_indices,
-        negative_indices=negative_indices,
+        positive_indices=sel.positive_indices[0],
+        negative_indices=sel.negative_indices[0],
         positive_fallback=bool(sel.positive_fallback[0]),
         negative_fallback=bool(sel.negative_fallback[0]),
     )

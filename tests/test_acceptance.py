@@ -23,16 +23,9 @@ import pytest
 
 from naive_reference import naive_select_reweight, naive_total_loss
 
-from rca.core import ContrastiveInstance, attention_weights, compatibility, pairwise_scores
+from rca.core import ContrastiveInstance, compat_forward, compatibility
 from rca.gradients import gradient_check
-from rca.losses import (
-    cross_modality_loss,
-    inner_modality_loss,
-    nll_terms,
-    total_loss,
-    weighted_cross_loss,
-    weighted_inner_loss,
-)
+from rca.losses import gather_filtered, nll_terms, pair_loss, total_loss
 from rca.trainer import (
     SyntheticConfig,
     TrainerConfig,
@@ -204,10 +197,10 @@ def test_criterion_3_closed_form_anchors(capsys):
     for _ in range(20):
         inst = random_instance(rng, n_nouns=int(rng.integers(1, 4)))
         ones = np.ones(inst.num_positives)
-        dc = abs(weighted_cross_loss(inst.regions, inst.positives, inst.negatives, ones)
-                 - cross_modality_loss(inst.regions, inst.positives, inst.negatives))
-        di = abs(weighted_inner_loss(inst.caption_nouns, inst.positives, inst.negatives, ones)
-                 - inner_modality_loss(inst.caption_nouns, inst.positives, inst.negatives))
+        dc = abs(pair_loss(inst.regions, inst.positives, inst.negatives, ones)
+                 - pair_loss(inst.regions, inst.positives, inst.negatives))
+        di = abs(pair_loss(inst.caption_nouns, inst.positives, inst.negatives, ones)
+                 - pair_loss(inst.caption_nouns, inst.positives, inst.negatives))
         if dc > 1e-12 or di > 1e-12:
             failures.append(f"unit weights drift cross {dc:.2e} inner {di:.2e}")
 
@@ -229,7 +222,7 @@ def test_criterion_4_attention_rows_and_permutation(capsys):
         tags = rng.standard_normal((j, d))
         contexts = rng.standard_normal((r, d))
         for scale in (1.0, 1e2, 1e4):
-            alpha = attention_weights(pairwise_scores(tags * scale, contexts))
+            _, (_, alpha, _) = compat_forward(tags * scale, contexts)
             worst_rowsum = max(worst_rowsum,
                                float(np.abs(alpha.sum(axis=1) - 1.0).max()))
             assert np.isfinite(alpha).all()
@@ -269,8 +262,9 @@ def test_criterion_5_selection_invariants(capsys):
 
         assert len(sel.positive_indices) == k
         assert len(sel.negative_indices) == k
-        assert sel.positives_filtered.shape == (k, d)
-        assert sel.negatives_filtered.shape == (k, d)
+        wp, wn, _ = gather_filtered(instance, sel)
+        assert wp.shape == (k, d)
+        assert wn.shape == (k, d)
         assert not sel.negative_fallback  # impossible with R < K
         assert (k + plant_neg) in sel.retrieved_set
         assert plant_neg not in sel.negative_indices

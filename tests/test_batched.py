@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from loop_reference import evidence_view, loss_and_grad_2d, train_alignment_loop
 from rca import trainer
-from rca.core import ContrastiveInstance, compatibility
-from rca.gradients import batch_loss, compat_forward, loss_and_grad
+from rca.core import ContrastiveInstance, compat_forward
+from rca.gradients import loss_and_grad
+from rca.losses import batch_loss
 from rca.trainer import (
     StackedEvidence,
     SyntheticConfig,
@@ -72,7 +73,8 @@ def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weight
         for got, expected in zip((g.d_positives[i], g.d_negatives[i], g.d_regions[i],
                                   g.d_caption_nouns[i]), want[2:]):
             assert np.array_equal(got, expected)
-        assert np.array_equal(phi[i], compatibility(positives[i], regions[i]))
+        one, _ = compat_forward(positives[i:i + 1], regions[i:i + 1])
+        assert np.array_equal(phi[i], one[0])
 
     c2, i2, none = batch_loss(regions, positives, negatives, caption, weights, lc, li,
                               with_grad=False)

@@ -5,11 +5,9 @@ from rca.core import (
     ContrastiveInstance,
     as_matrix,
     as_vector,
-    attention_weights,
+    compat_forward,
     compatibility,
-    contextualize,
     empty_matrix,
-    pairwise_scores,
 )
 from rca.errors import DimensionError, EmptyInputError, ValidationError
 
@@ -111,27 +109,31 @@ class TestInstance:
             )
 
 
+def attention(tags, contexts):
+    """The attention rows alpha that the compatibility kernel caches."""
+    _, (_, alpha, _) = compat_forward(tags, contexts)
+    return alpha
+
+
 class TestAttention:
-    def test_pairwise_scores_scaling(self):
+    def test_scores_are_scaled_by_sqrt_d(self):
         tags = np.array([[2.0, 0.0], [0.0, 2.0]])
-        ctx = np.array([[1.0, 0.0]])
-        s = pairwise_scores(tags, ctx)
-        assert np.allclose(s, [[2.0 / np.sqrt(2)], [0.0]])
+        ctx = np.array([[1.0, 0.0], [0.0, 0.0]])
+        scores = np.array([[2.0 / np.sqrt(2), 0.0], [0.0, 0.0]])
+        want = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+        assert np.allclose(attention(tags, ctx), want)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         for scale in (1.0, 1e2, 1e4):
-            alpha = attention_weights(rng.standard_normal((6, 9)) * scale)
+            alpha = attention(rng.standard_normal((6, 4)) * scale, rng.standard_normal((9, 4)))
             assert np.all(np.abs(alpha.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(alpha >= 0.0)
 
     def test_single_context_is_certain(self):
-        alpha = attention_weights(np.array([[3.7], [-100.0]]))
+        tags = np.array([[3.7, 0.0], [-100.0, 1.0]])
+        alpha = attention(tags, np.array([[1.0, 0.0]]))
         assert np.array_equal(alpha, np.ones((2, 1)))
-
-    def test_contextualize_validates_rows(self):
-        with pytest.raises(ValidationError):
-            contextualize(np.array([[0.7, 0.7]]), np.eye(2))
 
     def test_compatibility_matches_naive(self):
         rng = np.random.default_rng(6)
@@ -154,4 +156,15 @@ class TestAttention:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            pairwise_scores(np.zeros((1, 3)), np.zeros((1, 4)))
+            compatibility(np.zeros((1, 3)), np.zeros((1, 4)))
+
+    def test_front_door_validates(self):
+        with pytest.raises(EmptyInputError):
+            compatibility(np.zeros((0, 3)), np.ones((2, 3)))
+        with pytest.raises(ValidationError):
+            compatibility(np.ones((1, 3)), [[1.0, np.nan, 0.0]])
+
+    def test_front_door_is_the_kernel(self):
+        rng = np.random.default_rng(8)
+        tags, ctx = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
+        assert np.array_equal(compatibility(tags.tolist(), ctx), compat_forward(tags, ctx)[0])

@@ -1,0 +1,26 @@
+"""Every demo script runs to completion from a fresh interpreter."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
+def test_demo_exits_zero(path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demos_are_found():
+    assert DEMOS, "no demos/*.py next to tests/"

@@ -4,14 +4,13 @@ import pytest
 from rca.core import ContrastiveInstance
 from rca.errors import ConfigError, InvalidWeightError
 from rca.gradients import (
-    GradientBundle,
     central_difference,
     finite_diff_grad,
     gradient_check,
     loss_and_grad,
     relative_error,
 )
-from rca.losses import total_loss
+from rca.losses import GradientBundle, total_loss
 from rca.uasr import UasrResult, apply_uasr
 
 
@@ -90,8 +89,6 @@ class TestAgainstFiniteDifferences:
         inst = rand_instance(rng)
         sel = apply_uasr(inst)
         doubled = UasrResult(
-            positives_filtered=sel.positives_filtered,
-            negatives_filtered=sel.negatives_filtered,
             weights=2.0 * sel.weights,
             retrieved_set=sel.retrieved_set,
             positive_indices=sel.positive_indices,
@@ -100,6 +97,28 @@ class TestAgainstFiniteDifferences:
             negative_fallback=sel.negative_fallback,
         )
         assert gradient_check(inst, doubled).passed
+
+
+class TestWorstEntry:
+    def test_worst_entry_is_the_largest_elementwise_error(self):
+        rng = np.random.default_rng(9)
+        inst = rand_instance(rng)
+        sel = apply_uasr(inst)
+        rep = gradient_check(inst, sel)
+        assert rep.worst_error == rep.max_error == rep.errors[rep.worst_table]
+        _, analytic = loss_and_grad(inst, sel)
+        numeric = finite_diff_grad(inst, sel)
+        a = analytic.as_dict()[rep.worst_table][tuple(rep.worst_index)]
+        f = numeric.as_dict()[rep.worst_table][tuple(rep.worst_index)]
+        assert relative_error(np.array([a]), np.array([f])) == rep.worst_error
+
+    def test_ties_go_to_the_later_table(self):
+        # zero lambdas: every error is 0, so the last non-empty table wins
+        rng = np.random.default_rng(10)
+        rep = gradient_check(rand_instance(rng), lambda_cross=0.0, lambda_inner=0.0)
+        assert (rep.worst_table, rep.worst_index, rep.worst_error) == ("caption_nouns", [0, 0], 0.0)
+        rep = gradient_check(rand_instance(rng, p=0), lambda_cross=0.0, lambda_inner=0.0)
+        assert (rep.worst_table, rep.worst_index, rep.worst_error) == ("negatives", [0, 0], 0.0)
 
 
 class TestNumericOracle:

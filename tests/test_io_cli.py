@@ -3,6 +3,10 @@
 The loss golden in tests/fixtures/expected_loss.jsonl was produced once by
 the direct-formula evaluator in naive_reference.py (see fixtures/generate.py),
 so the CLI is checked against an independent route, not against itself.
+The goldens expected_uasr.jsonl and expected_gradcheck.jsonl are the exact
+stdout of ``rca uasr fixtures/vocab.jsonl fixtures/instances.jsonl`` and
+``rca gradcheck --seed 3``. They pin those bytes; regenerate them only for
+a change that means to move them.
 """
 
 import dataclasses
@@ -39,6 +43,11 @@ UNTAGGED = os.path.join(FIXTURES, "instances_untagged.jsonl")
 MALFORMED = os.path.join(FIXTURES, "malformed.jsonl")
 WRONGDIM = os.path.join(FIXTURES, "wrongdim.jsonl")
 RUN_CFG = os.path.join(FIXTURES, "run.cfg")
+
+
+def golden(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def run_cli(argv, capsys):
@@ -327,6 +336,11 @@ class TestCliUasr:
             assert math.isclose(sum(ln["weights"]) / 2, 1.0, rel_tol=1e-12)
             assert isinstance(ln["positive_fallback"], bool)
 
+    def test_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(["uasr", VOCAB, INSTANCES], capsys)
+        assert code == 0
+        assert out == golden("expected_uasr.jsonl")
+
     def test_unnormalized_weights(self, capsys):
         code, out, _ = run_cli(["uasr", VOCAB, INSTANCES, "--no-normalize"], capsys)
         assert code == 0
@@ -437,6 +451,11 @@ class TestCliGradcheck:
             "regions", "positives", "negatives", "caption_nouns"
         }
         assert report["worst"]["table"] in report["errors"]
+
+    def test_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(["gradcheck", "--seed", "3"], capsys)
+        assert code == 0
+        assert out == golden("expected_gradcheck.jsonl")
 
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run_cli(

@@ -5,14 +5,7 @@ import pytest
 
 from rca.core import ContrastiveInstance
 from rca.errors import DimensionError, EmptyContextError, InvalidWeightError
-from rca.losses import (
-    cross_modality_loss,
-    inner_modality_loss,
-    nll_terms,
-    total_loss,
-    weighted_cross_loss,
-    weighted_inner_loss,
-)
+from rca.losses import nll_terms, pair_loss, total_loss
 
 from naive_reference import naive_pair_loss, naive_total_loss
 
@@ -32,7 +25,7 @@ class TestClosedForms:
         # one positive contrasted against an identical negative: p = 1/2
         w = np.array([[0.3, -1.2, 0.5]])
         regions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert cross_modality_loss(regions, w, w.copy()) == pytest.approx(
+        assert pair_loss(regions, w, w.copy()) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
@@ -40,7 +33,7 @@ class TestClosedForms:
         for k in (1, 2, 5, 9):
             w = np.tile([[0.7, 0.1]], (k, 1))
             regions = np.array([[0.2, -0.4]])
-            got = cross_modality_loss(regions, w, w.copy())
+            got = pair_loss(regions, w, w.copy())
             assert got == pytest.approx(math.log(1.0 + k), abs=1e-12)
 
     def test_unit_weights_match_unweighted(self):
@@ -48,18 +41,12 @@ class TestClosedForms:
         for _ in range(10):
             inst = rand_instance(rng)
             ones = np.ones(inst.num_positives)
-            assert weighted_cross_loss(
-                inst.regions, inst.positives, inst.negatives, ones
-            ) == pytest.approx(
-                cross_modality_loss(inst.regions, inst.positives, inst.negatives),
-                abs=1e-12,
-            )
-            assert weighted_inner_loss(
-                inst.caption_nouns, inst.positives, inst.negatives, ones
-            ) == pytest.approx(
-                inner_modality_loss(inst.caption_nouns, inst.positives, inst.negatives),
-                abs=1e-12,
-            )
+            for contexts in (inst.regions, inst.caption_nouns):
+                assert pair_loss(
+                    contexts, inst.positives, inst.negatives, ones
+                ) == pytest.approx(
+                    pair_loss(contexts, inst.positives, inst.negatives), abs=1e-12
+                )
 
 
 class TestNaiveAgreement:
@@ -73,10 +60,10 @@ class TestNaiveAgreement:
             pos = rng.standard_normal((k, d))
             neg = rng.standard_normal((k, d))
             q = rng.uniform(0.2, 2.0, k)
-            got = cross_modality_loss(regions, pos, neg)
+            got = pair_loss(regions, pos, neg)
             want = naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist())
             assert got == pytest.approx(want, rel=1e-12)
-            gotw = weighted_cross_loss(regions, pos, neg, q)
+            gotw = pair_loss(regions, pos, neg, q)
             wantw = naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist(), q.tolist())
             assert gotw == pytest.approx(wantw, rel=1e-12)
 
@@ -87,14 +74,14 @@ class TestNaiveAgreement:
         neg = np.array([[-40.0, 0.0]])
         with pytest.raises(OverflowError):
             naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist())
-        val = cross_modality_loss(regions, pos, neg)
+        val = pair_loss(regions, pos, neg)
         assert math.isfinite(val) and val >= 0.0
 
     def test_huge_negative_dominates(self):
         regions = np.array([[40.0, 0.0]])
         pos = np.array([[-40.0, 0.0]])
         neg = np.array([[40.0, 0.0]])
-        val = cross_modality_loss(regions, pos, neg)
+        val = pair_loss(regions, pos, neg)
         # single context, so phi is a plain dot product: term ~ phi_n - phi_p
         assert val == pytest.approx(3200.0, rel=1e-9)
 
@@ -104,21 +91,21 @@ class TestGuards:
         rng = np.random.default_rng(2)
         inst = rand_instance(rng, p=0)
         with pytest.raises(EmptyContextError):
-            inner_modality_loss(inst.caption_nouns, inst.positives, inst.negatives)
+            pair_loss(inst.caption_nouns, inst.positives, inst.negatives)
 
     def test_weights_must_be_positive_finite(self):
         rng = np.random.default_rng(3)
         inst = rand_instance(rng)
         for bad in ([1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
             with pytest.raises(InvalidWeightError):
-                weighted_cross_loss(inst.regions, inst.positives, inst.negatives, bad)
+                pair_loss(inst.regions, inst.positives, inst.negatives, bad)
         with pytest.raises(DimensionError):
-            weighted_cross_loss(inst.regions, inst.positives, inst.negatives, [1.0])
+            pair_loss(inst.regions, inst.positives, inst.negatives, [1.0])
 
     def test_side_shape_mismatch(self):
         rng = np.random.default_rng(4)
         with pytest.raises(DimensionError):
-            cross_modality_loss(
+            pair_loss(
                 rng.standard_normal((2, 4)),
                 rng.standard_normal((3, 4)),
                 rng.standard_normal((2, 4)),

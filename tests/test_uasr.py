@@ -5,15 +5,8 @@ import pytest
 
 from rca.core import ContrastiveInstance
 from rca.errors import DegenerateEmbeddingError, ValidationError
-from rca.losses import total_loss, weighted_cross_loss, weighted_inner_loss
-from rca.uasr import (
-    UasrResult,
-    apply_uasr,
-    local_uncertainty,
-    retrieve_top_tags,
-    reweight,
-    select,
-)
+from rca.losses import gather_filtered, pair_loss, total_loss
+from rca.uasr import UasrResult, apply_uasr, pool_cosines, select_batch
 
 from naive_reference import naive_select_reweight
 
@@ -28,88 +21,113 @@ def rand_instance(rng, r=3, k=4, p=2, d=8):
     )
 
 
+def instance_of(regions, positives, negatives, scores=None):
+    positives = np.asarray(positives, dtype=np.float64)
+    if scores is None:
+        scores = np.linspace(0.9, 0.5, positives.shape[0])
+    return ContrastiveInstance(regions=regions, positives=positives, negatives=negatives,
+                               caption_nouns=[], global_scores=scores)
+
+
+def select_voted(k, voted):
+    """Selection for one image whose regions each vote for one pool slot in ``voted``."""
+    cosines = np.zeros((1, len(voted), 2 * k))
+    cosines[0, np.arange(len(voted)), voted] = 1.0
+    sel = select_batch(cosines, np.full((1, k), 0.5))
+    return (sel.positive_indices[0].tolist(), (sel.negative_indices[0] + k).tolist(),
+            bool(sel.positive_fallback[0]), bool(sel.negative_fallback[0]))
+
+
 class TestLocalUncertainty:
+    """Region-by-pool cosines."""
+
     def test_cosine_values(self):
-        assert local_uncertainty([1.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
-        assert local_uncertainty([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.0)
-        assert local_uncertainty([1.0, 0.0], [-5.0, 0.0]) == pytest.approx(-1.0)
+        cos = pool_cosines(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 3.0]]),
+                           np.array([[-5.0, 0.0], [1.0, 1.0]]))
+        assert cos.shape == (1, 4)
+        assert cos[0, :3] == pytest.approx([1.0, 0.0, -1.0])
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateEmbeddingError):
-            local_uncertainty([0.0, 0.0], [1.0, 0.0])
+            pool_cosines(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        inst = instance_of([[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]])
+        with pytest.raises(DegenerateEmbeddingError):
+            apply_uasr(inst)
 
 
 class TestRetrieve:
+    """Each region votes for its highest-cosine pool slot."""
+
     def test_each_region_votes_once(self):
         regions = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tags = np.array([[2.0, 0.1], [0.1, 2.0], [-1.0, -1.0]])
-        assert retrieve_top_tags(regions, tags).tolist() == [0, 1]
+        inst = instance_of(regions, [[2.0, 0.1], [0.1, 2.0]], [[-1.0, -1.0], [-1.0, -0.9]])
+        assert apply_uasr(inst).retrieved_set.tolist() == [0, 1]
 
     def test_duplicate_votes_collapse(self):
         regions = np.array([[1.0, 0.0], [0.9, 0.1]])
-        tags = np.array([[1.0, 0.05], [-1.0, 0.0]])
-        assert retrieve_top_tags(regions, tags).tolist() == [0]
+        inst = instance_of(regions, [[1.0, 0.05]], [[-1.0, 0.0]])
+        assert apply_uasr(inst).retrieved_set.tolist() == [0]
 
     def test_tie_goes_to_lowest_index(self):
         regions = np.array([[1.0, 0.0]])
-        tags = np.array([[2.0, 0.0], [3.0, 0.0]])  # equal cosines
-        assert retrieve_top_tags(regions, tags).tolist() == [0]
+        inst = instance_of(regions, [[2.0, 0.0]], [[3.0, 0.0]])  # equal cosines
+        assert apply_uasr(inst).retrieved_set.tolist() == [0]
+        tied = np.full((1, 1, 4), 0.5)
+        assert select_batch(tied, np.full((1, 2), 0.5)).retrieved[0].tolist() == [
+            True, False, False, False]
 
 
 class TestSelect:
+    """Filtering against the voted slots and cyclic oversampling back to K."""
+
     def test_plain_filtering(self):
-        pos, neg, pf, nf = select([0, 1, 2], [3, 4, 5], retrieved={0, 2, 4})
+        pos, neg, pf, nf = select_voted(3, [0, 2, 4])
         assert pos == [0, 2, 0] and neg == [3, 5, 3]
         assert not pf and not nf
 
     def test_positive_fallback_keeps_originals(self):
-        pos, neg, pf, nf = select([0, 1], [2, 3], retrieved={2})
+        pos, neg, pf, nf = select_voted(2, [2])
         assert pos == [0, 1] and pf
         assert neg == [3, 3] and not nf
 
     def test_negative_fallback_keeps_last(self):
-        pos, neg, pf, nf = select([0, 1], [2, 3], retrieved={0, 2, 3})
+        pos, neg, pf, nf = select_voted(2, [0, 2, 3])
         assert neg == [3, 3] and nf
         assert pos == [0, 0] and not pf
 
     def test_cyclic_oversampling_order(self):
-        pos, _, _, _ = select(list(range(5)), list(range(5, 10)), retrieved={1, 3})
+        pos, _, _, _ = select_voted(5, [1, 3])
         assert pos == [1, 3, 1, 3, 1]
-
-    def test_works_on_arbitrary_hashables(self):
-        pos, neg, _, _ = select(["cat", "dog"], ["car", "bus"], retrieved={"dog", "bus"})
-        assert pos == ["dog", "dog"] and neg == ["car", "car"]
 
 
 class TestReweight:
+    """q = exp(best region cosine) * max(score, 1e-6), mean-normalized by default."""
+
     def test_known_values(self):
         regions = np.array([[1.0, 0.0], [0.0, 1.0]])
-        wp = np.array([[2.0, 0.0], [1.0, 1.0]])
-        scores = np.array([0.5, 0.25])
-        q = reweight(wp, regions, scores, normalize=False)
+        inst = instance_of(regions, [[2.0, 0.0], [1.0, 1.0]], [[-1.0, -0.1], [-0.1, -1.0]],
+                           scores=np.array([0.5, 0.25]))
+        res = apply_uasr(inst, normalize=False)
+        assert res.positive_indices.tolist() == [0, 1]
+        q = res.weights
         assert q[0] == pytest.approx(math.exp(1.0) * 0.5)
         assert q[1] == pytest.approx(math.exp(1.0 / math.sqrt(2.0)) * 0.25)
 
     def test_normalized_mean_is_one(self):
         rng = np.random.default_rng(0)
-        q = reweight(
-            rng.standard_normal((4, 6)),
-            rng.standard_normal((3, 6)),
-            rng.uniform(0.1, 0.9, 4),
-        )
-        assert q.mean() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(q > 0)
+        for _ in range(5):
+            q = apply_uasr(rand_instance(rng, r=3, k=4, d=6)).weights
+            assert q.mean() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(q > 0)
 
     def test_nonpositive_scores_clamped_with_warning(self):
         regions = np.array([[1.0, 0.0]])
-        wp = np.array([[1.0, 0.0], [0.0, 1.0]])
+        inst = instance_of(regions, [[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]],
+                           scores=np.array([-0.3, 0.5]))
         with pytest.warns(UserWarning, match="clamped"):
-            q = reweight(wp, regions, np.array([-0.3, 0.5]), normalize=False)
-        assert q[0] == pytest.approx(math.exp(1.0) * 1e-6)
-
-    def test_score_alignment_checked(self):
-        with pytest.raises(ValidationError):
-            reweight(np.ones((2, 2)), np.ones((1, 2)), np.array([0.5]))
+            res = apply_uasr(inst, normalize=False)
+        assert res.positive_indices.tolist() == [0, 0]
+        assert res.weights[0] == pytest.approx(math.exp(1.0) * 1e-6)
 
 
 class TestApplyUasr:
@@ -140,9 +158,10 @@ class TestApplyUasr:
         for _ in range(20):
             inst = rand_instance(rng, r=2, k=4)
             res = apply_uasr(inst)
-            assert res.positives_filtered.shape == inst.positives.shape
-            assert res.negatives_filtered.shape == inst.negatives.shape
-            assert res.weights.shape == (4,)
+            wp, wn, q = gather_filtered(inst, res)
+            assert wp.shape == inst.positives.shape
+            assert wn.shape == inst.negatives.shape
+            assert q.shape == (4,)
 
     def test_kept_negatives_disjoint_from_retrieved(self):
         rng = np.random.default_rng(3)
@@ -175,20 +194,25 @@ class TestApplyUasr:
         bd = total_loss(inst, res)
         wp = inst.positives[res.positive_indices]
         wn = inst.negatives[res.negative_indices]
-        assert bd.cross == pytest.approx(
-            weighted_cross_loss(inst.regions, wp, wn, res.weights), abs=0.0
-        )
+        assert bd.cross == pytest.approx(pair_loss(inst.regions, wp, wn, res.weights), abs=0.0)
         assert bd.inner == pytest.approx(
-            weighted_inner_loss(inst.caption_nouns, wp, wn, res.weights), abs=0.0
+            pair_loss(inst.caption_nouns, wp, wn, res.weights), abs=0.0
         )
 
     def test_result_validates_weights(self):
         with pytest.raises(ValidationError):
             UasrResult(
-                positives_filtered=np.ones((2, 3)),
-                negatives_filtered=np.ones((2, 3)),
                 weights=np.array([1.0, -1.0]),
                 retrieved_set=np.array([0]),
                 positive_indices=np.array([0, 1]),
                 negative_indices=np.array([0, 1]),
+            )
+
+    def test_result_validates_lengths(self):
+        with pytest.raises(ValidationError):
+            UasrResult(
+                weights=np.array([1.0, 1.0]),
+                retrieved_set=np.array([0]),
+                positive_indices=np.array([0, 1]),
+                negative_indices=np.array([0]),
             )
