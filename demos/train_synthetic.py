@@ -54,7 +54,7 @@ cfg = TrainerConfig(
 )
 
 dataset = generate_synthetic(syn)
-n_flipped = sum(inst.flipped for inst in dataset.instances)
+n_flipped = int(dataset.flipped.sum())
 print(f"{len(dataset)} images, {n_flipped} with a corrupted positive/negative pair")
 
 state = initial_state(dataset, seed=args.seed)

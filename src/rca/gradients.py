@@ -44,7 +44,6 @@ __all__ = [
     "loss_and_grad",
     "central_difference",
     "finite_diff_grad",
-    "relative_error",
     "gradient_check",
 ]
 
@@ -141,15 +140,9 @@ def finite_diff_grad(
 
 
 def _elementwise_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Elementwise |a - f| / max(|a|, |f|, 1e-6)."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return np.abs(analytic - numeric) / denom
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest elementwise |a - f| / max(|a|, |f|, 1e-6) over two arrays."""
-    if analytic.size == 0:
-        return 0.0
-    return float(_elementwise_error(analytic, numeric).max())
 
 
 @dataclass

@@ -84,6 +84,8 @@ def _parse_line(line: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+    except (ValueError, RecursionError) as exc:  # over-long integer literal, deep nesting
+        raise ParseError(f"invalid JSON ({exc})", line=lineno) from exc
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line=lineno)
     return obj
@@ -95,12 +97,24 @@ def _expect(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
+def _number(value, lineno: int, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{what} must be a number", line=lineno)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a double", line=lineno) from None
+
+
 def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> np.ndarray:
     if not isinstance(value, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
         raise ParseError(f"{what} must be a list of numbers", line=lineno)
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:
+        raise ParseError(f"{what} holds a number too large for a double", line=lineno) from exc
     if dim is not None and arr.shape != (dim,):
         raise DimensionError(
             f"line {lineno}: {what} has dim {arr.shape[0] if arr.ndim == 1 else arr.shape}, expected {dim}"
@@ -120,9 +134,19 @@ def _read_header(line: str, expected_format: str) -> dict:
     return header
 
 
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 raise :class:`ParseError` naming their line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", line=line) from None
+
+
 def _lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty file", line=1)
     return lines
@@ -211,7 +235,10 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
         )
 
         tokens = []
-        for tok in _expect(obj, "caption_tokens", lineno):
+        tokens_raw = _expect(obj, "caption_tokens", lineno)
+        if not isinstance(tokens_raw, list):
+            raise ParseError("caption_tokens must be a list", line=lineno)
+        for tok in tokens_raw:
             if not isinstance(tok, dict):
                 raise ParseError("caption token must be an object", line=lineno)
             text = _expect(tok, "text", lineno)
@@ -230,15 +257,15 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
 
         tags = None
         if "tags" in obj and obj["tags"] is not None:
+            if not isinstance(obj["tags"], list):
+                raise ParseError("tags must be a list or null", line=lineno)
             tags = []
             for t in obj["tags"]:
                 if not isinstance(t, dict):
                     raise ParseError("tag entry must be an object", line=lineno)
                 tid = _expect(t, "tag_id", lineno)
-                score = _expect(t, "score", lineno)
-                if not isinstance(score, (int, float)) or isinstance(score, bool):
-                    raise ParseError("tag score must be a number", line=lineno)
-                tags.append(TagRef(tag_id=str(tid), score=float(score)))
+                score = _number(_expect(t, "score", lineno), lineno, "tag score")
+                tags.append(TagRef(tag_id=str(tid), score=score))
 
         records.append(
             InstanceRecord(
@@ -376,19 +403,18 @@ def read_run_config(path, base: RunConfig | None = None) -> RunConfig:
     cfg = dataclasses.replace(base) if base is not None else RunConfig()
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     kinds = {"int": int, "float": float, "bool": bool}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in types:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
-            kind = kinds[types[key]] if isinstance(types[key], str) else types[key]
-            setattr(cfg, key, _parse_config_value(key, kind, raw, lineno))
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError("expected 'key = value'", line=lineno)
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key not in types:
+            raise ParseError(f"unknown config key {key!r}", line=lineno)
+        kind = kinds[types[key]] if isinstance(types[key], str) else types[key]
+        setattr(cfg, key, _parse_config_value(key, kind, raw, lineno))
     return cfg
 
 
@@ -410,22 +436,34 @@ def write_state(path, state: TrainState, syn: SyntheticConfig, cfg: TrainerConfi
         fh.write(to_json(obj) + "\n")
 
 
+def _table(obj: dict, name: str) -> np.ndarray:
+    """A state table as float64; ragged rows or non-numbers raise :class:`ParseError`."""
+    try:
+        arr = np.asarray(obj[name])
+    except ValueError as exc:
+        raise ParseError(f"malformed state file: {name} is ragged", line=1) from exc
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(f"malformed state file: {name} must hold only numbers", line=1)
+    return arr.astype(np.float64)
+
+
 def read_state(path) -> tuple[TrainState, SyntheticConfig, TrainerConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _parse_line(fh.read(), 1)
+    obj = _parse_line(_read_text(path), 1)
     if obj.get("format") != STATE_FORMAT or obj.get("version") != VERSION:
         raise ParseError("not a state file", line=1)
     try:
         syn = SyntheticConfig(**obj["synthetic_config"])
         cfg = TrainerConfig(**obj["trainer_config"])
         state = TrainState(
-            tag_table=np.asarray(obj["tag_table"], dtype=np.float64),
-            caption_table=np.asarray(obj["caption_table"], dtype=np.float64),
-            region_table=np.asarray(obj["region_table"], dtype=np.float64),
-            step=int(obj["step"]),
+            tag_table=_table(obj, "tag_table"),
+            caption_table=_table(obj, "caption_table"),
+            region_table=_table(obj, "region_table"),
+            step=obj["step"],
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed state file: {exc}", line=1) from exc
+    if not isinstance(state.step, int) or isinstance(state.step, bool):
+        raise ParseError("malformed state file: step must be an integer", line=1)
     expected = (syn.n_concepts, syn.d)
     if state.tag_table.shape != expected or state.caption_table.shape != expected:
         raise DimensionError("state tables do not match the embedded config")

@@ -18,19 +18,19 @@ the trainable tables, so filter quality is a property of the data, not of
 the training trajectory. Loss history records are full-dataset snapshots
 (no subsampling), so a zero learning rate yields a perfectly flat history.
 
-Steps and snapshots work on whole blocks of at most ``BLOCK`` images with
-stacked arrays: one selection, one forward/backward and one scatter-add
-per table for each block, so memory does not grow with the dataset. Each
-call stacks the dataset's frozen evidence once and computes its
-region-by-pool cosines once; a subsampled step selects over the column
-subset of its kept rows, exactly as if the pool held only those rows.
-Nothing stacked outlives the call.
+The dataset holds one stacked array per field, images on the leading
+axis, and computes the region-by-pool cosines of its frozen evidence once,
+when it is generated. Steps and snapshots work on whole blocks of at most
+``BLOCK`` images: one selection, one forward/backward and one scatter-add
+per table for each block, so working memory does not grow with the
+dataset. A subsampled step selects over the column subset of its kept
+rows, exactly as if the pool held only those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,9 @@ from .uasr import pool_cosines, select_batch, warn_clamped
 __all__ = [
     "SyntheticConfig",
     "TrainerConfig",
-    "SyntheticInstance",
     "SyntheticDataset",
     "TrainState",
     "HistoryRecord",
-    "StackedEvidence",
     "generate_synthetic",
     "initial_state",
     "aligned_state",
@@ -124,39 +122,44 @@ class TrainerConfig:
 
 
 @dataclass
-class SyntheticInstance:
-    """Concept assignments and frozen generation-time evidence for one image.
+class SyntheticDataset:
+    """A generated corpus: one stacked array per field, images on the leading axis.
 
-    The embedding fields are the "pretrained encoder" view of the image:
-    selection and re-weighting run on them, never on the trainable tables,
-    so the filter quality does not depend on how far training has gotten.
+    The embedding fields are the frozen "pretrained encoder" view of each
+    image, and ``cosines`` holds their region-by-pool cosines (positives,
+    then negatives), computed once at generation. Selection and
+    re-weighting run on these, never on the trainable tables, so the filter
+    quality does not depend on how far training has gotten.
     """
 
-    image_id: int
-    row_ids: np.ndarray            # (K,) rows of the region table
-    region_concepts: np.ndarray    # (K,)
-    positive_concepts: np.ndarray  # (K,) sorted by descending global score
-    negative_concepts: np.ndarray  # (K,) sorted by descending global score
-    caption_concepts: np.ndarray   # (P,)
-    global_scores: np.ndarray      # (K,) cosine of positive tag vs mean region
-    region_embeddings: np.ndarray  # (K, d) as generated, used for table init
-    positive_embeddings: np.ndarray  # (K, d) as generated, evidence for selection
-    negative_embeddings: np.ndarray  # (K, d)
-    flipped: bool = False
-
-
-@dataclass
-class SyntheticDataset:
     config: SyntheticConfig
-    prototypes: np.ndarray  # (n_concepts, d) unit rows
-    instances: list[SyntheticInstance] = field(default_factory=list)
+    prototypes: np.ndarray           # (n_concepts, d) unit rows
+    region_concepts: np.ndarray      # (n, K) one concept per region
+    positive_concepts: np.ndarray    # (n, K) sorted by descending global score
+    negative_concepts: np.ndarray    # (n, K) sorted by descending global score
+    global_scores: np.ndarray        # (n, K) cosine of positive tag vs mean region
+    region_embeddings: np.ndarray    # (n, K, d) as generated, used for table init
+    positive_embeddings: np.ndarray  # (n, K, d) as generated, evidence for selection
+    negative_embeddings: np.ndarray  # (n, K, d)
+    flipped: np.ndarray              # (n,) bool
+    cosines: np.ndarray              # (n, K, 2K)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.region_concepts.shape[0]
+
+    @property
+    def caption_concepts(self) -> np.ndarray:
+        """(n, K): each caption names exactly the concepts its regions show."""
+        return self.region_concepts
 
     @property
     def n_region_rows(self) -> int:
-        return len(self.instances) * self.config.regions_per_image
+        return self.region_concepts.size
+
+    def region_rows(self, images) -> np.ndarray:
+        """Rows of the region table that hold each image's regions, shape (..., K)."""
+        k = self.config.regions_per_image
+        return np.asarray(images)[..., None] * k + np.arange(k)
 
 
 def _cosine_rows(image: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -171,9 +174,14 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     protos = rng.standard_normal((config.n_concepts, config.d))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
-    k = config.regions_per_image
-    instances = []
-    for image_id in range(config.n_images):
+    n, k = config.n_images, config.regions_per_image
+    region_concepts, positive_concepts, negative_concepts = (
+        np.empty((n, k), dtype=np.int64) for _ in range(3))
+    region_embs, positive_embs, negative_embs = (
+        np.empty((n, k, config.d)) for _ in range(3))
+    global_scores = np.empty((n, k))
+    flipped = np.zeros(n, dtype=bool)
+    for image in range(n):
         present = rng.choice(config.n_concepts, size=k, replace=False)
         absent = np.setdiff1d(np.arange(config.n_concepts), present)
         negatives = rng.choice(absent, size=k, replace=len(absent) < k)
@@ -190,40 +198,44 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         pos_concepts = present.copy()
         neg_concepts = negatives.copy()
 
-        flipped = False
         if config.flip_rate > 0.0 and rng.random() < config.flip_rate:
             i = int(rng.integers(k))
             j = int(rng.integers(k))
             pos_concepts[i], neg_concepts[j] = neg_concepts[j], pos_concepts[i]
             pos_emb[[i]], neg_emb[[j]] = neg_emb[[j]].copy(), pos_emb[[i]].copy()
-            flipped = True
+            flipped[image] = True
 
         image_emb = region_emb.mean(axis=0)
         pos_scores = _cosine_rows(image_emb, pos_emb)
         pos_order = np.argsort(-pos_scores, kind="stable")
-        pos_concepts = pos_concepts[pos_order]
-        pos_scores = pos_scores[pos_order]
-        pos_emb = pos_emb[pos_order]
         neg_order = np.argsort(-_cosine_rows(image_emb, neg_emb), kind="stable")
-        neg_concepts = neg_concepts[neg_order]
-        neg_emb = neg_emb[neg_order]
 
-        instances.append(
-            SyntheticInstance(
-                image_id=image_id,
-                row_ids=np.arange(image_id * k, (image_id + 1) * k),
-                region_concepts=present,
-                positive_concepts=pos_concepts,
-                negative_concepts=neg_concepts,
-                caption_concepts=present.copy(),
-                global_scores=pos_scores,
-                region_embeddings=region_emb,
-                positive_embeddings=pos_emb,
-                negative_embeddings=neg_emb,
-                flipped=flipped,
-            )
-        )
-    return SyntheticDataset(config=config, prototypes=protos, instances=instances)
+        region_concepts[image] = present
+        positive_concepts[image] = pos_concepts[pos_order]
+        negative_concepts[image] = neg_concepts[neg_order]
+        global_scores[image] = pos_scores[pos_order]
+        region_embs[image] = region_emb
+        positive_embs[image] = pos_emb[pos_order]
+        negative_embs[image] = neg_emb[neg_order]
+
+    cosines = np.empty((n, k, 2 * k))
+    for start in range(0, n, BLOCK):
+        part = slice(start, start + BLOCK)
+        cosines[part] = pool_cosines(region_embs[part], positive_embs[part],
+                                     negative_embs[part])
+    return SyntheticDataset(
+        config=config,
+        prototypes=protos,
+        region_concepts=region_concepts,
+        positive_concepts=positive_concepts,
+        negative_concepts=negative_concepts,
+        global_scores=global_scores,
+        region_embeddings=region_embs,
+        positive_embeddings=positive_embs,
+        negative_embeddings=negative_embs,
+        flipped=flipped,
+        cosines=cosines,
+    )
 
 
 @dataclass
@@ -248,7 +260,7 @@ def initial_state(
     tag = rng.standard_normal((cfg.n_concepts, cfg.d)) * scale
     cap = rng.standard_normal((cfg.n_concepts, cfg.d)) * scale
     if region_init == "data":
-        regions = np.vstack([inst.region_embeddings for inst in dataset.instances])
+        regions = dataset.region_embeddings.reshape(-1, cfg.d)
     elif region_init == "random":
         regions = rng.standard_normal((dataset.n_region_rows, cfg.d)) * scale
     else:
@@ -261,7 +273,7 @@ def aligned_state(dataset: SyntheticDataset) -> TrainState:
     return TrainState(
         tag_table=dataset.prototypes.copy(),
         caption_table=dataset.prototypes.copy(),
-        region_table=np.vstack([i.region_embeddings for i in dataset.instances]),
+        region_table=dataset.region_embeddings.reshape(-1, dataset.config.d).copy(),
     )
 
 
@@ -269,13 +281,12 @@ def gather_instance(
     dataset: SyntheticDataset, state: TrainState, index: int
 ) -> ContrastiveInstance:
     """Materialize one image's validated contrastive arrays from the current tables."""
-    inst = dataset.instances[index]
     return ContrastiveInstance(
-        regions=state.region_table[inst.row_ids],
-        positives=state.tag_table[inst.positive_concepts],
-        negatives=state.tag_table[inst.negative_concepts],
-        caption_nouns=state.caption_table[inst.caption_concepts],
-        global_scores=inst.global_scores,
+        regions=state.region_table[dataset.region_rows(index)],
+        positives=state.tag_table[dataset.positive_concepts[index]],
+        negatives=state.tag_table[dataset.negative_concepts[index]],
+        caption_nouns=state.caption_table[dataset.caption_concepts[index]],
+        global_scores=dataset.global_scores[index],
     )
 
 
@@ -287,62 +298,15 @@ class HistoryRecord:
     total: float
 
 
-@dataclass
-class StackedEvidence:
-    """A dataset's per-image index rows and frozen selection evidence, stacked for one call.
-
-    Row i describes image i. ``cosines`` holds each image's region-by-pool
-    cosines of the frozen embeddings (positives, then negatives), or is
-    ``None`` when selection is off. ``clamped`` counts the global scores
-    selection has clamped so far, so the call can warn once.
-    """
-
-    row_ids: np.ndarray            # (n, R)
-    positive_concepts: np.ndarray  # (n, K)
-    negative_concepts: np.ndarray  # (n, K)
-    caption_concepts: np.ndarray   # (n, P)
-    global_scores: np.ndarray      # (n, K)
-    cosines: np.ndarray | None     # (n, R, 2K)
-    clamped: int = 0
-
-    @classmethod
-    def of(cls, dataset: SyntheticDataset, with_cosines: bool) -> "StackedEvidence":
-        insts = dataset.instances
-
-        def stacked(name, part=insts):
-            return np.stack([getattr(inst, name) for inst in part])
-
-        cosines = None
-        if with_cosines:
-            first = insts[0]
-            cosines = np.empty((len(insts), first.region_embeddings.shape[0],
-                                2 * first.positive_embeddings.shape[0]))
-            for start in range(0, len(insts), BLOCK):
-                part = insts[start:start + BLOCK]
-                cosines[start:start + BLOCK] = pool_cosines(
-                    stacked("region_embeddings", part),
-                    stacked("positive_embeddings", part),
-                    stacked("negative_embeddings", part),
-                )
-        return cls(
-            row_ids=stacked("row_ids"),
-            positive_concepts=stacked("positive_concepts"),
-            negative_concepts=stacked("negative_concepts"),
-            caption_concepts=stacked("caption_concepts"),
-            global_scores=stacked("global_scores"),
-            cosines=cosines,
-        )
-
-
-def _select_block(evidence, images, subsets=None):
+def _select_block(dataset, images, subsets=None):
     """Selection for one block of images over their frozen evidence.
 
     With ``subsets`` (b, 2, m), the sorted positive and negative rows a
     subsampled step keeps per image, the argmax runs over those pool
     columns only. Indices refer to the kept rows.
     """
-    cosines = evidence.cosines[images]
-    scores = evidence.global_scores[images]
+    cosines = dataset.cosines[images]
+    scores = dataset.global_scores[images]
     if subsets is not None:
         rows = np.arange(len(images))[:, None]
         k = scores.shape[1]
@@ -350,33 +314,33 @@ def _select_block(evidence, images, subsets=None):
         cosines = cosines[rows[:, :, None], np.arange(cosines.shape[1])[:, None],
                           cols[:, None, :]]
         scores = scores[rows, subsets[:, 0]]
-    sel = select_batch(cosines, scores)
-    evidence.clamped += sel.clamped
-    return sel
+    return select_batch(cosines, scores)
 
 
-def _block_loss(evidence, state, config, images, subsets=None, grads=None):
-    """Per-image cross and inner losses of one block of images.
+def _block_loss(dataset, state, config, images, subsets=None, grads=None):
+    """Per-image cross and inner losses of one block of images, and the clamp count.
 
     ``subsets`` is as for :func:`_select_block`. With ``grads`` (tag,
     caption and region gradient tables), the block's gradients are
-    scatter-added onto them.
+    scatter-added onto them. The count is the number of global scores
+    selection clamped.
     """
     rows = np.arange(len(images))[:, None]
-    pos_concepts = evidence.positive_concepts[images]
-    neg_concepts = evidence.negative_concepts[images]
+    pos_concepts = dataset.positive_concepts[images]
+    neg_concepts = dataset.negative_concepts[images]
     if subsets is not None:
         pos_concepts = pos_concepts[rows, subsets[:, 0]]
         neg_concepts = neg_concepts[rows, subsets[:, 1]]
     weights = None
+    clamped = 0
     if config.enable_uasr:
-        sel = _select_block(evidence, images, subsets)
+        sel = _select_block(dataset, images, subsets)
         pos_concepts = pos_concepts[rows, sel.positive_indices]
         neg_concepts = neg_concepts[rows, sel.negative_indices]
-        weights = sel.weights
+        weights, clamped = sel.weights, sel.clamped
 
-    region_rows = evidence.row_ids[images]
-    caption_concepts = evidence.caption_concepts[images]
+    region_rows = dataset.region_rows(images)
+    caption_concepts = dataset.caption_concepts[images]
     cross, inner, g = batch_loss(
         state.region_table[region_rows],
         state.tag_table[pos_concepts],
@@ -393,36 +357,36 @@ def _block_loss(evidence, state, config, images, subsets=None, grads=None):
                   np.concatenate([g.d_positives, g.d_negatives], axis=1))
         np.add.at(g_cap, caption_concepts, g.d_caption_nouns)
         np.add.at(g_reg, region_rows, g.d_regions)
-    return cross, inner
+    return cross, inner, clamped
 
 
-def snapshot_loss(
-    dataset: SyntheticDataset,
-    state: TrainState,
-    config: TrainerConfig,
-    evidence: StackedEvidence | None = None,
-) -> HistoryRecord:
-    """Mean full-dataset loss with the configured selection, no subsampling.
-
-    ``evidence`` lets a caller share one call's :class:`StackedEvidence`
-    across snapshots; the caller then owns the clamp warning. Without it,
-    this call stacks its own and warns at most once.
-    """
-    own = evidence is None
-    if own:
-        evidence = StackedEvidence.of(dataset, config.enable_uasr)
+def _snapshot(dataset, state, config) -> tuple[HistoryRecord, int]:
+    """Mean full-dataset loss record, and the number of global scores selection clamped."""
     n = len(dataset)
     cross = inner = total = 0.0
+    clamped = 0
     for start in range(0, n, BLOCK):
-        c, i = _block_loss(evidence, state, config, np.arange(start, min(start + BLOCK, n)))
+        c, i, count = _block_loss(dataset, state, config,
+                                  np.arange(start, min(start + BLOCK, n)))
         cross += float(c.sum())
         inner += float(i.sum())
         total += float((config.lambda_cross * c + config.effective_lambda_inner * i).sum())
-    if own:
-        warn_clamped(evidence.clamped)
-    return HistoryRecord(
-        step=state.step, cross=cross / n, inner=inner / n, total=total / n
-    )
+        clamped += count
+    record = HistoryRecord(step=state.step, cross=cross / n, inner=inner / n, total=total / n)
+    return record, clamped
+
+
+def snapshot_loss(
+    dataset: SyntheticDataset, state: TrainState, config: TrainerConfig
+) -> HistoryRecord:
+    """Mean full-dataset loss with the configured selection, no subsampling.
+
+    Warns at most once, with the total count, if selection clamped
+    non-positive global scores.
+    """
+    record, clamped = _snapshot(dataset, state, config)
+    warn_clamped(clamped)
+    return record
 
 
 def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
@@ -452,11 +416,13 @@ def train_alignment(
         state = initial_state(dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
-    evidence = StackedEvidence.of(dataset, config.enable_uasr)
-    k = evidence.positive_concepts.shape[1]
+    k = dataset.config.regions_per_image
+    clamped = 0
 
     def record(history):
-        rec = snapshot_loss(dataset, state, config, evidence)
+        nonlocal clamped
+        rec, count = _snapshot(dataset, state, config)
+        clamped += count
         if not math.isfinite(rec.total):
             raise DivergenceError(state.step, "snapshot loss is not finite")
         history.append(rec)
@@ -479,8 +445,9 @@ def train_alignment(
         )
         for start in range(0, len(batch), BLOCK):
             block = slice(start, start + BLOCK)
-            _block_loss(evidence, state, config, batch[block],
-                        None if subsets is None else subsets[block], grads)
+            _, _, count = _block_loss(dataset, state, config, batch[block],
+                                      None if subsets is None else subsets[block], grads)
+            clamped += count
         g_tag, g_cap, g_reg = grads
 
         lr = config.learning_rate / len(batch)
@@ -501,7 +468,7 @@ def train_alignment(
 
     if not history or history[-1].step != state.step:
         record(history)
-    warn_clamped(evidence.clamped)
+    warn_clamped(clamped)
     return state, history
 
 
@@ -513,15 +480,11 @@ def evaluate_retrieval(dataset: SyntheticDataset, state: TrainState) -> float:
     each true positive concept, so random tables score about 1/K; a
     flipped-in positive names an absent concept and always misses.
     """
-    correct = 0
-    seen = 0
-    for inst in dataset.instances:
-        regions = state.region_table[inst.row_ids]
-        rnorm = np.maximum(np.linalg.norm(regions, axis=1), 1e-12)
-        for concept in inst.positive_concepts:
-            w = state.tag_table[concept]
-            cos = (regions @ w) / (rnorm * max(np.linalg.norm(w), 1e-12))
-            winner = int(np.argmax(cos))
-            correct += int(inst.region_concepts[winner] == concept)
-            seen += 1
-    return correct / seen
+    regions = state.region_table.reshape(*dataset.region_concepts.shape, -1)
+    tags = state.tag_table[dataset.positive_concepts]
+    rnorm = np.maximum(np.linalg.norm(regions, axis=-1), 1e-12)
+    tnorm = np.maximum(np.linalg.norm(tags, axis=-1), 1e-12)
+    cos = (tags @ regions.swapaxes(-1, -2)) / (rnorm[:, None, :] * tnorm[:, :, None])
+    winners = np.take_along_axis(dataset.region_concepts, cos.argmax(axis=-1), axis=1)
+    hits = winners == dataset.positive_concepts
+    return int(hits.sum()) / hits.size

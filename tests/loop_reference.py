@@ -80,15 +80,16 @@ def loss_and_grad_2d(regions, positives, negatives, caption_nouns, weights,
     return cross, inner, d_pos, d_neg, d_regions, d_caption
 
 
-def evidence_view(inst, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
-    """Frozen-embedding instance for selection, optionally row-subset."""
-    pos, neg, scores = inst.positive_embeddings, inst.negative_embeddings, inst.global_scores
+def evidence_view(dataset, image, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
+    """Frozen-embedding instance of one image for selection, optionally row-subset."""
+    pos, neg = dataset.positive_embeddings[image], dataset.negative_embeddings[image]
+    scores = dataset.global_scores[image]
     if pos_idx is not None:
         pos, scores = pos[pos_idx], scores[pos_idx]
     if neg_idx is not None:
         neg = neg[neg_idx]
     return ContrastiveInstance(
-        regions=inst.region_embeddings,
+        regions=dataset.region_embeddings[image],
         positives=pos,
         negatives=neg,
         caption_nouns=[],
@@ -96,19 +97,25 @@ def evidence_view(inst, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
     )
 
 
-def _image(state, inst, config, pos_idx=None, neg_idx=None):
+def _row_ids(dataset, image):
+    k = dataset.config.regions_per_image
+    return np.arange(image * k, (image + 1) * k)
+
+
+def _image(state, dataset, image, config, pos_idx=None, neg_idx=None):
     """Losses and source-row gradients of one image, with its kept tag concepts."""
-    pos_concepts, neg_concepts = inst.positive_concepts, inst.negative_concepts
+    pos_concepts = dataset.positive_concepts[image]
+    neg_concepts = dataset.negative_concepts[image]
     if pos_idx is not None:
         pos_concepts, neg_concepts = pos_concepts[pos_idx], neg_concepts[neg_idx]
-    regions = state.region_table[inst.row_ids]
+    regions = state.region_table[_row_ids(dataset, image)]
     positives = state.tag_table[pos_concepts]
     negatives = state.tag_table[neg_concepts]
-    caption = state.caption_table[inst.caption_concepts]
+    caption = state.caption_table[dataset.caption_concepts[image]]
     wp, wn, q = positives, negatives, None
     sel = None
     if config.enable_uasr:
-        sel = apply_uasr(evidence_view(inst, pos_idx, neg_idx))
+        sel = apply_uasr(evidence_view(dataset, image, pos_idx, neg_idx))
         wp, wn, q = positives[sel.positive_indices], negatives[sel.negative_indices], sel.weights
     cross, inner, d_wp, d_wn, d_reg, d_cap = loss_and_grad_2d(
         regions, wp, wn, caption, q, config.lambda_cross, config.effective_lambda_inner
@@ -126,8 +133,8 @@ def _image(state, inst, config, pos_idx=None, neg_idx=None):
 
 def snapshot_loss_loop(dataset, state, config) -> HistoryRecord:
     cross = inner = total = 0.0
-    for inst in dataset.instances:
-        c, i, *_ = _image(state, inst, config)
+    for image in range(len(dataset)):
+        c, i, *_ = _image(state, dataset, image, config)
         cross += c
         inner += i
         total += config.lambda_cross * c + config.effective_lambda_inner * i
@@ -159,18 +166,17 @@ def train_alignment_loop(dataset, config, state=None):
         g_cap = np.zeros_like(state.caption_table)
         g_reg = np.zeros_like(state.region_table)
         for idx in batch:
-            inst = dataset.instances[idx]
             pos_idx = neg_idx = None
             if config.enable_subsample:
                 pos_idx, neg_idx = subsample(np.arange(k), np.arange(k),
                                              config.subsample_fraction, rng)
-            _, _, grads, pos_concepts, neg_concepts = _image(state, inst, config,
+            _, _, grads, pos_concepts, neg_concepts = _image(state, dataset, idx, config,
                                                              pos_idx, neg_idx)
             d_pos, d_neg, d_reg, d_cap = grads
-            np.add.at(g_reg, inst.row_ids, d_reg)
+            np.add.at(g_reg, _row_ids(dataset, idx), d_reg)
             np.add.at(g_tag, pos_concepts, d_pos)
             np.add.at(g_tag, neg_concepts, d_neg)
-            np.add.at(g_cap, inst.caption_concepts, d_cap)
+            np.add.at(g_cap, dataset.caption_concepts[idx], d_cap)
         lr = config.learning_rate / len(batch)
         if not config.freeze_tags:
             state.tag_table -= lr * g_tag

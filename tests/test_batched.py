@@ -21,7 +21,6 @@ from rca.core import ContrastiveInstance, compat_forward
 from rca.gradients import loss_and_grad
 from rca.losses import batch_loss
 from rca.trainer import (
-    StackedEvidence,
     SyntheticConfig,
     TrainerConfig,
     generate_synthetic,
@@ -112,11 +111,11 @@ def _row_subsets(k):
 
 def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
     ds = generate_synthetic(NOISY)
-    evidence = StackedEvidence.of(ds, with_cosines=True)
     n, k = len(ds), NOISY.regions_per_image
     images = np.arange(n)
     combos = _row_subsets(k)
     fallbacks = np.zeros(2, dtype=int)
+    clamped = 0
 
     def check(sel, i, res, exact):
         assert sel.positive_indices[i].tolist() == res.positive_indices.tolist()
@@ -131,23 +130,24 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
 
     with warnings.catch_warnings(record=True) as per_image:
         warnings.simplefilter("always")
-        sel = trainer._select_block(evidence, images)
+        sel = trainer._select_block(ds, images)
         for i in images:
-            check(sel, i, apply_uasr(evidence_view(ds.instances[i])), exact=True)
+            check(sel, i, apply_uasr(evidence_view(ds, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
+        clamped += sel.clamped
         # every image meets every subset, and one block mixes many subsets
         for shift in range(len(combos)):
             picked = [combos[(shift + i) % len(combos)] for i in images]
             for m in range(1, k + 1):
                 rows = [i for i in images if len(picked[i][0]) == m]
                 subsets = np.array([picked[i] for i in rows])
-                sel = trainer._select_block(evidence, np.array(rows), subsets)
+                sel = trainer._select_block(ds, np.array(rows), subsets)
                 for j, i in enumerate(rows):
                     pos, neg = picked[i]
-                    check(sel, j, apply_uasr(evidence_view(ds.instances[i], pos, neg)),
-                          exact=False)
+                    check(sel, j, apply_uasr(evidence_view(ds, i, pos, neg)), exact=False)
                 fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
-    assert evidence.clamped == sum(_clamp_counts(per_image)) > 0
+                clamped += sel.clamped
+    assert clamped == sum(_clamp_counts(per_image)) > 0
     assert (fallbacks > 0).all()  # both fallbacks are exercised
 
 

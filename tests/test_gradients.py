@@ -4,11 +4,11 @@ import pytest
 from rca.core import ContrastiveInstance
 from rca.errors import ConfigError, InvalidWeightError
 from rca.gradients import (
+    _elementwise_error,
     central_difference,
     finite_diff_grad,
     gradient_check,
     loss_and_grad,
-    relative_error,
 )
 from rca.losses import GradientBundle, total_loss
 from rca.uasr import UasrResult, apply_uasr
@@ -110,7 +110,7 @@ class TestWorstEntry:
         numeric = finite_diff_grad(inst, sel)
         a = analytic.as_dict()[rep.worst_table][tuple(rep.worst_index)]
         f = numeric.as_dict()[rep.worst_table][tuple(rep.worst_index)]
-        assert relative_error(np.array([a]), np.array([f])) == rep.worst_error
+        assert float(_elementwise_error(np.array([a]), np.array([f]))[0]) == rep.worst_error
 
     def test_ties_go_to_the_later_table(self):
         # zero lambdas: every error is 0, so the last non-empty table wins
@@ -142,11 +142,13 @@ class TestNumericOracle:
     def test_relative_error_metric(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[1.0 + 1e-5, 0.0]])
-        assert relative_error(a, b) == pytest.approx(1e-5 / (1 + 1e-5), rel=1e-6)
-        assert relative_error(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+        assert _elementwise_error(a, b).max() == pytest.approx(1e-5 / (1 + 1e-5), rel=1e-6)
+        # an empty table (no caption nouns) reports error 0
+        rep = gradient_check(rand_instance(np.random.default_rng(11), p=0))
+        assert rep.errors["caption_nouns"] == 0.0
         # the 1e-6 floor keeps near-zero entries from exploding the ratio
-        tiny = relative_error(np.array([[0.0]]), np.array([[1e-9]]))
-        assert tiny == pytest.approx(1e-3)
+        tiny = _elementwise_error(np.array([[0.0]]), np.array([[1e-9]]))
+        assert tiny.max() == pytest.approx(1e-3)
 
 
 class TestBundle:

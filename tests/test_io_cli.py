@@ -9,16 +9,21 @@ stdout of ``rca uasr fixtures/vocab.jsonl fixtures/instances.jsonl`` and
 a change that means to move them.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rca.cli import main
 from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
@@ -32,9 +37,10 @@ from rca.io import (
     read_vocab,
     to_json,
     write_instances,
+    write_state,
     write_vocab,
 )
-from rca.trainer import SyntheticConfig, TrainerConfig
+from rca.trainer import SyntheticConfig, TrainerConfig, TrainState
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 VOCAB = os.path.join(FIXTURES, "vocab.jsonl")
@@ -604,6 +610,159 @@ class TestCliTrainEval:
         state_path.write_text(json.dumps(obj) + "\n")
         code, _, err = run_cli(["eval", str(state_path)], capsys)
         assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with an error line, never a traceback
+
+INSTANCE_HEADER = '{"format": "rca-instances", "version": 1, "dim": 4}\n'
+INSTANCE_LINE = ('{"image_id": "x", "image_embedding": [1, 0, 0, 0],'
+                 ' "regions": [[1, 0, 0, 0]], "caption_tokens": [%s]%s}\n')
+
+
+def _state_bytes(tmp_path, mutate=None) -> bytes:
+    """A valid one-image state file, optionally with its JSON object mutated."""
+    syn = SyntheticConfig(n_concepts=3, d=2, n_images=1, regions_per_image=1)
+    state = TrainState(tag_table=np.eye(3, 2), caption_table=np.eye(3, 2),
+                       region_table=np.ones((1, 2)))
+    path = tmp_path / "valid-state.jsonl"
+    write_state(path, state, syn, TrainerConfig())
+    if mutate is None:
+        return path.read_bytes()
+    obj = json.loads(path.read_text())
+    mutate(obj)
+    return (json.dumps(obj) + "\n").encode()
+
+
+def _ragged(obj):
+    obj["tag_table"][1] = obj["tag_table"][1][:1]
+
+
+def _non_numeric(obj):
+    obj["tag_table"][1][0] = "abc"
+
+
+def _step_not_integer(obj):
+    obj["step"] = "abc"
+
+
+MALFORMED_INPUTS = {
+    # name: (subcommand, file role, file bytes or a builder of them)
+    "caption-tokens-not-a-list": (
+        "loss", "instances", (INSTANCE_HEADER + INSTANCE_LINE % ("", "")).replace(
+            '"caption_tokens": []', '"caption_tokens": 5').encode()),
+    "tags-not-a-list": (
+        "loss", "instances", (INSTANCE_HEADER + INSTANCE_LINE % ("", ', "tags": 7')).encode()),
+    "integer-literal-too-long": (
+        "loss", "instances", (INSTANCE_HEADER + INSTANCE_LINE % ("", "")).replace(
+            "[1, 0, 0, 0],", "[1%s, 0, 0, 0]," % ("0" * 5000), 1).encode()),
+    "number-past-double-range": (
+        "loss", "instances", (INSTANCE_HEADER + INSTANCE_LINE % ("", "")).replace(
+            "[1, 0, 0, 0],", "[1%s, 0, 0, 0]," % ("0" * 400), 1).encode()),
+    "vocab-not-utf8": (
+        "loss", "vocab", b'{"format": "rca-vocab", "version": 1, "dim": 4}\n\xff\xfe\n'),
+    "instances-not-utf8": (
+        "loss", "instances", INSTANCE_HEADER.encode() + b'{"image_id": "\xc3\x28"}\n'),
+    "run-config-not-utf8": ("train", "config", b"steps = 5\n\xff = 1\n"),
+    "state-not-utf8": ("eval", "state", lambda tmp: _state_bytes(tmp)[:40] + b"\xff"),
+    "state-ragged-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _ragged)),
+    "state-non-numeric-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _non_numeric)),
+    "state-step-not-integer": ("eval", "state", lambda tmp: _state_bytes(tmp, _step_not_integer)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_two_without_traceback(case, tmp_path):
+    command, role, content = MALFORMED_INPUTS[case]
+    if callable(content):
+        content = content(tmp_path)
+    bad = tmp_path / f"bad-{role}"
+    bad.write_bytes(content)
+    argv = {
+        ("loss", "instances"): ["loss", VOCAB, str(bad)],
+        ("loss", "vocab"): ["loss", str(bad), INSTANCES],
+        ("train", "config"): ["train", "--config", str(bad),
+                              "--state_out", str(tmp_path / "state.jsonl")],
+        ("eval", "state"): ["eval", str(bad)],
+    }[command, role]
+    proc = subprocess.run([sys.executable, "-m", "rca", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# mutated fixture lines: the readers raise only their own errors, the CLI
+# exits with a documented code
+
+FIXTURE_BYTES = {path: open(path, "rb").read().splitlines(keepends=True)
+                 for path in (VOCAB, INSTANCES)}
+ODD_VALUES = [None, True, 0, -3, 1.5, 1e308, "s", "", [], {}, [1, "a"], [[1, 2], 3],
+              {"tag_id": 1}, 10**400]
+
+
+def _key_paths(value, path=()):
+    """Paths to every dict key in a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _key_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _key_paths(item, path + (i,))
+
+
+@st.composite
+def mutated_line(draw, lines):
+    """One fixture line after dropping a key, retyping a value, truncating or inserting bytes."""
+    index = draw(st.integers(0, len(lines) - 1))
+    raw = lines[index]
+    kind = draw(st.sampled_from(["drop", "retype", "truncate", "insert"]))
+    if kind in ("drop", "retype"):
+        obj = json.loads(raw)
+        path = draw(st.sampled_from(list(_key_paths(obj))))
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+        raw = (json.dumps(obj) + "\n").encode()
+    elif kind == "truncate":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    else:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(min_size=1, max_size=4)) + raw[at:]
+    return index, raw
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), which=st.sampled_from(["vocab", "instances"]),
+       enable_uasr=st.booleans())
+def test_mutated_fixture_lines_raise_only_parse_errors(data, which, enable_uasr):
+    source = VOCAB if which == "vocab" else INSTANCES
+    lines = list(FIXTURE_BYTES[source])
+    index, lines[index] = data.draw(mutated_line(lines))
+    reader = read_vocab if which == "vocab" else read_instances
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, os.path.basename(source))
+        with open(mutated, "wb") as fh:
+            fh.write(b"".join(lines))
+        try:
+            reader(mutated)
+        except (ParseError, DimensionError):
+            pass
+        argv = ["loss", mutated, INSTANCES] if which == "vocab" else ["loss", VOCAB, mutated]
+        if enable_uasr:
+            argv.append("--enable_uasr")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_module_entry_point_runs():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,73 +19,116 @@ from rca.trainer import (
     snapshot_loss,
     train_alignment,
 )
+from rca.uasr import pool_cosines
 
 SMALL = SyntheticConfig(n_concepts=6, d=8, n_images=20, regions_per_image=3, seed=0)
 FAST = dict(steps=5, learning_rate=0.5)
 
 
+EMBEDDINGS = ("region_embeddings", "positive_embeddings", "negative_embeddings")
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "expected_synthetic.json").read_text())
+
+
+def _digest(arr: np.ndarray) -> str:
+    """SHA-256 of an array's dtype, shape and bytes."""
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 class TestGeneration:
     def test_shapes_and_concept_sets(self):
         ds = generate_synthetic(SMALL)
-        assert len(ds) == 20
-        assert ds.prototypes.shape == (6, 8)
+        n, k, d = 20, SMALL.regions_per_image, SMALL.d
+        assert len(ds) == n
+        assert ds.prototypes.shape == (6, d)
         assert np.allclose(np.linalg.norm(ds.prototypes, axis=1), 1.0)
-        for inst in ds.instances:
-            k = SMALL.regions_per_image
-            present = set(inst.region_concepts.tolist())
+        for name in ("region_concepts", "positive_concepts", "negative_concepts",
+                     "caption_concepts", "global_scores"):
+            assert getattr(ds, name).shape == (n, k)
+        for name in EMBEDDINGS:
+            assert getattr(ds, name).shape == (n, k, d)
+        assert ds.flipped.shape == (n,)
+        assert ds.cosines.shape == (n, k, 2 * k)
+        for i in range(n):
+            present = set(ds.region_concepts[i].tolist())
             assert len(present) == k
-            assert inst.positive_concepts.shape == (k,)
-            assert inst.negative_concepts.shape == (k,)
-            assert set(inst.caption_concepts.tolist()) == present
-            assert inst.global_scores.shape == (k,)
-            assert np.all(np.diff(inst.global_scores) <= 1e-12)
+            assert set(ds.caption_concepts[i].tolist()) == present
+        assert np.all(np.diff(ds.global_scores, axis=1) <= 1e-12)
 
     def test_noiseless_embeddings_are_prototypes(self):
         ds = generate_synthetic(SMALL)
-        for inst in ds.instances:
-            assert np.array_equal(inst.region_embeddings, ds.prototypes[inst.region_concepts])
-            assert np.array_equal(inst.positive_embeddings, ds.prototypes[inst.positive_concepts])
-            assert np.array_equal(inst.negative_embeddings, ds.prototypes[inst.negative_concepts])
+        assert np.array_equal(ds.region_embeddings, ds.prototypes[ds.region_concepts])
+        assert np.array_equal(ds.positive_embeddings, ds.prototypes[ds.positive_concepts])
+        assert np.array_equal(ds.negative_embeddings, ds.prototypes[ds.negative_concepts])
+
+    def test_cosines_are_each_images_region_by_pool_cosines(self):
+        # 70 images span two blocks; each row must hold its own image's pool
+        ds = generate_synthetic(SyntheticConfig(n_concepts=6, d=8, n_images=70,
+                                                regions_per_image=3, noise_sigma=0.3,
+                                                flip_rate=0.2, seed=5))
+        for i in range(len(ds)):
+            want = pool_cosines(*(getattr(ds, name)[i] for name in EMBEDDINGS))
+            np.testing.assert_allclose(ds.cosines[i], want, rtol=1e-13, atol=1e-15)
 
     def test_without_flips_sides_partition_concepts(self):
         ds = generate_synthetic(SMALL)
-        for inst in ds.instances:
-            present = set(inst.region_concepts.tolist())
-            assert set(inst.positive_concepts.tolist()) == present
-            assert not set(inst.negative_concepts.tolist()) & present
+        for i in range(len(ds)):
+            present = set(ds.region_concepts[i].tolist())
+            assert set(ds.positive_concepts[i].tolist()) == present
+            assert not set(ds.negative_concepts[i].tolist()) & present
 
     def test_flips_move_one_pair_across_sides(self):
         cfg = SyntheticConfig(n_concepts=6, d=8, n_images=30, regions_per_image=3,
                               flip_rate=1.0, seed=1)
         ds = generate_synthetic(cfg)
-        assert all(inst.flipped for inst in ds.instances)
-        for inst in ds.instances:
-            present = set(inst.region_concepts.tolist())
-            pos = set(inst.positive_concepts.tolist())
-            neg = set(inst.negative_concepts.tolist())
+        assert ds.flipped.all()
+        for i in range(len(ds)):
+            present = set(ds.region_concepts[i].tolist())
+            pos = set(ds.positive_concepts[i].tolist())
+            neg = set(ds.negative_concepts[i].tolist())
             assert len(pos - present) == 1    # one absent concept slipped in
             assert len(neg & present) == 1    # one true concept pushed out
 
     def test_flip_rate_zero_never_flips(self):
         ds = generate_synthetic(SMALL)
-        assert not any(inst.flipped for inst in ds.instances)
+        assert not ds.flipped.any()
 
     def test_noise_spreads_embeddings(self):
         noisy = generate_synthetic(
             SyntheticConfig(n_concepts=6, d=8, n_images=10, regions_per_image=3,
                             noise_sigma=0.3, seed=2)
         )
-        for inst in noisy.instances:
-            assert not np.allclose(inst.region_embeddings,
-                                   noisy.prototypes[inst.region_concepts])
+        for i in range(len(noisy)):
+            assert not np.allclose(noisy.region_embeddings[i],
+                                   noisy.prototypes[noisy.region_concepts[i]])
 
     def test_deterministic_by_seed(self):
         a = generate_synthetic(SMALL)
         b = generate_synthetic(SMALL)
         assert np.array_equal(a.prototypes, b.prototypes)
-        for x, y in zip(a.instances, b.instances):
-            assert np.array_equal(x.positive_concepts, y.positive_concepts)
-            assert np.array_equal(x.global_scores, y.global_scores)
+        assert np.array_equal(a.positive_concepts, b.positive_concepts)
+        assert np.array_equal(a.global_scores, b.global_scores)
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_matches_golden_bytes(self, name):
+        """Every generated field, byte for byte, and retrieval on three states."""
+        golden = GOLDEN[name]
+        cfg = SyntheticConfig(**golden["config"])
+        ds = generate_synthetic(cfg)
+        assert {field: _digest(getattr(ds, field)) for field in golden["digests"]} == (
+            golden["digests"])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*clamped")
+            trained, _ = train_alignment(
+                ds, TrainerConfig(steps=25, learning_rate=0.5, seed=cfg.seed),
+                initial_state(ds, seed=cfg.seed))
+        assert {
+            "initial": evaluate_retrieval(ds, initial_state(ds, seed=cfg.seed)),
+            "aligned": evaluate_retrieval(ds, aligned_state(ds)),
+            "trained": evaluate_retrieval(ds, trained),
+        } == golden["retrieval"]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -109,11 +155,18 @@ class TestStates:
         ds = generate_synthetic(SMALL)
         data = initial_state(ds, seed=0, region_init="data")
         rand = initial_state(ds, seed=0, region_init="random")
-        stacked = np.vstack([i.region_embeddings for i in ds.instances])
+        stacked = ds.region_embeddings.reshape(-1, SMALL.d)
         assert np.array_equal(data.region_table, stacked)
         assert not np.allclose(rand.region_table, stacked)
         with pytest.raises(ConfigError):
             initial_state(ds, region_init="zeros")
+
+    def test_states_own_their_region_tables(self):
+        ds = generate_synthetic(SMALL)
+        before = ds.region_embeddings.copy()
+        for state in (initial_state(ds, seed=0), aligned_state(ds)):
+            state.region_table += 1.0
+        assert np.array_equal(ds.region_embeddings, before)
 
     def test_aligned_state_is_perfect_noiseless(self):
         ds = generate_synthetic(SMALL)
