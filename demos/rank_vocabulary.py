@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from rca.tags import rank_tags, split_pos_neg, subsample
+from rca.tags import rank_tags, subsample
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--vocab_size", type=int, default=40)
@@ -22,19 +22,20 @@ vocabulary = [(f"tag{i:03d}", rng.standard_normal(args.d)) for i in range(args.v
 image = rng.standard_normal(args.d)
 
 ranked = rank_tags(image, vocabulary, args.M)
-positives, negatives = split_pos_neg(ranked)
+K = args.M // 2
+positives, negatives = ranked[:K], ranked[K:]
 
-print(f"vocabulary of {args.vocab_size} tags, keeping top M={args.M} (K={ranked.K})")
+print(f"vocabulary of {args.vocab_size} tags, keeping top M={args.M} (K={K})")
 print("\n  side  rank  tag      cosine")
 for side, group in (("P", positives), ("N", negatives)):
-    for rank, cand in enumerate(group):
-        print(f"  {side}     {rank}     {cand.tag_id}   {cand.global_score:+.4f}")
+    for rank, tag in enumerate(group):
+        print(f"  {side}     {rank}     {tag.tag_id}   {tag.score:+.4f}")
 
 # scores are cosines, so rescaling the image embedding changes nothing
 ranked_scaled = rank_tags(image * 250.0, vocabulary, args.M)
-same = [c.tag_id for c in ranked.candidates] == [c.tag_id for c in ranked_scaled.candidates]
+same = [t.tag_id for t in ranked] == [t.tag_id for t in ranked_scaled]
 print("\nsame ranking after scaling the image by 250:", same)
 
 pos_small, neg_small = subsample(positives, negatives, 0.5, seed=args.seed)
 print(f"subsample(0.5) keeps the top ceil(K/2): "
-      f"{[c.tag_id for c in pos_small]} / {[c.tag_id for c in neg_small]}")
+      f"{[t.tag_id for t in pos_small]} / {[t.tag_id for t in neg_small]}")

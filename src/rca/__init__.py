@@ -15,7 +15,7 @@ from .errors import (
 )
 from .gradients import finite_diff_grad, gradient_check, loss_and_grad
 from .losses import GradientBundle, LossBreakdown, pair_loss, total_loss
-from .tags import RankedTagList, TagCandidate, rank_tags, split_pos_neg, subsample
+from .tags import TagRef, rank_tags, subsample
 from .trainer import (
     SyntheticConfig,
     TrainerConfig,

@@ -27,8 +27,8 @@ from .errors import (
 from .gradients import gradient_check
 from .io import (
     InstanceRecord,
-    RunConfig,
-    TagRef,
+    build_configs,
+    config_kinds,
     env_seed,
     read_instances,
     read_run_config,
@@ -39,7 +39,7 @@ from .io import (
     write_state,
 )
 from .losses import total_loss
-from .tags import rank_tags, split_pos_neg
+from .tags import rank_tags
 from .trainer import (
     aligned_state,
     evaluate_retrieval,
@@ -57,10 +57,9 @@ def _emit(obj, stream=None) -> None:
 
 
 def _resolve_tags(record: InstanceRecord, vocab_map: dict, vocab, m: int):
-    """Tag id/score/embedding triples for one record, ranking when absent."""
+    """A record's ranked tags and their embedding rows, ranking when absent."""
     if record.tags is None:
-        ranked = rank_tags(record.image_embedding, vocab, m)
-        tags = [TagRef(tag_id=str(c.tag_id), score=c.global_score) for c in ranked.candidates]
+        tags = rank_tags(record.image_embedding, vocab, m)
     else:
         tags = record.tags
         if len(tags) < 2 or len(tags) % 2 != 0:
@@ -107,30 +106,21 @@ def _load_corpus(args):
 def cmd_rank(args) -> int:
     vocab, vocab_map, records = _load_corpus(args)
     augmented = []
+    k = args.M // 2
     for rec in records:
-        ranked = rank_tags(rec.image_embedding, vocab, args.M)
-        pos, neg = split_pos_neg(ranked)
+        tags = rank_tags(rec.image_embedding, vocab, args.M)
         _emit(
             {
                 "image_id": rec.image_id,
-                "K": ranked.K,
+                "K": k,
                 "tags": [
-                    {"tag_id": str(c.tag_id), "score": c.global_score, "side": side}
-                    for side, group in (("P", pos), ("N", neg))
-                    for c in group
+                    {"tag_id": t.tag_id, "score": t.score, "side": "P" if i < k else "N"}
+                    for i, t in enumerate(tags)
                 ],
             }
         )
         if args.out:
-            augmented.append(
-                dataclasses.replace(
-                    rec,
-                    tags=[
-                        TagRef(tag_id=str(c.tag_id), score=c.global_score)
-                        for c in ranked.candidates
-                    ],
-                )
-            )
+            augmented.append(dataclasses.replace(rec, tags=tags))
     if args.out:
         write_instances(args.out, augmented, records[0].regions.shape[1])
     return 0
@@ -216,28 +206,19 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
-def _run_config_from(args) -> RunConfig:
-    cfg = RunConfig(seed=env_seed(0))
-    if args.config:
-        cfg = read_run_config(args.config, base=cfg)
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    # revalidate through the dataclass __post_init__ hooks
-    cfg.trainer_config()
-    cfg.synthetic_config()
-    return cfg
-
-
 def cmd_train(args) -> int:
-    cfg = _run_config_from(args)
-    dataset = generate_synthetic(cfg.synthetic_config())
-    trainer_cfg = cfg.trainer_config()
+    # later sources win: the RCA_SEED default, then the config file, then the flags
+    values = {"seed": env_seed(0)}
+    if args.config:
+        values.update(read_run_config(args.config))
+    flags = {k: getattr(args, k) for k in config_kinds()}
+    values.update({k: v for k, v in flags.items() if v is not None})
+    syn, trainer_cfg = build_configs(values)
+    dataset = generate_synthetic(syn)
     if args.init == "aligned":
         state = aligned_state(dataset)
     else:
-        state = initial_state(dataset, seed=cfg.seed, region_init=args.init)
+        state = initial_state(dataset, seed=trainer_cfg.seed, region_init=args.init)
     state, history = train_alignment(dataset, trainer_cfg, state)
 
     metrics_fh = open(args.metrics_out, "w", encoding="utf-8") if args.metrics_out else None
@@ -255,7 +236,7 @@ def cmd_train(args) -> int:
     finally:
         if metrics_fh:
             metrics_fh.close()
-    write_state(args.state_out, state, cfg.synthetic_config(), trainer_cfg)
+    write_state(args.state_out, state, syn, trainer_cfg)
     return 0
 
 
@@ -324,12 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state_out", required=True, help="path for the final state file")
     p.add_argument("--metrics_out", help="also write the metrics stream to this file")
     p.add_argument("--init", choices=("data", "random", "aligned"), default="data")
-    for f in dataclasses.fields(RunConfig):
-        kind = {"int": int, "float": float, "bool": bool}[f.type] if isinstance(f.type, str) else f.type
+    for name, kind in config_kinds().items():
         if kind is bool:
-            p.add_argument(f"--{f.name}", action=argparse.BooleanOptionalAction, default=None)
+            p.add_argument(f"--{name}", action=argparse.BooleanOptionalAction, default=None)
         else:
-            p.add_argument(f"--{f.name}", type=kind, default=None)
+            p.add_argument(f"--{name}", type=kind, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval accuracy of a saved state")

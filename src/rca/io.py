@@ -7,9 +7,8 @@ that write -> read -> write is byte-identical and golden files stay
 stable across platforms.
 
 The run configuration is a flat ``key = value`` text file whose keys are
-the synthetic-data and trainer fields plus the ranking width M. Unknown
-keys are rejected rather than ignored; a silently dropped typo would be
-worse than an error.
+the synthetic-data and trainer fields. Unknown keys are rejected rather
+than ignored; a silently dropped typo would be worse than an error.
 """
 
 from __future__ import annotations
@@ -23,19 +22,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, ValidationError
-from .trainer import SyntheticConfig, TrainerConfig, TrainState
+from .tags import TagRef
+from .trainer import SyntheticConfig, TrainerConfig, TrainState, field_kinds
 
 __all__ = [
     "to_json",
     "CaptionToken",
-    "TagRef",
     "InstanceRecord",
     "read_vocab",
     "write_vocab",
     "read_instances",
     "write_instances",
-    "RunConfig",
+    "config_kinds",
     "read_run_config",
+    "build_configs",
     "env_seed",
     "write_state",
     "read_state",
@@ -101,9 +101,12 @@ def _number(value, lineno: int, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{what} must be a number", line=lineno)
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ParseError(f"{what} is too large for a double", line=lineno) from None
+    if not math.isfinite(number):
+        raise ParseError(f"{what} must be finite", line=lineno)
+    return number
 
 
 def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> np.ndarray:
@@ -115,6 +118,8 @@ def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> 
         arr = np.asarray(value, dtype=np.float64)
     except OverflowError as exc:
         raise ParseError(f"{what} holds a number too large for a double", line=lineno) from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} holds a non-finite number", line=lineno)
     if dim is not None and arr.shape != (dim,):
         raise DimensionError(
             f"line {lineno}: {what} has dim {arr.shape[0] if arr.ndim == 1 else arr.shape}, expected {dim}"
@@ -190,12 +195,6 @@ class CaptionToken:
     text: str
     is_noun: bool
     embedding: np.ndarray
-
-
-@dataclass
-class TagRef:
-    tag_id: str
-    score: float
 
 
 @dataclass
@@ -313,96 +312,44 @@ def env_seed(default: int = 0) -> int:
         raise ConfigError(f"RCA_SEED must be an integer, got {raw!r}") from None
 
 
-@dataclass
-class RunConfig:
-    """Union of trainer and data-generation settings plus the ranking width M.
+def config_kinds() -> dict[str, type]:
+    """Each run-config key (a SyntheticConfig or TrainerConfig field) and its type."""
+    return {**field_kinds(TrainerConfig), **field_kinds(SyntheticConfig)}
 
-    The single ``seed`` feeds both data generation and training.
-    """
 
-    # trainer
-    steps: int = 500
-    learning_rate: float = 1e-4
-    batch_size: int = 512
-    lambda_cross: float = 1.0
-    lambda_inner: float = 1.0
-    enable_uasr: bool = True
-    enable_inner: bool = True
-    enable_subsample: bool = True
-    subsample_fraction: float = 0.5
-    freeze_tags: bool = False
-    freeze_regions: bool = False
-    freeze_caption: bool = False
-    # synthetic data
-    n_concepts: int = 10
-    d: int = 16
-    n_images: int = 200
-    regions_per_image: int = 4
-    noise_sigma: float = 0.0
-    flip_rate: float = 0.0
-    # shared
-    M: int = 50
-    seed: int = 0
+def build_configs(values: dict) -> tuple[SyntheticConfig, TrainerConfig]:
+    """Both configs from run-config values; ``seed`` feeds both, absent keys keep their defaults."""
+    def build(cls):
+        return cls(**{k: values[k] for k in field_kinds(cls) if k in values})
 
-    def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            steps=self.steps,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            lambda_cross=self.lambda_cross,
-            lambda_inner=self.lambda_inner,
-            enable_uasr=self.enable_uasr,
-            enable_inner=self.enable_inner,
-            enable_subsample=self.enable_subsample,
-            subsample_fraction=self.subsample_fraction,
-            seed=self.seed,
-            freeze_tags=self.freeze_tags,
-            freeze_regions=self.freeze_regions,
-            freeze_caption=self.freeze_caption,
-        )
-
-    def synthetic_config(self) -> SyntheticConfig:
-        return SyntheticConfig(
-            n_concepts=self.n_concepts,
-            d=self.d,
-            n_images=self.n_images,
-            regions_per_image=self.regions_per_image,
-            noise_sigma=self.noise_sigma,
-            flip_rate=self.flip_rate,
-            seed=self.seed,
-        )
+    return build(SyntheticConfig), build(TrainerConfig)
 
 
 def _parse_config_value(name: str, kind: type, raw: str, lineno: int):
     raw = raw.strip()
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        if kind is not bool:
+            return kind(raw)
+        low = raw.lower()
+        if low in ("true", "1", "yes", "on"):
+            return True
+        if low in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(raw)
     except ValueError:
         raise ParseError(
             f"bad value for {name}: {raw!r} (expected {kind.__name__})", line=lineno
         ) from None
-    raise ConfigError(f"unsupported config field type for {name}")
 
 
-def read_run_config(path, base: RunConfig | None = None) -> RunConfig:
-    """Parse a flat ``key = value`` file on top of ``base`` (or the defaults).
+def read_run_config(path) -> dict:
+    """The typed values of a flat ``key = value`` file, keyed by config field.
 
-    Blank lines and ``#`` comments are skipped; keys outside RunConfig are
-    rejected.
+    Blank lines and ``#`` comments are skipped; keys that are not
+    :func:`config_kinds` keys are rejected. A later line wins.
     """
-    cfg = dataclasses.replace(base) if base is not None else RunConfig()
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    kinds = {"int": int, "float": float, "bool": bool}
+    kinds = config_kinds()
+    values = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -411,11 +358,10 @@ def read_run_config(path, base: RunConfig | None = None) -> RunConfig:
             raise ParseError("expected 'key = value'", line=lineno)
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in types:
+        if key not in kinds:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
-        kind = kinds[types[key]] if isinstance(types[key], str) else types[key]
-        setattr(cfg, key, _parse_config_value(key, kind, raw, lineno))
-    return cfg
+        values[key] = _parse_config_value(key, kinds[key], raw, lineno)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +383,13 @@ def write_state(path, state: TrainState, syn: SyntheticConfig, cfg: TrainerConfi
 
 
 def _table(obj: dict, name: str) -> np.ndarray:
-    """A state table as float64; ragged rows or non-numbers raise :class:`ParseError`."""
+    """A state table as float64; ragged rows or non-finite numbers raise :class:`ParseError`."""
     try:
         arr = np.asarray(obj[name])
     except ValueError as exc:
         raise ParseError(f"malformed state file: {name} is ragged", line=1) from exc
-    if arr.dtype.kind not in "iuf":
-        raise ParseError(f"malformed state file: {name} must hold only numbers", line=1)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ParseError(f"malformed state file: {name} must hold only finite numbers", line=1)
     return arr.astype(np.float64)
 
 

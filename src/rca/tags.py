@@ -1,4 +1,4 @@
-"""Ranked contrastive tag lists: top-M retrieval, P/N split, subsampling.
+"""Ranked contrastive tag lists: top-M retrieval and subsampling.
 
 Tags are ranked by global (image-level) cosine similarity. The top half of
 the ranked list is treated as relatively relevant (positives), the bottom
@@ -15,54 +15,26 @@ from typing import Sequence
 import numpy as np
 
 from .core import as_vector
-from .errors import (
-    ConfigError,
-    DegenerateEmbeddingError,
-    InsufficientVocabularyError,
-    ValidationError,
-)
+from .errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
 
-__all__ = ["TagCandidate", "RankedTagList", "rank_tags", "split_pos_neg", "subsample"]
+__all__ = ["TagRef", "rank_tags", "subsample"]
 
 
 @dataclass
-class TagCandidate:
-    """A vocabulary tag with its image-level cosine score."""
+class TagRef:
+    """One ranked tag: its vocabulary id and its image-level cosine score."""
 
     tag_id: str
-    embedding: np.ndarray
-    global_score: float
+    score: float
 
 
-@dataclass
-class RankedTagList:
-    """Top-M tags for one image, sorted by descending global score.
-
-    The first K candidates are the positives, the next K the negatives
-    (M = 2K). Ties are broken by ascending tag_id at ranking time.
-    """
-
-    candidates: list[TagCandidate]
-    K: int
-
-    def __post_init__(self):
-        m = len(self.candidates)
-        if m != 2 * self.K or self.K < 1:
-            raise ValidationError(f"ranked list length {m} must equal 2*K with K >= 1")
-        scores = [c.global_score for c in self.candidates]
-        if any(a < b - 1e-12 for a, b in zip(scores, scores[1:])):
-            raise ValidationError("candidates must be sorted by non-increasing score")
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> RankedTagList:
-    """Select the M vocabulary tags most cosine-similar to the image.
+def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> list[TagRef]:
+    """The M vocabulary tags most cosine-similar to the image, best first.
 
     ``vocabulary`` is a sequence of (tag_id, embedding) pairs. Ties are
     broken by ascending tag_id so the result is deterministic regardless
-    of vocabulary order. K is fixed at M / 2.
+    of vocabulary order. The first M / 2 tags are the positives, the rest
+    the negatives.
     """
     if M < 2 or M % 2 != 0:
         raise ConfigError(f"M must be a positive even integer, got {M}")
@@ -88,14 +60,7 @@ def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> RankedTag
 
     scores = (emb @ img) / (norms * img_norm)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    top = order[:M]
-    candidates = [TagCandidate(ids[i], emb[i].copy(), float(scores[i])) for i in top]
-    return RankedTagList(candidates, K=M // 2)
-
-
-def split_pos_neg(ranked: RankedTagList) -> tuple[list[TagCandidate], list[TagCandidate]]:
-    """Partition a ranked list into (positives, negatives), order preserved."""
-    return ranked.candidates[: ranked.K], ranked.candidates[ranked.K :]
+    return [TagRef(ids[i], float(scores[i])) for i in order[:M]]
 
 
 def _take(seq, indices):

@@ -30,6 +30,7 @@ rows, exactly as if the pool held only those rows.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .uasr import pool_cosines, select_batch, warn_clamped
 __all__ = [
     "SyntheticConfig",
     "TrainerConfig",
+    "field_kinds",
     "SyntheticDataset",
     "TrainState",
     "HistoryRecord",
@@ -55,6 +57,22 @@ __all__ = [
 ]
 
 BLOCK = 64  # images per stacked block in steps and snapshots
+
+def field_kinds(config_class) -> dict[str, type]:
+    """Each field of a config dataclass and its type: ``int``, ``float`` or ``bool``."""
+    return typing.get_type_hints(config_class)
+
+
+def _check_types(config) -> None:
+    """Raise :class:`ConfigError` unless each field holds its type.
+
+    A float field also takes an int; an int field does not take a bool.
+    """
+    accepted = {bool: (bool,), int: (int,), float: (int, float)}
+    for name, kind in field_kinds(type(config)).items():
+        value = getattr(config, name)
+        if not isinstance(value, accepted[kind]) or (kind is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -70,6 +88,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.n_concepts < 2:
             raise ConfigError("need at least 2 concepts")
         if self.d < 1:
@@ -105,6 +124,7 @@ class TrainerConfig:
     freeze_caption: bool = False
 
     def __post_init__(self):
+        _check_types(self)
         if self.steps < 0:
             raise ConfigError("steps must be non-negative")
         if self.learning_rate < 0.0 or not math.isfinite(self.learning_rate):

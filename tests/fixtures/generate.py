@@ -18,11 +18,11 @@ from naive_reference import naive_total_loss  # noqa: E402
 from rca.io import (  # noqa: E402
     CaptionToken,
     InstanceRecord,
-    TagRef,
     to_json,
     write_instances,
     write_vocab,
 )
+from rca.tags import TagRef  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 D = 4

@@ -100,6 +100,41 @@ def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weight
         assert np.array_equal(got, expected)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    b=st.integers(1, 4),
+    k=st.integers(1, 5),
+    r=st.integers(2, 6),
+    p=st.integers(0, 3),
+    d=st.integers(1, 12),
+    weighted=st.booleans(),
+    lambdas=st.sampled_from([(1.0, 1.0), (2.0, 0.0), (0.3, 1.5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_loss_invariant_under_region_permutation(b, k, r, p, d, weighted, lambdas, seed):
+    rng = np.random.default_rng(seed)
+    regions = rng.standard_normal((b, r, d))
+    positives = rng.standard_normal((b, k, d))
+    negatives = rng.standard_normal((b, k, d))
+    caption = rng.standard_normal((b, p, d))
+    weights = rng.uniform(0.1, 2.0, (b, k)) if weighted else None
+    perm = np.stack([rng.permutation(r) for _ in range(b)])  # one permutation per image
+    shuffled = np.take_along_axis(regions, perm[:, :, None], axis=1)
+
+    cross, inner, g = batch_loss(regions, positives, negatives, caption, weights, *lambdas)
+    cross_s, inner_s, g_s = batch_loss(shuffled, positives, negatives, caption, weights,
+                                       *lambdas)
+    close = dict(rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(cross_s, cross, **close)
+    np.testing.assert_allclose(inner_s, inner, **close)
+    np.testing.assert_allclose(g_s.d_positives, g.d_positives, **close)
+    np.testing.assert_allclose(g_s.d_negatives, g.d_negatives, **close)
+    np.testing.assert_allclose(g_s.d_caption_nouns, g.d_caption_nouns, **close)
+    np.testing.assert_allclose(g_s.d_regions,
+                               np.take_along_axis(g.d_regions, perm[:, :, None], axis=1),
+                               **close)
+
+
 def _row_subsets(k):
     """Every (positive rows, negative rows) pair of equal size, sorted."""
     out = []
@@ -180,6 +215,31 @@ def test_train_alignment_matches_per_image_loop(overrides):
     for name in ("tag_table", "caption_table", "region_table"):
         np.testing.assert_allclose(getattr(got_state, name), getattr(want_state, name),
                                    rtol=1e-12, atol=0.0)
+
+
+FULL_BATCH = generate_synthetic(NOISY)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    extra=st.one_of(st.integers(0, 3 * NOISY.n_images), st.integers(10**3, 10**9)),
+    variant=st.sampled_from(["default", "no-selection", "no-subsample", "plain"]),
+)
+def test_training_is_identical_for_every_batch_covering_the_dataset(extra, variant):
+    n = NOISY.n_images
+    runs = []
+    for batch_size in (n, n + extra):
+        cfg = TrainerConfig(**{**BASE, "steps": 6, **VARIANTS[variant],
+                               "batch_size": batch_size})
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*clamped")
+            runs.append(train_alignment(FULL_BATCH, cfg,
+                                        initial_state(FULL_BATCH, seed=cfg.seed)))
+    (state_a, hist_a), (state_b, hist_b) = runs
+    assert hist_a == hist_b  # HistoryRecord fields compare exactly
+    for name in ("tag_table", "caption_table", "region_table"):
+        assert np.array_equal(getattr(state_a, name), getattr(state_b, name))
+    assert state_a.step == state_b.step == 6
 
 
 def test_clamp_warning_counted_once_per_call():

@@ -29,7 +29,7 @@ from rca.cli import main
 from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
 from rca.io import (
     InstanceRecord,
-    RunConfig,
+    build_configs,
     env_seed,
     read_instances,
     read_run_config,
@@ -224,37 +224,28 @@ class TestInstanceIO:
 
 
 class TestRunConfig:
-    def test_defaults_match_component_configs(self):
-        cfg = RunConfig()
-        assert cfg.trainer_config() == TrainerConfig()
-        assert cfg.synthetic_config() == SyntheticConfig()
-        assert cfg.M == 50
-
     def test_fixture_parses(self):
-        cfg = read_run_config(RUN_CFG)
-        assert cfg.steps == 12
-        assert cfg.learning_rate == 0.5
-        assert cfg.n_images == 16
-        assert cfg.n_concepts == 6
-        assert cfg.d == 8
-        assert cfg.regions_per_image == 3
-        assert cfg.enable_subsample is False
-        assert cfg.seed == 7
-        # untouched keys keep their defaults
-        assert cfg.batch_size == RunConfig().batch_size
-
-    def test_overlay_does_not_mutate_base(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("learning_rate = 0.25\n")
-        base = RunConfig(steps=99)
-        cfg = read_run_config(p, base=base)
-        assert cfg.steps == 99 and cfg.learning_rate == 0.25
-        assert base.learning_rate == RunConfig().learning_rate
+        values = read_run_config(RUN_CFG)
+        assert values["steps"] == 12
+        assert values["learning_rate"] == 0.5
+        assert values["n_images"] == 16
+        assert values["n_concepts"] == 6
+        assert values["d"] == 8
+        assert values["regions_per_image"] == 3
+        assert values["enable_subsample"] is False
+        assert values["seed"] == 7
+        syn, cfg = build_configs(values)
+        # one seed feeds both configs, and untouched keys keep their defaults
+        assert syn.seed == cfg.seed == 7
+        assert cfg.batch_size == TrainerConfig().batch_size
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("steps = 5\nbetas = 0.9\n")
         with pytest.raises(ParseError, match="line 2.*unknown config key"):
+            read_run_config(p)
+        p.write_text("M = 4\n")  # the ranking width is a rank/uasr/loss flag, not a run knob
+        with pytest.raises(ParseError, match="unknown config key 'M'"):
             read_run_config(p)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -276,7 +267,7 @@ class TestRunConfig:
             ("false", False), ("0", False), ("no", False), ("off", False),
         ):
             p.write_text(f"enable_uasr = {raw}\n")
-            assert read_run_config(p).enable_uasr is expected
+            assert read_run_config(p)["enable_uasr"] is expected
         p.write_text("enable_uasr = maybe\n")
         with pytest.raises(ParseError):
             read_run_config(p)
@@ -646,6 +637,27 @@ def _step_not_integer(obj):
     obj["step"] = "abc"
 
 
+def _set(section, key, value):
+    def mutate(obj):
+        obj[section][key] = value
+    return mutate
+
+
+def _nan_table_entry(obj):
+    obj["tag_table"][1][0] = float("nan")
+
+
+VOCAB_HEADER = '{"format": "rca-vocab", "version": 1, "dim": 4}\n'
+VOCAB_LINES = "".join('{"tag_id": "t%d", "embedding": [%s, 1, 0, 0]}\n' % (i, i) for i in range(4))
+TOKEN = '{"text": "ball", "is_noun": true, "embedding": [0, 1, 0, 0]}'
+TAGS = ', "tags": [{"tag_id": "t00", "score": 0.5}, {"tag_id": "t01", "score": 0.25}]'
+
+
+def _instance(old, new, tokens="", tags=""):
+    """The one-record instances file with ``old`` replaced by ``new`` once."""
+    return (INSTANCE_HEADER + INSTANCE_LINE % (tokens, tags)).replace(old, new, 1).encode()
+
+
 MALFORMED_INPUTS = {
     # name: (subcommand, file role, file bytes or a builder of them)
     "caption-tokens-not-a-list": (
@@ -668,6 +680,26 @@ MALFORMED_INPUTS = {
     "state-ragged-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _ragged)),
     "state-non-numeric-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _non_numeric)),
     "state-step-not-integer": ("eval", "state", lambda tmp: _state_bytes(tmp, _step_not_integer)),
+    "state-nan-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _nan_table_entry)),
+    # non-finite JSON literals in any number the readers take
+    "vocab-nan-embedding": (
+        "rank", "vocab", (VOCAB_HEADER + VOCAB_LINES.replace("[2,", "[NaN,")).encode()),
+    "vocab-infinite-embedding": (
+        "loss", "vocab", (VOCAB_HEADER + VOCAB_LINES.replace("[3,", "[-Infinity,")).encode()),
+    "image-embedding-infinity": (
+        "loss", "instances", _instance('"image_embedding": [1,', '"image_embedding": [Infinity,')),
+    "region-nan": ("loss", "instances", _instance('"regions": [[1,', '"regions": [[NaN,')),
+    "token-embedding-infinity": (
+        "loss", "instances", _instance("[0, 1, 0, 0]", "[0, Infinity, 0, 0]", tokens=TOKEN)),
+    "tag-score-nan": ("loss", "instances", _instance("0.25", "NaN", tags=TAGS)),
+    "tag-score-overflow-literal": ("loss", "instances", _instance("0.25", "1e400", tags=TAGS)),
+    # wrong-typed config fields in a state file
+    "state-fractional-int-field": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set("synthetic_config", "n_concepts", 10.5))),
+    "state-string-int-field": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "steps", "5"))),
+    "state-string-bool-field": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "enable_uasr", "no"))),
 }
 
 
@@ -681,6 +713,7 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     argv = {
         ("loss", "instances"): ["loss", VOCAB, str(bad)],
         ("loss", "vocab"): ["loss", str(bad), INSTANCES],
+        ("rank", "vocab"): ["rank", str(bad), UNTAGGED, "--M", "2"],
         ("train", "config"): ["train", "--config", str(bad),
                               "--state_out", str(tmp_path / "state.jsonl")],
         ("eval", "state"): ["eval", str(bad)],

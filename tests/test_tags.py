@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rca.errors import (
-    ConfigError,
-    DegenerateEmbeddingError,
-    InsufficientVocabularyError,
-    ValidationError,
-)
-from rca.tags import RankedTagList, TagCandidate, rank_tags, split_pos_neg, subsample
+from rca.errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
+from rca.tags import TagRef, rank_tags, subsample
 
 
 def unit(v):
@@ -19,22 +16,22 @@ class TestRankTags:
     def test_orthogonal_antipodal_ordering(self):
         vocab = [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [-1.0, 0.0])]
         ranked = rank_tags([1.0, 0.0], vocab, M=2)
-        assert [c.tag_id for c in ranked.candidates] == ["a", "b"]
-        assert ranked.candidates[0].global_score == pytest.approx(1.0)
-        assert ranked.candidates[1].global_score == pytest.approx(0.0)
-        assert ranked.K == 1
+        assert [t.tag_id for t in ranked] == ["a", "b"]
+        assert ranked[0].score == pytest.approx(1.0)
+        assert ranked[1].score == pytest.approx(0.0)
+        assert len(ranked) == 2
 
     def test_scores_are_cosines_not_dots(self):
         vocab = [("big", [100.0, 0.0]), ("small", [0.9, 0.1])]
         ranked = rank_tags([1.0, 0.0], vocab, M=2)
         # the longer vector must not win by magnitude alone
-        assert ranked.candidates[0].tag_id == "big"
-        assert abs(ranked.candidates[0].global_score - 1.0) < 1e-12
+        assert ranked[0].tag_id == "big"
+        assert abs(ranked[0].score - 1.0) < 1e-12
 
     def test_ties_break_by_tag_id(self):
         vocab = [("z", [1.0, 0.0]), ("a", [2.0, 0.0]), ("m", [3.0, 0.0])]
         ranked = rank_tags([1.0, 0.0], vocab, M=2)
-        assert [c.tag_id for c in ranked.candidates] == ["a", "m"]
+        assert [t.tag_id for t in ranked] == ["a", "m"]
 
     def test_vocabulary_too_small(self):
         with pytest.raises(InsufficientVocabularyError):
@@ -58,9 +55,9 @@ class TestRankTags:
         image = rng.standard_normal(6)
         vocab = [(f"t{i:03d}", rng.standard_normal(6)) for i in range(40)]
         ranked = rank_tags(image, vocab, M=10)
-        scores = [c.global_score for c in ranked.candidates]
+        scores = [t.score for t in ranked]
         assert all(s1 >= s2 - 1e-12 for s1, s2 in zip(scores, scores[1:]))
-        included = {c.tag_id for c in ranked.candidates}
+        included = {t.tag_id for t in ranked}
         floor = scores[-1]
         for tag_id, emb in vocab:
             if tag_id not in included:
@@ -72,24 +69,29 @@ class TestRankTags:
         image = rng.standard_normal(16)
         vocab = [(f"t{i:03d}", rng.standard_normal(16)) for i in range(100)]
         ranked = rank_tags(image, vocab, M=50)
-        pos, neg = split_pos_neg(ranked)
+        pos, neg = ranked[:25], ranked[25:]
         assert len(pos) == 25 and len(neg) == 25
-        assert min(c.global_score for c in pos) >= max(c.global_score for c in neg) - 1e-12
+        assert min(t.score for t in pos) >= max(t.score for t in neg) - 1e-12
 
-
-class TestRankedTagList:
-    def test_rejects_non_descending(self):
-        cands = [
-            TagCandidate("a", np.ones(2), 0.1),
-            TagCandidate("b", np.ones(2), 0.9),
-        ]
-        with pytest.raises(ValidationError):
-            RankedTagList(candidates=cands, K=1)
-
-    def test_rejects_odd_length(self):
-        cands = [TagCandidate("a", np.ones(2), 0.5)]
-        with pytest.raises(ValidationError):
-            RankedTagList(candidates=cands, K=1)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_unique=st.integers(2, 12),
+           n_copies=st.integers(1, 6), half_m=st.integers(1, 6), data=st.data())
+    def test_result_does_not_depend_on_vocabulary_order(self, seed, n_unique, n_copies,
+                                                        half_m, data):
+        rng = np.random.default_rng(seed)
+        unique = rng.standard_normal((n_unique, 3))
+        # planted duplicates: the same embedding under several ids, so scores tie exactly
+        rows = list(unique) + [unique[i] for i in rng.integers(0, n_unique, size=n_copies)]
+        ids = [f"t{i:02d}" for i in rng.permutation(len(rows))]
+        vocab = list(zip(ids, rows))
+        m = 2 * min(half_m, len(vocab) // 2)
+        image = rng.standard_normal(3)
+        ranked = rank_tags(image, vocab, m)
+        shuffled = data.draw(st.permutations(vocab))
+        assert rank_tags(image, shuffled, m) == ranked
+        assert all(isinstance(t, TagRef) for t in ranked)
+        for a, b in zip(ranked, ranked[1:]):
+            assert a.score > b.score or (a.score == b.score and a.tag_id < b.tag_id)
 
 
 class TestSubsample:

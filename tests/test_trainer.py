@@ -142,6 +142,25 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             TrainerConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("config_class, field, value", [
+        (SyntheticConfig, "n_concepts", 10.5),
+        (SyntheticConfig, "n_images", "200"),
+        (SyntheticConfig, "d", True),
+        (SyntheticConfig, "noise_sigma", "0.1"),
+        (TrainerConfig, "steps", "5"),
+        (TrainerConfig, "enable_uasr", "no"),
+        (TrainerConfig, "enable_inner", 1),
+        (TrainerConfig, "learning_rate", False),
+        (TrainerConfig, "seed", None),
+    ])
+    def test_config_type_validation(self, config_class, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config_class(**{field: value})
+
+    def test_float_fields_take_integers(self):
+        assert TrainerConfig(learning_rate=1).learning_rate == 1
+        assert SyntheticConfig(flip_rate=0).flip_rate == 0
+
 
 class TestStates:
     def test_initial_state_decorrelated_from_data(self):
