@@ -4,14 +4,18 @@ Every subcommand prints one JSON object per line so output can be piped
 into the usual line tools, and every run with the same inputs and seed
 produces byte-identical bytes. Exit codes: 0 success, 1 failed check or
 invalid values, 2 unparseable input or configuration, 3 dimension
-mismatch. The corpus subcommands (rank, uasr, loss) treat an instances
-file with a header but no records as unparseable input (2).
+mismatch. A numeric flag or config value out of its range (a negative
+or non-finite lambda or tolerance, a gradcheck shape below 1, a
+negative seed) is a configuration error (2). The corpus subcommands
+(rank, uasr, loss) treat an instances file with a header but no records
+as unparseable input (2).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -54,6 +58,14 @@ __all__ = ["main", "build_parser"]
 
 def _emit(obj, stream=None) -> None:
     print(to_json(obj), file=stream or sys.stdout)
+
+
+def _check_flags(args, names, low=0) -> None:
+    """Raise :class:`ConfigError` unless each named numeric flag is finite and at least ``low``."""
+    for name in names:
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value >= low):
+            raise ConfigError(f"--{name} must be finite and at least {low}, got {value!r}")
 
 
 def _resolve_tags(record: InstanceRecord, vocab_map: dict, vocab, m: int):
@@ -148,6 +160,7 @@ def cmd_uasr(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    _check_flags(args, ("lambda_cross", "lambda_inner"))
     vocab, vocab_map, records = _load_corpus(args)
     sums = np.zeros(3)
     for rec in records:
@@ -177,6 +190,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_flags(args, ("seed", "n_nouns", "tolerance", "lambda_cross", "lambda_inner"))
+    _check_flags(args, ("d", "n_regions", "k"), low=1)
     rng = np.random.default_rng(args.seed)
     instance = ContrastiveInstance(
         regions=rng.standard_normal((args.n_regions, args.d)),

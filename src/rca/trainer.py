@@ -24,7 +24,11 @@ when it is generated. Steps and snapshots work on whole blocks of at most
 ``BLOCK`` images: one selection, one forward/backward and one scatter-add
 per table for each block, so working memory does not grow with the
 dataset. A subsampled step selects over the column subset of its kept
-rows, exactly as if the pool held only those rows.
+rows, exactly as if the pool held only those rows. It draws those rows
+from the stream numpy's per-image ``Generator.choice`` calls would read,
+in one bulk read of that same stream; a step whose draws would hit one of
+``choice``'s rejections replays the calls one by one, so the stream, the
+state after it, and every trained table are the same either way.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class SyntheticConfig:
             raise ConfigError("noise_sigma must be finite and non-negative")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ConfigError("flip_rate must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass
@@ -131,10 +137,14 @@ class TrainerConfig:
             raise ConfigError("learning_rate must be finite and non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.lambda_cross < 0.0 or self.lambda_inner < 0.0:
-            raise ConfigError("lambda weights must be non-negative")
+        for name in ("lambda_cross", "lambda_inner"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError("subsample_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @property
     def effective_lambda_inner(self) -> float:
@@ -409,15 +419,76 @@ def snapshot_loss(
     return record
 
 
+def _bulk_picks(rng, count: int, k: int, m: int) -> np.ndarray | None:
+    """The picks of ``2 * count`` calls of ``rng.choice(k, m, replace=False)``, read in bulk.
+
+    Returns a (count, 2, m) array holding each call's picks in no
+    particular order, and leaves ``rng`` where the calls would. Up to k =
+    10,000, numpy's ``choice`` runs Floyd's algorithm: one Lemire draw on
+    [0, j] for each j in k-m..k-1 (none for j = 0), where a value already
+    picked becomes j. It then shuffles the picks with one masked draw on
+    [0, i] for each i in m-1..1. Each draw reads one 32-bit word; PCG64
+    hands them out low half first and buffers the high half between
+    calls. Without a rejection the word count is fixed, so one
+    ``random_raw`` call reads them all. If any draw would reject (a
+    Lemire draw about once in 2^32/k, a masked one a quarter of the time
+    once m >= 3), the state is restored and None returned. Past k =
+    10,000, where ``choice`` may shuffle the whole pool instead, it
+    returns None at once.
+    """
+    if k > 10_000:
+        return None
+    floyd = np.arange(max(k - m, 1), k, dtype=np.uint64)  # the bounds j that read a word
+    shuffle = np.arange(m - 1, 0, -1, dtype=np.uint64)
+    need = 2 * count * (len(floyd) + len(shuffle))
+    if need == 0:
+        return np.broadcast_to(np.arange(k - m, k), (count, 2, m))
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    pending = saved["has_uint32"]
+    raw = bitgen.random_raw((need - pending + 1) // 2)
+    words = np.empty(pending + 2 * len(raw), dtype=np.uint64)
+    words[:pending] = saved["uinteger"]
+    words[pending::2] = raw & 0xFFFFFFFF
+    words[pending + 1::2] = raw >> 32
+    words = words[:need].reshape(2 * count, -1)
+
+    scaled = words[:, :len(floyd)] * (floyd + 1)
+    masks = (1 << np.array([int(i).bit_length() for i in shuffle], dtype=np.uint64)) - 1
+    if ((scaled & 0xFFFFFFFF) < (1 << 32) % (floyd + 1)).any() or (
+            (words[:, len(floyd):] & masks) > shuffle).any():
+        bitgen.state = saved
+        return None
+    # The word count is even, so the buffered-half flag ends as it began,
+    # and the buffer holds the last word's high half, read or not.
+    state = bitgen.state
+    state["uinteger"] = int(raw[-1] >> 32)
+    bitgen.state = state
+
+    picks = np.zeros((2 * count, m), dtype=np.int64)  # a draw on [0, 0] picks 0
+    first = m - len(floyd)
+    values = (scaled >> 32).astype(np.int64)
+    for t in range(first, m):
+        value = values[:, t - first]
+        repeat = (picks[:, :t] == value[:, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, k - m + t, value)
+    return picks.reshape(count, 2, m)
+
+
 def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     """Sorted kept rows (count, 2, m) per image, positives then negatives.
 
-    Draws the stream :func:`rca.tags.subsample` would draw image by image:
-    ceil(fraction * k) rows without replacement, positives first.
+    Draws the stream :func:`rca.tags.subsample` would draw image by image,
+    ceil(fraction * k) rows without replacement, positives first, and
+    leaves ``rng`` in the same state. :func:`_bulk_picks` reads the whole
+    step's words at once; when one of its draws would reject, numpy's
+    calls are replayed one by one instead.
     """
     m = math.ceil(fraction * k)
-    draws = [rng.choice(k, size=m, replace=False) for _ in range(2 * count)]
-    return np.sort(np.reshape(draws, (count, 2, m)), axis=-1)
+    picks = _bulk_picks(rng, count, k, m)
+    if picks is None:
+        picks = [rng.choice(k, size=m, replace=False) for _ in range(2 * count)]
+    return np.sort(np.reshape(picks, (count, 2, m)), axis=-1)
 
 
 def train_alignment(

@@ -1,0 +1,141 @@
+"""The trainer's subsample draws against numpy's own per-image calls.
+
+``trainer._draw_subsets`` reads a whole step's 32-bit words in one bulk
+``random_raw`` call and reproduces what ``Generator.choice(k, m,
+replace=False)`` would pick from them, image by image. That depends on how
+numpy's ``choice`` draws (Floyd's algorithm, then a shuffle) and on how
+PCG64 buffers 32-bit halves. If numpy changes either, these tests fail
+loudly; the pinned training totals below fail with them.
+"""
+
+import importlib.util
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rca import trainer
+from rca.tags import subsample
+from rca.trainer import SyntheticConfig, TrainerConfig
+
+
+def _load_workloads():
+    """``perfbench/workloads.py``, read-only, for its training shapes and pins."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    with warnings.catch_warnings():  # keep the module's warning filter out of this process
+        spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+# PCG64 steps its 128-bit state by this LCG multiplier before each output.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _loop(rng, count, k, fraction):
+    """The per-image stream: one ``subsample`` (two ``choice`` calls) per image."""
+    rows = np.arange(k)
+    return np.array([subsample(rows, rows, fraction, rng) for _ in range(count)],
+                    dtype=np.int64).reshape(count, 2, math.ceil(fraction * k))
+
+
+def _twin_generators(seed, pending):
+    """Two generators in one state; with ``pending`` a 32-bit half is buffered."""
+    pair = [np.random.default_rng(seed) for _ in range(2)]
+    if pending:
+        for rng in pair:
+            rng.integers(0, 5, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+def _generator_before(output, seed=0):
+    """A PCG64 generator whose next 64-bit output is ``output``.
+
+    The output of state S is (hi ^ lo) rotated right by hi's top 6 bits, so
+    a state whose top 6 bits are 0 and whose low half is ``hi ^ output``
+    emits ``output``; the LCG step into it is inverted modulo 2^128.
+    """
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    hi = 0x0123456789ABCDEF >> 6
+    target = (hi << 64) | (hi ^ output)
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (
+        (target - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128)) % (1 << 128)
+    rng.bit_generator.state = state
+    return rng
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    k=st.integers(1, 30),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    count=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    pending=st.booleans(),
+)
+def test_draws_equal_the_per_image_choice_stream(k, fraction, count, seed, pending):
+    bulk, loop = _twin_generators(seed, pending)
+    got = trainer._draw_subsets(bulk, count, k, fraction)
+    want = _loop(loop, count, k, fraction)
+    assert got.shape == (count, 2, math.ceil(fraction * k))
+    assert np.array_equal(got, want)
+    assert bulk.bit_generator.state == loop.bit_generator.state
+    # the stream carries on identically afterwards
+    assert bulk.integers(2**62) == loop.integers(2**62)
+
+
+@pytest.mark.parametrize("rng_of, k, fraction", [
+    # a zero low word makes Floyd's first draw on [0, 2] a Lemire rejection
+    (lambda: _generator_before(0xDEADBEEF00000000), 4, 0.5),
+    # m = 3: a masked shuffle draw on [0, 2] rejects one word in four
+    (lambda: np.random.default_rng(0), 4, 0.75),
+    # past a pool of 10,000 numpy's choice need not run Floyd's algorithm
+    (lambda: np.random.default_rng(0), 10_001, 1e-4),
+])
+def test_a_rejecting_draw_replays_the_calls(rng_of, k, fraction):
+    bulk, loop = rng_of(), rng_of()
+    saved = bulk.bit_generator.state
+    assert trainer._bulk_picks(bulk, 200, k, math.ceil(fraction * k)) is None
+    assert bulk.bit_generator.state == saved
+    got = trainer._draw_subsets(bulk, 200, k, fraction)
+    assert np.array_equal(got, _loop(loop, 200, k, fraction))
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)
+def test_benchmark_shapes_never_replay(name):
+    """Every step of every pinned training unit reads its draws in bulk."""
+    syn, tr = workloads.TRAIN_SHAPES[name]
+    data, config = SyntheticConfig(**syn), TrainerConfig(**tr)
+    batch = min(config.batch_size, data.n_images)
+    m = math.ceil(config.subsample_fraction * data.regions_per_image)
+    for seed in range(workloads.PINNED_SEEDS):
+        rng = np.random.default_rng(seed)
+        for _ in range(workloads.TRAIN_STEPS):
+            if batch < data.n_images:
+                rng.choice(data.n_images, size=batch, replace=False)
+            assert trainer._bulk_picks(rng, batch, data.regions_per_image, m) is not None
+
+
+@pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)
+@pytest.mark.parametrize("seed", [0, 31, 63])
+def test_benchmark_training_matches_its_pin(name, seed):
+    """A drift in the draw stream shows here, not only in the benchmark."""
+    workload = workloads.TrainWorkload(name, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        workload.setup()
+        result = workload.run_unit()
+    assert result.failures == []
+    pin = workloads.load_pins()[name][str(seed)]
+    assert workload.check_pinned(result.outputs, pin) == []

@@ -659,7 +659,8 @@ def _instance(old, new, tokens="", tags=""):
 
 
 MALFORMED_INPUTS = {
-    # name: (subcommand, file role, file bytes or a builder of them)
+    # name: (subcommand, file role, file bytes or a builder of them),
+    # or (subcommand, "flags", the flags)
     "caption-tokens-not-a-list": (
         "loss", "instances", (INSTANCE_HEADER + INSTANCE_LINE % ("", "")).replace(
             '"caption_tokens": []', '"caption_tokens": 5').encode()),
@@ -700,24 +701,41 @@ MALFORMED_INPUTS = {
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "steps", "5"))),
     "state-string-bool-field": (
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "enable_uasr", "no"))),
+    # numeric flags and config values out of range
+    "loss-lambda-cross-nan": ("loss", "flags", ["--lambda_cross", "nan"]),
+    "loss-lambda-inner-inf": ("loss", "flags", ["--lambda_inner", "inf"]),
+    "loss-lambda-cross-negative": ("loss", "flags", ["--lambda_cross", "-1"]),
+    "gradcheck-lambda-cross-nan": ("gradcheck", "flags", ["--lambda_cross", "nan"]),
+    "gradcheck-tolerance-nan": ("gradcheck", "flags", ["--tolerance", "nan"]),
+    "gradcheck-k-zero": ("gradcheck", "flags", ["--k", "0"]),
+    "gradcheck-d-zero": ("gradcheck", "flags", ["--d", "0"]),
+    "gradcheck-n-regions-zero": ("gradcheck", "flags", ["--n_regions", "0"]),
+    "gradcheck-seed-negative": ("gradcheck", "flags", ["--seed", "-1"]),
+    "run-config-lambda-cross-nan": ("train", "config", b"steps = 1\nlambda_cross = nan\n"),
+    "run-config-lambda-cross-inf": ("train", "config", b"steps = 1\nlambda_cross = inf\n"),
+    "run-config-lambda-inner-nan": ("train", "config", b"steps = 1\nlambda_inner = nan\n"),
+    "run-config-seed-negative": ("train", "config", b"steps = 1\nseed = -1\n"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     command, role, content = MALFORMED_INPUTS[case]
-    if callable(content):
-        content = content(tmp_path)
-    bad = tmp_path / f"bad-{role}"
-    bad.write_bytes(content)
-    argv = {
-        ("loss", "instances"): ["loss", VOCAB, str(bad)],
-        ("loss", "vocab"): ["loss", str(bad), INSTANCES],
-        ("rank", "vocab"): ["rank", str(bad), UNTAGGED, "--M", "2"],
-        ("train", "config"): ["train", "--config", str(bad),
-                              "--state_out", str(tmp_path / "state.jsonl")],
-        ("eval", "state"): ["eval", str(bad)],
-    }[command, role]
+    if role == "flags":
+        argv = {"loss": ["loss", VOCAB, INSTANCES], "gradcheck": ["gradcheck"]}[command] + content
+    else:
+        if callable(content):
+            content = content(tmp_path)
+        bad = tmp_path / f"bad-{role}"
+        bad.write_bytes(content)
+        argv = {
+            ("loss", "instances"): ["loss", VOCAB, str(bad)],
+            ("loss", "vocab"): ["loss", str(bad), INSTANCES],
+            ("rank", "vocab"): ["rank", str(bad), UNTAGGED, "--M", "2"],
+            ("train", "config"): ["train", "--config", str(bad),
+                                  "--state_out", str(tmp_path / "state.jsonl")],
+            ("eval", "state"): ["eval", str(bad)],
+        }[command, role]
     proc = subprocess.run([sys.executable, "-m", "rca", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
