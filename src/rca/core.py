@@ -29,7 +29,6 @@ __all__ = [
     "ContrastiveInstance",
     "as_matrix",
     "as_vector",
-    "empty_matrix",
     "compat_forward",
     "compat_backward",
     "compatibility",
@@ -61,11 +60,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def empty_matrix(d: int) -> np.ndarray:
-    """A (0, d) placeholder, e.g. for instances without caption nouns."""
-    return np.zeros((0, d), dtype=np.float64)
-
-
 @dataclass
 class ContrastiveInstance:
     """One image's contrastive bundle.
@@ -89,7 +83,7 @@ class ContrastiveInstance:
         self.negatives = as_matrix(self.negatives, "negatives")
         caption = np.asarray(self.caption_nouns, dtype=np.float64)
         if caption.size == 0:
-            caption = empty_matrix(self.regions.shape[1])
+            caption = np.zeros((0, self.regions.shape[1]))
         self.caption_nouns = as_matrix(caption, "caption_nouns", allow_empty=True)
         if self.positives.shape != self.negatives.shape:
             raise DimensionError(
@@ -112,20 +106,8 @@ class ContrastiveInstance:
         self.global_scores = scores
 
     @property
-    def num_regions(self) -> int:
-        return self.regions.shape[0]
-
-    @property
     def num_positives(self) -> int:
         return self.positives.shape[0]
-
-    @property
-    def num_caption_nouns(self) -> int:
-        return self.caption_nouns.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.regions.shape[1]
 
 
 def compat_forward(tags: np.ndarray, contexts: np.ndarray):

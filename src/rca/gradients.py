@@ -22,19 +22,21 @@ the selection result fixed while perturbing embeddings.
 The kernels that evaluate these (:func:`rca.core.compat_forward` and
 :func:`rca.core.compat_backward` for phi, :func:`rca.losses.batch_loss`
 for the loss) take leading batch axes, so the trainer evaluates a whole
-block of images per call; :func:`loss_and_grad` is the one-image case.
+block of images per call; :func:`loss_and_grad` is the one-image case,
+and :func:`finite_diff_grad` runs an instance's nudged copies as the rows
+of forward-only batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ContrastiveInstance
 from .errors import ConfigError
-from .losses import GradientBundle, LossBreakdown, _instance_loss, total_loss
+from .losses import GradientBundle, LossBreakdown, _instance_loss, _stacked_loss
 
 if TYPE_CHECKING:
     from .uasr import UasrResult
@@ -42,10 +44,11 @@ if TYPE_CHECKING:
 __all__ = [
     "GradCheckReport",
     "loss_and_grad",
-    "central_difference",
     "finite_diff_grad",
     "gradient_check",
 ]
+
+_BLOCK = 64  # nudged copies per batch_loss call in finite_diff_grad
 
 
 def loss_and_grad(
@@ -82,26 +85,6 @@ def loss_and_grad(
     )
 
 
-def central_difference(f: Callable[[], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of f w.r.t. x, perturbing x in place.
-
-    ``f`` must read the live array so each nudge is visible to it; x is
-    restored to its original values on exit.
-    """
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = f()
-        flat[i] = orig - h
-        f_minus = f()
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
-
-
 def finite_diff_grad(
     instance: ContrastiveInstance,
     uasr: "UasrResult | None" = None,
@@ -112,31 +95,34 @@ def finite_diff_grad(
     """Numeric gradient oracle built only on the scalar loss.
 
     Evaluates the same objective as :func:`loss_and_grad` (selection held
-    fixed) with central differences. Cost is two loss evaluations per
-    parameter, so keep instances small.
+    fixed) with central differences (f(x + h e_i) - f(x - h e_i)) / 2h.
+    Each table's nudged copies of the instance are the rows of forward-only
+    :func:`rca.losses.batch_loss` calls, up to ``_BLOCK`` copies per call;
+    each row's loss is bitwise that of the copy evaluated alone. The
+    instance is not modified.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ConfigError(f"step size h={h} outside [1e-7, 1e-3]")
 
-    # validated once; the instance keeps these float64 copies by identity,
-    # so each in-place nudge is what the next loss evaluation sees
-    live = ContrastiveInstance(
-        regions=instance.regions.copy(),
-        positives=instance.positives.copy(),
-        negatives=instance.negatives.copy(),
-        caption_nouns=instance.caption_nouns.copy(),
-        global_scores=instance.global_scores,
-    )
-
-    def evaluate() -> float:
-        return total_loss(live, uasr, lambda_cross, lambda_inner).total
-
-    return GradientBundle(
-        *(
-            central_difference(evaluate, arr, h)
-            for arr in (live.regions, live.positives, live.negatives, live.caption_nouns)
-        )
-    )
+    tables = (instance.regions, instance.positives, instance.negatives, instance.caption_nouns)
+    numeric = []
+    for which, table in enumerate(tables):
+        flat = table.reshape(-1)
+        # copy 2i nudges entry i by +h, copy 2i + 1 by -h
+        entries = np.repeat(np.arange(flat.size), 2)
+        nudged = flat[entries] + np.tile([h, -h], flat.size)
+        totals = np.empty(entries.size)
+        for start in range(0, entries.size, _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, entries.size))
+            copies = np.tile(flat, (rows.size, 1))
+            copies[rows - start, entries[rows]] = nudged[rows]
+            stacked = [np.broadcast_to(t, (rows.size,) + t.shape) for t in tables]
+            stacked[which] = copies.reshape((rows.size,) + table.shape)
+            totals[rows] = _stacked_loss(
+                *stacked, uasr, lambda_cross, lambda_inner, with_grad=False
+            )[0]
+        numeric.append(((totals[0::2] - totals[1::2]) / (2.0 * h)).reshape(table.shape))
+    return GradientBundle(*numeric)
 
 
 def _elementwise_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:

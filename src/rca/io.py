@@ -241,12 +241,14 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
             if not isinstance(tok, dict):
                 raise ParseError("caption token must be an object", line=lineno)
             text = _expect(tok, "text", lineno)
+            if not isinstance(text, str):
+                raise ParseError("caption token text must be a string", line=lineno)
             is_noun = _expect(tok, "is_noun", lineno)
             if not isinstance(is_noun, bool):
                 raise ParseError("is_noun must be a boolean", line=lineno)
             tokens.append(
                 CaptionToken(
-                    text=str(text),
+                    text=text,
                     is_noun=is_noun,
                     embedding=_embedding(
                         _expect(tok, "embedding", lineno), dim, lineno, what="token embedding"
@@ -263,8 +265,10 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
                 if not isinstance(t, dict):
                     raise ParseError("tag entry must be an object", line=lineno)
                 tid = _expect(t, "tag_id", lineno)
+                if not isinstance(tid, str):
+                    raise ParseError("tag_id must be a string", line=lineno)
                 score = _number(_expect(t, "score", lineno), lineno, "tag score")
-                tags.append(TagRef(tag_id=str(tid), score=score))
+                tags.append(TagRef(tag_id=tid, score=score))
 
         records.append(
             InstanceRecord(

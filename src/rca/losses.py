@@ -152,9 +152,10 @@ def batch_loss(
     reads 0. Returns ``(cross, inner, grads)``: (B,) loss arrays and a
     :class:`GradientBundle` of each image's gradients of its total loss,
     or ``None`` without ``with_grad``. Each image's results are bitwise
-    equal to those of a batch holding that image alone. Arrays are not
-    validated; :func:`total_loss` and :func:`pair_loss` are the validated
-    front doors.
+    equal to those of a batch holding that image alone, provided each
+    image's rows are C-contiguous (a broadcast batch axis is fine; on
+    strided rows matmul sums in another order). Arrays are not validated;
+    :func:`total_loss` and :func:`pair_loss` are the validated front doors.
     """
     if lambda_cross < 0.0 or lambda_inner < 0.0:
         raise InvalidWeightError("lambda weights must be non-negative")
@@ -198,18 +199,40 @@ class LossBreakdown:
     lambda_inner: float
 
 
-def gather_filtered(instance: ContrastiveInstance, uasr: "UasrResult | None"):
+def gather_filtered(positives: np.ndarray, negatives: np.ndarray, uasr: "UasrResult | None"):
     """Resolve the (positives, negatives, weights) triple a loss should see.
 
-    With a selection result, rows are re-gathered from the instance by the
-    stored source indices so the loss always reflects the instance's
-    current embeddings; weights stay the frozen selection-time values.
+    With a selection result, rows are re-gathered from the tag tables
+    (K, d), or (..., K, d) with leading batch axes, by the stored source
+    indices so the loss always reflects the current embeddings; weights
+    stay the frozen selection-time values.
     """
     if uasr is None:
-        return instance.positives, instance.negatives, None
-    wp = instance.positives[uasr.positive_indices]
-    wn = instance.negatives[uasr.negative_indices]
+        return positives, negatives, None
+    # take keeps each image's rows C-contiguous, as batch_loss's bitwise
+    # property needs; a fancy index behind a slice can lay the batch axis
+    # innermost
+    wp = np.take(positives, uasr.positive_indices, axis=-2)
+    wn = np.take(negatives, uasr.negative_indices, axis=-2)
     return wp, wn, uasr.weights
+
+
+def _stacked_loss(regions, positives, negatives, caption_nouns, uasr,
+                  lambda_cross, lambda_inner, with_grad):
+    """Variants of one instance, stacked on a leading batch axis, through :func:`batch_loss`.
+
+    Every variant sees the same selection: its rows gathered by
+    :func:`gather_filtered` and its frozen weights. Returns ``(total,
+    cross, inner, grads)``: (B,) arrays with total = lambda_cross * cross
+    + lambda_inner * inner, and the gradients of the rows the loss saw.
+    """
+    wp, wn, q = gather_filtered(positives, negatives, uasr)
+    if q is not None:
+        q = np.broadcast_to(q, wp.shape[:-1])
+    cross, inner, grads = batch_loss(
+        regions, wp, wn, caption_nouns, q, lambda_cross, lambda_inner, with_grad
+    )
+    return lambda_cross * cross + lambda_inner * inner, cross, inner, grads
 
 
 def _instance_loss(instance, uasr, lambda_cross, lambda_inner, with_grad):
@@ -218,16 +241,14 @@ def _instance_loss(instance, uasr, lambda_cross, lambda_inner, with_grad):
     Returns the :class:`LossBreakdown` and, with ``with_grad``, the
     gradients of the rows the loss saw (still with the batch axis).
     """
-    wp, wn, q = gather_filtered(instance, uasr)
-    cross, inner, grads = batch_loss(
-        instance.regions[None], wp[None], wn[None], instance.caption_nouns[None],
-        None if q is None else q[None], lambda_cross, lambda_inner, with_grad,
+    total, cross, inner, grads = _stacked_loss(
+        instance.regions[None], instance.positives[None], instance.negatives[None],
+        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad,
     )
-    cross, inner = float(cross[0]), float(inner[0])
     breakdown = LossBreakdown(
-        cross=cross,
-        inner=inner,
-        total=lambda_cross * cross + lambda_inner * inner,
+        cross=float(cross[0]),
+        inner=float(inner[0]),
+        total=float(total[0]),
         lambda_cross=lambda_cross,
         lambda_inner=lambda_inner,
     )

@@ -430,17 +430,17 @@ def _bulk_picks(rng, count: int, k: int, m: int) -> np.ndarray | None:
     [0, i] for each i in m-1..1. Each draw reads one 32-bit word; PCG64
     hands them out low half first and buffers the high half between
     calls. Without a rejection the word count is fixed, so one
-    ``random_raw`` call reads them all. If any draw would reject (a
-    Lemire draw about once in 2^32/k, a masked one a quarter of the time
-    once m >= 3), the state is restored and None returned. Past k =
-    10,000, where ``choice`` may shuffle the whole pool instead, it
-    returns None at once.
+    ``random_raw`` call reads them all. For m <= 2 the only masked draw
+    is on [0, 1] with mask 1, which never rejects. From m = 3 the masked
+    draw on [0, 2] rejects a quarter of the time, so such shapes return
+    None at once, as do pools past k = 10,000, where ``choice`` may
+    shuffle the whole pool instead. If a Lemire draw would reject (about
+    once in 2^32/k), the state is restored and None returned.
     """
-    if k > 10_000:
+    if k > 10_000 or m >= 3:
         return None
     floyd = np.arange(max(k - m, 1), k, dtype=np.uint64)  # the bounds j that read a word
-    shuffle = np.arange(m - 1, 0, -1, dtype=np.uint64)
-    need = 2 * count * (len(floyd) + len(shuffle))
+    need = 2 * count * (len(floyd) + m - 1)
     if need == 0:
         return np.broadcast_to(np.arange(k - m, k), (count, 2, m))
     bitgen = rng.bit_generator
@@ -454,9 +454,7 @@ def _bulk_picks(rng, count: int, k: int, m: int) -> np.ndarray | None:
     words = words[:need].reshape(2 * count, -1)
 
     scaled = words[:, :len(floyd)] * (floyd + 1)
-    masks = (1 << np.array([int(i).bit_length() for i in shuffle], dtype=np.uint64)) - 1
-    if ((scaled & 0xFFFFFFFF) < (1 << 32) % (floyd + 1)).any() or (
-            (words[:, len(floyd):] & masks) > shuffle).any():
+    if ((scaled & 0xFFFFFFFF) < (1 << 32) % (floyd + 1)).any():
         bitgen.state = saved
         return None
     # The word count is even, so the buffered-half flag ends as it began,
@@ -481,8 +479,8 @@ def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     Draws the stream :func:`rca.tags.subsample` would draw image by image,
     ceil(fraction * k) rows without replacement, positives first, and
     leaves ``rng`` in the same state. :func:`_bulk_picks` reads the whole
-    step's words at once; when one of its draws would reject, numpy's
-    calls are replayed one by one instead.
+    step's words at once; when it declines (m >= 3, a pool past 10,000 or
+    a rejecting draw), numpy's calls are replayed one by one instead.
     """
     m = math.ceil(fraction * k)
     picks = _bulk_picks(rng, count, k, m)

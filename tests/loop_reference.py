@@ -1,11 +1,13 @@
-"""Per-image reference for the batched trainer, used as a test oracle.
+"""Loop references for the library's batched code, used as test oracles.
 
-This is the trainer as it ran before batching: one image at a time, a 2-D
+The trainer as it ran before batching: one image at a time, a 2-D
 compatibility forward/backward per contrastive block, selection through
 :func:`rca.uasr.apply_uasr` on a view of the image's frozen evidence that
-holds only the subsampled rows, and four scatter-adds per image. Keep it
-slow and literal, so the library's stacked code is checked against an
-independent route.
+holds only the subsampled rows, and four scatter-adds per image. And the
+finite-difference oracle as it ran before its nudged copies were stacked:
+one entry nudged in place at a time, one :func:`rca.losses.total_loss`
+call per nudge. Keep them slow and literal, so the library's stacked code
+is checked against an independent route.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from rca.core import ContrastiveInstance
 from rca.errors import DivergenceError
-from rca.losses import nll_terms
+from rca.losses import GradientBundle, nll_terms, total_loss
 from rca.tags import subsample
 from rca.trainer import HistoryRecord, initial_state
 from rca.uasr import apply_uasr
@@ -190,3 +192,44 @@ def train_alignment_loop(dataset, config, state=None):
     if history[-1].step != state.step:
         record(history)
     return state, history
+
+
+def central_difference(f, x, h):
+    """Central finite differences of f w.r.t. x, perturbing x in place.
+
+    ``f`` must read the live array so each nudge is visible to it; x is
+    restored to its original values on exit.
+    """
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = f()
+        flat[i] = orig - h
+        f_minus = f()
+        flat[i] = orig
+        gflat[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def finite_diff_grad_loop(instance, uasr, lambda_cross, lambda_inner, h):
+    """Per-entry oracle: nudge a private copy's entries, one total_loss per nudge."""
+    # the instance keeps these float64 copies by identity, so each in-place
+    # nudge is what the next loss evaluation sees
+    live = ContrastiveInstance(
+        regions=instance.regions.copy(),
+        positives=instance.positives.copy(),
+        negatives=instance.negatives.copy(),
+        caption_nouns=instance.caption_nouns.copy(),
+        global_scores=instance.global_scores,
+    )
+
+    def evaluate():
+        return total_loss(live, uasr, lambda_cross, lambda_inner).total
+
+    return GradientBundle(*(
+        central_difference(evaluate, arr, h)
+        for arr in (live.regions, live.positives, live.negatives, live.caption_nouns)
+    ))

@@ -109,7 +109,7 @@ def test_criterion_2_log_sum_exp_stability(capsys):
         instance = random_instance(rng, tag_scale=float(rng.uniform(0.3, 3.0)))
         phis = [compatibility(instance.positives, instance.regions),
                 compatibility(instance.negatives, instance.regions)]
-        if instance.num_caption_nouns:
+        if instance.caption_nouns.shape[0]:
             phis += [compatibility(instance.positives, instance.caption_nouns),
                      compatibility(instance.negatives, instance.caption_nouns)]
         peak = max(float(np.abs(p).max()) for p in phis)
@@ -262,7 +262,7 @@ def test_criterion_5_selection_invariants(capsys):
 
         assert len(sel.positive_indices) == k
         assert len(sel.negative_indices) == k
-        wp, wn, _ = gather_filtered(instance, sel)
+        wp, wn, _ = gather_filtered(instance.positives, instance.negatives, sel)
         assert wp.shape == (k, d)
         assert wn.shape == (k, d)
         assert not sel.negative_fallback  # impossible with R < K

@@ -7,7 +7,6 @@ from rca.core import (
     as_vector,
     compat_forward,
     compatibility,
-    empty_matrix,
 )
 from rca.errors import DimensionError, EmptyInputError, ValidationError
 
@@ -55,14 +54,14 @@ class TestCoercions:
         with pytest.raises(ValidationError):
             as_vector([np.nan])
 
-    def test_empty_matrix(self):
-        assert empty_matrix(5).shape == (0, 5)
-
 
 class TestInstance:
     def test_shapes_exposed(self):
         inst = rand_instance(np.random.default_rng(0))
-        assert (inst.num_regions, inst.num_positives, inst.num_caption_nouns, inst.dim) == (3, 4, 2, 8)
+        shapes = (inst.regions.shape, inst.positives.shape, inst.negatives.shape,
+                  inst.caption_nouns.shape, inst.global_scores.shape)
+        assert shapes == ((3, 8), (4, 8), (4, 8), (2, 8), (4,))
+        assert inst.num_positives == 4
 
     def test_empty_caption_reshaped(self):
         rng = np.random.default_rng(1)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from loop_reference import finite_diff_grad_loop
+from rca import gradients
 from rca.core import ContrastiveInstance
 from rca.errors import ConfigError, InvalidWeightError
 from rca.gradients import (
     _elementwise_error,
-    central_difference,
     finite_diff_grad,
     gradient_check,
     loss_and_grad,
@@ -121,17 +124,66 @@ class TestWorstEntry:
         assert (rep.worst_table, rep.worst_index, rep.worst_error) == ("negatives", [0, 0], 0.0)
 
 
-class TestNumericOracle:
-    def test_central_difference_on_quadratic(self):
-        x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        grad = central_difference(lambda: float((x**2).sum()), x, h=1e-5)
-        assert np.allclose(grad, 2.0 * x, atol=1e-9)
+def drawn_selection(rng, k):
+    """A selection over K rows whose last positive repeats the first (oversampled when K > 1)."""
+    positive_indices = rng.integers(0, k, k)
+    positive_indices[-1] = positive_indices[0]
+    return UasrResult(
+        weights=rng.uniform(0.1, 2.0, k),
+        retrieved_set=np.zeros(0, dtype=np.int64),
+        positive_indices=positive_indices,
+        negative_indices=rng.integers(0, k, k),
+    )
 
-    def test_restores_input(self):
-        x = np.array([1.0, 2.0, 3.0])
-        before = x.copy()
-        central_difference(lambda: float(x.sum()), x.reshape(1, 3), h=1e-4)
-        assert np.array_equal(x, before)
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    d=st.integers(1, 16),
+    r=st.integers(1, 8),
+    k=st.integers(1, 25),
+    p=st.integers(0, 4),
+    selected=st.booleans(),
+    lambdas=st.sampled_from([(1.0, 1.0), (2.0, 0.0), (0.0, 0.7), (0.0, 0.0)]),
+    h=st.sampled_from([1e-7, 1e-5, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# regions 8 x 16: 256 copies, four full blocks; tags 25 x 16: 800 copies, 12.5 blocks
+@example(d=16, r=8, k=25, p=3, selected=True, lambdas=(1.0, 1.0), h=1e-4, seed=0)
+# tags 4 x 8: 64 copies, exactly one block
+@example(d=8, r=3, k=4, p=2, selected=True, lambdas=(1.0, 1.0), h=1e-5, seed=1)
+@example(d=8, r=3, k=4, p=0, selected=False, lambdas=(1.0, 1.0), h=1e-3, seed=2)
+def test_oracle_equals_the_per_entry_loop_bitwise(d, r, k, p, selected, lambdas, h, seed):
+    rng = np.random.default_rng(seed)
+    inst = rand_instance(rng, r=r, k=k, p=p, d=d)
+    sel = drawn_selection(rng, k) if selected else None
+    got = finite_diff_grad(inst, sel, *lambdas, h=h).as_dict()
+    want = finite_diff_grad_loop(inst, sel, *lambdas, h=h).as_dict()
+    for name in want:
+        assert got[name].shape == want[name].shape
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestNumericOracle:
+    def test_leaves_the_instance_unchanged(self):
+        inst = rand_instance(np.random.default_rng(12), r=4, k=6, p=2, d=8)
+        arrays = dict(vars(inst))
+        before = {name: a.tobytes() for name, a in arrays.items()}
+        finite_diff_grad(inst, apply_uasr(inst), h=1e-3)
+        assert all(getattr(inst, name) is a for name, a in arrays.items())
+        assert {name: a.tobytes() for name, a in arrays.items()} == before
+
+    def test_copies_run_in_blocks_of_64(self, monkeypatch):
+        # tables of 40, 32, 32 and 0 entries: 80, 64, 64 and no copies
+        sizes = []
+        stacked_loss = gradients._stacked_loss
+
+        def record(regions, *args, **kwargs):
+            sizes.append(regions.shape[0])
+            return stacked_loss(regions, *args, **kwargs)
+
+        monkeypatch.setattr(gradients, "_stacked_loss", record)
+        finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
+        assert sizes == [64, 16, 64, 64]
 
     def test_step_size_bounds(self):
         inst = rand_instance(np.random.default_rng(8))

@@ -694,6 +694,9 @@ MALFORMED_INPUTS = {
         "loss", "instances", _instance("[0, 1, 0, 0]", "[0, Infinity, 0, 0]", tokens=TOKEN)),
     "tag-score-nan": ("loss", "instances", _instance("0.25", "NaN", tags=TAGS)),
     "tag-score-overflow-literal": ("loss", "instances", _instance("0.25", "1e400", tags=TAGS)),
+    # ids and texts are strings, never coerced
+    "tag-id-not-a-string": ("loss", "instances", _instance('"t00"', "7", tags=TAGS)),
+    "caption-text-null": ("loss", "instances", _instance('"ball"', "null", tokens=TOKEN)),
     # wrong-typed config fields in a state file
     "state-fractional-int-field": (
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("synthetic_config", "n_concepts", 10.5))),

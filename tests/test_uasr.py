@@ -158,7 +158,7 @@ class TestApplyUasr:
         for _ in range(20):
             inst = rand_instance(rng, r=2, k=4)
             res = apply_uasr(inst)
-            wp, wn, q = gather_filtered(inst, res)
+            wp, wn, q = gather_filtered(inst.positives, inst.negatives, res)
             assert wp.shape == inst.positives.shape
             assert wn.shape == inst.negatives.shape
             assert q.shape == (4,)
