@@ -8,7 +8,10 @@ mismatch. A numeric flag or config value out of its range (a negative
 or non-finite lambda or tolerance, a gradcheck shape below 1, a
 negative seed) is a configuration error (2). The corpus subcommands
 (rank, uasr, loss) treat an instances file with a header but no records
-as unparseable input (2).
+as unparseable input (2). uasr and loss check every record, in file
+order, before computing any, then run the records grouped by shape. A
+failing corpus call reports its first bad record and prints nothing to
+stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .core import ContrastiveInstance
 from .errors import (
     ConfigError,
+    DegenerateEmbeddingError,
     DimensionError,
     DivergenceError,
     ParseError,
@@ -30,7 +34,6 @@ from .errors import (
 )
 from .gradients import gradient_check
 from .io import (
-    InstanceRecord,
     build_configs,
     config_kinds,
     env_seed,
@@ -42,8 +45,8 @@ from .io import (
     write_instances,
     write_state,
 )
-from .losses import total_loss
-from .tags import rank_tags
+from .losses import batch_loss
+from .tags import rank_corpus
 from .trainer import (
     aligned_state,
     evaluate_retrieval,
@@ -51,7 +54,7 @@ from .trainer import (
     initial_state,
     train_alignment,
 )
-from .uasr import apply_uasr
+from .uasr import apply_uasr, pool_cosines, select_batch, warn_clamped
 
 __all__ = ["main", "build_parser"]
 
@@ -68,37 +71,6 @@ def _check_flags(args, names, low=0) -> None:
             raise ConfigError(f"--{name} must be finite and at least {low}, got {value!r}")
 
 
-def _resolve_tags(record: InstanceRecord, vocab_map: dict, vocab, m: int):
-    """A record's ranked tags and their embedding rows, ranking when absent."""
-    if record.tags is None:
-        tags = rank_tags(record.image_embedding, vocab, m)
-    else:
-        tags = record.tags
-        if len(tags) < 2 or len(tags) % 2 != 0:
-            raise ValidationError(
-                f"image {record.image_id!r}: tags list must have even length >= 2"
-            )
-    embeddings = []
-    for t in tags:
-        if t.tag_id not in vocab_map:
-            raise ValidationError(
-                f"image {record.image_id!r}: tag {t.tag_id!r} not in vocabulary"
-            )
-        embeddings.append(vocab_map[t.tag_id])
-    return tags, np.vstack(embeddings)
-
-
-def _build_instance(record: InstanceRecord, tags, tag_emb) -> ContrastiveInstance:
-    k = len(tags) // 2
-    return ContrastiveInstance(
-        regions=record.regions,
-        positives=tag_emb[:k],
-        negatives=tag_emb[k:],
-        caption_nouns=record.caption_noun_matrix(),
-        global_scores=np.asarray([t.score for t in tags[:k]], dtype=np.float64),
-    )
-
-
 def _load_corpus(args):
     vocab, vdim = read_vocab(args.vocab)
     records, idim = read_instances(args.instances)
@@ -108,20 +80,101 @@ def _load_corpus(args):
         raise DimensionError(
             f"vocabulary dim {vdim} does not match instance dim {idim}"
         )
-    vocab_map = {tag_id: emb for tag_id, emb in vocab}
-    return vocab, vocab_map, records
+    return vocab, records
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Write a whole command's output at once, so a failing call prints no partial stdout."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
+@dataclasses.dataclass
+class _ShapeGroup:
+    """The corpus records of one (R, P, K) shape, stacked on a leading batch axis."""
+
+    members: list[int]          # record positions, ascending
+    regions: np.ndarray         # (B, R, d)
+    caption_nouns: np.ndarray   # (B, P, d)
+    positive_rows: np.ndarray   # (B, K) rows of the vocabulary table
+    negative_rows: np.ndarray   # (B, K)
+    scores: np.ndarray          # (B, K) the positives' global scores
+
+
+def _corpus_groups(records, vocab, m: int, cosines: bool):
+    """Check every record in record order, then group the records by shape.
+
+    Tags come from the record, or from ranking when it has none. The
+    checks are those a one-record run makes, in its order: an even tag
+    count of at least 2, each tag in the vocabulary, scores that are
+    cosines, and, with ``cosines`` (selection runs), no zero-norm region
+    or tag row. So the first bad record is the one reported, before any
+    group is computed. Returns the (V, d) vocabulary table, each record's
+    tags, and the groups in order of first appearance.
+    """
+    index = {tag_id: i for i, (tag_id, _) in enumerate(vocab)}
+    table = np.array([emb for _, emb in vocab])
+    table_norms = np.linalg.norm(table, axis=-1)
+    ranked = rank_corpus((rec.image_embedding for rec in records if rec.tags is None), vocab, m)
+    all_tags, all_rows, members = [], [], {}
+    for i, rec in enumerate(records):
+        if rec.tags is None:
+            tags = next(ranked)
+        else:
+            tags = rec.tags
+            if len(tags) < 2 or len(tags) % 2 != 0:
+                raise ValidationError(
+                    f"image {rec.image_id!r}: tags list must have even length >= 2"
+                )
+        rows = []
+        for t in tags:
+            if t.tag_id not in index:
+                raise ValidationError(
+                    f"image {rec.image_id!r}: tag {t.tag_id!r} not in vocabulary"
+                )
+            rows.append(index[t.tag_id])
+        k = len(tags) // 2
+        # the tolerance ContrastiveInstance allows
+        if max(abs(t.score) for t in tags[:k]) > 1.0 + 1e-9:
+            raise ValidationError("global_scores must be cosines in [-1, 1]")
+        if cosines and ((np.linalg.norm(rec.regions, axis=-1) == 0.0).any()
+                        or (table_norms[rows] == 0.0).any()):
+            raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
+        all_tags.append(tags)
+        all_rows.append(rows)
+        shape = (rec.regions.shape[0], sum(t.is_noun for t in rec.caption_tokens), k)
+        members.setdefault(shape, []).append(i)
+
+    groups = []
+    for (_, _, k), idx in members.items():
+        rows = np.array([all_rows[i] for i in idx])
+        groups.append(_ShapeGroup(
+            members=idx,
+            regions=np.stack([records[i].regions for i in idx]),
+            caption_nouns=np.stack([records[i].caption_noun_matrix() for i in idx]),
+            positive_rows=rows[:, :k],
+            negative_rows=rows[:, k:],
+            scores=np.array([[t.score for t in all_tags[i][:k]] for i in idx]),
+        ))
+    return table, all_tags, groups
+
+
+def _select(table, group: _ShapeGroup, normalize: bool):
+    """Selection for one shape group: :func:`select_batch` over its region-by-pool cosines."""
+    cosines = pool_cosines(
+        group.regions, table[group.positive_rows], table[group.negative_rows]
+    )
+    return select_batch(cosines, group.scores, normalize)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_rank(args) -> int:
-    vocab, vocab_map, records = _load_corpus(args)
-    augmented = []
+    vocab, records = _load_corpus(args)
     k = args.M // 2
-    for rec in records:
-        tags = rank_tags(rec.image_embedding, vocab, args.M)
-        _emit(
+    ranked = list(rank_corpus((rec.image_embedding for rec in records), vocab, args.M))
+    _print_lines([
+        to_json(
             {
                 "image_id": rec.image_id,
                 "K": k,
@@ -131,61 +184,80 @@ def cmd_rank(args) -> int:
                 ],
             }
         )
-        if args.out:
-            augmented.append(dataclasses.replace(rec, tags=tags))
+        for rec, tags in zip(records, ranked)
+    ])
     if args.out:
+        augmented = [dataclasses.replace(rec, tags=tags) for rec, tags in zip(records, ranked)]
         write_instances(args.out, augmented, records[0].regions.shape[1])
     return 0
 
 
 def cmd_uasr(args) -> int:
-    vocab, vocab_map, records = _load_corpus(args)
-    for rec in records:
-        tags, tag_emb = _resolve_tags(rec, vocab_map, vocab, args.M)
-        ci = _build_instance(rec, tags, tag_emb)
-        k = ci.num_positives
-        sel = apply_uasr(ci, normalize=args.normalize)
-        _emit(
-            {
-                "image_id": rec.image_id,
-                "retrieved": sel.retrieved_set,
-                "positives": [tags[i].tag_id for i in sel.positive_indices],
-                "negatives": [tags[k + i].tag_id for i in sel.negative_indices],
-                "weights": sel.weights,
-                "positive_fallback": sel.positive_fallback,
-                "negative_fallback": sel.negative_fallback,
-            }
-        )
+    vocab, records = _load_corpus(args)
+    table, all_tags, groups = _corpus_groups(records, vocab, args.M, cosines=True)
+    lines = [""] * len(records)
+    clamped = 0
+    for group in groups:
+        sel = _select(table, group, args.normalize)
+        clamped += sel.clamped
+        k = sel.positive_indices.shape[1]
+        for b, i in enumerate(group.members):
+            tags = all_tags[i]
+            lines[i] = to_json(
+                {
+                    "image_id": records[i].image_id,
+                    "retrieved": np.flatnonzero(sel.retrieved[b]),
+                    "positives": [tags[j].tag_id for j in sel.positive_indices[b].tolist()],
+                    "negatives": [tags[k + j].tag_id for j in sel.negative_indices[b].tolist()],
+                    "weights": sel.weights[b],
+                    "positive_fallback": bool(sel.positive_fallback[b]),
+                    "negative_fallback": bool(sel.negative_fallback[b]),
+                }
+            )
+    warn_clamped(clamped)
+    _print_lines(lines)
     return 0
 
 
 def cmd_loss(args) -> int:
     _check_flags(args, ("lambda_cross", "lambda_inner"))
-    vocab, vocab_map, records = _load_corpus(args)
+    vocab, records = _load_corpus(args)
+    table, _, groups = _corpus_groups(records, vocab, args.M, cosines=args.enable_uasr)
+    losses = np.zeros((len(records), 3))  # cross, inner, total per record
+    clamped = 0
+    for group in groups:
+        pos, neg, weights = group.positive_rows, group.negative_rows, None
+        if args.enable_uasr:
+            sel = _select(table, group, args.normalize)
+            rows = np.arange(len(group.members))[:, None]
+            pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
+            weights, clamped = sel.weights, clamped + sel.clamped
+        cross, inner, _ = batch_loss(
+            group.regions, table[pos], table[neg], group.caption_nouns, weights,
+            args.lambda_cross, args.lambda_inner, with_grad=False,
+        )
+        total = args.lambda_cross * cross + args.lambda_inner * inner
+        losses[group.members] = np.stack([cross, inner, total], axis=1)
+    warn_clamped(clamped)
+    lines = [
+        to_json({"image_id": rec.image_id, "cross": c, "inner": i, "total": t})
+        for rec, (c, i, t) in zip(records, losses.tolist())
+    ]
     sums = np.zeros(3)
-    for rec in records:
-        tags, tag_emb = _resolve_tags(rec, vocab_map, vocab, args.M)
-        ci = _build_instance(rec, tags, tag_emb)
-        sel = apply_uasr(ci, normalize=args.normalize) if args.enable_uasr else None
-        bd = total_loss(ci, sel, args.lambda_cross, args.lambda_inner)
-        sums += (bd.cross, bd.inner, bd.total)
-        _emit(
+    for row in losses:  # in record order, as a one-by-one run adds them
+        sums += row
+    n = len(records)
+    lines.append(
+        to_json(
             {
-                "image_id": rec.image_id,
-                "cross": bd.cross,
-                "inner": bd.inner,
-                "total": bd.total,
+                "n_images": n,
+                "mean_cross": sums[0] / n,
+                "mean_inner": sums[1] / n,
+                "mean_total": sums[2] / n,
             }
         )
-    n = len(records)
-    _emit(
-        {
-            "n_images": n,
-            "mean_cross": sums[0] / n,
-            "mean_inner": sums[1] / n,
-            "mean_total": sums[2] / n,
-        }
     )
+    _print_lines(lines)
     return 0
 
 

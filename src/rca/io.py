@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -45,33 +46,51 @@ VOCAB_FORMAT = "rca-vocab"
 INSTANCE_FORMAT = "rca-instances"
 STATE_FORMAT = "rca-state"
 VERSION = 1
+_NUMBER_TYPES = {int, float}  # what json.loads gives a JSON number
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 def _fmt(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    # commonest types first; bool must still come before int, its base class
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, (float, np.floating)):
         f = float(value)
         if not math.isfinite(f):
             raise ValidationError("cannot serialize non-finite number")
         return format(f, ".17g")
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in value.items())
+        items = ", ".join(f"{_quote(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim and value.size:
+            return _fmt_floats(value)
         return _fmt(value.tolist())
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return "null"
     raise ValidationError(f"cannot serialize {type(value).__name__}")
+
+
+def _fmt_floats(arr: np.ndarray) -> str:
+    """A non-empty float64 array as nested lists: one ``%`` template filled from ``.tolist()``.
+
+    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does, so
+    the bytes equal the per-number route's.
+    """
+    if not np.isfinite(arr).all():
+        raise ValidationError("cannot serialize non-finite number")
+    template = "%.17g"
+    for n in reversed(arr.shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return template % tuple(arr.ravel().tolist())
 
 
 def to_json(value) -> str:
@@ -110,9 +129,8 @@ def _number(value, lineno: int, what: str) -> float:
 
 
 def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    # exact types: a bool is an int subclass, and np.array([True, 1.5]) infers float64
+    if not isinstance(value, list) or not set(map(type, value)) <= _NUMBER_TYPES:
         raise ParseError(f"{what} must be a list of numbers", line=lineno)
     try:
         arr = np.asarray(value, dtype=np.float64)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import as_vector
 from .errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
 
-__all__ = ["TagRef", "rank_tags", "subsample"]
+__all__ = ["TagRef", "rank_corpus", "rank_tags", "subsample"]
 
 
 @dataclass
@@ -28,13 +28,37 @@ class TagRef:
     score: float
 
 
-def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> list[TagRef]:
-    """The M vocabulary tags most cosine-similar to the image, best first.
+_DIM_MISMATCH = "vocabulary embeddings must all match the image embedding dimension"
+
+
+def _vocabulary_table(vocabulary: Sequence[tuple], ids: list[str], dim: int):
+    """The (V, dim) embedding matrix, its row norms, and each id's rank in ascending id order."""
+    rows = [np.asarray(e, dtype=np.float64) for _, e in vocabulary]
+    if any(row.shape != (dim,) for row in rows):
+        raise DegenerateEmbeddingError(_DIM_MISMATCH)
+    emb = np.array(rows)
+    norms = np.linalg.norm(emb, axis=1)
+    if (norms == 0.0).any():
+        bad = ids[int(np.argmin(norms))]
+        raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has zero-norm embedding")
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return emb, norms, id_rank
+
+
+def rank_corpus(
+    image_embeddings: Iterable, vocabulary: Sequence[tuple], M: int
+) -> Iterator[list[TagRef]]:
+    """Per image, the M vocabulary tags most cosine-similar to it, best first.
 
     ``vocabulary`` is a sequence of (tag_id, embedding) pairs. Ties are
     broken by ascending tag_id so the result is deterministic regardless
     of vocabulary order. The first M / 2 tags are the positives, the rest
-    the negatives.
+    the negatives. A generator: the vocabulary matrix, its norms and the
+    tag-id order are built once, at the first image, and each image then
+    costs one matrix-vector product and one ``lexsort``. Each image is
+    checked when its list is drawn, so a caller drawing lists between its
+    own per-record checks sees every error in record order.
     """
     if M < 2 or M % 2 != 0:
         raise ConfigError(f"M must be a positive even integer, got {M}")
@@ -42,25 +66,28 @@ def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> list[TagR
         raise InsufficientVocabularyError(
             f"vocabulary has {len(vocabulary)} entries, need at least {M}"
         )
-    img = as_vector(image_embedding, "image_embedding")
-    img_norm = np.linalg.norm(img)
-    if img_norm == 0.0:
-        raise DegenerateEmbeddingError("image embedding has zero norm")
-
     ids = [tag_id for tag_id, _ in vocabulary]
-    emb = np.asarray([np.asarray(e, dtype=np.float64) for _, e in vocabulary])
-    if emb.ndim != 2 or emb.shape[1] != img.shape[0]:
-        raise DegenerateEmbeddingError(
-            "vocabulary embeddings must all match the image embedding dimension"
-        )
-    norms = np.linalg.norm(emb, axis=1)
-    if (norms == 0.0).any():
-        bad = ids[int(np.argmin(norms))]
-        raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has zero-norm embedding")
+    emb = None
+    for image in image_embeddings:
+        img = as_vector(image, "image_embedding")
+        img_norm = np.linalg.norm(img)
+        if img_norm == 0.0:
+            raise DegenerateEmbeddingError("image embedding has zero norm")
+        if emb is None:
+            emb, norms, id_rank = _vocabulary_table(vocabulary, ids, img.shape[0])
+        elif emb.shape[1] != img.shape[0]:
+            raise DegenerateEmbeddingError(_DIM_MISMATCH)
+        scores = (emb @ img) / (norms * img_norm)
+        order = np.lexsort((id_rank, -scores))[:M]
+        yield [TagRef(ids[i], s) for i, s in zip(order.tolist(), scores[order].tolist())]
 
-    scores = (emb @ img) / (norms * img_norm)
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [TagRef(ids[i], float(scores[i])) for i in order[:M]]
+
+def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> list[TagRef]:
+    """The M vocabulary tags most cosine-similar to the image, best first.
+
+    The one-image case of :func:`rank_corpus`.
+    """
+    return next(rank_corpus([image_embedding], vocabulary, M))
 
 
 def _take(seq, indices):

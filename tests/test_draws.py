@@ -5,7 +5,9 @@
 replace=False)`` would pick from them, image by image. That depends on how
 numpy's ``choice`` draws (Floyd's algorithm, then a shuffle) and on how
 PCG64 buffers 32-bit halves. If numpy changes either, these tests fail
-loudly; the pinned training totals below fail with them.
+loudly; the pinned training totals below fail with them. The benchmark's
+pinned CLI stdout digests are replayed here too, so a byte change in
+``rank``, ``uasr``, ``loss`` or ``gradcheck`` shows in the regular suite.
 """
 
 import importlib.util
@@ -138,4 +140,18 @@ def test_benchmark_training_matches_its_pin(name, seed):
         result = workload.run_unit()
     assert result.failures == []
     pin = workloads.load_pins()[name][str(seed)]
+    assert workload.check_pinned(result.outputs, pin) == []
+
+
+@pytest.mark.parametrize("seed", [0, 31, 63])
+def test_benchmark_cli_corpus_matches_its_pin(seed, tmp_path):
+    """The benchmark's CLI calls print the pinned stdout, and ``rank --out`` rewrites byte for byte."""
+    workload = workloads.CliWorkload("cli-corpus", seed)
+    workload.prepare(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = workload.run_unit()
+    assert result.failures == []
+    assert workload.check_files() == []
+    pin = workloads.load_pins()["cli-corpus"][str(seed)]
     assert workload.check_pinned(result.outputs, pin) == []

@@ -5,8 +5,10 @@ the direct-formula evaluator in naive_reference.py (see fixtures/generate.py),
 so the CLI is checked against an independent route, not against itself.
 The goldens expected_uasr.jsonl and expected_gradcheck.jsonl are the exact
 stdout of ``rca uasr fixtures/vocab.jsonl fixtures/instances.jsonl`` and
-``rca gradcheck --seed 3``. They pin those bytes; regenerate them only for
-a change that means to move them.
+``rca gradcheck --seed 3``; expected_rank.jsonl and expected_rank_out.jsonl
+are the stdout and the ``--out`` file of ``rca rank fixtures/vocab.jsonl
+fixtures/instances_untagged.jsonl --M 4``. They pin those bytes; regenerate
+them only for a change that means to move them.
 """
 
 import contextlib
@@ -22,12 +24,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rca.cli import main
 from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
 from rca.io import (
+    CaptionToken,
     InstanceRecord,
     build_configs,
     env_seed,
@@ -40,6 +44,7 @@ from rca.io import (
     write_state,
     write_vocab,
 )
+from rca.tags import TagRef
 from rca.trainer import SyntheticConfig, TrainerConfig, TrainState
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -93,6 +98,27 @@ class TestToJson:
         with pytest.raises(ValidationError):
             to_json({"v": {1, 2}})
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(arr=hnp.arrays(
+        np.float64,
+        st.one_of(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                  st.tuples(st.just(0), st.integers(0, 4))),
+        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(arr=np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+    @example(arr=np.array([[1e308, -1.7976931348623157e308], [0.1, 1.0]]))
+    @example(arr=np.zeros((0,)))
+    @example(arr=np.zeros((0, 3)))
+    @example(arr=np.zeros((2, 0)))
+    def test_float_arrays_match_the_list_route(self, arr):
+        assert to_json(arr) == to_json(arr.tolist())
+        assert to_json({"a": arr}) == to_json({"a": arr.tolist()})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_array_rejected(self, bad):
+        for arr in (np.array([1.0, bad]), np.array([[0.5], [bad]])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                to_json(arr)
+
 
 # ---------------------------------------------------------------------------
 # vocabulary files
@@ -141,6 +167,19 @@ class TestVocabIO:
             '{"tag_id": "a", "embedding": [1, "x"]}\n'
         )
         with pytest.raises(ParseError, match="line 2"):
+            read_vocab(p)
+
+    @pytest.mark.parametrize("embedding", [
+        "[true, 1.5]", "[1.5, false]", '[1, "2"]', "[null, 1]", "[[1, 2]]", "[1, [2]]",
+        '"1, 2"', "null",
+    ])
+    def test_embedding_takes_only_numbers(self, tmp_path, embedding):
+        p = tmp_path / "v.jsonl"
+        p.write_text(
+            '{"format": "rca-vocab", "version": 1, "dim": 2}\n'
+            '{"tag_id": "a", "embedding": %s}\n' % embedding
+        )
+        with pytest.raises(ParseError, match="^line 2: embedding must be a list of numbers$"):
             read_vocab(p)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -314,6 +353,13 @@ class TestCliRank:
         summary = json.loads(out_text.splitlines()[-1])
         assert summary["n_images"] == 2
 
+    def test_matches_golden_bytes(self, tmp_path, capsys):
+        out = tmp_path / "ranked.jsonl"
+        code, text, _ = run_cli(["rank", VOCAB, UNTAGGED, "--M", "4", "--out", str(out)], capsys)
+        assert code == 0
+        assert text == golden("expected_rank.jsonl")
+        assert out.read_bytes() == open(os.path.join(FIXTURES, "expected_rank_out.jsonl"), "rb").read()
+
     def test_vocabulary_too_small_for_default_width(self, capsys):
         # default M is 50 but the fixture vocabulary has 10 tags
         code, _, err = run_cli(["rank", VOCAB, UNTAGGED], capsys)
@@ -435,6 +481,158 @@ class TestCliEmptyCorpus:
         assert out == ""
         assert "no instance records" in err
         assert not out_file.exists()
+
+
+class TestCliCorpusErrors:
+    """Every record is checked, in record order, before any shape group is computed."""
+
+    @staticmethod
+    def _unknown_tag(rec):
+        rec.tags[0] = dataclasses.replace(rec.tags[0], tag_id="zz")
+
+    @staticmethod
+    def _odd_tags(rec):
+        rec.tags = rec.tags[:3]
+
+    @staticmethod
+    def _score_over_one(rec):
+        rec.tags[0] = dataclasses.replace(rec.tags[0], score=1.5)
+
+    @staticmethod
+    def _zero_region(rec):
+        rec.regions[0] = 0.0
+
+    CASES = {
+        # name: (fault of img-b, fault of img-c, {argv: expected error line})
+        "unknown-then-odd": ("_unknown_tag", "_odd_tags", {
+            "*": "error: image 'img-b': tag 'zz' not in vocabulary"}),
+        "odd-then-unknown": ("_odd_tags", "_unknown_tag", {
+            "*": "error: image 'img-b': tags list must have even length >= 2"}),
+        "score-then-odd": ("_score_over_one", "_odd_tags", {
+            "*": "error: global_scores must be cosines in [-1, 1]"}),
+        # a zero-norm region only has no cosine when selection runs
+        "zero-region-then-unknown": ("_zero_region", "_unknown_tag", {
+            "uasr": "error: cosine undefined for zero-norm rows",
+            "loss --enable_uasr": "error: cosine undefined for zero-norm rows",
+            "loss": "error: image 'img-c': tag 'zz' not in vocabulary"}),
+    }
+
+    @pytest.mark.parametrize("argv", ["uasr", "loss", "loss --enable_uasr"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_bad_record_is_reported_and_nothing_printed(self, case, argv, tmp_path,
+                                                              capsys):
+        first, second, errors = self.CASES[case]
+        records, dim = read_instances(INSTANCES)
+        getattr(self, first)(records[1])
+        getattr(self, second)(records[2])
+        bad = tmp_path / "two-bad.jsonl"
+        write_instances(bad, records, dim)
+        command, *flags = argv.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command, VOCAB, str(bad), *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err == errors.get(argv, errors.get("*")) + "\n"
+
+    def test_failing_rank_prints_nothing(self, tmp_path, capsys):
+        records, dim = read_instances(UNTAGGED)
+        records[1].image_embedding[:] = 0.0
+        bad = tmp_path / "zero-image.jsonl"
+        write_instances(bad, records, dim)
+        out_file = tmp_path / "ranked.jsonl"
+        code, out, err = run_cli(["rank", VOCAB, str(bad), "--M", "4", "--out", str(out_file)],
+                                 capsys)
+        assert (code, out, err) == (1, "", "error: image embedding has zero norm\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [["uasr"], ["uasr", "--no-normalize"],
+                                      ["loss", "--enable_uasr"]])
+    def test_clamp_warning_once_per_call_with_the_total(self, argv, tmp_path, capsys):
+        records, dim = read_instances(INSTANCES)
+        for rec in records:
+            k = len(rec.tags) // 2
+            rec.tags[:k] = [dataclasses.replace(t, score=-0.25) for t in rec.tags[:k]]
+        clamped = tmp_path / "clamped.jsonl"
+        write_instances(clamped, records, dim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli([argv[0], VOCAB, str(clamped), *argv[1:]], capsys)
+        assert code == 0
+        # three images, each clamping both of its K = 2 positive scores
+        assert [str(w.message) for w in caught] == [
+            "6 non-positive global score(s) clamped to 1e-06"]
+
+
+FIXTURE_VOCAB_IDS = [tag_id for tag_id, _ in read_vocab(VOCAB)[0]]
+
+
+@st.composite
+def mixed_corpus(draw):
+    """1-8 records over the fixture vocabulary, their (R, P, K) drawn from a few shapes.
+
+    Some records have no tags, so ``--M 4`` ranks them (K = 2); tagged
+    records carry scores in [-0.5, 1], so some are clamped.
+    """
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for i in range(draw(st.integers(1, 8))):
+        r, p, k = draw(st.sampled_from(shapes))
+        tokens = [CaptionToken(f"w{j}", j < p, rng.standard_normal(4)) for j in range(p + 1)]
+        tags = None
+        if draw(st.booleans()):
+            chosen = rng.choice(len(FIXTURE_VOCAB_IDS), size=2 * k, replace=False)
+            scores = np.sort(rng.uniform(-0.5, 1.0, size=2 * k))[::-1]
+            tags = [TagRef(FIXTURE_VOCAB_IDS[c], float(s)) for c, s in zip(chosen, scores)]
+        records.append(InstanceRecord(f"img{i}", rng.standard_normal(4),
+                                      rng.standard_normal((r, 4)), tokens, tags))
+    return records
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+CORPUS_COMMANDS = [["uasr"], ["uasr", "--no-normalize"], ["loss"], ["loss", "--enable_uasr"],
+                   ["loss", "--lambda_inner", "0.5"]]
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(records=mixed_corpus())
+def test_mixed_shape_corpus_prints_the_one_record_lines(records):
+    """Grouping by shape changes no byte: each line is the one a one-record file gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = os.path.join(tmp, "corpus.jsonl")
+        write_instances(whole, records, 4)
+        singles = []
+        for i, rec in enumerate(records):
+            singles.append(os.path.join(tmp, f"record{i}.jsonl"))
+            write_instances(singles[-1], [rec], 4)
+        for command, *flags in CORPUS_COMMANDS:
+            got = _stdout([command, VOCAB, whole, "--M", "4", *flags]).splitlines()
+            alone = [_stdout([command, VOCAB, single, "--M", "4", *flags]).splitlines()[0]
+                     for single in singles]
+            assert got[:len(records)] == alone
+            if command == "loss":
+                _assert_summary_adds_in_record_order(got[-1], alone)
+
+
+def _assert_summary_adds_in_record_order(summary_line, record_lines):
+    sums = [0.0, 0.0, 0.0]
+    for line in record_lines:
+        rec = json.loads(line)
+        sums = [a + rec[key] for a, key in zip(sums, ("cross", "inner", "total"))]
+    summary = json.loads(summary_line)
+    n = len(record_lines)
+    assert summary["n_images"] == n
+    assert [summary["mean_cross"], summary["mean_inner"], summary["mean_total"]] == [
+        v / n for v in sums]
 
 
 class TestCliGradcheck:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rca.errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
-from rca.tags import TagRef, rank_tags, subsample
+from rca.tags import TagRef, rank_corpus, rank_tags, subsample
 
 
 def unit(v):
@@ -49,6 +49,25 @@ class TestRankTags:
             rank_tags([0.0, 0.0], [("a", [1.0, 0.0]), ("b", [0.0, 1.0])], M=2)
         with pytest.raises(DegenerateEmbeddingError):
             rank_tags([1.0, 0.0], [("a", [0.0, 0.0]), ("b", [0.0, 1.0])], M=2)
+
+    def test_ragged_vocabulary_rejected(self):
+        vocab = [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])]
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="vocabulary embeddings must all match the image embedding"):
+            rank_tags([1.0, 0.0], vocab, M=2)
+
+    def test_corpus_ranking_is_the_one_image_ranking(self):
+        rng = np.random.default_rng(5)
+        vocab = [(f"t{i:02d}", rng.standard_normal(6)) for i in range(30)]
+        images = rng.standard_normal((4, 6))
+        assert list(rank_corpus(images, vocab, 8)) == [rank_tags(im, vocab, 8) for im in images]
+
+    def test_corpus_ranking_checks_each_image_when_drawn(self):
+        vocab = [("a", [1.0, 0.0]), ("b", [0.0, 1.0])]
+        ranked = rank_corpus([[1.0, 0.0], [0.0, 0.0]], vocab, 2)
+        assert next(ranked)[0].tag_id == "a"
+        with pytest.raises(DegenerateEmbeddingError, match="image embedding has zero norm"):
+            next(ranked)
 
     def test_excluded_entries_score_no_higher(self):
         rng = np.random.default_rng(11)
