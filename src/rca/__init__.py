@@ -6,7 +6,6 @@ from .errors import (
     DegenerateEmbeddingError,
     DimensionError,
     DivergenceError,
-    EmptyContextError,
     EmptyInputError,
     InsufficientVocabularyError,
     InvalidWeightError,
@@ -14,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .gradients import finite_diff_grad, gradient_check, loss_and_grad
-from .losses import GradientBundle, LossBreakdown, pair_loss, total_loss
+from .losses import GradientBundle, LossBreakdown, total_loss
 from .tags import TagRef, rank_tags, subsample
 from .trainer import (
     SyntheticConfig,

@@ -26,7 +26,6 @@ import numpy as np
 from .core import ContrastiveInstance
 from .errors import (
     ConfigError,
-    DegenerateEmbeddingError,
     DimensionError,
     DivergenceError,
     ParseError,
@@ -54,7 +53,7 @@ from .trainer import (
     initial_state,
     train_alignment,
 )
-from .uasr import apply_uasr, pool_cosines, select_batch, warn_clamped
+from .uasr import _check_norms, apply_uasr, pool_cosines, select_batch, warn_clamped
 
 __all__ = ["main", "build_parser"]
 
@@ -106,10 +105,10 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
     Tags come from the record, or from ranking when it has none. The
     checks are those a one-record run makes, in its order: an even tag
     count of at least 2, each tag in the vocabulary, scores that are
-    cosines, and, with ``cosines`` (selection runs), no zero-norm region
-    or tag row. So the first bad record is the one reported, before any
-    group is computed. Returns the (V, d) vocabulary table, each record's
-    tags, and the groups in order of first appearance.
+    cosines, and, with ``cosines`` (selection runs), no region or tag row
+    whose norm is zero or overflows. So the first bad record is the one
+    reported, before any group is computed. Returns the (V, d) vocabulary
+    table, each record's tags, and the groups in order of first appearance.
     """
     index = {tag_id: i for i, (tag_id, _) in enumerate(vocab)}
     table = np.array([emb for _, emb in vocab])
@@ -135,10 +134,12 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
         k = len(tags) // 2
         # the tolerance ContrastiveInstance allows
         if max(abs(t.score) for t in tags[:k]) > 1.0 + 1e-9:
-            raise ValidationError("global_scores must be cosines in [-1, 1]")
-        if cosines and ((np.linalg.norm(rec.regions, axis=-1) == 0.0).any()
-                        or (table_norms[rows] == 0.0).any()):
-            raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
+            raise ValidationError(
+                f"image {rec.image_id!r}: global_scores must be cosines in [-1, 1]"
+            )
+        if cosines:
+            _check_norms(np.linalg.norm(rec.regions, axis=-1), table_norms[rows],
+                         image=rec.image_id)
         all_tags.append(tags)
         all_rows.append(rows)
         shape = (rec.regions.shape[0], sum(t.is_noun for t in rec.caption_tokens), k)

@@ -105,10 +105,6 @@ class ContrastiveInstance:
             raise ValidationError("global_scores must be cosines in [-1, 1]")
         self.global_scores = scores
 
-    @property
-    def num_positives(self) -> int:
-        return self.positives.shape[0]
-
 
 def compat_forward(tags: np.ndarray, contexts: np.ndarray):
     """Compatibility phi (..., J) of tags (..., J, d) against contexts (..., R, d).

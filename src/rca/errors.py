@@ -13,10 +13,6 @@ class EmptyInputError(ValidationError):
     """An operation received an empty matrix where rows are required."""
 
 
-class EmptyContextError(ValidationError):
-    """A contrastive loss was called with no context rows."""
-
-
 class InvalidWeightError(ValidationError):
     """A per-sample weight is non-positive or non-finite."""
 

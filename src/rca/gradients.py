@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import ContrastiveInstance
 from .errors import ConfigError
-from .losses import GradientBundle, LossBreakdown, _instance_loss, _stacked_loss
+from .losses import GradientBundle, LossBreakdown, _selected_loss
 
 if TYPE_CHECKING:
     from .uasr import UasrResult
@@ -65,8 +65,9 @@ def loss_and_grad(
     gradients are scatter-added back onto the source rows (a row picked
     twice by oversampling accumulates both contributions).
     """
-    breakdown, grads = _instance_loss(
-        instance, uasr, lambda_cross, lambda_inner, with_grad=True
+    total, cross, inner, grads = _selected_loss(
+        instance.regions[None], instance.positives[None], instance.negatives[None],
+        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad=True,
     )
     d_wp, d_wn = grads.d_positives[0], grads.d_negatives[0]
     if uasr is None:
@@ -77,6 +78,7 @@ def loss_and_grad(
         np.add.at(d_positives, uasr.positive_indices, d_wp)
         np.add.at(d_negatives, uasr.negative_indices, d_wn)
 
+    breakdown = LossBreakdown(float(cross[0]), float(inner[0]), float(total[0]))
     return breakdown, GradientBundle(
         d_regions=grads.d_regions[0],
         d_positives=d_positives,
@@ -118,7 +120,7 @@ def finite_diff_grad(
             copies[rows - start, entries[rows]] = nudged[rows]
             stacked = [np.broadcast_to(t, (rows.size,) + t.shape) for t in tables]
             stacked[which] = copies.reshape((rows.size,) + table.shape)
-            totals[rows] = _stacked_loss(
+            totals[rows] = _selected_loss(
                 *stacked, uasr, lambda_cross, lambda_inner, with_grad=False
             )[0]
         numeric.append(((totals[0::2] - totals[1::2]) / (2.0 * h)).reshape(table.shape))

@@ -4,13 +4,13 @@ Each positive (top-ranked) tag is contrasted against the full set of
 negative (lower-ranked) tags through the attention compatibility score;
 positives never contrast against each other. The cross-modality loss uses
 image regions as the context, the inner-modality loss uses noun caption
-words; :func:`pair_loss` is either one, optionally scaling each
-positive's term by a confidence weight q > 0.
+words; either one may scale each positive's term by a confidence weight
+q > 0.
 
 One kernel computes every loss: :func:`batch_loss` over a leading batch
-axis, with its gradients. :func:`pair_loss` and :func:`total_loss` are
-validated one-image front doors over it. All losses are computed through
-log-sum-exp so large compatibility values cannot overflow.
+axis, with its gradients. :func:`total_loss` is its one-image case, a
+batch of one. All losses are computed through log-sum-exp so large
+compatibility values cannot overflow.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ContrastiveInstance, as_matrix, compat_backward, compat_forward
-from .errors import DimensionError, EmptyContextError, InvalidWeightError
+from .core import ContrastiveInstance, compat_backward, compat_forward
+from .errors import InvalidWeightError
 
 if TYPE_CHECKING:
     from .uasr import UasrResult
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 __all__ = [
     "GradientBundle",
     "LossBreakdown",
-    "pair_loss",
     "batch_loss",
     "total_loss",
 ]
@@ -49,15 +48,6 @@ def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
     m = stacked.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(stacked - m).sum(axis=-1))
     return lse - phi_pos
-
-
-def _check_weights(q, k: int) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (k,):
-        raise DimensionError(f"weights shape {q.shape} must be ({k},)")
-    if not np.isfinite(q).all() or (q <= 0.0).any():
-        raise InvalidWeightError("weights must be finite and strictly positive")
-    return q
 
 
 @dataclass
@@ -104,36 +94,6 @@ def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
     return loss, (d_pos, d_neg, d_ctx_p + d_ctx_n)
 
 
-def pair_loss(contexts, positives, negatives, weights=None) -> float:
-    """Mean -log p(positive beats all negatives) over one context.
-
-    The context is the image regions for the cross-modality loss, or the
-    noun caption words for the inner-modality loss. With ``weights``,
-    each positive's term is scaled by its confidence q > 0; all-ones
-    weights give the unweighted loss.
-    """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.size == 0:
-        raise EmptyContextError("contrastive loss requires at least one context row")
-    contexts = as_matrix(contexts, "contexts")
-    positives = as_matrix(positives, "positives")
-    negatives = as_matrix(negatives, "negatives")
-    if positives.shape != negatives.shape:
-        raise DimensionError(
-            f"positives {positives.shape} and negatives {negatives.shape} differ"
-        )
-    if positives.shape[1] != contexts.shape[1]:
-        raise DimensionError(
-            f"tag dim {positives.shape[1]} != contexts dim {contexts.shape[1]}"
-        )
-    if weights is not None:
-        weights = _check_weights(weights, positives.shape[0])[None]
-    loss, _ = _pair_block(
-        contexts[None], positives[None], negatives[None], weights, 1.0, with_grad=False
-    )
-    return float(loss[0])
-
-
 def batch_loss(
     regions: np.ndarray,
     positives: np.ndarray,
@@ -155,7 +115,8 @@ def batch_loss(
     equal to those of a batch holding that image alone, provided each
     image's rows are C-contiguous (a broadcast batch axis is fine; on
     strided rows matmul sums in another order). Arrays are not validated;
-    :func:`total_loss` and :func:`pair_loss` are the validated front doors.
+    :class:`ContrastiveInstance` and :class:`rca.uasr.UasrResult` check
+    them at the boundary.
     """
     if lambda_cross < 0.0 or lambda_inner < 0.0:
         raise InvalidWeightError("lambda weights must be non-negative")
@@ -195,64 +156,31 @@ class LossBreakdown:
     cross: float
     inner: float
     total: float
-    lambda_cross: float
-    lambda_inner: float
 
 
-def gather_filtered(positives: np.ndarray, negatives: np.ndarray, uasr: "UasrResult | None"):
-    """Resolve the (positives, negatives, weights) triple a loss should see.
+def _selected_loss(regions, positives, negatives, caption_nouns, uasr,
+                   lambda_cross, lambda_inner, with_grad):
+    """Tables with a leading batch axis through :func:`batch_loss`, under one selection.
 
-    With a selection result, rows are re-gathered from the tag tables
-    (K, d), or (..., K, d) with leading batch axes, by the stored source
-    indices so the loss always reflects the current embeddings; weights
-    stay the frozen selection-time values.
+    With a selection result, every row of the batch sees the same
+    selection: its tag rows re-gathered by the stored source indices, so
+    the loss always reflects the current embeddings, and its frozen
+    selection-time weights. Returns ``(total, cross, inner, grads)``: (B,)
+    arrays with total = lambda_cross * cross + lambda_inner * inner, and
+    the gradients of the rows the loss saw.
     """
-    if uasr is None:
-        return positives, negatives, None
-    # take keeps each image's rows C-contiguous, as batch_loss's bitwise
-    # property needs; a fancy index behind a slice can lay the batch axis
-    # innermost
-    wp = np.take(positives, uasr.positive_indices, axis=-2)
-    wn = np.take(negatives, uasr.negative_indices, axis=-2)
-    return wp, wn, uasr.weights
-
-
-def _stacked_loss(regions, positives, negatives, caption_nouns, uasr,
-                  lambda_cross, lambda_inner, with_grad):
-    """Variants of one instance, stacked on a leading batch axis, through :func:`batch_loss`.
-
-    Every variant sees the same selection: its rows gathered by
-    :func:`gather_filtered` and its frozen weights. Returns ``(total,
-    cross, inner, grads)``: (B,) arrays with total = lambda_cross * cross
-    + lambda_inner * inner, and the gradients of the rows the loss saw.
-    """
-    wp, wn, q = gather_filtered(positives, negatives, uasr)
-    if q is not None:
-        q = np.broadcast_to(q, wp.shape[:-1])
+    q = None
+    if uasr is not None:
+        # take keeps each image's rows C-contiguous, as batch_loss's bitwise
+        # property needs; a fancy index behind a slice can lay the batch axis
+        # innermost
+        positives = np.take(positives, uasr.positive_indices, axis=-2)
+        negatives = np.take(negatives, uasr.negative_indices, axis=-2)
+        q = np.broadcast_to(uasr.weights, positives.shape[:-1])
     cross, inner, grads = batch_loss(
-        regions, wp, wn, caption_nouns, q, lambda_cross, lambda_inner, with_grad
+        regions, positives, negatives, caption_nouns, q, lambda_cross, lambda_inner, with_grad
     )
     return lambda_cross * cross + lambda_inner * inner, cross, inner, grads
-
-
-def _instance_loss(instance, uasr, lambda_cross, lambda_inner, with_grad):
-    """One instance through :func:`batch_loss` as a batch of one.
-
-    Returns the :class:`LossBreakdown` and, with ``with_grad``, the
-    gradients of the rows the loss saw (still with the batch axis).
-    """
-    total, cross, inner, grads = _stacked_loss(
-        instance.regions[None], instance.positives[None], instance.negatives[None],
-        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad,
-    )
-    breakdown = LossBreakdown(
-        cross=float(cross[0]),
-        inner=float(inner[0]),
-        total=float(total[0]),
-        lambda_cross=lambda_cross,
-        lambda_inner=lambda_inner,
-    )
-    return breakdown, grads
 
 
 def total_loss(
@@ -266,7 +194,11 @@ def total_loss(
     A zero lambda skips (and reports 0 for) its term; the inner term is
     also skipped when the instance has no caption nouns. The instance and
     the selection result are validated when they are built, so this is
-    the one-image case of :func:`batch_loss`, the path
+    :func:`batch_loss` on a batch of one, the path
     :func:`rca.gradients.loss_and_grad` takes too.
     """
-    return _instance_loss(instance, uasr, lambda_cross, lambda_inner, with_grad=False)[0]
+    total, cross, inner, _ = _selected_loss(
+        instance.regions[None], instance.positives[None], instance.negatives[None],
+        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad=False,
+    )
+    return LossBreakdown(float(cross[0]), float(inner[0]), float(total[0]))

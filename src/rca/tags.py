@@ -41,6 +41,9 @@ def _vocabulary_table(vocabulary: Sequence[tuple], ids: list[str], dim: int):
     if (norms == 0.0).any():
         bad = ids[int(np.argmin(norms))]
         raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has zero-norm embedding")
+    if not np.isfinite(norms).all():
+        bad = ids[int(np.argmin(np.isfinite(norms)))]
+        raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has an overflowing embedding norm")
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return emb, norms, id_rank
@@ -73,6 +76,8 @@ def rank_corpus(
         img_norm = np.linalg.norm(img)
         if img_norm == 0.0:
             raise DegenerateEmbeddingError("image embedding has zero norm")
+        if img_norm == np.inf:
+            raise DegenerateEmbeddingError("image embedding has an overflowing norm")
         if emb is None:
             emb, norms, id_rank = _vocabulary_table(vocabulary, ids, img.shape[0])
         elif emb.shape[1] != img.shape[0]:

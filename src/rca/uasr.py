@@ -13,7 +13,7 @@ combining local (region-tag) and global (image-tag) evidence.
 stacked block of region-by-pool cosines (:func:`pool_cosines`); the
 trainer selects a whole block per call, and :func:`apply_uasr` is the
 one-image case. A :class:`UasrResult` holds the selected rows by index;
-:func:`rca.losses.gather_filtered` gathers the embeddings a loss sees.
+the loss gathers the embeddings it sees from them.
 """
 
 from __future__ import annotations
@@ -68,17 +68,30 @@ class UasrResult:
                 raise ValidationError("kept negatives must not appear in the retrieved set")
 
 
+def _check_norms(*norms: np.ndarray, image: str | None = None) -> None:
+    """Raise :class:`DegenerateEmbeddingError` unless every row norm is positive and finite.
+
+    ``image`` names the record in the message.
+    """
+    prefix = "" if image is None else f"image {image!r}: "
+    if any((n == 0.0).any() for n in norms):
+        raise DegenerateEmbeddingError(f"{prefix}cosine undefined for zero-norm rows")
+    if not all(np.isfinite(n).all() for n in norms):
+        raise DegenerateEmbeddingError(
+            f"{prefix}cosine undefined for rows whose norm overflows"
+        )
+
+
 def pool_cosines(regions, positives, negatives) -> np.ndarray:
     """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives.
 
-    Leading axes are batch axes. A zero-norm row has no cosine and raises
-    :class:`DegenerateEmbeddingError`.
+    Leading axes are batch axes. A row whose norm is zero or overflows has
+    no cosine and raises :class:`DegenerateEmbeddingError`.
     """
     pool = np.concatenate([positives, negatives], axis=-2)
     rn = np.linalg.norm(regions, axis=-1)
     pn = np.linalg.norm(pool, axis=-1)
-    if (rn == 0.0).any() or (pn == 0.0).any():
-        raise DegenerateEmbeddingError("cosine undefined for zero-norm rows")
+    _check_norms(rn, pn)
     return (regions @ pool.swapaxes(-1, -2)) / (rn[..., :, None] * pn[..., None, :])
 
 

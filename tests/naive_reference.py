@@ -31,7 +31,7 @@ def naive_compatibility(tags, contexts):
     return out
 
 
-def naive_pair_loss(contexts, positives, negatives, weights=None):
+def naive_context_loss(contexts, positives, negatives, weights=None):
     """Mean (optionally weighted) -log softmax loss, computed the direct way."""
     phi_p = naive_compatibility(positives, contexts)
     phi_n = naive_compatibility(negatives, contexts)
@@ -55,10 +55,10 @@ def naive_total_loss(
 ):
     cross = 0.0
     if lambda_cross > 0.0:
-        cross = naive_pair_loss(regions, positives, negatives, weights)
+        cross = naive_context_loss(regions, positives, negatives, weights)
     inner = 0.0
     if lambda_inner > 0.0 and len(caption_nouns) > 0:
-        inner = naive_pair_loss(caption_nouns, positives, negatives, weights)
+        inner = naive_context_loss(caption_nouns, positives, negatives, weights)
     return cross, inner, lambda_cross * cross + lambda_inner * inner
 
 

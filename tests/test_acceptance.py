@@ -25,7 +25,7 @@ from naive_reference import naive_select_reweight, naive_total_loss
 
 from rca.core import ContrastiveInstance, compat_forward, compatibility
 from rca.gradients import gradient_check
-from rca.losses import gather_filtered, nll_terms, pair_loss, total_loss
+from rca.losses import batch_loss, nll_terms, total_loss
 from rca.trainer import (
     SyntheticConfig,
     TrainerConfig,
@@ -196,11 +196,13 @@ def test_criterion_3_closed_form_anchors(capsys):
 
     for _ in range(20):
         inst = random_instance(rng, n_nouns=int(rng.integers(1, 4)))
-        ones = np.ones(inst.num_positives)
-        dc = abs(pair_loss(inst.regions, inst.positives, inst.negatives, ones)
-                 - pair_loss(inst.regions, inst.positives, inst.negatives))
-        di = abs(pair_loss(inst.caption_nouns, inst.positives, inst.negatives, ones)
-                 - pair_loss(inst.caption_nouns, inst.positives, inst.negatives))
+        tables = (inst.regions[None], inst.positives[None], inst.negatives[None],
+                  inst.caption_nouns[None])
+        ones = np.ones((1, inst.positives.shape[0]))
+        weighted = batch_loss(*tables, ones, with_grad=False)
+        plain = batch_loss(*tables, with_grad=False)
+        dc = abs(weighted[0][0] - plain[0][0])
+        di = abs(weighted[1][0] - plain[1][0])
         if dc > 1e-12 or di > 1e-12:
             failures.append(f"unit weights drift cross {dc:.2e} inner {di:.2e}")
 
@@ -262,9 +264,8 @@ def test_criterion_5_selection_invariants(capsys):
 
         assert len(sel.positive_indices) == k
         assert len(sel.negative_indices) == k
-        wp, wn, _ = gather_filtered(instance.positives, instance.negatives, sel)
-        assert wp.shape == (k, d)
-        assert wn.shape == (k, d)
+        assert instance.positives[sel.positive_indices].shape == (k, d)
+        assert instance.negatives[sel.negative_indices].shape == (k, d)
         assert not sel.negative_fallback  # impossible with R < K
         assert (k + plant_neg) in sel.retrieved_set
         assert plant_neg not in sel.negative_indices

@@ -61,7 +61,6 @@ class TestInstance:
         shapes = (inst.regions.shape, inst.positives.shape, inst.negatives.shape,
                   inst.caption_nouns.shape, inst.global_scores.shape)
         assert shapes == ((3, 8), (4, 8), (4, 8), (2, 8), (4,))
-        assert inst.num_positives == 4
 
     def test_empty_caption_reshaped(self):
         rng = np.random.default_rng(1)

@@ -13,12 +13,7 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
 def test_demo_exits_zero(path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, path], cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -175,13 +175,13 @@ class TestNumericOracle:
     def test_copies_run_in_blocks_of_64(self, monkeypatch):
         # tables of 40, 32, 32 and 0 entries: 80, 64, 64 and no copies
         sizes = []
-        stacked_loss = gradients._stacked_loss
+        selected_loss = gradients._selected_loss
 
         def record(regions, *args, **kwargs):
             sizes.append(regions.shape[0])
-            return stacked_loss(regions, *args, **kwargs)
+            return selected_loss(regions, *args, **kwargs)
 
-        monkeypatch.setattr(gradients, "_stacked_loss", record)
+        monkeypatch.setattr(gradients, "_selected_loss", record)
         finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
         assert sizes == [64, 16, 64, 64]
 

@@ -5,7 +5,11 @@ the direct-formula evaluator in naive_reference.py (see fixtures/generate.py),
 so the CLI is checked against an independent route, not against itself.
 The goldens expected_uasr.jsonl and expected_gradcheck.jsonl are the exact
 stdout of ``rca uasr fixtures/vocab.jsonl fixtures/instances.jsonl`` and
-``rca gradcheck --seed 3``; expected_rank.jsonl and expected_rank_out.jsonl
+``rca gradcheck --seed 3``; expected_gradcheck_no_uasr.jsonl and
+expected_gradcheck_no_inner.jsonl are those of ``rca gradcheck --seed 3
+--no-enable_uasr`` and ``rca gradcheck --seed 3 --lambda_inner 0 --n_nouns
+0``, the loss path without a selection and without the inner term;
+expected_rank.jsonl and expected_rank_out.jsonl
 are the stdout and the ``--out`` file of ``rca rank fixtures/vocab.jsonl
 fixtures/instances_untagged.jsonl --M 4``. They pin those bytes; regenerate
 them only for a change that means to move them.
@@ -509,11 +513,11 @@ class TestCliCorpusErrors:
         "odd-then-unknown": ("_odd_tags", "_unknown_tag", {
             "*": "error: image 'img-b': tags list must have even length >= 2"}),
         "score-then-odd": ("_score_over_one", "_odd_tags", {
-            "*": "error: global_scores must be cosines in [-1, 1]"}),
+            "*": "error: image 'img-b': global_scores must be cosines in [-1, 1]"}),
         # a zero-norm region only has no cosine when selection runs
         "zero-region-then-unknown": ("_zero_region", "_unknown_tag", {
-            "uasr": "error: cosine undefined for zero-norm rows",
-            "loss --enable_uasr": "error: cosine undefined for zero-norm rows",
+            "uasr": "error: image 'img-b': cosine undefined for zero-norm rows",
+            "loss --enable_uasr": "error: image 'img-b': cosine undefined for zero-norm rows",
             "loss": "error: image 'img-c': tag 'zz' not in vocabulary"}),
     }
 
@@ -544,6 +548,23 @@ class TestCliCorpusErrors:
                                  capsys)
         assert (code, out, err) == (1, "", "error: image embedding has zero norm\n")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rank", UNTAGGED], "vocabulary tag 't00' has an overflowing embedding norm"),
+        (["uasr", UNTAGGED], "vocabulary tag 't00' has an overflowing embedding norm"),
+        (["uasr", INSTANCES], "image 'img-a': cosine undefined for rows whose norm overflows"),
+    ])
+    def test_overflowing_vocabulary_norm_exits_one(self, argv, message, tmp_path, capsys):
+        # 1e200 squared overflows, so the norm is inf and every cosine would read 0
+        vocab, dim = read_vocab(VOCAB)
+        vocab[0][1][0] = 1e200
+        big = tmp_path / "big-vocab.jsonl"
+        write_vocab(big, vocab, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli([argv[0], str(big), argv[1], "--M", "4"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [["uasr"], ["uasr", "--no-normalize"],
                                       ["loss", "--enable_uasr"]])
@@ -651,6 +672,15 @@ class TestCliGradcheck:
         code, out, _ = run_cli(["gradcheck", "--seed", "3"], capsys)
         assert code == 0
         assert out == golden("expected_gradcheck.jsonl")
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--no-enable_uasr"], "expected_gradcheck_no_uasr.jsonl"),
+        (["--lambda_inner", "0", "--n_nouns", "0"], "expected_gradcheck_no_inner.jsonl"),
+    ])
+    def test_loss_path_branches_match_golden_bytes(self, capsys, flags, name):
+        code, out, _ = run_cli(["gradcheck", "--seed", "3", *flags], capsys)
+        assert code == 0
+        assert out == golden(name)
 
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run_cli(

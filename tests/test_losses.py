@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from rca.core import ContrastiveInstance
-from rca.errors import DimensionError, EmptyContextError, InvalidWeightError
-from rca.losses import nll_terms, pair_loss, total_loss
+from rca.errors import InvalidWeightError
+from rca.losses import batch_loss, nll_terms, total_loss
 
-from naive_reference import naive_pair_loss, naive_total_loss
+from naive_reference import naive_context_loss, naive_total_loss
+
+
+def context_loss(contexts, positives, negatives, weights=None):
+    """One context's (optionally weighted) mean loss: batch_loss at B = 1, inner term off."""
+    contexts, positives, negatives = (
+        np.asarray(a, dtype=np.float64)[None] for a in (contexts, positives, negatives)
+    )
+    q = None if weights is None else np.asarray(weights, dtype=np.float64)[None]
+    nouns = np.zeros((1, 0, contexts.shape[-1]))
+    cross, _, _ = batch_loss(contexts, positives, negatives, nouns, q, 1.0, 0.0, with_grad=False)
+    return float(cross[0])
 
 
 def rand_instance(rng, r=3, k=4, p=2, d=8):
@@ -25,7 +36,7 @@ class TestClosedForms:
         # one positive contrasted against an identical negative: p = 1/2
         w = np.array([[0.3, -1.2, 0.5]])
         regions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert pair_loss(regions, w, w.copy()) == pytest.approx(
+        assert context_loss(regions, w, w.copy()) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
@@ -33,19 +44,19 @@ class TestClosedForms:
         for k in (1, 2, 5, 9):
             w = np.tile([[0.7, 0.1]], (k, 1))
             regions = np.array([[0.2, -0.4]])
-            got = pair_loss(regions, w, w.copy())
+            got = context_loss(regions, w, w.copy())
             assert got == pytest.approx(math.log(1.0 + k), abs=1e-12)
 
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             inst = rand_instance(rng)
-            ones = np.ones(inst.num_positives)
+            ones = np.ones(inst.positives.shape[0])
             for contexts in (inst.regions, inst.caption_nouns):
-                assert pair_loss(
+                assert context_loss(
                     contexts, inst.positives, inst.negatives, ones
                 ) == pytest.approx(
-                    pair_loss(contexts, inst.positives, inst.negatives), abs=1e-12
+                    context_loss(contexts, inst.positives, inst.negatives), abs=1e-12
                 )
 
 
@@ -60,11 +71,11 @@ class TestNaiveAgreement:
             pos = rng.standard_normal((k, d))
             neg = rng.standard_normal((k, d))
             q = rng.uniform(0.2, 2.0, k)
-            got = pair_loss(regions, pos, neg)
-            want = naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist())
+            got = context_loss(regions, pos, neg)
+            want = naive_context_loss(regions.tolist(), pos.tolist(), neg.tolist())
             assert got == pytest.approx(want, rel=1e-12)
-            gotw = pair_loss(regions, pos, neg, q)
-            wantw = naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist(), q.tolist())
+            gotw = context_loss(regions, pos, neg, q)
+            wantw = naive_context_loss(regions.tolist(), pos.tolist(), neg.tolist(), q.tolist())
             assert gotw == pytest.approx(wantw, rel=1e-12)
 
     def test_stability_where_naive_overflows(self):
@@ -73,43 +84,17 @@ class TestNaiveAgreement:
         pos = np.array([[40.0, 0.0]])   # phi = 1600/sqrt(2) ~ 1131
         neg = np.array([[-40.0, 0.0]])
         with pytest.raises(OverflowError):
-            naive_pair_loss(regions.tolist(), pos.tolist(), neg.tolist())
-        val = pair_loss(regions, pos, neg)
+            naive_context_loss(regions.tolist(), pos.tolist(), neg.tolist())
+        val = context_loss(regions, pos, neg)
         assert math.isfinite(val) and val >= 0.0
 
     def test_huge_negative_dominates(self):
         regions = np.array([[40.0, 0.0]])
         pos = np.array([[-40.0, 0.0]])
         neg = np.array([[40.0, 0.0]])
-        val = pair_loss(regions, pos, neg)
+        val = context_loss(regions, pos, neg)
         # single context, so phi is a plain dot product: term ~ phi_n - phi_p
         assert val == pytest.approx(3200.0, rel=1e-9)
-
-
-class TestGuards:
-    def test_inner_requires_nouns(self):
-        rng = np.random.default_rng(2)
-        inst = rand_instance(rng, p=0)
-        with pytest.raises(EmptyContextError):
-            pair_loss(inst.caption_nouns, inst.positives, inst.negatives)
-
-    def test_weights_must_be_positive_finite(self):
-        rng = np.random.default_rng(3)
-        inst = rand_instance(rng)
-        for bad in ([1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
-            with pytest.raises(InvalidWeightError):
-                pair_loss(inst.regions, inst.positives, inst.negatives, bad)
-        with pytest.raises(DimensionError):
-            pair_loss(inst.regions, inst.positives, inst.negatives, [1.0])
-
-    def test_side_shape_mismatch(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(DimensionError):
-            pair_loss(
-                rng.standard_normal((2, 4)),
-                rng.standard_normal((3, 4)),
-                rng.standard_normal((2, 4)),
-            )
 
 
 class TestTotalLoss:

@@ -50,6 +50,15 @@ class TestRankTags:
         with pytest.raises(DegenerateEmbeddingError):
             rank_tags([1.0, 0.0], [("a", [0.0, 0.0]), ("b", [0.0, 1.0])], M=2)
 
+    def test_overflowing_norm_rejected(self):
+        # a's norm overflows to inf, which would read its 0.89 cosine as 0
+        vocab = [("a", [1e200, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0]), ("d", [-1.0, 0.0])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateEmbeddingError, match="'a' has an overflowing"):
+                rank_tags([1.0, 0.5], vocab, M=2)
+            with pytest.raises(DegenerateEmbeddingError, match="image embedding has an overflow"):
+                rank_tags([1e200, 0.5], vocab[1:], M=2)
+
     def test_ragged_vocabulary_rejected(self):
         vocab = [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])]
         with pytest.raises(DegenerateEmbeddingError,

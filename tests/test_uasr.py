@@ -5,7 +5,7 @@ import pytest
 
 from rca.core import ContrastiveInstance
 from rca.errors import DegenerateEmbeddingError, ValidationError
-from rca.losses import gather_filtered, pair_loss, total_loss
+from rca.losses import batch_loss, total_loss
 from rca.uasr import UasrResult, apply_uasr, pool_cosines, select_batch
 
 from naive_reference import naive_select_reweight
@@ -53,6 +53,13 @@ class TestLocalUncertainty:
         inst = instance_of([[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]])
         with pytest.raises(DegenerateEmbeddingError):
             apply_uasr(inst)
+
+    def test_overflowing_norm_rejected(self):
+        big, unit = np.array([[1e200, 0.0]]), np.array([[1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            for regions, positives in ((big, unit), (unit, big)):
+                with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+                    pool_cosines(regions, positives, np.array([[0.0, 1.0]]))
 
 
 class TestRetrieve:
@@ -158,10 +165,9 @@ class TestApplyUasr:
         for _ in range(20):
             inst = rand_instance(rng, r=2, k=4)
             res = apply_uasr(inst)
-            wp, wn, q = gather_filtered(inst.positives, inst.negatives, res)
-            assert wp.shape == inst.positives.shape
-            assert wn.shape == inst.negatives.shape
-            assert q.shape == (4,)
+            assert inst.positives[res.positive_indices].shape == inst.positives.shape
+            assert inst.negatives[res.negative_indices].shape == inst.negatives.shape
+            assert res.weights.shape == (4,)
 
     def test_kept_negatives_disjoint_from_retrieved(self):
         rng = np.random.default_rng(3)
@@ -194,10 +200,11 @@ class TestApplyUasr:
         bd = total_loss(inst, res)
         wp = inst.positives[res.positive_indices]
         wn = inst.negatives[res.negative_indices]
-        assert bd.cross == pytest.approx(pair_loss(inst.regions, wp, wn, res.weights), abs=0.0)
-        assert bd.inner == pytest.approx(
-            pair_loss(inst.caption_nouns, wp, wn, res.weights), abs=0.0
+        cross, inner, _ = batch_loss(
+            inst.regions[None], wp[None], wn[None], inst.caption_nouns[None],
+            res.weights[None], with_grad=False,
         )
+        assert (bd.cross, bd.inner) == (cross[0], inner[0])
 
     def test_result_validates_weights(self):
         with pytest.raises(ValidationError):
