@@ -53,7 +53,7 @@ from .trainer import (
     initial_state,
     train_alignment,
 )
-from .uasr import _check_norms, apply_uasr, pool_cosines, select_batch, warn_clamped
+from .uasr import _checked_norms, apply_uasr, pool_cosines, select_batch, warn_clamped
 
 __all__ = ["main", "build_parser"]
 
@@ -112,7 +112,6 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
     """
     index = {tag_id: i for i, (tag_id, _) in enumerate(vocab)}
     table = np.array([emb for _, emb in vocab])
-    table_norms = np.linalg.norm(table, axis=-1)
     ranked = rank_corpus((rec.image_embedding for rec in records if rec.tags is None), vocab, m)
     all_tags, all_rows, members = [], [], {}
     for i, rec in enumerate(records):
@@ -138,8 +137,7 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
                 f"image {rec.image_id!r}: global_scores must be cosines in [-1, 1]"
             )
         if cosines:
-            _check_norms(np.linalg.norm(rec.regions, axis=-1), table_norms[rows],
-                         image=rec.image_id)
+            _checked_norms(rec.regions, table[rows], image=rec.image_id)
         all_tags.append(tags)
         all_rows.append(rows)
         shape = (rec.regions.shape[0], sum(t.is_noun for t in rec.caption_tokens), k)
@@ -200,19 +198,19 @@ def cmd_uasr(args) -> int:
     clamped = 0
     for group in groups:
         sel = _select(table, group, args.normalize)
-        clamped += sel.clamped
+        clamped += int(sel.clamped.sum())
         k = sel.positive_indices.shape[1]
         for b, i in enumerate(group.members):
-            tags = all_tags[i]
+            tags, row = all_tags[i], sel.row(b)
             lines[i] = to_json(
                 {
                     "image_id": records[i].image_id,
-                    "retrieved": np.flatnonzero(sel.retrieved[b]),
-                    "positives": [tags[j].tag_id for j in sel.positive_indices[b].tolist()],
-                    "negatives": [tags[k + j].tag_id for j in sel.negative_indices[b].tolist()],
-                    "weights": sel.weights[b],
-                    "positive_fallback": bool(sel.positive_fallback[b]),
-                    "negative_fallback": bool(sel.negative_fallback[b]),
+                    "retrieved": row.retrieved_set,
+                    "positives": [tags[j].tag_id for j in row.positive_indices.tolist()],
+                    "negatives": [tags[k + j].tag_id for j in row.negative_indices.tolist()],
+                    "weights": row.weights,
+                    "positive_fallback": row.positive_fallback,
+                    "negative_fallback": row.negative_fallback,
                 }
             )
     warn_clamped(clamped)
@@ -232,7 +230,7 @@ def cmd_loss(args) -> int:
             sel = _select(table, group, args.normalize)
             rows = np.arange(len(group.members))[:, None]
             pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
-            weights, clamped = sel.weights, clamped + sel.clamped
+            weights, clamped = sel.weights, clamped + int(sel.clamped.sum())
         cross, inner, _ = batch_loss(
             group.regions, table[pos], table[neg], group.caption_nouns, weights,
             args.lambda_cross, args.lambda_inner, with_grad=False,

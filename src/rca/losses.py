@@ -16,15 +16,12 @@ compatibility values cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ContrastiveInstance, compat_backward, compat_forward
 from .errors import InvalidWeightError
-
-if TYPE_CHECKING:
-    from .uasr import UasrResult
+from .uasr import UasrResult, check_selection
 
 __all__ = [
     "GradientBundle",
@@ -115,8 +112,8 @@ def batch_loss(
     equal to those of a batch holding that image alone, provided each
     image's rows are C-contiguous (a broadcast batch axis is fine; on
     strided rows matmul sums in another order). Arrays are not validated;
-    :class:`ContrastiveInstance` and :class:`rca.uasr.UasrResult` check
-    them at the boundary.
+    :class:`ContrastiveInstance` and :func:`rca.uasr.check_selection`
+    check them at the boundary.
     """
     if lambda_cross < 0.0 or lambda_inner < 0.0:
         raise InvalidWeightError("lambda weights must be non-negative")
@@ -165,12 +162,14 @@ def _selected_loss(regions, positives, negatives, caption_nouns, uasr,
     With a selection result, every row of the batch sees the same
     selection: its tag rows re-gathered by the stored source indices, so
     the loss always reflects the current embeddings, and its frozen
-    selection-time weights. Returns ``(total, cross, inner, grads)``: (B,)
-    arrays with total = lambda_cross * cross + lambda_inner * inner, and
-    the gradients of the rows the loss saw.
+    selection-time weights. The selection is checked against the tables'
+    K first (:func:`rca.uasr.check_selection`). Returns ``(total, cross,
+    inner, grads)``: (B,) arrays with total = lambda_cross * cross +
+    lambda_inner * inner, and the gradients of the rows the loss saw.
     """
     q = None
     if uasr is not None:
+        check_selection(uasr, positives.shape[-2])
         # take keeps each image's rows C-contiguous, as batch_loss's bitwise
         # property needs; a fancy index behind a slice can lay the batch axis
         # innermost
@@ -185,16 +184,16 @@ def _selected_loss(regions, positives, negatives, caption_nouns, uasr,
 
 def total_loss(
     instance: ContrastiveInstance,
-    uasr: "UasrResult | None" = None,
+    uasr: UasrResult | None = None,
     lambda_cross: float = 1.0,
     lambda_inner: float = 1.0,
 ) -> LossBreakdown:
     """Combined objective lambda_cross * cross + lambda_inner * inner.
 
     A zero lambda skips (and reports 0 for) its term; the inner term is
-    also skipped when the instance has no caption nouns. The instance and
-    the selection result are validated when they are built, so this is
-    :func:`batch_loss` on a batch of one, the path
+    also skipped when the instance has no caption nouns. The instance is
+    validated when it is built and the selection result against it here;
+    then this is :func:`batch_loss` on a batch of one, the path
     :func:`rca.gradients.loss_and_grad` takes too.
     """
     total, cross, inner, _ = _selected_loss(

@@ -37,7 +37,8 @@ def _vocabulary_table(vocabulary: Sequence[tuple], ids: list[str], dim: int):
     if any(row.shape != (dim,) for row in rows):
         raise DegenerateEmbeddingError(_DIM_MISMATCH)
     emb = np.array(rows)
-    norms = np.linalg.norm(emb, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norms = np.linalg.norm(emb, axis=1)
     if (norms == 0.0).any():
         bad = ids[int(np.argmin(norms))]
         raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has zero-norm embedding")
@@ -73,7 +74,8 @@ def rank_corpus(
     emb = None
     for image in image_embeddings:
         img = as_vector(image, "image_embedding")
-        img_norm = np.linalg.norm(img)
+        with np.errstate(over="ignore"):
+            img_norm = np.linalg.norm(img)
         if img_norm == 0.0:
             raise DegenerateEmbeddingError("image embedding has zero norm")
         if img_norm == np.inf:

@@ -367,7 +367,7 @@ def _block_loss(dataset, state, config, images, subsets=None, grads=None):
         sel = _select_block(dataset, images, subsets)
         pos_concepts = pos_concepts[rows, sel.positive_indices]
         neg_concepts = neg_concepts[rows, sel.negative_indices]
-        weights, clamped = sel.weights, sel.clamped
+        weights, clamped = sel.weights, int(sel.clamped.sum())
 
     region_rows = dataset.region_rows(images)
     caption_concepts = dataset.caption_concepts[images]

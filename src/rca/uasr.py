@@ -11,15 +11,18 @@ combining local (region-tag) and global (image-tag) evidence.
 
 :func:`select_batch` is the one implementation of this rule, over a
 stacked block of region-by-pool cosines (:func:`pool_cosines`); the
-trainer selects a whole block per call, and :func:`apply_uasr` is the
-one-image case. A :class:`UasrResult` holds the selected rows by index;
-the loss gathers the embeddings it sees from them.
+trainer and the CLI select a whole block per call, and
+:func:`apply_uasr` is the one-image case. Both return a
+:class:`UasrResult`, which holds the selected rows by index with the
+batch axes kept; its :meth:`~UasrResult.row` is one image's selection.
+The losses gather the embeddings they see from those indices, after
+:func:`check_selection` has compared the selection with the instance.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from .errors import DegenerateEmbeddingError, ValidationError
 
 __all__ = [
     "UasrResult",
+    "check_selection",
     "warn_clamped",
-    "BatchSelection",
     "pool_cosines",
     "select_batch",
     "apply_uasr",
@@ -42,37 +45,66 @@ SCORE_FLOOR = 1e-6  # non-positive global cosines are clamped here
 class UasrResult:
     """Selected rows, per-positive weights, and the retrieval bookkeeping.
 
-    Index fields refer to rows of the source instance; ``retrieved_set``
-    holds indices into the concatenated positives+negatives pool, so a
-    negative with source index i occupies pool slot K + i. Fallback flags
-    record the degenerate cases where a side had no survivors (positives
-    revert to the originals; negatives keep only the lowest-ranked entry).
+    Leading axes are batch axes (B images from :func:`select_batch`);
+    :meth:`row` is one image's selection. Indices are rows of each image's
+    own positive or negative side; ``retrieved`` marks the voted pool
+    slots, positives then negatives, so negative i is slot K + i. A
+    fallback flag marks a side with no survivors (positives revert to the
+    originals; negatives keep only the lowest-ranked entry). ``clamped``
+    counts, with oversampling multiplicity, the global scores the weights
+    clamped to ``SCORE_FLOOR``. Unchecked: see :func:`check_selection`.
     """
 
-    weights: np.ndarray             # (K,)
-    retrieved_set: np.ndarray       # pool indices, sorted ascending
-    positive_indices: np.ndarray    # (K,) rows into instance.positives
-    negative_indices: np.ndarray    # (K,) rows into instance.negatives
-    positive_fallback: bool = False
-    negative_fallback: bool = False
+    positive_indices: np.ndarray    # (..., K) rows into the positives
+    negative_indices: np.ndarray    # (..., K) rows into the negatives
+    weights: np.ndarray             # (..., K)
+    retrieved: np.ndarray           # (..., 2K) bool
+    positive_fallback: np.ndarray | bool = False  # (...)
+    negative_fallback: np.ndarray | bool = False  # (...)
+    clamped: np.ndarray | int = 0                 # (...)
 
-    def __post_init__(self):
-        k = self.positive_indices.shape[0]
-        if self.negative_indices.shape != (k,) or self.weights.shape != (k,):
-            raise ValidationError("index arrays and weights must all have K entries")
-        if not np.isfinite(self.weights).all() or (self.weights <= 0.0).any():
-            raise ValidationError("weights must be positive and finite")
-        if not self.negative_fallback:
-            pool = set((self.negative_indices + k).tolist())
-            if pool & set(self.retrieved_set.tolist()):
-                raise ValidationError("kept negatives must not appear in the retrieved set")
+    @property
+    def retrieved_set(self) -> np.ndarray:
+        """One image's retrieved pool slots, ascending."""
+        return np.flatnonzero(self.retrieved)
+
+    def row(self, b: int) -> "UasrResult":
+        """Image ``b``'s selection, its batch axis dropped."""
+        return UasrResult(*(getattr(self, f.name)[b] for f in fields(self)))
 
 
-def _check_norms(*norms: np.ndarray, image: str | None = None) -> None:
-    """Raise :class:`DegenerateEmbeddingError` unless every row norm is positive and finite.
+def check_selection(uasr: UasrResult, k: int) -> None:
+    """Raise :class:`ValidationError` unless ``uasr`` fits one image with K rows per side.
 
+    Every index must be an integer in [0, K), every weight positive and
+    finite, and no kept negative retrieved unless the negatives fell back.
+    The losses check each selection they are given with this.
+    """
+    pos, neg = np.asarray(uasr.positive_indices), np.asarray(uasr.negative_indices)
+    weights, retrieved = np.asarray(uasr.weights), np.asarray(uasr.retrieved)
+    if ({pos.shape, neg.shape, weights.shape} != {(k,)} or retrieved.shape != (2 * k,)
+            or retrieved.dtype != bool):
+        raise ValidationError(
+            f"selection must have K={k} indices and weights per side and a "
+            f"{2 * k}-slot boolean retrieved mask, as the instance has"
+        )
+    for idx in (pos, neg):
+        if not np.issubdtype(idx.dtype, np.integer) or ((idx < 0) | (idx >= k)).any():
+            raise ValidationError(f"selection indices must be integers in [0, {k})")
+    if not np.isfinite(weights).all() or (weights <= 0.0).any():
+        raise ValidationError("weights must be positive and finite")
+    if not uasr.negative_fallback and retrieved[k + neg].any():
+        raise ValidationError("kept negatives must not appear in the retrieved set")
+
+
+def _checked_norms(*arrays: np.ndarray, image: str | None = None) -> list[np.ndarray]:
+    """Row norms along each array's last axis, each positive and finite.
+
+    A zero or overflowing norm raises :class:`DegenerateEmbeddingError`;
     ``image`` names the record in the message.
     """
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, rejected below
+        norms = [np.linalg.norm(a, axis=-1) for a in arrays]
     prefix = "" if image is None else f"image {image!r}: "
     if any((n == 0.0).any() for n in norms):
         raise DegenerateEmbeddingError(f"{prefix}cosine undefined for zero-norm rows")
@@ -80,6 +112,7 @@ def _check_norms(*norms: np.ndarray, image: str | None = None) -> None:
         raise DegenerateEmbeddingError(
             f"{prefix}cosine undefined for rows whose norm overflows"
         )
+    return norms
 
 
 def pool_cosines(regions, positives, negatives) -> np.ndarray:
@@ -89,15 +122,13 @@ def pool_cosines(regions, positives, negatives) -> np.ndarray:
     no cosine and raises :class:`DegenerateEmbeddingError`.
     """
     pool = np.concatenate([positives, negatives], axis=-2)
-    rn = np.linalg.norm(regions, axis=-1)
-    pn = np.linalg.norm(pool, axis=-1)
-    _check_norms(rn, pn)
+    rn, pn = _checked_norms(regions, pool)
     return (regions @ pool.swapaxes(-1, -2)) / (rn[..., :, None] * pn[..., None, :])
 
 
 def _weights_from(best_cosine: np.ndarray, scores: np.ndarray, normalize: bool):
-    """Weights q = exp(best_cosine) * max(score, floor) along the last axis, and the clamp count."""
-    clamped = int((scores <= 0.0).sum())
+    """Weights q = exp(best_cosine) * max(score, floor) along the last axis, and the clamp counts."""
+    clamped = (scores <= 0.0).sum(axis=-1)
     q = np.exp(best_cosine) * np.maximum(scores, SCORE_FLOOR)
     if normalize:
         q = q / q.mean(axis=-1, keepdims=True)
@@ -116,26 +147,6 @@ def warn_clamped(count: int) -> None:
         )
 
 
-@dataclass
-class BatchSelection:
-    """Selection for B images that share the side length K.
-
-    Index arrays hold rows of each image's own positive or negative side;
-    ``retrieved`` marks the pool slots (positives, then negatives) some
-    region voted for. ``clamped`` counts the non-positive global scores,
-    with oversampling multiplicity, that the weights clamped to
-    ``SCORE_FLOOR``; the caller decides when to warn about them.
-    """
-
-    positive_indices: np.ndarray   # (B, K)
-    negative_indices: np.ndarray   # (B, K)
-    weights: np.ndarray            # (B, K)
-    retrieved: np.ndarray          # (B, 2K) bool
-    positive_fallback: np.ndarray  # (B,) bool
-    negative_fallback: np.ndarray  # (B,) bool
-    clamped: int
-
-
 def _cycle_kept(keep: np.ndarray) -> np.ndarray:
     """Per row, the kept column indices in ascending order, repeated cyclically to fill the row."""
     b, k = keep.shape
@@ -145,7 +156,7 @@ def _cycle_kept(keep: np.ndarray) -> np.ndarray:
     return kept_first[np.arange(b)[:, None], slots]
 
 
-def select_batch(cosines: np.ndarray, global_scores: np.ndarray, normalize: bool = True) -> BatchSelection:
+def select_batch(cosines: np.ndarray, global_scores: np.ndarray, normalize: bool = True) -> UasrResult:
     """Retrieval, selection and re-weighting for a batch of images at once.
 
     ``cosines`` is the (B, R, 2K) region-by-pool block of
@@ -172,15 +183,8 @@ def select_batch(cosines: np.ndarray, global_scores: np.ndarray, normalize: bool
     positive_indices = _cycle_kept(pos_keep)
     best = cosines[:, :, :k].max(axis=1)[rows, positive_indices]
     weights, clamped = _weights_from(best, global_scores[rows, positive_indices], normalize)
-    return BatchSelection(
-        positive_indices=positive_indices,
-        negative_indices=_cycle_kept(neg_keep),
-        weights=weights,
-        retrieved=retrieved,
-        positive_fallback=pos_fallback,
-        negative_fallback=neg_fallback,
-        clamped=clamped,
-    )
+    return UasrResult(positive_indices, _cycle_kept(neg_keep), weights, retrieved,
+                      pos_fallback, neg_fallback, clamped)
 
 
 def apply_uasr(instance: ContrastiveInstance, normalize: bool = True) -> UasrResult:
@@ -190,13 +194,6 @@ def apply_uasr(instance: ContrastiveInstance, normalize: bool = True) -> UasrRes
     global score was clamped.
     """
     cos = pool_cosines(instance.regions, instance.positives, instance.negatives)
-    sel = select_batch(cos[None], instance.global_scores[None], normalize)
-    warn_clamped(sel.clamped)
-    return UasrResult(
-        weights=sel.weights[0],
-        retrieved_set=np.flatnonzero(sel.retrieved[0]),
-        positive_indices=sel.positive_indices[0],
-        negative_indices=sel.negative_indices[0],
-        positive_fallback=bool(sel.positive_fallback[0]),
-        negative_fallback=bool(sel.negative_fallback[0]),
-    )
+    sel = select_batch(cos[None], instance.global_scores[None], normalize).row(0)
+    warn_clamped(int(sel.clamped))
+    return sel

@@ -167,15 +167,16 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
     clamped = 0
 
     def check(sel, i, res, exact):
-        assert sel.positive_indices[i].tolist() == res.positive_indices.tolist()
-        assert sel.negative_indices[i].tolist() == res.negative_indices.tolist()
-        assert np.flatnonzero(sel.retrieved[i]).tolist() == res.retrieved_set.tolist()
-        assert (sel.positive_fallback[i], sel.negative_fallback[i]) == (
-            res.positive_fallback, res.negative_fallback)
+        row = sel.row(i)
+        assert row.positive_indices.tolist() == res.positive_indices.tolist()
+        assert row.negative_indices.tolist() == res.negative_indices.tolist()
+        assert row.retrieved.tolist() == res.retrieved.tolist()
+        assert (row.positive_fallback, row.negative_fallback, row.clamped) == (
+            res.positive_fallback, res.negative_fallback, res.clamped)
         if exact:
-            assert np.array_equal(sel.weights[i], res.weights)
+            assert np.array_equal(row.weights, res.weights)
         else:  # column subsets of the full-pool cosines, not cosines of the subset pool
-            np.testing.assert_allclose(sel.weights[i], res.weights, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(row.weights, res.weights, rtol=1e-13, atol=0.0)
 
     with warnings.catch_warnings(record=True) as per_image:
         warnings.simplefilter("always")
@@ -183,7 +184,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
         for i in images:
             check(sel, i, apply_uasr(evidence_view(ds, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
-        clamped += sel.clamped
+        clamped += int(sel.clamped.sum())
         # every image meets every subset, and one block mixes many subsets
         for shift in range(len(combos)):
             picked = [combos[(shift + i) % len(combos)] for i in images]
@@ -195,7 +196,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
                     pos, neg = picked[i]
                     check(sel, j, apply_uasr(evidence_view(ds, i, pos, neg)), exact=False)
                 fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
-                clamped += sel.clamped
+                clamped += int(sel.clamped.sum())
     assert clamped == sum(_clamp_counts(per_image)) > 0
     assert (fallbacks > 0).all()  # both fallbacks are exercised
 

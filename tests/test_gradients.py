@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -91,14 +93,7 @@ class TestAgainstFiniteDifferences:
         rng = np.random.default_rng(7)
         inst = rand_instance(rng)
         sel = apply_uasr(inst)
-        doubled = UasrResult(
-            weights=2.0 * sel.weights,
-            retrieved_set=sel.retrieved_set,
-            positive_indices=sel.positive_indices,
-            negative_indices=sel.negative_indices,
-            positive_fallback=sel.positive_fallback,
-            negative_fallback=sel.negative_fallback,
-        )
+        doubled = dataclasses.replace(sel, weights=2.0 * sel.weights)
         assert gradient_check(inst, doubled).passed
 
 
@@ -129,10 +124,10 @@ def drawn_selection(rng, k):
     positive_indices = rng.integers(0, k, k)
     positive_indices[-1] = positive_indices[0]
     return UasrResult(
-        weights=rng.uniform(0.1, 2.0, k),
-        retrieved_set=np.zeros(0, dtype=np.int64),
         positive_indices=positive_indices,
         negative_indices=rng.integers(0, k, k),
+        weights=rng.uniform(0.1, 2.0, k),
+        retrieved=np.zeros(2 * k, dtype=bool),
     )
 
 

@@ -560,11 +560,28 @@ class TestCliCorpusErrors:
         vocab[0][1][0] = 1e200
         big = tmp_path / "big-vocab.jsonl"
         write_vocab(big, vocab, dim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli([argv[0], str(big), argv[1], "--M", "4"], capsys)
+        code, out, err = run_cli([argv[0], str(big), argv[1], "--M", "4"], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, argv, code, err", [
+        # numpy's overflow warning stays inside the norm check, even as an error
+        (["-W", "error"], ["rank", UNTAGGED], 1,
+         "error: vocabulary tag 't00' has an overflowing embedding norm\n"),
+        # without selection no norm is taken, so nothing is checked or printed
+        ([], ["loss", INSTANCES], 0, ""),
+    ], ids=["rank-warnings-as-errors", "loss-without-selection"])
+    def test_overflowing_vocabulary_norm_prints_no_warning(self, flags, argv, code, err,
+                                                           tmp_path):
+        vocab, dim = read_vocab(VOCAB)
+        vocab[0][1][0] = 1e200
+        big = tmp_path / "big-vocab.jsonl"
+        write_vocab(big, vocab, dim)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "rca", argv[0], str(big), argv[1], "--M", "4"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, err)
 
     @pytest.mark.parametrize("argv", [["uasr"], ["uasr", "--no-normalize"],
                                       ["loss", "--enable_uasr"]])

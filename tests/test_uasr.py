@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rca.core import ContrastiveInstance
 from rca.errors import DegenerateEmbeddingError, ValidationError
+from rca.gradients import finite_diff_grad, gradient_check, loss_and_grad
 from rca.losses import batch_loss, total_loss
 from rca.uasr import UasrResult, apply_uasr, pool_cosines, select_batch
 
@@ -56,10 +58,9 @@ class TestLocalUncertainty:
 
     def test_overflowing_norm_rejected(self):
         big, unit = np.array([[1e200, 0.0]]), np.array([[1.0, 0.0]])
-        with np.errstate(over="ignore"):
-            for regions, positives in ((big, unit), (unit, big)):
-                with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
-                    pool_cosines(regions, positives, np.array([[0.0, 1.0]]))
+        for regions, positives in ((big, unit), (unit, big)):
+            with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+                pool_cosines(regions, positives, np.array([[0.0, 1.0]]))
 
 
 class TestRetrieve:
@@ -207,19 +208,58 @@ class TestApplyUasr:
         assert (bd.cross, bd.inner) == (cross[0], inner[0])
 
     def test_result_validates_weights(self):
-        with pytest.raises(ValidationError):
-            UasrResult(
-                weights=np.array([1.0, -1.0]),
-                retrieved_set=np.array([0]),
-                positive_indices=np.array([0, 1]),
-                negative_indices=np.array([0, 1]),
-            )
+        # a selection is built unchecked; the loss rejects it against the instance
+        inst = rand_instance(np.random.default_rng(6), k=2)
+        sel = apply_uasr(inst)
+        for bad in ([1.0, -1.0], [1.0, 0.0], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValidationError, match="weights must be positive and finite"):
+                total_loss(inst, dataclasses.replace(sel, weights=np.array(bad)))
 
     def test_result_validates_lengths(self):
+        inst = rand_instance(np.random.default_rng(6), k=2)
+        ragged = UasrResult(
+            positive_indices=np.array([0, 1]),
+            negative_indices=np.array([0]),
+            weights=np.array([1.0, 1.0]),
+            retrieved=np.zeros(4, dtype=bool),
+        )
+        unmasked = dataclasses.replace(ragged, negative_indices=np.array([0, 1]),
+                                       retrieved=np.array([0]))
+        for sel in (ragged, unmasked):
+            with pytest.raises(ValidationError, match="K=2"):
+                total_loss(inst, sel)
+
+
+def _bad_selection(case):
+    """A K = 3 instance and a hand-built selection that does not fit it, by what is wrong."""
+    inst = rand_instance(np.random.default_rng(13), k=3)  # selection without fallbacks
+    sel = apply_uasr(inst)
+    retrieved = sel.retrieved.copy()
+    retrieved[3 + sel.negative_indices[0]] = True
+    return inst, {
+        "index-out-of-range": dataclasses.replace(sel, positive_indices=np.array([5, 0, 1])),
+        "negative-index": dataclasses.replace(sel, negative_indices=np.array([-1, 0, 1])),
+        "k-mismatch": apply_uasr(rand_instance(np.random.default_rng(11), k=2)),
+        "non-positive-weight": dataclasses.replace(sel, weights=np.array([1.0, 0.0, 1.0])),
+        "retrieved-kept-negative": dataclasses.replace(sel, retrieved=retrieved),
+    }[case]
+
+
+class TestSelectionBoundary:
+    """Every one-image loss checks a selection against the instance it meets."""
+
+    @pytest.mark.parametrize("front_door", [total_loss, loss_and_grad, finite_diff_grad,
+                                            gradient_check], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", ["index-out-of-range", "negative-index", "k-mismatch",
+                                      "non-positive-weight", "retrieved-kept-negative"])
+    def test_bad_selection_raises(self, front_door, case):
+        inst, sel = _bad_selection(case)
         with pytest.raises(ValidationError):
-            UasrResult(
-                weights=np.array([1.0, 1.0]),
-                retrieved_set=np.array([0]),
-                positive_indices=np.array([0, 1]),
-                negative_indices=np.array([0]),
-            )
+            front_door(inst, sel)
+
+    def test_retrieved_kept_negative_allowed_under_fallback(self):
+        inst = rand_instance(np.random.default_rng(13), k=3)
+        sel = apply_uasr(inst)
+        retrieved = np.ones(6, dtype=bool)
+        fallback = dataclasses.replace(sel, retrieved=retrieved, negative_fallback=True)
+        assert total_loss(inst, fallback) == total_loss(inst, sel)
