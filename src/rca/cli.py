@@ -11,7 +11,9 @@ negative seed) is a configuration error (2). The corpus subcommands
 as unparseable input (2). uasr and loss check every record, in file
 order, before computing any, then run the records grouped by shape. A
 failing corpus call reports its first bad record and prints nothing to
-stdout.
+stdout. train checks that its output paths can be written before it
+generates any data, and prints its history only once its files are
+written, so a failing train call prints nothing to stdout either.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,8 +61,8 @@ from .uasr import _checked_norms, apply_uasr, pool_cosines, select_batch, warn_c
 __all__ = ["main", "build_parser"]
 
 
-def _emit(obj, stream=None) -> None:
-    print(to_json(obj), file=stream or sys.stdout)
+def _emit(obj) -> None:
+    print(to_json(obj))
 
 
 def _check_flags(args, names, low=0) -> None:
@@ -80,6 +83,14 @@ def _load_corpus(args):
             f"vocabulary dim {vdim} does not match instance dim {idim}"
         )
     return vocab, records
+
+
+def _check_writable(path) -> None:
+    """Raise :class:`OSError` unless ``path`` opens for writing; an existing file is left as it was."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def _print_lines(lines: list[str]) -> None:
@@ -300,6 +311,9 @@ def cmd_train(args) -> int:
     flags = {k: getattr(args, k) for k in config_kinds()}
     values.update({k: v for k, v in flags.items() if v is not None})
     syn, trainer_cfg = build_configs(values)
+    for path in (args.state_out, args.metrics_out):
+        if path:
+            _check_writable(path)
     dataset = generate_synthetic(syn)
     if args.init == "aligned":
         state = aligned_state(dataset)
@@ -307,22 +321,15 @@ def cmd_train(args) -> int:
         state = initial_state(dataset, seed=trainer_cfg.seed, region_init=args.init)
     state, history = train_alignment(dataset, trainer_cfg, state)
 
-    metrics_fh = open(args.metrics_out, "w", encoding="utf-8") if args.metrics_out else None
-    try:
-        for rec in history:
-            line = {
-                "step": rec.step,
-                "cross": rec.cross,
-                "inner": rec.inner,
-                "total": rec.total,
-            }
-            _emit(line)
-            if metrics_fh:
-                _emit(line, stream=metrics_fh)
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
+    lines = [
+        to_json({"step": rec.step, "cross": rec.cross, "inner": rec.inner, "total": rec.total})
+        for rec in history
+    ]
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
     write_state(args.state_out, state, syn, trainer_cfg)
+    _print_lines(lines)
     return 0
 
 

@@ -20,10 +20,18 @@ the training trajectory. Loss history records are full-dataset snapshots
 
 The dataset holds one stacked array per field, images on the leading
 axis, and computes the region-by-pool cosines of its frozen evidence once,
-when it is generated. Steps and snapshots work on whole blocks of at most
-``BLOCK`` images: one selection, one forward/backward and one scatter-add
-per table for each block, so working memory does not grow with the
-dataset. A subsampled step selects over the column subset of its kept
+when it is generated. Selection reads only that evidence, so a training
+run selects once: before its first snapshot it builds a plan holding each
+image's selected positive and negative concepts, their weights and its
+clamp counts. The plan holds (n, K) arrays, as ``cosines`` holds an
+(n, K, 2K) one; snapshots and steps without subsampling read it. Steps and
+snapshots compute whole blocks of at most ``BLOCK`` (256) images: one
+forward/backward and one scatter-add per table for each block, so the
+block temporaries do not grow with the dataset. A snapshot adds its
+per-image losses in ``SUM_GROUP`` (64) image groups, in image order, so
+its floats do not depend on ``BLOCK``.
+
+A subsampled step selects per block, over the column subset of its kept
 rows, exactly as if the pool held only those rows. It draws those rows
 from the stream numpy's per-image ``Generator.choice`` calls would read,
 in one bulk read of that same stream; a step whose draws would hit one of
@@ -60,7 +68,9 @@ __all__ = [
     "evaluate_retrieval",
 ]
 
-BLOCK = 64  # images per stacked block in steps and snapshots
+BLOCK = 256  # images per stacked block in selection, steps and snapshots
+SUM_GROUP = 64  # images per partial sum of a snapshot's losses, as the pinned histories were summed
+
 
 def field_kinds(config_class) -> dict[str, type]:
     """Each field of a config dataclass and its type: ``int``, ``float`` or ``bool``."""
@@ -347,63 +357,93 @@ def _select_block(dataset, images, subsets=None):
     return select_batch(cosines, scores)
 
 
-def _block_loss(dataset, state, config, images, subsets=None, grads=None):
-    """Per-image cross and inner losses of one block of images, and the clamp count.
+class _Selection(typing.NamedTuple):
+    """The tag concepts a block of images contrasts, with their weights and clamp counts."""
 
-    ``subsets`` is as for :func:`_select_block`. With ``grads`` (tag,
-    caption and region gradient tables), the block's gradients are
-    scatter-added onto them. The count is the number of global scores
-    selection clamped.
-    """
+    positive_concepts: np.ndarray  # (b, K)
+    negative_concepts: np.ndarray  # (b, K)
+    weights: np.ndarray | None     # (b, K), None without selection
+    clamped: np.ndarray            # (b,) global scores clamped, with multiplicity
+
+    def take(self, images) -> "_Selection":
+        """The rows of ``images`` (an index array or a slice)."""
+        return _Selection(*(None if f is None else f[images] for f in self))
+
+
+def _selection(dataset, config, images, subsets=None) -> _Selection:
+    """Selection for one block of images, as tag concepts; ``subsets`` as for :func:`_select_block`."""
     rows = np.arange(len(images))[:, None]
     pos_concepts = dataset.positive_concepts[images]
     neg_concepts = dataset.negative_concepts[images]
     if subsets is not None:
         pos_concepts = pos_concepts[rows, subsets[:, 0]]
         neg_concepts = neg_concepts[rows, subsets[:, 1]]
-    weights = None
-    clamped = 0
-    if config.enable_uasr:
-        sel = _select_block(dataset, images, subsets)
-        pos_concepts = pos_concepts[rows, sel.positive_indices]
-        neg_concepts = neg_concepts[rows, sel.negative_indices]
-        weights, clamped = sel.weights, int(sel.clamped.sum())
+    if not config.enable_uasr:
+        return _Selection(pos_concepts, neg_concepts, None, np.zeros(len(images), dtype=np.int64))
+    sel = _select_block(dataset, images, subsets)
+    return _Selection(pos_concepts[rows, sel.positive_indices],
+                      neg_concepts[rows, sel.negative_indices], sel.weights, sel.clamped)
 
+
+def _plan(dataset, config) -> _Selection:
+    """Every image's selection over its full pool, selected ``BLOCK`` images at a time.
+
+    Selection reads only the frozen evidence and works row by row, so one
+    plan serves every snapshot and every step without subsampling.
+    """
+    images = np.arange(len(dataset))
+    blocks = [_selection(dataset, config, images[start:start + BLOCK])
+              for start in range(0, len(images), BLOCK)]
+    return _Selection(*(None if f[0] is None else np.concatenate(f) for f in zip(*blocks)))
+
+
+def _block_loss(dataset, state, config, images, sel, grads=None):
+    """Per-image cross and inner losses of one block of images under selection ``sel``.
+
+    With ``grads`` (tag, caption and region gradient tables), the block's
+    gradients are scatter-added onto them.
+    """
     region_rows = dataset.region_rows(images)
     caption_concepts = dataset.caption_concepts[images]
     cross, inner, g = batch_loss(
         state.region_table[region_rows],
-        state.tag_table[pos_concepts],
-        state.tag_table[neg_concepts],
+        state.tag_table[sel.positive_concepts],
+        state.tag_table[sel.negative_concepts],
         state.caption_table[caption_concepts],
-        weights,
+        sel.weights,
         config.lambda_cross,
         config.effective_lambda_inner,
         with_grad=grads is not None,
     )
     if grads is not None:
         g_tag, g_cap, g_reg = grads
-        np.add.at(g_tag, np.concatenate([pos_concepts, neg_concepts], axis=1),
+        np.add.at(g_tag, np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1),
                   np.concatenate([g.d_positives, g.d_negatives], axis=1))
         np.add.at(g_cap, caption_concepts, g.d_caption_nouns)
         np.add.at(g_reg, region_rows, g.d_regions)
-    return cross, inner, clamped
+    return cross, inner
 
 
-def _snapshot(dataset, state, config) -> tuple[HistoryRecord, int]:
-    """Mean full-dataset loss record, and the number of global scores selection clamped."""
+def _snapshot(dataset, state, config, plan) -> HistoryRecord:
+    """Mean full-dataset loss record under the selection ``plan``.
+
+    The losses run ``BLOCK`` images at a time; their sums are added up in
+    ``SUM_GROUP``-image groups, in image order, whatever ``BLOCK`` is.
+    """
     n = len(dataset)
-    cross = inner = total = 0.0
-    clamped = 0
+    images = np.arange(n)
+    cross, inner = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK):
-        c, i, count = _block_loss(dataset, state, config,
-                                  np.arange(start, min(start + BLOCK, n)))
-        cross += float(c.sum())
-        inner += float(i.sum())
-        total += float((config.lambda_cross * c + config.effective_lambda_inner * i).sum())
-        clamped += count
-    record = HistoryRecord(step=state.step, cross=cross / n, inner=inner / n, total=total / n)
-    return record, clamped
+        block = slice(start, start + BLOCK)
+        cross[block], inner[block] = _block_loss(dataset, state, config, images[block],
+                                                 plan.take(block))
+    total = config.lambda_cross * cross + config.effective_lambda_inner * inner
+    sums = [0.0, 0.0, 0.0]
+    for start in range(0, n, SUM_GROUP):
+        group = slice(start, start + SUM_GROUP)
+        for j, losses in enumerate((cross, inner, total)):
+            sums[j] += float(losses[group].sum())
+    return HistoryRecord(state.step, *(s / n for s in sums))
 
 
 def snapshot_loss(
@@ -414,8 +454,9 @@ def snapshot_loss(
     Warns at most once, with the total count, if selection clamped
     non-positive global scores.
     """
-    record, clamped = _snapshot(dataset, state, config)
-    warn_clamped(clamped)
+    plan = _plan(dataset, config)
+    record = _snapshot(dataset, state, config, plan)
+    warn_clamped(int(plan.clamped.sum()))
     return record
 
 
@@ -506,12 +547,13 @@ def train_alignment(
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     k = dataset.config.regions_per_image
+    plan = _plan(dataset, config)
     clamped = 0
 
     def record(history):
         nonlocal clamped
-        rec, count = _snapshot(dataset, state, config)
-        clamped += count
+        rec = _snapshot(dataset, state, config, plan)
+        clamped += int(plan.clamped.sum())
         if not math.isfinite(rec.total):
             raise DivergenceError(state.step, "snapshot loss is not finite")
         history.append(rec)
@@ -534,9 +576,12 @@ def train_alignment(
         )
         for start in range(0, len(batch), BLOCK):
             block = slice(start, start + BLOCK)
-            _, _, count = _block_loss(dataset, state, config, batch[block],
-                                      None if subsets is None else subsets[block], grads)
-            clamped += count
+            if subsets is None:
+                sel = plan.take(batch[block])
+            else:
+                sel = _selection(dataset, config, batch[block], subsets[block])
+            _block_loss(dataset, state, config, batch[block], sel, grads)
+            clamped += int(sel.clamped.sum())
         g_tag, g_cap, g_reg = grads
 
         lr = config.learning_rate / len(batch)

@@ -10,6 +10,7 @@ match the loop within a relative 1e-12.
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +31,18 @@ from rca.trainer import (
     snapshot_loss,
     train_alignment,
 )
-from rca.uasr import apply_uasr
+from rca.uasr import apply_uasr, select_batch
 
-# 70 images: two blocks, the second one partial. Noise and flips make the
-# subsampled steps hit both selection fallbacks and clamp some scores.
+# 70 images: one partial compute block at the default BLOCK, and two snapshot
+# sum groups, the second one partial. Noise and flips make the subsampled
+# steps hit both selection fallbacks and clamp some scores.
 NOISY = SyntheticConfig(n_concepts=6, d=8, n_images=70, regions_per_image=3,
                         noise_sigma=0.3, flip_rate=0.2, seed=5)
-assert NOISY.n_images % trainer.BLOCK != 0
+assert trainer.SUM_GROUP < NOISY.n_images < 2 * trainer.SUM_GROUP
+# Tests against the loop reference patch BLOCK to this, so that their runs
+# cross block boundaries: three blocks, the last one partial.
+SMALL_BLOCK = 32
+assert 2 * SMALL_BLOCK < NOISY.n_images < 3 * SMALL_BLOCK
 BASE = dict(steps=12, learning_rate=0.5, seed=2)
 
 
@@ -216,7 +222,8 @@ VARIANTS = {
 
 
 @pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
-def test_train_alignment_matches_per_image_loop(overrides):
+def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
+    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
     cfg = TrainerConfig(**{**BASE, **overrides})
     with warnings.catch_warnings():
@@ -246,7 +253,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
     for batch_size in (n, n + extra):
         cfg = TrainerConfig(**{**BASE, "steps": 6, **VARIANTS[variant],
                                "batch_size": batch_size})
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(trainer, "BLOCK", SMALL_BLOCK):
             warnings.filterwarnings("ignore", message=".*clamped")
             runs.append(train_alignment(FULL_BATCH, cfg,
                                         initial_state(FULL_BATCH, seed=cfg.seed)))
@@ -257,21 +264,82 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
     assert state_a.step == state_b.step == 6
 
 
-def test_clamp_warning_counted_once_per_call():
+def test_clamp_warning_counted_once_per_call(monkeypatch):
+    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
-    cfg = TrainerConfig(**BASE)
-    with warnings.catch_warnings(record=True) as batched:
-        warnings.simplefilter("always")
-        train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
-    with warnings.catch_warnings(record=True) as looped:
-        warnings.simplefilter("always")
-        train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
-    per_image = _clamp_counts(looped)
-    assert len(per_image) > 1
-    assert _clamp_counts(batched) == [sum(per_image)]
+    # subsampled steps select per step; the others read the run's selection plan
+    for variant in ("default", "no-subsample", "minibatch"):
+        cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
+        with warnings.catch_warnings(record=True) as batched:
+            warnings.simplefilter("always")
+            train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+        with warnings.catch_warnings(record=True) as looped:
+            warnings.simplefilter("always")
+            train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
+        per_image = _clamp_counts(looped)
+        assert len(per_image) > 1
+        assert _clamp_counts(batched) == [sum(per_image)]
 
-    state = initial_state(ds, seed=cfg.seed)
-    with warnings.catch_warnings(record=True) as snap:
+        state = initial_state(ds, seed=cfg.seed)
+        with warnings.catch_warnings(record=True) as snap:
+            warnings.simplefilter("always")
+            snapshot_loss(ds, state, cfg)
+        assert len(_clamp_counts(snap)) == 1
+
+
+def _run(ds, cfg):
+    """History, final tables and clamp-warning total of one training run."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        snapshot_loss(ds, state, cfg)
-    assert len(_clamp_counts(snap)) == 1
+        state, history = train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+    tables = [state.tag_table, state.caption_table, state.region_table]
+    return history, tables, sum(_clamp_counts(caught))
+
+
+@pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
+def test_compute_block_does_not_change_results(overrides, monkeypatch):
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, **overrides})
+    runs = []
+    for block in (16, 64, trainer.BLOCK):
+        monkeypatch.setattr(trainer, "BLOCK", block)
+        runs.append(_run(ds, cfg))
+    (history, tables, clamped), *others = runs
+    for other_history, other_tables, other_clamped in others:
+        assert other_history == history  # HistoryRecord fields compare exactly
+        for got, want in zip(other_tables, tables):
+            assert np.array_equal(got, want)
+        assert other_clamped == clamped
+
+
+@pytest.mark.parametrize("block", [16, trainer.BLOCK])
+@pytest.mark.parametrize("variant", ["default", "no-subsample", "minibatch",
+                                     "minibatch-plain", "no-selection"])
+def test_selection_runs_once_per_run(variant, block, monkeypatch):
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return select_batch(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "BLOCK", block)
+    monkeypatch.setattr(trainer, "select_batch", counted)
+    _run(ds, cfg)
+    n = len(ds)
+    batch = min(cfg.batch_size, n)
+    expected = 0
+    if cfg.enable_uasr:
+        expected = math.ceil(n / block)  # the plan
+        if cfg.enable_subsample:
+            expected += cfg.steps * math.ceil(batch / block)
+    assert len(calls) == expected
+    if cfg.enable_uasr and not cfg.enable_subsample:
+        assert sum(calls) == n  # each image selected once
+
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*clamped")
+        snapshot_loss(ds, initial_state(ds, seed=cfg.seed), cfg)
+    assert len(calls) == (math.ceil(n / block) if cfg.enable_uasr else 0)

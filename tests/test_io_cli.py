@@ -11,12 +11,16 @@ expected_gradcheck_no_inner.jsonl are those of ``rca gradcheck --seed 3
 0``, the loss path without a selection and without the inner term;
 expected_rank.jsonl and expected_rank_out.jsonl
 are the stdout and the ``--out`` file of ``rca rank fixtures/vocab.jsonl
-fixtures/instances_untagged.jsonl --M 4``. They pin those bytes; regenerate
-them only for a change that means to move them.
+fixtures/instances_untagged.jsonl --M 4``; expected_train.jsonl and
+expected_train_no_subsample.jsonl are the stdout of the two ``rca train``
+runs in ``TRAIN_GOLDENS``, which also pins their state files by SHA-256 and
+their clamp-warning counts. They pin those bytes; regenerate them only for
+a change that means to move them.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -32,6 +36,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rca import cli
 from rca.cli import main
 from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
 from rca.io import (
@@ -58,6 +63,19 @@ UNTAGGED = os.path.join(FIXTURES, "instances_untagged.jsonl")
 MALFORMED = os.path.join(FIXTURES, "malformed.jsonl")
 WRONGDIM = os.path.join(FIXTURES, "wrongdim.jsonl")
 RUN_CFG = os.path.join(FIXTURES, "run.cfg")
+
+# 600 noisy, flipped images: three 256-image compute blocks, the last one
+# partial. The second run reads the selection plan in its steps.
+TRAIN_ARGS = ["--n_images", "600", "--batch_size", "300", "--steps", "20",
+              "--learning_rate", "1.0", "--noise_sigma", "0.3", "--flip_rate", "0.2",
+              "--seed", "3"]
+TRAIN_GOLDENS = {  # golden stdout: (extra flags, state-file SHA-256, clamp-warning count)
+    "expected_train.jsonl": (
+        [], "1b9dd9ad4858e45ed2be4f2184ae47ee734a8fb130587356415121cf1e25853a", 2808),
+    "expected_train_no_subsample.jsonl": (
+        ["--batch_size", "200", "--no-enable_subsample"],
+        "eaa5543133c9786af5af3c0bd2390c5ba2680db58f3c0d24a192fb57fe6fa7e8", 2654),
+}
 
 
 def golden(name):
@@ -819,6 +837,61 @@ class TestCliTrainEval:
             outs.append((out, state_path.read_bytes()))
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
+
+    @pytest.mark.parametrize("name", TRAIN_GOLDENS)
+    def test_train_golden(self, name, tmp_path, capsys):
+        extra, digest, clamped = TRAIN_GOLDENS[name]
+        state_path = tmp_path / "state.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(["train", *TRAIN_ARGS, *extra,
+                                    "--state_out", str(state_path)], capsys)
+        assert code == 0
+        assert out == golden(name)
+        assert hashlib.sha256(state_path.read_bytes()).hexdigest() == digest
+        assert [str(w.message) for w in caught] == [
+            f"{clamped} non-positive global score(s) clamped to 1e-06"]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("flag", ["--state_out", "--metrics_out"])
+    def test_unwritable_output_exits_two_before_generating(self, flag, where, tmp_path,
+                                                           monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("generate_synthetic ran")
+
+        monkeypatch.setattr(cli, "generate_synthetic", never)
+        paths = {"--state_out": tmp_path / "state.jsonl",
+                 "--metrics_out": tmp_path / "metrics.jsonl"}
+        paths[flag] = tmp_path / "missing" / "out.jsonl" if where == "missing-directory" \
+            else tmp_path
+        argv = ["train", "--config", RUN_CFG]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []  # no file left behind
+
+    def test_diverging_run_leaves_output_paths_as_they_were(self, tmp_path, capsys):
+        old_state, old_metrics = tmp_path / "state.jsonl", tmp_path / "metrics.jsonl"
+        old_state.write_text("earlier state\n")
+        old_metrics.write_text("earlier metrics\n")
+        runs = [(old_state, old_metrics), (tmp_path / "new-state.jsonl", tmp_path / "new.jsonl")]
+        for state_path, metrics_path in runs:
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, out, err = run_cli(
+                    ["train", "--config", RUN_CFG, "--learning_rate", "1e300",
+                     "--state_out", str(state_path), "--metrics_out", str(metrics_path)],
+                    capsys,
+                )
+            assert code == 1
+            assert out == ""
+            assert "not finite" in err
+        assert old_state.read_text() == "earlier state\n"
+        assert old_metrics.read_text() == "earlier metrics\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl", "state.jsonl"]
 
     def test_invalid_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
