@@ -86,11 +86,16 @@ def _load_corpus(args):
 
 
 def _check_writable(path) -> None:
-    """Raise :class:`OSError` unless ``path`` opens for writing; an existing file is left as it was."""
-    existed = os.path.exists(path)
-    open(path, "a", encoding="utf-8").close()
+    """Raise :class:`OSError` unless ``path`` opens for writing; an existing file is left as it was.
+
+    A symbolic link is followed to its target, so a dangling link stays and
+    no file is left at its target.
+    """
+    target = os.path.realpath(path)
+    existed = os.path.lexists(target)
+    open(target, "a", encoding="utf-8").close()
     if not existed:
-        os.remove(path)
+        os.remove(target)
 
 
 def _print_lines(lines: list[str]) -> None:

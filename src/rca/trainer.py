@@ -20,11 +20,12 @@ the training trajectory. Loss history records are full-dataset snapshots
 
 The dataset holds one stacked array per field, images on the leading
 axis, and computes the region-by-pool cosines of its frozen evidence once,
-when it is generated. Selection reads only that evidence, so a training
-run selects once: before its first snapshot it builds a plan holding each
-image's selected positive and negative concepts, their weights and its
-clamp counts. The plan holds (n, K) arrays, as ``cosines`` holds an
-(n, K, 2K) one; snapshots and steps without subsampling read it. Steps and
+when it is generated. Selection reads only that evidence, so the
+snapshots of a training run select once: before the first one, the run
+builds a plan holding each image's selected positive and negative
+concepts, their weights and its clamp counts. The plan holds (n, K)
+arrays, as ``cosines`` holds an (n, K, 2K) one; every snapshot reads it.
+Steps select per block, over the images of their batch. Steps and
 snapshots compute whole blocks of at most ``BLOCK`` (256) images: one
 forward/backward and one scatter-add per table for each block, so the
 block temporaries do not grow with the dataset. A snapshot adds its
@@ -388,8 +389,8 @@ def _selection(dataset, config, images, subsets=None) -> _Selection:
 def _plan(dataset, config) -> _Selection:
     """Every image's selection over its full pool, selected ``BLOCK`` images at a time.
 
-    Selection reads only the frozen evidence and works row by row, so one
-    plan serves every snapshot and every step without subsampling.
+    Selection reads only the frozen evidence, so one plan serves every
+    snapshot of a run.
     """
     images = np.arange(len(dataset))
     blocks = [_selection(dataset, config, images[start:start + BLOCK])
@@ -576,10 +577,8 @@ def train_alignment(
         )
         for start in range(0, len(batch), BLOCK):
             block = slice(start, start + BLOCK)
-            if subsets is None:
-                sel = plan.take(batch[block])
-            else:
-                sel = _selection(dataset, config, batch[block], subsets[block])
+            sel = _selection(dataset, config, batch[block],
+                             None if subsets is None else subsets[block])
             _block_loss(dataset, state, config, batch[block], sel, grads)
             clamped += int(sel.clamped.sum())
         g_tag, g_cap, g_reg = grads

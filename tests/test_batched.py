@@ -267,7 +267,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
 def test_clamp_warning_counted_once_per_call(monkeypatch):
     monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
-    # subsampled steps select per step; the others read the run's selection plan
+    # snapshots read the run's selection plan; steps select per step block
     for variant in ("default", "no-subsample", "minibatch"):
         cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
         with warnings.catch_warnings(record=True) as batched:
@@ -315,7 +315,7 @@ def test_compute_block_does_not_change_results(overrides, monkeypatch):
 @pytest.mark.parametrize("block", [16, trainer.BLOCK])
 @pytest.mark.parametrize("variant", ["default", "no-subsample", "minibatch",
                                      "minibatch-plain", "no-selection"])
-def test_selection_runs_once_per_run(variant, block, monkeypatch):
+def test_snapshots_select_once_per_run(variant, block, monkeypatch):
     ds = generate_synthetic(NOISY)
     cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
     calls = []
@@ -331,12 +331,11 @@ def test_selection_runs_once_per_run(variant, block, monkeypatch):
     batch = min(cfg.batch_size, n)
     expected = 0
     if cfg.enable_uasr:
-        expected = math.ceil(n / block)  # the plan
-        if cfg.enable_subsample:
-            expected += cfg.steps * math.ceil(batch / block)
+        # the plan, then one selection per step block
+        expected = math.ceil(n / block) + cfg.steps * math.ceil(batch / block)
     assert len(calls) == expected
-    if cfg.enable_uasr and not cfg.enable_subsample:
-        assert sum(calls) == n  # each image selected once
+    if cfg.enable_uasr:
+        assert sum(calls) == n + cfg.steps * batch  # snapshots select each image once
 
     calls.clear()
     with warnings.catch_warnings():

@@ -65,7 +65,7 @@ WRONGDIM = os.path.join(FIXTURES, "wrongdim.jsonl")
 RUN_CFG = os.path.join(FIXTURES, "run.cfg")
 
 # 600 noisy, flipped images: three 256-image compute blocks, the last one
-# partial. The second run reads the selection plan in its steps.
+# partial. The second run's steps do not subsample.
 TRAIN_ARGS = ["--n_images", "600", "--batch_size", "300", "--steps", "20",
               "--learning_rate", "1.0", "--noise_sigma", "0.3", "--flip_rate", "0.2",
               "--seed", "3"]
@@ -877,7 +877,11 @@ class TestCliTrainEval:
         old_state, old_metrics = tmp_path / "state.jsonl", tmp_path / "metrics.jsonl"
         old_state.write_text("earlier state\n")
         old_metrics.write_text("earlier metrics\n")
-        runs = [(old_state, old_metrics), (tmp_path / "new-state.jsonl", tmp_path / "new.jsonl")]
+        links = tmp_path / "state-link.jsonl", tmp_path / "metrics-link.jsonl"
+        for link in links:
+            link.symlink_to(tmp_path / ("target-" + link.name))  # dangling
+        runs = [(old_state, old_metrics), (tmp_path / "new-state.jsonl", tmp_path / "new.jsonl"),
+                links]
         for state_path, metrics_path in runs:
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -891,7 +895,9 @@ class TestCliTrainEval:
             assert "not finite" in err
         assert old_state.read_text() == "earlier state\n"
         assert old_metrics.read_text() == "earlier metrics\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl", "state.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics-link.jsonl", "metrics.jsonl", "state-link.jsonl", "state.jsonl"]
+        assert all(link.is_symlink() and not link.exists() for link in links)
 
     def test_invalid_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
