@@ -13,8 +13,9 @@ irrelevant tag cannot collect a context average it is similar to.
 :func:`compat_forward` and :func:`compat_backward` are the one kernel for
 this pipeline and its gradient; they take leading batch axes, so a block
 of images is one call and a single image is the B=1 case.
-:func:`compatibility` is its validated 2-D front door. All functions are
-pure and operate on float64 numpy arrays.
+:func:`compatibility` is its validated 2-D front door. :func:`scatter_add`
+folds per-row gradients back onto the table rows they were gathered from.
+All functions are pure and operate on float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "compat_forward",
     "compat_backward",
     "compatibility",
+    "scatter_add",
 ]
 
 
@@ -153,3 +155,18 @@ def compatibility(tags, contexts) -> np.ndarray:
             f"tags dim {tags.shape[1]} != contexts dim {contexts.shape[1]}"
         )
     return compat_forward(tags, contexts)[0]
+
+
+def scatter_add(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """A (rows, d) zero table with each row of ``values`` added at its ``index``.
+
+    ``index`` holds row numbers of any shape S, ``values`` has shape
+    S + (d,). Equal bit for bit to scattering ``values`` onto
+    ``np.zeros((rows, d))`` with ``numpy.ufunc.at`` of ``np.add``:
+    ``np.bincount`` adds its weights one by one, in index order, onto 0.0,
+    so a repeated row sums in the same order, and a row whose only term
+    is -0.0 reads +0.0, as 0.0 + -0.0 does.
+    """
+    d = values.shape[-1]
+    flat = (index[..., None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=rows * d).reshape(rows, d)

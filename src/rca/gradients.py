@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ContrastiveInstance
+from .core import ContrastiveInstance, scatter_add
 from .errors import ConfigError
 from .losses import GradientBundle, LossBreakdown, _selected_loss
 
@@ -73,10 +73,9 @@ def loss_and_grad(
     if uasr is None:
         d_positives, d_negatives = d_wp, d_wn
     else:
-        d_positives = np.zeros_like(instance.positives)
-        d_negatives = np.zeros_like(instance.negatives)
-        np.add.at(d_positives, uasr.positive_indices, d_wp)
-        np.add.at(d_negatives, uasr.negative_indices, d_wn)
+        k = instance.positives.shape[0]
+        d_positives = scatter_add(uasr.positive_indices, d_wp, k)
+        d_negatives = scatter_add(uasr.negative_indices, d_wn, k)
 
     breakdown = LossBreakdown(float(cross[0]), float(inner[0]), float(total[0]))
     return breakdown, GradientBundle(

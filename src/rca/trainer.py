@@ -26,11 +26,15 @@ builds a plan holding each image's selected positive and negative
 concepts, their weights and its clamp counts. The plan holds (n, K)
 arrays, as ``cosines`` holds an (n, K, 2K) one; every snapshot reads it.
 Steps select per block, over the images of their batch. Steps and
-snapshots compute whole blocks of at most ``BLOCK`` (256) images: one
-forward/backward and one scatter-add per table for each block, so the
-block temporaries do not grow with the dataset. A snapshot adds its
-per-image losses in ``SUM_GROUP`` (64) image groups, in image order, so
-its floats do not depend on ``BLOCK``.
+snapshots compute whole blocks of at most ``BLOCK`` (256) images, one
+forward (and, in a step, backward) pass each, so the block temporaries do
+not grow with the dataset. A snapshot adds its per-image losses in
+``SUM_GROUP`` (64) image groups, in image order, so its floats do not
+depend on ``BLOCK``. A step keeps its blocks' gradient rows in block
+order and folds them onto each concept table with one
+:func:`rca.core.scatter_add`, which adds them in the order a scatter-add
+per block would. A batch holds each image once, so each region row gets
+at most one gradient row, and the step subtracts it from that row alone.
 
 A subsampled step selects per block, over the column subset of its kept
 rows, exactly as if the pool held only those rows. It draws those rows
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContrastiveInstance
+from .core import ContrastiveInstance, scatter_add
 from .errors import ConfigError, DivergenceError
 from .losses import batch_loss
 from .uasr import pool_cosines, select_batch, warn_clamped
@@ -398,31 +402,29 @@ def _plan(dataset, config) -> _Selection:
     return _Selection(*(None if f[0] is None else np.concatenate(f) for f in zip(*blocks)))
 
 
-def _block_loss(dataset, state, config, images, sel, grads=None):
+def _block_loss(dataset, state, config, images, sel, with_grad=False):
     """Per-image cross and inner losses of one block of images under selection ``sel``.
 
-    With ``grads`` (tag, caption and region gradient tables), the block's
-    gradients are scatter-added onto them.
+    Returns ``(cross, inner, grads)``. With ``with_grad``, ``grads`` holds
+    the block's gradient rows: tag (b, 2K, d) for the concepts
+    ``sel.positive_concepts`` then ``sel.negative_concepts``, caption
+    (b, K, d) for ``dataset.caption_concepts[images]``, and region
+    (b, K, d) for ``dataset.region_rows(images)``. Without, it is None.
     """
-    region_rows = dataset.region_rows(images)
-    caption_concepts = dataset.caption_concepts[images]
     cross, inner, g = batch_loss(
-        state.region_table[region_rows],
+        state.region_table[dataset.region_rows(images)],
         state.tag_table[sel.positive_concepts],
         state.tag_table[sel.negative_concepts],
-        state.caption_table[caption_concepts],
+        state.caption_table[dataset.caption_concepts[images]],
         sel.weights,
         config.lambda_cross,
         config.effective_lambda_inner,
-        with_grad=grads is not None,
+        with_grad=with_grad,
     )
-    if grads is not None:
-        g_tag, g_cap, g_reg = grads
-        np.add.at(g_tag, np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1),
-                  np.concatenate([g.d_positives, g.d_negatives], axis=1))
-        np.add.at(g_cap, caption_concepts, g.d_caption_nouns)
-        np.add.at(g_reg, region_rows, g.d_regions)
-    return cross, inner
+    if with_grad:
+        g = (np.concatenate([g.d_positives, g.d_negatives], axis=1), g.d_caption_nouns,
+             g.d_regions)
+    return cross, inner, g
 
 
 def _snapshot(dataset, state, config, plan) -> HistoryRecord:
@@ -436,8 +438,8 @@ def _snapshot(dataset, state, config, plan) -> HistoryRecord:
     cross, inner = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK):
         block = slice(start, start + BLOCK)
-        cross[block], inner[block] = _block_loss(dataset, state, config, images[block],
-                                                 plan.take(block))
+        cross[block], inner[block], _ = _block_loss(dataset, state, config, images[block],
+                                                    plan.take(block))
     total = config.lambda_cross * cross + config.effective_lambda_inner * inner
     sums = [0.0, 0.0, 0.0]
     for start in range(0, n, SUM_GROUP):
@@ -560,47 +562,51 @@ def train_alignment(
         history.append(rec)
 
     history: list[HistoryRecord] = []
-    record(history)
-
-    for _ in range(config.steps):
-        if config.batch_size >= n:
-            batch = np.arange(n)
-        else:
-            batch = rng.choice(n, size=config.batch_size, replace=False)
-        subsets = None
-        if config.enable_subsample:
-            subsets = _draw_subsets(rng, len(batch), k, config.subsample_fraction)
-
-        grads = tuple(
-            np.zeros_like(t)
-            for t in (state.tag_table, state.caption_table, state.region_table)
-        )
-        for start in range(0, len(batch), BLOCK):
-            block = slice(start, start + BLOCK)
-            sel = _selection(dataset, config, batch[block],
-                             None if subsets is None else subsets[block])
-            _block_loss(dataset, state, config, batch[block], sel, grads)
-            clamped += int(sel.clamped.sum())
-        g_tag, g_cap, g_reg = grads
-
-        lr = config.learning_rate / len(batch)
-        if not config.freeze_tags:
-            state.tag_table -= lr * g_tag
-        if not config.freeze_caption:
-            state.caption_table -= lr * g_cap
-        if not config.freeze_regions:
-            state.region_table -= lr * g_reg
-        state.step += 1
-
-        for table in (state.tag_table, state.caption_table, state.region_table):
-            if not np.isfinite(table).all():
-                raise DivergenceError(state.step, "table values are not finite")
-
-        if state.step % 10 == 0:
-            record(history)
-
-    if not history or history[-1].step != state.step:
+    # A diverging run overflows on its way to a non-finite table or
+    # snapshot; the checks below report that as a DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
         record(history)
+        for _ in range(config.steps):
+            if config.batch_size >= n:
+                batch = np.arange(n)
+            else:
+                batch = rng.choice(n, size=config.batch_size, replace=False)
+            subsets = None
+            if config.enable_subsample:
+                subsets = _draw_subsets(rng, len(batch), k, config.subsample_fraction)
+
+            tag_concepts, grad_rows = [], []
+            for start in range(0, len(batch), BLOCK):
+                block = slice(start, start + BLOCK)
+                sel = _selection(dataset, config, batch[block],
+                                 None if subsets is None else subsets[block])
+                grad_rows.append(_block_loss(dataset, state, config, batch[block], sel, True)[2])
+                tag_concepts.append(np.concatenate([sel.positive_concepts,
+                                                    sel.negative_concepts], axis=1))
+                clamped += int(sel.clamped.sum())
+            d_tags, d_caption, d_regions = (np.concatenate(r) for r in zip(*grad_rows))
+
+            lr = config.learning_rate / len(batch)
+            if not config.freeze_tags:
+                state.tag_table -= lr * scatter_add(np.concatenate(tag_concepts), d_tags,
+                                                    len(state.tag_table))
+            if not config.freeze_caption:
+                state.caption_table -= lr * scatter_add(dataset.caption_concepts[batch],
+                                                        d_caption, len(state.caption_table))
+            if not config.freeze_regions:
+                # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
+                state.region_table[dataset.region_rows(batch)] -= lr * (0.0 + d_regions)
+            state.step += 1
+
+            for table in (state.tag_table, state.caption_table, state.region_table):
+                if not np.isfinite(table).all():
+                    raise DivergenceError(state.step, "table values are not finite")
+
+            if state.step % 10 == 0:
+                record(history)
+
+        if not history or history[-1].step != state.step:
+            record(history)
     warn_clamped(clamped)
     return state, history
 

@@ -2,9 +2,13 @@
 
 ``loop_reference.py`` keeps the trainer's per-image loop and its 2-D
 compatibility kernel. The kernel's batched results must equal the 2-D
-results bit for bit, image by image; the trainer reorders float sums
-(one scatter-add per table per block), so its history and tables must
-match the loop within a relative 1e-12.
+results bit for bit, image by image. The trainer folds a step's gradient
+rows onto the tables in the loop's order, but it adds a tag that
+selection picked twice straight onto its concept row, where the loop
+first sums both picks onto the pool row; a subsampled step weighs its
+picks from columns of the full-pool cosines; and a snapshot sums its
+losses in 64-image groups. So its history and tables must match the loop
+within a relative 1e-12.
 """
 
 import itertools

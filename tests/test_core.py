@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rca.core import (
     ContrastiveInstance,
@@ -7,6 +11,7 @@ from rca.core import (
     as_vector,
     compat_forward,
     compatibility,
+    scatter_add,
 )
 from rca.errors import DimensionError, EmptyInputError, ValidationError
 
@@ -166,3 +171,60 @@ class TestAttention:
         rng = np.random.default_rng(8)
         tags, ctx = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
         assert np.array_equal(compatibility(tags.tolist(), ctx), compat_forward(tags, ctx)[0])
+
+
+# signed zeros, values whose sums round differently in another order,
+# and magnitudes from 1e-300 to 1e300, either sign
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def scatter_blocks(draw):
+    """A table height and blocks of (index, values) sharing all axes but the first.
+
+    Index arrays have 1 to 3 axes and draw from at most 5 rows, so rows repeat.
+    """
+    rows, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    tail = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    blocks = []
+    for size in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        shape = (size,) + tail
+        count = math.prod(shape)
+        index = draw(st.lists(st.integers(0, rows - 1), min_size=count, max_size=count))
+        values = draw(st.lists(SCATTER_VALUES, min_size=count * d, max_size=count * d))
+        blocks.append((np.array(index, dtype=np.int64).reshape(shape),
+                       np.array(values, dtype=np.float64).reshape(shape + (d,))))
+    return rows, blocks
+
+
+class TestScatterAdd:
+    """scatter_add against ``np.add.at`` on a zero table, compared as bytes so signed zeros count."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(scatter_blocks())
+    def test_equals_add_at_on_zeros(self, drawn):
+        rows, blocks = drawn
+        for index, values in blocks:
+            expected = np.zeros((rows, values.shape[-1]))
+            np.add.at(expected, index, values)
+            assert scatter_add(index, values, rows).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(scatter_blocks())
+    def test_concatenated_blocks_equal_add_at_block_by_block(self, drawn):
+        rows, blocks = drawn
+        expected = np.zeros((rows, blocks[0][1].shape[-1]))
+        for index, values in blocks:
+            np.add.at(expected, index, values)
+        index, values = (np.concatenate(part) for part in zip(*blocks))
+        assert scatter_add(index, values, rows).tobytes() == expected.tobytes()
+
+    def test_a_lone_negative_zero_reads_positive_zero(self):
+        table = scatter_add(np.array([1, 1]), np.array([[-0.0], [-0.0]]), 3)
+        assert table.shape == (3, 1)
+        assert not np.signbit(table).any()

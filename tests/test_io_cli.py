@@ -883,13 +883,11 @@ class TestCliTrainEval:
         runs = [(old_state, old_metrics), (tmp_path / "new-state.jsonl", tmp_path / "new.jsonl"),
                 links]
         for state_path, metrics_path in runs:
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code, out, err = run_cli(
-                    ["train", "--config", RUN_CFG, "--learning_rate", "1e300",
-                     "--state_out", str(state_path), "--metrics_out", str(metrics_path)],
-                    capsys,
-                )
+            code, out, err = run_cli(
+                ["train", "--config", RUN_CFG, "--learning_rate", "1e300",
+                 "--state_out", str(state_path), "--metrics_out", str(metrics_path)],
+                capsys,
+            )
             assert code == 1
             assert out == ""
             assert "not finite" in err
@@ -898,6 +896,20 @@ class TestCliTrainEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "metrics-link.jsonl", "metrics.jsonl", "state-link.jsonl", "state.jsonl"]
         assert all(link.is_symlink() and not link.exists() for link in links)
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", RUN_CFG, "--learning_rate", "1e300"],
+        ["--n_images", "20", "--learning_rate", "1e3"],
+    ], ids=["run-cfg", "20-images"])
+    def test_diverging_run_prints_only_its_error_under_warnings_as_errors(self, argv,
+                                                                          tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rca", "train", *argv,
+             "--state_out", str(tmp_path / "state.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: table values are not finite\n")
 
     def test_invalid_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
