@@ -405,12 +405,14 @@ def write_state(path, state: TrainState, syn: SyntheticConfig, cfg: TrainerConfi
 
 
 def _table(obj: dict, name: str) -> np.ndarray:
-    """A state table as float64; ragged rows or non-finite numbers raise :class:`ParseError`."""
+    """A state table as float64; :class:`ParseError` unless it is a grid of finite numbers."""
     try:
         arr = np.asarray(obj[name])
     except ValueError as exc:
         raise ParseError(f"malformed state file: {name} is ragged", line=1) from exc
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    # exact types, as in _embedding: np.asarray([True, 1.5]) infers float64
+    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
+            or not set(map(type, np.asarray(obj[name], dtype=object).flat)) <= _NUMBER_TYPES):
         raise ParseError(f"malformed state file: {name} must hold only finite numbers", line=1)
     return arr.astype(np.float64)
 
@@ -430,8 +432,8 @@ def read_state(path) -> tuple[TrainState, SyntheticConfig, TrainerConfig]:
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed state file: {exc}", line=1) from exc
-    if not isinstance(state.step, int) or isinstance(state.step, bool):
-        raise ParseError("malformed state file: step must be an integer", line=1)
+    if not isinstance(state.step, int) or isinstance(state.step, bool) or state.step < 0:
+        raise ParseError("malformed state file: step must be a non-negative integer", line=1)
     expected = (syn.n_concepts, syn.d)
     if state.tag_table.shape != expected or state.caption_table.shape != expected:
         raise DimensionError("state tables do not match the embedded config")

@@ -20,26 +20,23 @@ the training trajectory. Loss history records are full-dataset snapshots
 
 The dataset holds one stacked array per field, images on the leading
 axis, and computes the region-by-pool cosines of its frozen evidence once,
-when it is generated. Selection reads only that evidence, so the
-snapshots of a training run select once: before the first one, the run
-builds a plan holding each image's selected positive and negative
-concepts, their weights and its clamp counts. The plan holds (n, K)
-arrays, as ``cosines`` holds an (n, K, 2K) one; every snapshot reads it.
-Steps select per block, over the images of their batch. Steps and
-snapshots compute whole blocks of at most ``BLOCK`` (256) images, one
-forward (and, in a step, backward) pass each, so the block temporaries do
+when it is generated. Selection reads only that evidence and treats each
+image alone, so a run makes one selection call for all its snapshots (the
+plan: each image's selected concepts, weights and clamp counts) and one
+per step, over the images of its batch. The losses run ``BLOCK`` (256) images
+per forward (and, in a step, backward) pass, so the pass temporaries do
 not grow with the dataset. A snapshot adds its per-image losses in
 ``SUM_GROUP`` (64) image groups, in image order, so its floats do not
-depend on ``BLOCK``. A step keeps its blocks' gradient rows in block
-order and folds them onto each concept table with one
-:func:`rca.core.scatter_add`, which adds them in the order a scatter-add
-per block would. A batch holds each image once, so each region row gets
-at most one gradient row, and the step subtracts it from that row alone.
+depend on ``BLOCK``. A step keeps its gradient rows in image order and
+folds them onto each concept table with one
+:func:`rca.core.scatter_add`. A batch holds each image once, so each
+region row gets at most one gradient row, and the step subtracts it from
+that row alone.
 
-A subsampled step selects per block, over the column subset of its kept
-rows, exactly as if the pool held only those rows. It draws those rows
-from the stream numpy's per-image ``Generator.choice`` calls would read,
-in one bulk read of that same stream; a step whose draws would hit one of
+A subsampled step selects over the column subset of its kept rows,
+exactly as if the pool held only those rows. It draws those rows from the
+stream numpy's per-image ``Generator.choice`` calls would read, in one
+bulk read of that same stream; a step whose draws would hit one of
 ``choice``'s rejections replays the calls one by one, so the stream, the
 state after it, and every trained table are the same either way.
 """
@@ -53,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContrastiveInstance, scatter_add
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DegenerateEmbeddingError, DivergenceError
 from .losses import batch_loss
 from .uasr import pool_cosines, select_batch, warn_clamped
 
@@ -73,7 +70,7 @@ __all__ = [
     "evaluate_retrieval",
 ]
 
-BLOCK = 256  # images per stacked block in selection, steps and snapshots
+BLOCK = 256  # images per loss pass, and per cosine chunk at generation
 SUM_GROUP = 64  # images per partial sum of a snapshot's losses, as the pinned histories were summed
 
 
@@ -343,8 +340,8 @@ class HistoryRecord:
     total: float
 
 
-def _select_block(dataset, images, subsets=None):
-    """Selection for one block of images over their frozen evidence.
+def _select(dataset, images, subsets=None):
+    """Selection for ``images`` over their frozen evidence, in one call.
 
     With ``subsets`` (b, 2, m), the sorted positive and negative rows a
     subsampled step keeps per image, the argmax runs over those pool
@@ -363,20 +360,20 @@ def _select_block(dataset, images, subsets=None):
 
 
 class _Selection(typing.NamedTuple):
-    """The tag concepts a block of images contrasts, with their weights and clamp counts."""
+    """The tag concepts some images contrast, with their weights and clamp counts."""
 
     positive_concepts: np.ndarray  # (b, K)
     negative_concepts: np.ndarray  # (b, K)
     weights: np.ndarray | None     # (b, K), None without selection
     clamped: np.ndarray            # (b,) global scores clamped, with multiplicity
 
-    def take(self, images) -> "_Selection":
-        """The rows of ``images`` (an index array or a slice)."""
-        return _Selection(*(None if f is None else f[images] for f in self))
+    def take(self, part: slice) -> "_Selection":
+        """The rows in the slice ``part``."""
+        return _Selection(*(None if f is None else f[part] for f in self))
 
 
 def _selection(dataset, config, images, subsets=None) -> _Selection:
-    """Selection for one block of images, as tag concepts; ``subsets`` as for :func:`_select_block`."""
+    """Selection for ``images``, as tag concepts; ``subsets`` as for :func:`_select`."""
     rows = np.arange(len(images))[:, None]
     pos_concepts = dataset.positive_concepts[images]
     neg_concepts = dataset.negative_concepts[images]
@@ -385,61 +382,50 @@ def _selection(dataset, config, images, subsets=None) -> _Selection:
         neg_concepts = neg_concepts[rows, subsets[:, 1]]
     if not config.enable_uasr:
         return _Selection(pos_concepts, neg_concepts, None, np.zeros(len(images), dtype=np.int64))
-    sel = _select_block(dataset, images, subsets)
+    sel = _select(dataset, images, subsets)
     return _Selection(pos_concepts[rows, sel.positive_indices],
                       neg_concepts[rows, sel.negative_indices], sel.weights, sel.clamped)
 
 
-def _plan(dataset, config) -> _Selection:
-    """Every image's selection over its full pool, selected ``BLOCK`` images at a time.
+def _losses(dataset, state, config, images, sel, with_grad=False):
+    """Per-image cross and inner losses of ``images`` under selection ``sel``.
 
-    Selection reads only the frozen evidence, so one plan serves every
-    snapshot of a run.
+    Runs ``BLOCK`` images per pass. Returns ``(cross, inner, grads)``. With
+    ``with_grad``, ``grads`` holds the gradient rows in image order: tag
+    (b, 2K, d) for the concepts ``sel.positive_concepts`` then
+    ``sel.negative_concepts``, caption (b, K, d) for
+    ``dataset.caption_concepts[images]``, and region (b, K, d) for
+    ``dataset.region_rows(images)``. Without, it is None.
     """
-    images = np.arange(len(dataset))
-    blocks = [_selection(dataset, config, images[start:start + BLOCK])
-              for start in range(0, len(images), BLOCK)]
-    return _Selection(*(None if f[0] is None else np.concatenate(f) for f in zip(*blocks)))
-
-
-def _block_loss(dataset, state, config, images, sel, with_grad=False):
-    """Per-image cross and inner losses of one block of images under selection ``sel``.
-
-    Returns ``(cross, inner, grads)``. With ``with_grad``, ``grads`` holds
-    the block's gradient rows: tag (b, 2K, d) for the concepts
-    ``sel.positive_concepts`` then ``sel.negative_concepts``, caption
-    (b, K, d) for ``dataset.caption_concepts[images]``, and region
-    (b, K, d) for ``dataset.region_rows(images)``. Without, it is None.
-    """
-    cross, inner, g = batch_loss(
-        state.region_table[dataset.region_rows(images)],
-        state.tag_table[sel.positive_concepts],
-        state.tag_table[sel.negative_concepts],
-        state.caption_table[dataset.caption_concepts[images]],
-        sel.weights,
-        config.lambda_cross,
-        config.effective_lambda_inner,
-        with_grad=with_grad,
-    )
-    if with_grad:
-        g = (np.concatenate([g.d_positives, g.d_negatives], axis=1), g.d_caption_nouns,
-             g.d_regions)
-    return cross, inner, g
+    cross, inner = np.empty(len(images)), np.empty(len(images))
+    grads = []
+    for start in range(0, len(images), BLOCK):
+        part = slice(start, start + BLOCK)
+        block, block_sel = images[part], sel.take(part)
+        cross[part], inner[part], g = batch_loss(
+            state.region_table[dataset.region_rows(block)],
+            state.tag_table[block_sel.positive_concepts],
+            state.tag_table[block_sel.negative_concepts],
+            state.caption_table[dataset.caption_concepts[block]],
+            block_sel.weights,
+            config.lambda_cross,
+            config.effective_lambda_inner,
+            with_grad=with_grad,
+        )
+        if with_grad:
+            grads.append((np.concatenate([g.d_positives, g.d_negatives], axis=1),
+                          g.d_caption_nouns, g.d_regions))
+    return cross, inner, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
 
 
 def _snapshot(dataset, state, config, plan) -> HistoryRecord:
     """Mean full-dataset loss record under the selection ``plan``.
 
-    The losses run ``BLOCK`` images at a time; their sums are added up in
-    ``SUM_GROUP``-image groups, in image order, whatever ``BLOCK`` is.
+    The per-image losses are added up in ``SUM_GROUP``-image groups, in
+    image order, whatever ``BLOCK`` is.
     """
     n = len(dataset)
-    images = np.arange(n)
-    cross, inner = np.empty(n), np.empty(n)
-    for start in range(0, n, BLOCK):
-        block = slice(start, start + BLOCK)
-        cross[block], inner[block], _ = _block_loss(dataset, state, config, images[block],
-                                                    plan.take(block))
+    cross, inner, _ = _losses(dataset, state, config, np.arange(n), plan)
     total = config.lambda_cross * cross + config.effective_lambda_inner * inner
     sums = [0.0, 0.0, 0.0]
     for start in range(0, n, SUM_GROUP):
@@ -457,7 +443,7 @@ def snapshot_loss(
     Warns at most once, with the total count, if selection clamped
     non-positive global scores.
     """
-    plan = _plan(dataset, config)
+    plan = _selection(dataset, config, np.arange(len(dataset)))
     record = _snapshot(dataset, state, config, plan)
     warn_clamped(int(plan.clamped.sum()))
     return record
@@ -550,22 +536,20 @@ def train_alignment(
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     k = dataset.config.regions_per_image
-    plan = _plan(dataset, config)
-    clamped = 0
+    plan = _selection(dataset, config, np.arange(n))
+    clamped = 0  # by the steps; each snapshot adds the plan's
+    history: list[HistoryRecord] = []
 
-    def record(history):
-        nonlocal clamped
+    def record():
         rec = _snapshot(dataset, state, config, plan)
-        clamped += int(plan.clamped.sum())
         if not math.isfinite(rec.total):
             raise DivergenceError(state.step, "snapshot loss is not finite")
         history.append(rec)
 
-    history: list[HistoryRecord] = []
     # A diverging run overflows on its way to a non-finite table or
     # snapshot; the checks below report that as a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
-        record(history)
+        record()
         for _ in range(config.steps):
             if config.batch_size >= n:
                 batch = np.arange(n)
@@ -575,21 +559,16 @@ def train_alignment(
             if config.enable_subsample:
                 subsets = _draw_subsets(rng, len(batch), k, config.subsample_fraction)
 
-            tag_concepts, grad_rows = [], []
-            for start in range(0, len(batch), BLOCK):
-                block = slice(start, start + BLOCK)
-                sel = _selection(dataset, config, batch[block],
-                                 None if subsets is None else subsets[block])
-                grad_rows.append(_block_loss(dataset, state, config, batch[block], sel, True)[2])
-                tag_concepts.append(np.concatenate([sel.positive_concepts,
-                                                    sel.negative_concepts], axis=1))
-                clamped += int(sel.clamped.sum())
-            d_tags, d_caption, d_regions = (np.concatenate(r) for r in zip(*grad_rows))
+            sel = _selection(dataset, config, batch, subsets)
+            clamped += int(sel.clamped.sum())
+            _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, config, batch, sel,
+                                                           with_grad=True)
 
             lr = config.learning_rate / len(batch)
             if not config.freeze_tags:
-                state.tag_table -= lr * scatter_add(np.concatenate(tag_concepts), d_tags,
-                                                    len(state.tag_table))
+                tag_concepts = np.concatenate([sel.positive_concepts, sel.negative_concepts],
+                                              axis=1)
+                state.tag_table -= lr * scatter_add(tag_concepts, d_tags, len(state.tag_table))
             if not config.freeze_caption:
                 state.caption_table -= lr * scatter_add(dataset.caption_concepts[batch],
                                                         d_caption, len(state.caption_table))
@@ -603,11 +582,11 @@ def train_alignment(
                     raise DivergenceError(state.step, "table values are not finite")
 
             if state.step % 10 == 0:
-                record(history)
+                record()
 
-        if not history or history[-1].step != state.step:
-            record(history)
-    warn_clamped(clamped)
+        if history[-1].step != state.step:
+            record()
+    warn_clamped(clamped + len(history) * int(plan.clamped.sum()))
     return state, history
 
 
@@ -617,13 +596,20 @@ def evaluate_retrieval(dataset: SyntheticDataset, state: TrainState) -> float:
     Each positive tag retrieves the region of its own image with the
     highest cosine against the current tables. Exactly one region depicts
     each true positive concept, so random tables score about 1/K; a
-    flipped-in positive names an absent concept and always misses.
+    flipped-in positive names an absent concept and always misses. A
+    cosine whose norms or dot product overflow raises
+    :class:`DegenerateEmbeddingError`; a zero norm is clamped to 1e-12.
     """
     regions = state.region_table.reshape(*dataset.region_concepts.shape, -1)
     tags = state.tag_table[dataset.positive_concepts]
-    rnorm = np.maximum(np.linalg.norm(regions, axis=-1), 1e-12)
-    tnorm = np.maximum(np.linalg.norm(tags, axis=-1), 1e-12)
-    cos = (tags @ regions.swapaxes(-1, -2)) / (rnorm[:, None, :] * tnorm[:, :, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        rnorm = np.maximum(np.linalg.norm(regions, axis=-1), 1e-12)
+        tnorm = np.maximum(np.linalg.norm(tags, axis=-1), 1e-12)
+        num = tags @ regions.swapaxes(-1, -2)
+        den = rnorm[:, None, :] * tnorm[:, :, None]
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise DegenerateEmbeddingError("retrieval cosine undefined for rows whose norm overflows")
+    cos = num / den
     winners = np.take_along_axis(dataset.region_concepts, cos.argmax(axis=-1), axis=1)
     hits = winners == dataset.positive_concepts
     return int(hits.sum()) / hits.size

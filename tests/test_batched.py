@@ -190,7 +190,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
 
     with warnings.catch_warnings(record=True) as per_image:
         warnings.simplefilter("always")
-        sel = trainer._select_block(ds, images)
+        sel = trainer._select(ds, images)
         for i in images:
             check(sel, i, apply_uasr(evidence_view(ds, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
@@ -201,7 +201,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
             for m in range(1, k + 1):
                 rows = [i for i in images if len(picked[i][0]) == m]
                 subsets = np.array([picked[i] for i in rows])
-                sel = trainer._select_block(ds, np.array(rows), subsets)
+                sel = trainer._select(ds, np.array(rows), subsets)
                 for j, i in enumerate(rows):
                     pos, neg = picked[i]
                     check(sel, j, apply_uasr(evidence_view(ds, i, pos, neg)), exact=False)
@@ -271,7 +271,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
 def test_clamp_warning_counted_once_per_call(monkeypatch):
     monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
-    # snapshots read the run's selection plan; steps select per step block
+    # snapshots read the run's selection plan; each step selects once
     for variant in ("default", "no-subsample", "minibatch"):
         cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
         with warnings.catch_warnings(record=True) as batched:
@@ -333,11 +333,8 @@ def test_snapshots_select_once_per_run(variant, block, monkeypatch):
     _run(ds, cfg)
     n = len(ds)
     batch = min(cfg.batch_size, n)
-    expected = 0
-    if cfg.enable_uasr:
-        # the plan, then one selection per step block
-        expected = math.ceil(n / block) + cfg.steps * math.ceil(batch / block)
-    assert len(calls) == expected
+    # the plan, then one selection per step, whatever the block
+    assert len(calls) == (1 + cfg.steps if cfg.enable_uasr else 0)
     if cfg.enable_uasr:
         assert sum(calls) == n + cfg.steps * batch  # snapshots select each image once
 
@@ -345,4 +342,4 @@ def test_snapshots_select_once_per_run(variant, block, monkeypatch):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*clamped")
         snapshot_loss(ds, initial_state(ds, seed=cfg.seed), cfg)
-    assert len(calls) == (math.ceil(n / block) if cfg.enable_uasr else 0)
+    assert len(calls) == (1 if cfg.enable_uasr else 0)

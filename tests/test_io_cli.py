@@ -938,6 +938,19 @@ class TestCliTrainEval:
         code, _, err = run_cli(["eval", str(state_path)], capsys)
         assert code == 3
 
+    def test_eval_overflowing_table_prints_only_its_error_under_warnings_as_errors(
+            self, tmp_path, capsys):
+        state_path = tmp_path / "state.jsonl"
+        run_cli(["train", "--n_images", "20", "--steps", "1", "--state_out", str(state_path)],
+                capsys)
+        obj = json.loads(state_path.read_text())
+        obj["tag_table"][0][0] = 1e200
+        state_path.write_text(json.dumps(obj) + "\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "eval", str(state_path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: retrieval cosine undefined for rows whose norm overflows\n")
+
 
 # ---------------------------------------------------------------------------
 # malformed input: exit 2 with an error line, never a traceback
@@ -983,6 +996,14 @@ def _nan_table_entry(obj):
     obj["tag_table"][1][0] = float("nan")
 
 
+def _boolean_table_entry(obj):
+    obj["tag_table"][0][0] = True
+
+
+def _negative_step(obj):
+    obj["step"] = -3
+
+
 VOCAB_HEADER = '{"format": "rca-vocab", "version": 1, "dim": 4}\n'
 VOCAB_LINES = "".join('{"tag_id": "t%d", "embedding": [%s, 1, 0, 0]}\n' % (i, i) for i in range(4))
 TOKEN = '{"text": "ball", "is_noun": true, "embedding": [0, 1, 0, 0]}'
@@ -1018,6 +1039,9 @@ MALFORMED_INPUTS = {
     "state-non-numeric-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _non_numeric)),
     "state-step-not-integer": ("eval", "state", lambda tmp: _state_bytes(tmp, _step_not_integer)),
     "state-nan-table": ("eval", "state", lambda tmp: _state_bytes(tmp, _nan_table_entry)),
+    "state-boolean-table-entry": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _boolean_table_entry)),
+    "state-step-negative": ("eval", "state", lambda tmp: _state_bytes(tmp, _negative_step)),
     # non-finite JSON literals in any number the readers take
     "vocab-nan-embedding": (
         "rank", "vocab", (VOCAB_HEADER + VOCAB_LINES.replace("[2,", "[NaN,")).encode()),

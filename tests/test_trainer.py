@@ -9,7 +9,7 @@ import pytest
 
 from rca.core import compatibility
 from rca import trainer
-from rca.errors import ConfigError, DivergenceError
+from rca.errors import ConfigError, DegenerateEmbeddingError, DivergenceError
 from rca.trainer import (
     SyntheticConfig,
     TrainerConfig,
@@ -192,6 +192,16 @@ class TestStates:
     def test_aligned_state_is_perfect_noiseless(self):
         ds = generate_synthetic(SMALL)
         assert evaluate_retrieval(ds, aligned_state(ds)) == 1.0
+
+    def test_overflowing_norm_rejected_zero_norm_clamped(self):
+        ds = generate_synthetic(SMALL)
+        state = aligned_state(ds)
+        concept = ds.positive_concepts[0, 0]
+        state.tag_table[concept] = 0.0
+        assert 0.0 < evaluate_retrieval(ds, state) < 1.0
+        state.tag_table[concept, 0] = 1e200
+        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+            evaluate_retrieval(ds, state)
 
     def test_random_tables_score_near_chance(self):
         accs = []

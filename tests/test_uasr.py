@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rca.core import ContrastiveInstance
 from rca.errors import DegenerateEmbeddingError, ValidationError
@@ -38,6 +41,29 @@ def select_voted(k, voted):
     sel = select_batch(cosines, np.full((1, k), 0.5))
     return (sel.positive_indices[0].tolist(), (sel.negative_indices[0] + k).tolist(),
             bool(sel.positive_fallback[0]), bool(sel.negative_fallback[0]))
+
+
+# cosines and scores from a coarse grid tie and clamp often; the rest fall anywhere
+COSINES = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+SCORES = st.one_of(st.sampled_from([-0.25, 0.0, 1e-7, 0.5]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def selection_stacks(draw):
+    """A (B, R, 2K) cosine stack and its (B, K) global scores."""
+    b, r, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return (draw(hnp.arrays(np.float64, (b, r, 2 * k), elements=COSINES)),
+            draw(hnp.arrays(np.float64, (b, k), elements=SCORES)))
+
+
+# image 0 votes both negatives, so both sides fall back; image 1's regions tie
+# and its scores clamp; image 2 is plain
+EVERY_CASE = (
+    np.array([[[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+              [[0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 1.0]],
+              [[0.1, 0.9, -0.2, 0.3], [0.4, 0.2, 0.8, -1.0]]]),
+    np.array([[0.9, 0.5], [0.0, -0.3], [0.7, 0.2]]),
+)
 
 
 class TestLocalUncertainty:
@@ -106,6 +132,26 @@ class TestSelect:
     def test_cyclic_oversampling_order(self):
         pos, _, _, _ = select_voted(5, [1, 3])
         assert pos == [1, 3, 1, 3, 1]
+
+    def test_every_case_stack_covers_fallbacks_ties_and_clamps(self):
+        sel = select_batch(*EVERY_CASE)
+        assert sel.positive_fallback.tolist() == [True, False, False]
+        assert sel.negative_fallback.tolist() == [True, False, False]
+        assert sel.retrieved[1].tolist() == [True, False, False, False]  # ties go low
+        assert sel.clamped.tolist() == [0, 2, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=selection_stacks(), normalize=st.booleans())
+    @example(stack=EVERY_CASE, normalize=True)
+    @example(stack=EVERY_CASE, normalize=False)
+    def test_each_image_selects_alone_bit_for_bit(self, stack, normalize):
+        cosines, scores = stack
+        together = select_batch(cosines, scores, normalize)
+        for i in range(len(cosines)):
+            alone = select_batch(cosines[[i]], scores[[i]], normalize)
+            for f in dataclasses.fields(UasrResult):
+                got, want = getattr(together, f.name)[i], getattr(alone, f.name)[0]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 class TestReweight:
