@@ -240,27 +240,32 @@ def cmd_loss(args) -> int:
     table, _, groups = _corpus_groups(records, vocab, args.M, cosines=args.enable_uasr)
     losses = np.zeros((len(records), 3))  # cross, inner, total per record
     clamped = 0
-    for group in groups:
-        pos, neg, weights = group.positive_rows, group.negative_rows, None
-        if args.enable_uasr:
-            sel = _select(table, group, args.normalize)
-            rows = np.arange(len(group.members))[:, None]
-            pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
-            weights, clamped = sel.weights, clamped + int(sel.clamped.sum())
-        cross, inner, _ = batch_loss(
-            group.regions, table[pos], table[neg], group.caption_nouns, weights,
-            args.lambda_cross, args.lambda_inner, with_grad=False,
-        )
-        total = args.lambda_cross * cross + args.lambda_inner * inner
-        losses[group.members] = np.stack([cross, inner, total], axis=1)
+    # huge finite entries can overflow on the way to a loss; rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            pos, neg, weights = group.positive_rows, group.negative_rows, None
+            if args.enable_uasr:
+                sel = _select(table, group, args.normalize)
+                rows = np.arange(len(group.members))[:, None]
+                pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
+                weights, clamped = sel.weights, clamped + int(sel.clamped.sum())
+            cross, inner, _ = batch_loss(
+                group.regions, table[pos], table[neg], group.caption_nouns, weights,
+                args.lambda_cross, args.lambda_inner, with_grad=False,
+            )
+            total = args.lambda_cross * cross + args.lambda_inner * inner
+            losses[group.members] = np.stack([cross, inner, total], axis=1)
+        sums = np.zeros(3)
+        for row in losses:  # in record order, as a one-by-one run adds them
+            sums += row
+    bad = np.flatnonzero(~np.isfinite(losses).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"image {records[bad[0]].image_id!r}: loss is not finite")
     warn_clamped(clamped)
     lines = [
         to_json({"image_id": rec.image_id, "cross": c, "inner": i, "total": t})
         for rec, (c, i, t) in zip(records, losses.tolist())
     ]
-    sums = np.zeros(3)
-    for row in losses:  # in record order, as a one-by-one run adds them
-        sums += row
     n = len(records)
     lines.append(
         to_json(

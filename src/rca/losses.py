@@ -11,6 +11,13 @@ One kernel computes every loss: :func:`batch_loss` over a leading batch
 axis, with its gradients. :func:`total_loss` is its one-image case, a
 batch of one. All losses are computed through log-sum-exp so large
 compatibility values cannot overflow.
+
+Short reductions fold column by column, with numpy's bits (see
+:mod:`rca.core`). The log-sum-exp takes its maximum as the positive's
+against its negatives' maximum, exact in any order, and adds its exp
+terms left to right from +0.0, the positive first, then each negative,
+at every K. From K + 1 = 8 on that is not numpy's pairwise sum of a
+contiguous row; it is the order the pinned losses and goldens hold.
 """
 
 from __future__ import annotations
@@ -19,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContrastiveInstance, compat_backward, compat_forward
+from .core import (
+    ContrastiveInstance,
+    _fold_sum,
+    _max_last,
+    _sum_last,
+    compat_backward,
+    compat_forward,
+)
 from .errors import InvalidWeightError
 from .uasr import UasrResult, check_selection
 
@@ -38,12 +52,10 @@ def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
     evaluated as logsumexp([phi_pos[n], phi_neg...]) - phi_pos[n]. Leading
     axes, shared by both arguments, are batch axes.
     """
-    wide = phi_pos.shape + phi_neg.shape[-1:]
-    stacked = np.concatenate(
-        [phi_pos[..., None], np.broadcast_to(phi_neg[..., None, :], wide)], axis=-1
-    )
-    m = stacked.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(stacked - m).sum(axis=-1))
+    m = np.maximum(phi_pos, _max_last(phi_neg)[..., None])
+    e_neg = np.exp(phi_neg[..., None, :] - m[..., None])
+    e = [np.exp(phi_pos - m)] + [e_neg[..., l] for l in range(e_neg.shape[-1])]
+    lse = m + np.log(_fold_sum(e))
     return lse - phi_pos
 
 
@@ -73,7 +85,7 @@ def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
     phi_p, cache_p = compat_forward(positives, contexts)
     phi_n, cache_n = compat_forward(negatives, contexts)
     terms = nll_terms(phi_p, phi_n)
-    loss = (terms if weights is None else weights * terms).mean(axis=-1)
+    loss = _sum_last(terms if weights is None else weights * terms) / terms.shape[-1]
     if not with_grad:
         return loss, None
 
@@ -89,6 +101,15 @@ def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
     d_pos, d_ctx_p = compat_backward(g_pos, positives, contexts, phi_p, cache_p)
     d_neg, d_ctx_n = compat_backward(g_neg, negatives, contexts, phi_n, cache_n)
     return loss, (d_pos, d_neg, d_ctx_p + d_ctx_n)
+
+
+def _from_zero(terms, like):
+    """``terms`` added one by one onto a zero table shaped like ``like``.
+
+    Built as ``0.0 + terms[0] + terms[1]``, so a -0.0 reads +0.0 just as
+    on the zero table; without terms, the zero table itself.
+    """
+    return _fold_sum(terms) if terms else np.zeros_like(like)
 
 
 def batch_loss(
@@ -119,31 +140,24 @@ def batch_loss(
         raise InvalidWeightError("lambda weights must be non-negative")
     k = positives.shape[-2]
     cross = inner = np.zeros(positives.shape[0])
-    grads = None
-    if with_grad:
-        grads = GradientBundle(
-            d_regions=np.zeros_like(regions),
-            d_positives=np.zeros_like(positives),
-            d_negatives=np.zeros_like(negatives),
-            d_caption_nouns=np.zeros_like(caption_nouns),
-        )
+    g_cross = g_inner = None
     if lambda_cross > 0.0:
-        cross, g = _pair_block(
+        cross, g_cross = _pair_block(
             regions, positives, negatives, weights, lambda_cross / k, with_grad
         )
-        if grads is not None:
-            grads.d_positives += g[0]
-            grads.d_negatives += g[1]
-            grads.d_regions += g[2]
     if lambda_inner > 0.0 and caption_nouns.shape[-2] > 0:
-        inner, g = _pair_block(
+        inner, g_inner = _pair_block(
             caption_nouns, positives, negatives, weights, lambda_inner / k, with_grad
         )
-        if grads is not None:
-            grads.d_positives += g[0]
-            grads.d_negatives += g[1]
-            grads.d_caption_nouns += g[2]
-    return cross, inner, grads
+    if not with_grad:
+        return cross, inner, None
+    ran = [g for g in (g_cross, g_inner) if g is not None]
+    return cross, inner, GradientBundle(
+        d_regions=_from_zero([] if g_cross is None else [g_cross[2]], regions),
+        d_positives=_from_zero([g[0] for g in ran], positives),
+        d_negatives=_from_zero([g[1] for g in ran], negatives),
+        d_caption_nouns=_from_zero([] if g_inner is None else [g_inner[2]], caption_nouns),
+    )
 
 
 @dataclass

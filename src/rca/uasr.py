@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ContrastiveInstance
+from .core import ContrastiveInstance, _sum_last
 from .errors import DegenerateEmbeddingError, ValidationError
 
 __all__ = [
@@ -131,7 +131,7 @@ def _weights_from(best_cosine: np.ndarray, scores: np.ndarray, normalize: bool):
     clamped = (scores <= 0.0).sum(axis=-1)
     q = np.exp(best_cosine) * np.maximum(scores, SCORE_FLOOR)
     if normalize:
-        q = q / q.mean(axis=-1, keepdims=True)
+        q = q / (_sum_last(q) / q.shape[-1])[..., None]
     return q, clamped
 
 

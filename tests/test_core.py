@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rca.core import (
     ContrastiveInstance,
+    _max_last,
+    _sum_last,
     as_matrix,
     as_vector,
     compat_forward,
@@ -228,3 +230,56 @@ class TestScatterAdd:
         table = scatter_add(np.array([1, 1]), np.array([[-0.0], [-0.0]]), 3)
         assert table.shape == (3, 1)
         assert not np.signbit(table).any()
+
+
+FOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 1.0]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def short_axis_views(draw):
+    """An (..., n) float array, n in 1..12, as a contiguous, strided, reversed,
+    column-major or broadcast view; the leading axes may be empty."""
+    n = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (0,), (1,), (3,), (2, 3), (0, 2)]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "reversed", "column-major",
+                                   "broadcast"]))
+    base_shape = {"strided": lead + (2 * n,), "broadcast": (n,)}.get(layout, lead + (n,))
+    count = math.prod(base_shape)
+    base = np.array(draw(st.lists(FOLD_VALUES, min_size=count, max_size=count)),
+                    dtype=np.float64).reshape(base_shape)
+    return {
+        "contiguous": lambda: base,
+        "strided": lambda: base[..., ::2],
+        "reversed": lambda: base[..., ::-1],
+        "column-major": lambda: np.asfortranarray(base),
+        "broadcast": lambda: np.broadcast_to(base, lead + (n,)),
+    }[layout]()
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes; NaN compared by position, whatever its payload."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+class TestShortAxisFolds:
+    """The column folds equal numpy's own reductions bit for bit, on both sides of n = 8.
+
+    Below 8 entries numpy's add-reduce adds left to right from +0.0; a numpy
+    that changed that order would fail here, not silently move the loss bits.
+    """
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(short_axis_views())
+    @example(np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]))
+    def test_max_sum_and_mean_equal_numpy(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(_max_last(x), x.max(axis=-1))
+            assert_same_bits(_sum_last(x), x.sum(axis=-1))
+            assert_same_bits(_sum_last(x) / x.shape[-1], x.mean(axis=-1))

@@ -601,6 +601,17 @@ class TestCliCorpusErrors:
         )
         assert (proc.returncode, proc.stderr) == (code, err)
 
+    def test_overflowing_loss_prints_only_its_error_under_warnings_as_errors(self, tmp_path):
+        # finite, but the region-tag products overflow to inf and the softmax to NaN
+        records, dim = read_instances(INSTANCES)
+        records[1].regions[0] = 1e308
+        huge = tmp_path / "huge-region.jsonl"
+        write_instances(huge, records, dim)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "loss", VOCAB,
+                               str(huge)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: image 'img-b': loss is not finite\n"
+
     @pytest.mark.parametrize("argv", [["uasr"], ["uasr", "--no-normalize"],
                                       ["loss", "--enable_uasr"]])
     def test_clamp_warning_once_per_call_with_the_total(self, argv, tmp_path, capsys):

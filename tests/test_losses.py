@@ -1,11 +1,16 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rca import core, losses, uasr
 from rca.core import ContrastiveInstance
 from rca.errors import InvalidWeightError
 from rca.losses import batch_loss, nll_terms, total_loss
+from rca.uasr import select_batch
 
 from naive_reference import naive_context_loss, naive_total_loss
 
@@ -143,3 +148,90 @@ class TestTotalLoss:
             phi_n = rng.standard_normal(6) * 5
             terms = nll_terms(phi_p, phi_n)
             assert np.all(terms > 0.0)
+
+
+def stacked_nll_terms(phi_pos, phi_neg):
+    """nll_terms as numpy's reductions over one stacked (..., K, K+1) array, the reference bits."""
+    wide = phi_pos.shape + phi_neg.shape[-1:]
+    stacked = np.concatenate(
+        [phi_pos[..., None], np.broadcast_to(phi_neg[..., None, :], wide)], axis=-1
+    )
+    m = stacked.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(stacked - m).sum(axis=-1))
+    return lse - phi_pos
+
+
+def zero_table_sum(terms, like):
+    """Gradient terms added in place onto a zero table, the reference start."""
+    out = np.zeros_like(like)
+    for term in terms:
+        out += term
+    return out
+
+
+@contextlib.contextmanager
+def plain_numpy_kernels():
+    """numpy's own reductions, the stacked log-sum-exp and zero-table gradient sums."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (core, losses, uasr):
+            for name, plain in (("_max_last", lambda x: x.max(axis=-1)),
+                                ("_sum_last", lambda x: x.sum(axis=-1))):
+                if hasattr(module, name):
+                    patch.setattr(module, name, plain)
+        patch.setattr(losses, "nll_terms", stacked_nll_terms)
+        patch.setattr(losses, "_from_zero", zero_table_sum)
+        yield
+
+
+SHORT_AND_LONG = [1, 2, 3, 6, 7, 8, 9, 12]  # axis lengths on both sides of numpy's 8
+
+
+class TestKernelsUnchangedBitForBit:
+    """The column folds give the bytes of the plain numpy kernel they replaced."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(b=st.integers(1, 3), k=st.sampled_from(SHORT_AND_LONG),
+           r=st.sampled_from(SHORT_AND_LONG), p=st.sampled_from([0, 2, 9]),
+           lambdas=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (0.3, 2.5)]),
+           weighted=st.booleans(), scale=st.sampled_from([1.0, 30.0]),
+           zero=st.sampled_from([None, 0.0, -0.0]), seed=st.integers(0, 2**32 - 1))
+    def test_batch_loss(self, b, k, r, p, lambdas, weighted, scale, zero, seed):
+        rng = np.random.default_rng(seed)
+        d = 3
+        tables = [scale * rng.standard_normal((b, n, d)) for n in (r, k, k, p)]
+        if zero is not None:  # a zero tag column puts signed zeros in the gradients
+            for table in tables[1:3]:
+                table[..., 0] = zero
+        weights = rng.uniform(0.1, 3.0, (b, k)) if weighted else None
+        for with_grad in (False, True):
+            got = batch_loss(*tables, weights, *lambdas, with_grad=with_grad)
+            with plain_numpy_kernels():
+                want = batch_loss(*tables, weights, *lambdas, with_grad=with_grad)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.tobytes() == w.tobytes()
+            if with_grad:
+                for name, g in got[2].as_dict().items():
+                    w = want[2].as_dict()[name]
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+            else:
+                assert got[2] is want[2] is None
+
+    @pytest.mark.parametrize("k", SHORT_AND_LONG + [25])
+    def test_nll_terms(self, k):
+        rng = np.random.default_rng(k)
+        for shape in [(), (1,), (5,), (2, 3)]:
+            phi_pos = 4.0 * rng.standard_normal(shape + (k,))
+            phi_neg = 4.0 * rng.standard_normal(shape + (k,))
+            phi_neg.flat[0] = -0.0
+            got = nll_terms(phi_pos, phi_neg)
+            assert got.tobytes() == stacked_nll_terms(phi_pos, phi_neg).tobytes()
+
+    @pytest.mark.parametrize("k", SHORT_AND_LONG)
+    def test_select_batch_weights(self, k):
+        rng = np.random.default_rng(100 + k)
+        cosines = rng.uniform(-1.0, 1.0, (64, 4, 2 * k))
+        scores = rng.uniform(-0.2, 1.0, (64, k))
+        got = select_batch(cosines, scores).weights
+        with plain_numpy_kernels():
+            want = select_batch(cosines, scores).weights
+        assert got.tobytes() == want.tobytes()
