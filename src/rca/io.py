@@ -4,7 +4,8 @@ Two line formats share one convention: a header object carrying
 ``format``, ``version``, and the embedding dimension, followed by one
 record per line. Floats are always written with 17 significant digits so
 that write -> read -> write is byte-identical and golden files stay
-stable across platforms.
+stable across platforms. Each line is decoded by ``orjson.loads``, whose
+doubles and 64-bit integers are those of ``json.loads``.
 
 The run configuration is a flat ``key = value`` text file whose keys are
 the synthetic-data and trainer fields. Unknown keys are rejected rather
@@ -14,13 +15,14 @@ than ignored; a silently dropped typo would be worse than an error.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DimensionError, ParseError, ValidationError
 from .tags import TagRef
@@ -46,7 +48,13 @@ VOCAB_FORMAT = "rca-vocab"
 INSTANCE_FORMAT = "rca-instances"
 STATE_FORMAT = "rca-state"
 VERSION = 1
-_NUMBER_TYPES = {int, float}  # what json.loads gives a JSON number
+# what orjson.loads gives a JSON number; an integer literal past 64 bits reads as a float
+_NUMBER_TYPES = {int, float}
+# orjson checks a whole document first, then builds a valid one's Python
+# objects by recursion in C, which overflows the C stack (a segfault) near
+# 100k levels; json.loads stopped near 1,000 levels with a RecursionError
+_MAX_NESTING = 1000
+_NOT_BRACKETS = re.compile(r"[^\[\]{}]+")
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +106,31 @@ def to_json(value) -> str:
     return _fmt(value)
 
 
+def _nesting(line: str) -> int:
+    """How deep the arrays and objects of a JSON text nest; exact when the text is valid JSON.
+
+    Valid JSON has backslashes only inside strings. Dropping the escaped
+    backslashes, then the escaped quotes, leaves only the quotes that open
+    and close strings, so the text outside strings is every other piece
+    between quotes.
+    """
+    unescaped = line.replace("\\\\", "").replace('\\"', "")
+    brackets = _NOT_BRACKETS.sub("", "".join(unescaped.split('"')[::2])).encode()
+    codes = np.frombuffer(brackets, dtype=np.uint8)
+    steps = np.where((codes == ord("[")) | (codes == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def _parse_line(line: str, lineno: int) -> dict:
+    # a text nested d deep has at least 2d characters and d brackets that open,
+    # so an ordinary line skips the exact scan
+    if (len(line) > 2 * _MAX_NESTING and line.count("[") + line.count("{") > _MAX_NESTING
+            and _nesting(line) > _MAX_NESTING):
+        raise ParseError(f"invalid JSON (nested deeper than {_MAX_NESTING} levels)", line=lineno)
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-    except (ValueError, RecursionError) as exc:  # over-long integer literal, deep nesting
-        raise ParseError(f"invalid JSON ({exc})", line=lineno) from exc
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line=lineno)
     return obj
@@ -145,14 +171,18 @@ def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> 
     return arr
 
 
+def _is_version(value) -> bool:
+    return type(value) is int and value == VERSION  # not true, not 1.0
+
+
 def _read_header(line: str, expected_format: str) -> dict:
     header = _parse_line(line, 1)
     if header.get("format") != expected_format:
         raise ParseError(f"expected header with format {expected_format!r}", line=1)
-    if header.get("version") != VERSION:
+    if not _is_version(header.get("version")):
         raise ParseError(f"unsupported version {header.get('version')!r}", line=1)
     dim = header.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # exact type: true is an int subclass
         raise ParseError("header dim must be a positive integer", line=1)
     return header
 
@@ -419,7 +449,7 @@ def _table(obj: dict, name: str) -> np.ndarray:
 
 def read_state(path) -> tuple[TrainState, SyntheticConfig, TrainerConfig]:
     obj = _parse_line(_read_text(path), 1)
-    if obj.get("format") != STATE_FORMAT or obj.get("version") != VERSION:
+    if obj.get("format") != STATE_FORMAT or not _is_version(obj.get("version")):
         raise ParseError("not a state file", line=1)
     try:
         syn = SyntheticConfig(**obj["synthetic_config"])

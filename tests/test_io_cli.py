@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rca import cli
+from rca import io as rca_io
 from rca.cli import main
 from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
 from rca.io import (
@@ -143,6 +144,75 @@ class TestToJson:
 
 
 # ---------------------------------------------------------------------------
+# JSON decoding: the readers' decoder gives what json.loads gives, bit for bit
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, floats compared by their bytes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _depth(value) -> int:
+    if isinstance(value, list):
+        return 1 + max(map(_depth, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(_depth, value.values()), default=0)
+    return 0
+
+
+FIXTURE_FILES = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".jsonl"))
+TRICKY_TEXT = st.text(alphabet='[]{}"\\:, ab\u00e9\U0001f600', max_size=6)
+
+
+class TestDecoder:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+           ints=st.lists(st.integers(-2**63, 2**64 - 1), max_size=4))
+    @example(floats=[0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     0.1, 1 / 3, 9007199254740993.0],
+             ints=[-2**63, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_numbers_decode_to_the_same_bits_as_json_loads(self, floats, ints):
+        obj = {"floats": floats, "ints": ints}
+        for line in (to_json(obj), json.dumps(obj)):  # 17 digits, and the shortest repr
+            assert _same(rca_io._parse_line(line, 1), json.loads(line))
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_fixture_lines_decode_as_json_loads_does(self, name):
+        for lineno, line in enumerate(golden(name).splitlines(), start=1):
+            try:
+                expected = json.loads(line)
+            except json.JSONDecodeError:
+                with pytest.raises(ParseError, match="invalid JSON"):
+                    rca_io._parse_line(line, lineno)
+                continue
+            assert _same(rca_io._parse_line(line, lineno), expected), (name, lineno)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | TRICKY_TEXT,
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TRICKY_TEXT, kids, max_size=3),
+        max_leaves=30))
+    def test_nesting_counts_only_brackets_outside_strings(self, value):
+        for line in (json.dumps(value), json.dumps(value, ensure_ascii=False), to_json(value)):
+            assert rca_io._nesting(line) == _depth(value)
+
+    def test_lines_nested_past_the_limit_are_rejected(self):
+        limit = rca_io._MAX_NESTING
+        assert rca_io._parse_line('{"a": %s1%s}' % ("[" * (limit - 1), "]" * (limit - 1)), 1)
+        with pytest.raises(ParseError, match=rf"^line 4: invalid JSON \(nested deeper than {limit} "):
+            rca_io._parse_line('{"a": %s1%s}' % ("[" * limit, "]" * limit), 4)
+
+
+# ---------------------------------------------------------------------------
 # vocabulary files
 
 
@@ -180,6 +250,16 @@ class TestVocabIO:
         p = tmp_path / "v.jsonl"
         p.write_text('{"format": "rca-vocab", "version": 9, "dim": 2}\n')
         with pytest.raises(ParseError, match="version"):
+            read_vocab(p)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literals_are_invalid_json(self, tmp_path, literal):
+        p = tmp_path / "v.jsonl"
+        p.write_text(
+            '{"format": "rca-vocab", "version": 1, "dim": 2}\n'
+            '{"tag_id": "a", "embedding": [%s, 1]}\n' % literal
+        )
+        with pytest.raises(ParseError, match=r"^line 2: invalid JSON \("):
             read_vocab(p)
 
     def test_non_numeric_embedding_rejected(self, tmp_path):
@@ -1015,6 +1095,12 @@ def _negative_step(obj):
     obj["step"] = -3
 
 
+def _set_top(key, value):
+    def mutate(obj):
+        obj[key] = value
+    return mutate
+
+
 VOCAB_HEADER = '{"format": "rca-vocab", "version": 1, "dim": 4}\n'
 VOCAB_LINES = "".join('{"tag_id": "t%d", "embedding": [%s, 1, 0, 0]}\n' % (i, i) for i in range(4))
 TOKEN = '{"text": "ball", "is_noun": true, "embedding": [0, 1, 0, 0]}'
@@ -1024,6 +1110,11 @@ TAGS = ', "tags": [{"tag_id": "t00", "score": 0.5}, {"tag_id": "t01", "score": 0
 def _instance(old, new, tokens="", tags=""):
     """The one-record instances file with ``old`` replaced by ``new`` once."""
     return (INSTANCE_HEADER + INSTANCE_LINE % (tokens, tags)).replace(old, new, 1).encode()
+
+
+def _vocab(old, new):
+    """The four-tag vocabulary file with ``old`` replaced by ``new`` once."""
+    return (VOCAB_HEADER + VOCAB_LINES).replace(old, new, 1).encode()
 
 
 MALFORMED_INPUTS = {
@@ -1065,6 +1156,20 @@ MALFORMED_INPUTS = {
         "loss", "instances", _instance("[0, 1, 0, 0]", "[0, Infinity, 0, 0]", tokens=TOKEN)),
     "tag-score-nan": ("loss", "instances", _instance("0.25", "NaN", tags=TAGS)),
     "tag-score-overflow-literal": ("loss", "instances", _instance("0.25", "1e400", tags=TAGS)),
+    # header and state version and dim are exact ints: true and 1.0 are not 1
+    "header-version-true": ("rank", "vocab", _vocab('"version": 1', '"version": true')),
+    "header-version-float": ("rank", "vocab", _vocab('"version": 1', '"version": 1.0')),
+    "header-dim-true": ("rank", "vocab", _vocab('"dim": 4', '"dim": true')),
+    "state-version-true": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set_top("version", True))),
+    # read differently by orjson than by json.loads: a lone surrogate escape is
+    # invalid, an integer literal past 64 bits is a float, deep nesting is refused
+    "vocab-tag-id-lone-surrogate": ("rank", "vocab", _vocab('"t1"', '"\\ud800"')),
+    "image-id-lone-surrogate": ("loss", "instances", _instance('"x"', '"\\ud800"', tags=TAGS)),
+    "header-dim-past-64-bits": ("rank", "vocab", _vocab('"dim": 4', '"dim": %d' % 2**64)),
+    "state-step-past-64-bits": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set_top("step", 2**64))),
+    "nesting-too-deep": ("loss", "instances", _instance("[]", "[" * 300_000 + "]" * 300_000)),
     # ids and texts are strings, never coerced
     "tag-id-not-a-string": ("loss", "instances", _instance('"t00"', "7", tags=TAGS)),
     "caption-text-null": ("loss", "instances", _instance('"ball"', "null", tokens=TOKEN)),
@@ -1124,7 +1229,7 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
 FIXTURE_BYTES = {path: open(path, "rb").read().splitlines(keepends=True)
                  for path in (VOCAB, INSTANCES)}
 ODD_VALUES = [None, True, 0, -3, 1.5, 1e308, "s", "", [], {}, [1, "a"], [[1, 2], 3],
-              {"tag_id": 1}, 10**400]
+              {"tag_id": 1}, 10**400, 2**64]
 
 
 def _key_paths(value, path=()):
