@@ -5,7 +5,9 @@ image shows ``regions_per_image`` distinct concepts; its positive tags and
 caption nouns name exactly those concepts and its negative tags name absent
 ones. Global tag scores are cosines against the mean region embedding,
 frozen at generation time. An optional flip swaps one positive/negative
-pair to emulate ranking noise.
+pair to emulate ranking noise. The generator makes its random draws image
+by image, in stream order, and runs the arithmetic on them (noise scaling,
+flips, means, cosines, sorts) per ``BLOCK`` of images.
 
 Tag and caption embeddings live in per-concept tables shared across the
 whole dataset, so the contrastive objective can triangulate each concept
@@ -70,7 +72,7 @@ __all__ = [
     "evaluate_retrieval",
 ]
 
-BLOCK = 256  # images per loss pass, and per cosine chunk at generation
+BLOCK = 256  # images per loss pass, and per generation block
 SUM_GROUP = 64  # images per partial sum of a snapshot's losses, as the pinned histories were summed
 
 
@@ -204,67 +206,78 @@ class SyntheticDataset:
         return np.asarray(images)[..., None] * k + np.arange(k)
 
 
-def _cosine_rows(image: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    num = rows @ image
-    den = np.linalg.norm(rows, axis=1) * np.linalg.norm(image)
-    return num / np.maximum(den, 1e-12)
-
-
 def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
-    """Sample a dataset of images with ranked positive and negative tags."""
+    """Sample a dataset of images with ranked positive and negative tags.
+
+    Each image's draws run in stream order, image by image; the arithmetic
+    on them runs per ``BLOCK`` of images.
+    """
     rng = np.random.default_rng(config.seed)
     protos = rng.standard_normal((config.n_concepts, config.d))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
-    n, k = config.n_images, config.regions_per_image
+    c, n, k = config.n_concepts, config.n_images, config.regions_per_image
+    sigma, flip_rate = config.noise_sigma, config.flip_rate
     region_concepts, positive_concepts, negative_concepts = (
         np.empty((n, k), dtype=np.int64) for _ in range(3))
     region_embs, positive_embs, negative_embs = (
         np.empty((n, k, config.d)) for _ in range(3))
     global_scores = np.empty((n, k))
     flipped = np.zeros(n, dtype=bool)
-    for image in range(n):
-        present = rng.choice(config.n_concepts, size=k, replace=False)
-        absent = np.setdiff1d(np.arange(config.n_concepts), present)
-        negatives = rng.choice(absent, size=k, replace=len(absent) < k)
-
-        def noisy(concepts):
-            base = protos[concepts]
-            if config.noise_sigma == 0.0:
-                return base.copy()
-            return base + config.noise_sigma * rng.standard_normal(base.shape)
-
-        region_emb = noisy(present)
-        pos_emb = noisy(present)
-        neg_emb = noisy(negatives)
-        pos_concepts = present.copy()
-        neg_concepts = negatives.copy()
-
-        if config.flip_rate > 0.0 and rng.random() < config.flip_rate:
-            i = int(rng.integers(k))
-            j = int(rng.integers(k))
-            pos_concepts[i], neg_concepts[j] = neg_concepts[j], pos_concepts[i]
-            pos_emb[[i]], neg_emb[[j]] = neg_emb[[j]].copy(), pos_emb[[i]].copy()
-            flipped[image] = True
-
-        image_emb = region_emb.mean(axis=0)
-        pos_scores = _cosine_rows(image_emb, pos_emb)
-        pos_order = np.argsort(-pos_scores, kind="stable")
-        neg_order = np.argsort(-_cosine_rows(image_emb, neg_emb), kind="stable")
-
-        region_concepts[image] = present
-        positive_concepts[image] = pos_concepts[pos_order]
-        negative_concepts[image] = neg_concepts[neg_order]
-        global_scores[image] = pos_scores[pos_order]
-        region_embs[image] = region_emb
-        positive_embs[image] = pos_emb[pos_order]
-        negative_embs[image] = neg_emb[neg_order]
-
+    swaps = np.zeros((n, 2), dtype=np.int64)  # flipped (positive, negative) slots
     cosines = np.empty((n, k, 2 * k))
     for start in range(0, n, BLOCK):
         part = slice(start, start + BLOCK)
-        cosines[part] = pool_cosines(region_embs[part], positive_embs[part],
-                                     negative_embs[part])
+        for image in range(start, min(start + BLOCK, n)):
+            region_concepts[image] = rng.choice(c, size=k, replace=False)
+            # for now, indices into the image's sorted absent concepts: the draw
+            # that choosing from those concepts makes
+            negative_concepts[image] = rng.choice(c - k, size=k, replace=c - k < k)
+            if sigma != 0.0:
+                rng.standard_normal(out=region_embs[image])
+                rng.standard_normal(out=positive_embs[image])
+                rng.standard_normal(out=negative_embs[image])
+            if flip_rate > 0.0 and rng.random() < flip_rate:
+                flipped[image] = True
+                swaps[image] = rng.integers(k), rng.integers(k)
+
+        present = region_concepts[part]
+        absent = np.ones((len(present), c), dtype=bool)
+        np.put_along_axis(absent, present, False, axis=1)
+        absent = np.nonzero(absent)[1].reshape(len(present), c - k)
+        negatives = np.take_along_axis(absent, negative_concepts[part], axis=1)
+        positives = present.copy()
+        # a norm that overflows reads inf or nan here, and pool_cosines rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out, concepts in ((region_embs[part], present), (positive_embs[part], present),
+                                  (negative_embs[part], negatives)):
+                if sigma == 0.0:
+                    np.take(protos, concepts, axis=0, out=out)
+                else:
+                    out *= sigma
+                    out += protos[concepts]
+            pos_embs, neg_embs = positive_embs[part], negative_embs[part]
+            flips = np.flatnonzero(flipped[part])
+            i, j = swaps[part][flips].T
+            positives[flips, i], negatives[flips, j] = negatives[flips, j], positives[flips, i]
+            pos_embs[flips, i], neg_embs[flips, j] = neg_embs[flips, j], pos_embs[flips, i]
+
+            # each dot product and norm sums in the order the per-image calls did:
+            # a stacked mat-vec, the row norms, and the ddot np.linalg.norm runs on a vector
+            images = region_embs[part].mean(axis=1)
+            image_norms = np.sqrt([x @ x for x in images])
+            pos_scores, neg_scores = (
+                (embs @ images[:, :, None])[:, :, 0]
+                / np.maximum(np.linalg.norm(embs, axis=-1) * image_norms[:, None], 1e-12)
+                for embs in (pos_embs, neg_embs))
+        pos_order = np.argsort(-pos_scores, axis=1, kind="stable")
+        neg_order = np.argsort(-neg_scores, axis=1, kind="stable")
+        positive_concepts[part] = np.take_along_axis(positives, pos_order, axis=1)
+        negative_concepts[part] = np.take_along_axis(negatives, neg_order, axis=1)
+        global_scores[part] = np.take_along_axis(pos_scores, pos_order, axis=1)
+        pos_embs[...] = np.take_along_axis(pos_embs, pos_order[:, :, None], axis=1)
+        neg_embs[...] = np.take_along_axis(neg_embs, neg_order[:, :, None], axis=1)
+        cosines[part] = pool_cosines(region_embs[part], pos_embs, neg_embs)
     return SyntheticDataset(
         config=config,
         prototypes=protos,

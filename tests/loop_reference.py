@@ -3,11 +3,14 @@
 The trainer as it ran before batching: one image at a time, a 2-D
 compatibility forward/backward per contrastive block, selection through
 :func:`rca.uasr.apply_uasr` on a view of the image's frozen evidence that
-holds only the subsampled rows, and four scatter-adds per image. And the
-finite-difference oracle as it ran before its nudged copies were stacked:
-one entry nudged in place at a time, one :func:`rca.losses.total_loss`
-call per nudge. Keep them slow and literal, so the library's stacked code
-is checked against an independent route.
+holds only the subsampled rows, and four scatter-adds per image. The
+synthetic generator as it ran before its arithmetic was blocked: each
+image's draws, noise, flip, cosines and sort in turn, with the absent
+concepts from ``np.setdiff1d``. And the finite-difference oracle as it ran
+before its nudged copies were stacked: one entry nudged in place at a
+time, one :func:`rca.losses.total_loss` call per nudge. Keep them slow and
+literal, so the library's stacked code is checked against an independent
+route.
 """
 
 import math
@@ -18,8 +21,8 @@ from rca.core import ContrastiveInstance
 from rca.errors import DivergenceError
 from rca.losses import GradientBundle, nll_terms, total_loss
 from rca.tags import subsample
-from rca.trainer import HistoryRecord, initial_state
-from rca.uasr import apply_uasr
+from rca.trainer import HistoryRecord, SyntheticDataset, initial_state
+from rca.uasr import apply_uasr, pool_cosines
 
 
 def compat_forward_2d(tags, contexts):
@@ -80,6 +83,79 @@ def loss_and_grad_2d(regions, positives, negatives, caption_nouns, weights,
         d_neg += dn
         d_caption += dc
     return cross, inner, d_pos, d_neg, d_regions, d_caption
+
+
+def _cosine_rows(image, rows):
+    num = rows @ image
+    den = np.linalg.norm(rows, axis=1) * np.linalg.norm(image)
+    return num / np.maximum(den, 1e-12)
+
+
+def generate_synthetic_loop(config) -> SyntheticDataset:
+    """The synthetic corpus built one image at a time, cosines too."""
+    rng = np.random.default_rng(config.seed)
+    protos = rng.standard_normal((config.n_concepts, config.d))
+    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+
+    n, k = config.n_images, config.regions_per_image
+    region_concepts, positive_concepts, negative_concepts = (
+        np.empty((n, k), dtype=np.int64) for _ in range(3))
+    region_embs, positive_embs, negative_embs = (
+        np.empty((n, k, config.d)) for _ in range(3))
+    global_scores = np.empty((n, k))
+    flipped = np.zeros(n, dtype=bool)
+    cosines = np.empty((n, k, 2 * k))
+    for image in range(n):
+        present = rng.choice(config.n_concepts, size=k, replace=False)
+        absent = np.setdiff1d(np.arange(config.n_concepts), present)
+        negatives = rng.choice(absent, size=k, replace=len(absent) < k)
+
+        def noisy(concepts):
+            base = protos[concepts]
+            if config.noise_sigma == 0.0:
+                return base.copy()
+            return base + config.noise_sigma * rng.standard_normal(base.shape)
+
+        region_emb = noisy(present)
+        pos_emb = noisy(present)
+        neg_emb = noisy(negatives)
+        pos_concepts = present.copy()
+        neg_concepts = negatives.copy()
+
+        if config.flip_rate > 0.0 and rng.random() < config.flip_rate:
+            i = int(rng.integers(k))
+            j = int(rng.integers(k))
+            pos_concepts[i], neg_concepts[j] = neg_concepts[j], pos_concepts[i]
+            pos_emb[[i]], neg_emb[[j]] = neg_emb[[j]].copy(), pos_emb[[i]].copy()
+            flipped[image] = True
+
+        image_emb = region_emb.mean(axis=0)
+        pos_scores = _cosine_rows(image_emb, pos_emb)
+        pos_order = np.argsort(-pos_scores, kind="stable")
+        neg_order = np.argsort(-_cosine_rows(image_emb, neg_emb), kind="stable")
+
+        region_concepts[image] = present
+        positive_concepts[image] = pos_concepts[pos_order]
+        negative_concepts[image] = neg_concepts[neg_order]
+        global_scores[image] = pos_scores[pos_order]
+        region_embs[image] = region_emb
+        positive_embs[image] = pos_emb[pos_order]
+        negative_embs[image] = neg_emb[neg_order]
+        cosines[image] = pool_cosines(region_emb, positive_embs[image], negative_embs[image])
+
+    return SyntheticDataset(
+        config=config,
+        prototypes=protos,
+        region_concepts=region_concepts,
+        positive_concepts=positive_concepts,
+        negative_concepts=negative_concepts,
+        global_scores=global_scores,
+        region_embeddings=region_embs,
+        positive_embeddings=positive_embs,
+        negative_embeddings=negative_embs,
+        flipped=flipped,
+        cosines=cosines,
+    )
 
 
 def evidence_view(dataset, image, pos_idx=None, neg_idx=None) -> ContrastiveInstance:

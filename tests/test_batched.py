@@ -1,8 +1,10 @@
-"""The stacked trainer, kernel and selection against their per-image references.
+"""The stacked trainer, kernel, selection and generator against their per-image references.
 
-``loop_reference.py`` keeps the trainer's per-image loop and its 2-D
-compatibility kernel. The kernel's batched results must equal the 2-D
-results bit for bit, image by image. The trainer folds a step's gradient
+``loop_reference.py`` keeps the trainer's per-image loop, its 2-D
+compatibility kernel and the per-image synthetic generator. The generator's
+blocked arithmetic must give every field the loop's dtype, shape and
+bytes. The kernel's batched results must equal the 2-D results bit for
+bit, image by image. The trainer folds a step's gradient
 rows onto the tables in the loop's order, but it adds a tag that
 selection picked twice straight onto its concept row, where the loop
 first sums both picks onto the pool row; a subsampled step weighs its
@@ -11,6 +13,7 @@ losses in 64-image groups. So its history and tables must match the loop
 within a relative 1e-12.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -18,10 +21,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loop_reference import evidence_view, loss_and_grad_2d, train_alignment_loop
+from loop_reference import (
+    evidence_view,
+    generate_synthetic_loop,
+    loss_and_grad_2d,
+    train_alignment_loop,
+)
 from naive_reference import naive_total_loss
 from rca import trainer
 from rca.core import ContrastiveInstance, compat_forward
@@ -241,6 +249,35 @@ def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
     for name in ("tag_table", "caption_table", "region_table"):
         np.testing.assert_allclose(getattr(got_state, name), getattr(want_state, name),
                                    rtol=1e-12, atol=0.0)
+
+
+# the generator's blocks are 7 images, so blocks and flips cross their boundaries
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    c=st.integers(2, 12),
+    k_frac=st.floats(0.0, 1.0),
+    d=st.integers(1, 6),
+    n=st.integers(1, 30),
+    sigma=st.one_of(st.sampled_from([0.0, 1]), st.floats(1e-3, 5.0)),
+    flip_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(c=2, k_frac=0.0, d=1, n=1, sigma=0.0, flip_rate=0.0, seed=0)  # k = 1, d = 1
+@example(c=7, k_frac=0.9, d=3, n=16, sigma=0.0, flip_rate=1.0, seed=1)  # negatives repeat
+@example(c=9, k_frac=0.6, d=4, n=23, sigma=0.4, flip_rate=1.0, seed=2)  # with noise
+@example(c=6, k_frac=0.0, d=1, n=29, sigma=2.0, flip_rate=0.5, seed=3)  # k = 1, d = 1, noise
+def test_generator_equals_per_image_loop_bitwise(c, k_frac, d, n, sigma, flip_rate, seed):
+    k = 1 + int(k_frac * (c - 2))
+    cfg = SyntheticConfig(n_concepts=c, d=d, n_images=n, regions_per_image=k,
+                          noise_sigma=sigma, flip_rate=flip_rate, seed=seed)
+    with mock.patch.object(trainer, "BLOCK", 7):
+        got = generate_synthetic(cfg)
+    want = generate_synthetic_loop(cfg)
+    for field in dataclasses.fields(want):
+        if field.name == "config":
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
 
 
 FULL_BATCH = generate_synthetic(NOISY)

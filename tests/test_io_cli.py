@@ -1042,6 +1042,15 @@ class TestCliTrainEval:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: retrieval cosine undefined for rows whose norm overflows\n")
 
+    def test_train_overflowing_noise_prints_only_its_error_under_warnings_as_errors(
+            self, tmp_path):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "train",
+                               "--noise_sigma", "1e200", "--n_images", "20", "--steps", "1",
+                               "--state_out", str(tmp_path / "state.jsonl")],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: cosine undefined for rows whose norm overflows\n")
+
 
 # ---------------------------------------------------------------------------
 # malformed input: exit 2 with an error line, never a traceback
