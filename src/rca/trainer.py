@@ -37,9 +37,11 @@ that row alone.
 
 A subsampled step selects over the column subset of its kept rows,
 exactly as if the pool held only those rows. It draws those rows from the
-stream numpy's per-image ``Generator.choice`` calls would read, in one
-bulk read of that same stream; a step whose draws would hit one of
-``choice``'s rejections replays the calls one by one, so the stream, the
+stream numpy's per-image ``Generator.choice`` calls would read: ``choice``
+runs Floyd's algorithm, one bounded draw per bound, and one
+``Generator.integers`` call with an array of bounds makes those same
+draws for the whole step. Only a step that keeps m >= 3 rows, or draws
+from a pool past 10,000, replays the calls one by one, so the stream, the
 state after it, and every trained table are the same either way.
 """
 
@@ -463,56 +465,28 @@ def snapshot_loss(
 
 
 def _bulk_picks(rng, count: int, k: int, m: int) -> np.ndarray | None:
-    """The picks of ``2 * count`` calls of ``rng.choice(k, m, replace=False)``, read in bulk.
+    """The picks of ``2 * count`` calls of ``rng.choice(k, m, replace=False)``, in one draw.
 
     Returns a (count, 2, m) array holding each call's picks in no
     particular order, and leaves ``rng`` where the calls would. Up to k =
-    10,000, numpy's ``choice`` runs Floyd's algorithm: one Lemire draw on
+    10,000, numpy's ``choice`` runs Floyd's algorithm: one bounded draw on
     [0, j] for each j in k-m..k-1 (none for j = 0), where a value already
-    picked becomes j. It then shuffles the picks with one masked draw on
-    [0, i] for each i in m-1..1. Each draw reads one 32-bit word; PCG64
-    hands them out low half first and buffers the high half between
-    calls. Without a rejection the word count is fixed, so one
-    ``random_raw`` call reads them all. For m <= 2 the only masked draw
-    is on [0, 1] with mask 1, which never rejects. From m = 3 the masked
-    draw on [0, 2] rejects a quarter of the time, so such shapes return
-    None at once, as do pools past k = 10,000, where ``choice`` may
-    shuffle the whole pool instead. If a Lemire draw would reject (about
-    once in 2^32/k), the state is restored and None returned.
+    picked becomes j. It then shuffles the picks with one draw on [0, i]
+    for each i in m-1..1. ``Generator.integers`` makes one bounded draw per
+    entry of its bounds, in order and with the same rejections, so each
+    row ``[k-m, ..., k-1, 1, ..., 1]`` reads what one call reads: on [0, 1]
+    a masked and a bounded draw each read one word. A masked draw on
+    [0, 2] would reject one word in four, so shapes with m >= 3 return
+    None rather than rely on which kind the shuffle makes, as do pools
+    past k = 10,000, where ``choice`` may shuffle the whole pool instead.
     """
     if k > 10_000 or m >= 3:
         return None
-    floyd = np.arange(max(k - m, 1), k, dtype=np.uint64)  # the bounds j that read a word
-    need = 2 * count * (len(floyd) + m - 1)
-    if need == 0:
-        return np.broadcast_to(np.arange(k - m, k), (count, 2, m))
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    pending = saved["has_uint32"]
-    raw = bitgen.random_raw((need - pending + 1) // 2)
-    words = np.empty(pending + 2 * len(raw), dtype=np.uint64)
-    words[:pending] = saved["uinteger"]
-    words[pending::2] = raw & 0xFFFFFFFF
-    words[pending + 1::2] = raw >> 32
-    words = words[:need].reshape(2 * count, -1)
-
-    scaled = words[:, :len(floyd)] * (floyd + 1)
-    if ((scaled & 0xFFFFFFFF) < (1 << 32) % (floyd + 1)).any():
-        bitgen.state = saved
-        return None
-    # The word count is even, so the buffered-half flag ends as it began,
-    # and the buffer holds the last word's high half, read or not.
-    state = bitgen.state
-    state["uinteger"] = int(raw[-1] >> 32)
-    bitgen.state = state
-
-    picks = np.zeros((2 * count, m), dtype=np.int64)  # a draw on [0, 0] picks 0
-    first = m - len(floyd)
-    values = (scaled >> 32).astype(np.int64)
-    for t in range(first, m):
-        value = values[:, t - first]
-        repeat = (picks[:, :t] == value[:, None]).any(axis=1)
-        picks[:, t] = np.where(repeat, k - m + t, value)
+    bounds = np.concatenate([np.arange(k - m, k), np.ones(m - 1, dtype=np.int64)])
+    picks = rng.integers(0, bounds, size=(2 * count, len(bounds)), endpoint=True)[:, :m]
+    for t in range(1, m):
+        repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, k - m + t, picks[:, t])
     return picks.reshape(count, 2, m)
 
 
@@ -521,9 +495,9 @@ def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
 
     Draws the stream :func:`rca.tags.subsample` would draw image by image,
     ceil(fraction * k) rows without replacement, positives first, and
-    leaves ``rng`` in the same state. :func:`_bulk_picks` reads the whole
-    step's words at once; when it declines (m >= 3, a pool past 10,000 or
-    a rejecting draw), numpy's calls are replayed one by one instead.
+    leaves ``rng`` in the same state. :func:`_bulk_picks` makes the whole
+    step's bounded draws in one call; when it declines (m >= 3 or a pool
+    past 10,000), numpy's calls are replayed one by one instead.
     """
     m = math.ceil(fraction * k)
     picks = _bulk_picks(rng, count, k, m)

@@ -1,13 +1,15 @@
 """The trainer's subsample draws against numpy's own per-image calls.
 
-``trainer._draw_subsets`` reads a whole step's 32-bit words in one bulk
-``random_raw`` call and reproduces what ``Generator.choice(k, m,
-replace=False)`` would pick from them, image by image. That depends on how
-numpy's ``choice`` draws (Floyd's algorithm, then a shuffle) and on how
-PCG64 buffers 32-bit halves. If numpy changes either, these tests fail
-loudly; the pinned training totals below fail with them. The benchmark's
-pinned CLI stdout digests are replayed here too, so a byte change in
-``rank``, ``uasr``, ``loss`` or ``gradcheck`` shows in the regular suite.
+``trainer._draw_subsets`` makes a whole step's bounded draws in one
+``Generator.integers`` call and reproduces what ``Generator.choice(k, m,
+replace=False)`` would pick, image by image. That depends on ``choice``
+running Floyd's algorithm (one bounded draw per bound, then a shuffle) and
+on ``integers`` making one bounded draw per entry of its bounds, in order;
+only m >= 3 or a pool past 10,000 replays the calls. If numpy changes
+either, these tests fail loudly; the pinned training totals below fail
+with them. The benchmark's pinned CLI stdout digests are replayed here
+too, so a byte change in ``rank``, ``uasr``, ``loss`` or ``gradcheck``
+shows in the regular suite.
 """
 
 import importlib.util
@@ -49,13 +51,17 @@ def _loop(rng, count, k, fraction):
                     dtype=np.int64).reshape(count, 2, math.ceil(fraction * k))
 
 
-def _twin_generators(seed, pending):
-    """Two generators in one state; with ``pending`` a 32-bit half is buffered."""
-    pair = [np.random.default_rng(seed) for _ in range(2)]
+def _twin_generators(seed, pending, bit_generator=np.random.PCG64):
+    """Two generators in one state; with ``pending`` one 32-bit word is drawn first.
+
+    A bit generator that buffers 32-bit halves then holds one buffered.
+    """
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
     if pending:
         for rng in pair:
             rng.integers(0, 5, dtype=np.uint32)
-            assert rng.bit_generator.state["has_uint32"] == 1
+            if "has_uint32" in rng.bit_generator.state:
+                assert rng.bit_generator.state["has_uint32"] == 1
     return pair
 
 
@@ -96,9 +102,29 @@ def test_draws_equal_the_per_image_choice_stream(k, fraction, count, seed, pendi
     assert bulk.integers(2**62) == loop.integers(2**62)
 
 
-@pytest.mark.parametrize("rng_of, k, fraction", [
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937])
+@pytest.mark.parametrize("pending", [False, True])
+def test_draws_equal_the_choice_stream_of_any_bit_generator(bit_generator, pending):
+    bulk, loop = _twin_generators(7, pending, bit_generator)
+    got = trainer._draw_subsets(bulk, 200, 4, 0.5)
+    assert np.array_equal(got, _loop(loop, 200, 4, 0.5))
+    # Philox and SFC64 states hold arrays, so compare what each draws next
+    assert bulk.integers(2**62) == loop.integers(2**62)
+
+
+def test_a_lemire_rejection_stays_on_the_one_call_path():
     # a zero low word makes Floyd's first draw on [0, 2] a Lemire rejection
-    (lambda: _generator_before(0xDEADBEEF00000000), 4, 0.5),
+    bulk, loop = _generator_before(0xDEADBEEF00000000), _generator_before(0xDEADBEEF00000000)
+    picks = trainer._bulk_picks(bulk, 200, 4, 2)
+    assert picks is not None
+    assert np.array_equal(np.sort(picks, axis=-1), _loop(loop, 200, 4, 0.5))
+    # 400 calls of three words each read an even count; the redrawn word leaves a half buffered
+    assert loop.bit_generator.state["has_uint32"] == 1
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("rng_of, k, fraction", [
     # m = 3: a masked shuffle draw on [0, 2] rejects one word in four
     (lambda: np.random.default_rng(0), 4, 0.75),
     # past a pool of 10,000 numpy's choice need not run Floyd's algorithm
