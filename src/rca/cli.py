@@ -282,6 +282,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed is None:
+        args.seed = env_seed(0)
     _check_flags(args, ("seed", "n_nouns", "tolerance", "lambda_cross", "lambda_inner"))
     _check_flags(args, ("d", "n_regions", "k"), low=1)
     rng = np.random.default_rng(args.seed)
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("gradcheck", help="compare analytic and numeric gradients")
-    p.add_argument("--seed", type=int, default=env_seed(0))
+    p.add_argument("--seed", type=int, help="default: RCA_SEED, else 0")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n_regions", type=int, default=3)
     p.add_argument("--k", type=int, default=3)

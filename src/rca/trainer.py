@@ -36,13 +36,15 @@ region row gets at most one gradient row, and the step subtracts it from
 that row alone.
 
 A subsampled step selects over the column subset of its kept rows,
-exactly as if the pool held only those rows. It draws those rows from the
-stream numpy's per-image ``Generator.choice`` calls would read: ``choice``
-runs Floyd's algorithm, one bounded draw per bound, and one
-``Generator.integers`` call with an array of bounds makes those same
-draws for the whole step. Only a step that keeps m >= 3 rows, or draws
-from a pool past 10,000, replays the calls one by one, so the stream, the
-state after it, and every trained table are the same either way.
+exactly as if the pool held only those rows. It draws those rows with
+one ``Generator.integers`` call, from the stream numpy's per-image
+``Generator.choice`` calls would read: ``choice`` runs Floyd's algorithm
+and a shuffle, one bounded draw per bound, and an array of those bounds
+makes the same draws, so the rows, the state after them and every
+trained table are the same (for m >= 3 kept rows this was checked on
+numpy 2.4.6 only). Only past a pool of 10,000 with m > k // 50 kept
+rows, where ``choice`` shuffles the whole pool instead, do the rows
+differ; each is still a uniform m-subset.
 """
 
 from __future__ import annotations
@@ -464,46 +466,32 @@ def snapshot_loss(
     return record
 
 
-def _bulk_picks(rng, count: int, k: int, m: int) -> np.ndarray | None:
-    """The picks of ``2 * count`` calls of ``rng.choice(k, m, replace=False)``, in one draw.
+def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
+    """Sorted kept rows (count, 2, m) per image, positives then negatives.
 
-    Returns a (count, 2, m) array holding each call's picks in no
-    particular order, and leaves ``rng`` where the calls would. Up to k =
-    10,000, numpy's ``choice`` runs Floyd's algorithm: one bounded draw on
-    [0, j] for each j in k-m..k-1 (none for j = 0), where a value already
-    picked becomes j. It then shuffles the picks with one draw on [0, i]
-    for each i in m-1..1. ``Generator.integers`` makes one bounded draw per
-    entry of its bounds, in order and with the same rejections, so each
-    row ``[k-m, ..., k-1, 1, ..., 1]`` reads what one call reads: on [0, 1]
-    a masked and a bounded draw each read one word. A masked draw on
-    [0, 2] would reject one word in four, so shapes with m >= 3 return
-    None rather than rely on which kind the shuffle makes, as do pools
-    past k = 10,000, where ``choice`` may shuffle the whole pool instead.
+    Keeps m = ceil(fraction * k) of k rows without replacement, twice per
+    image, reading the stream the per-image ``Generator.choice`` calls of
+    :func:`rca.tags.subsample` read, and leaves ``rng`` where they would.
+    ``choice`` runs Floyd's algorithm: one bounded draw on [0, j] for each
+    j in k-m..k-1 (none for j = 0), where a value already picked becomes j,
+    then shuffles the picks with one bounded draw on [0, i] for each i in
+    m-1..1. ``Generator.integers`` makes one bounded draw per entry of its
+    bounds, in order and with the same rejections, so one call with a row
+    of bounds ``[k-m, ..., k-1, m-1, ..., 1]`` per ``choice`` call reads
+    the whole step's stream; the shuffle's draws are read and dropped, as
+    the rows are sorted. That the shuffle draws are bounded, not masked
+    (which matters for m >= 3), was checked on numpy 2.4.6 only. Past k =
+    10,000 with m > k // 50, ``choice`` shuffles the tail of the whole pool
+    instead: there the rows differ from its rows, but each is still a
+    uniform m-subset.
     """
-    if k > 10_000 or m >= 3:
-        return None
-    bounds = np.concatenate([np.arange(k - m, k), np.ones(m - 1, dtype=np.int64)])
+    m = math.ceil(fraction * k)
+    bounds = np.concatenate([np.arange(k - m, k), np.arange(m - 1, 0, -1)])
     picks = rng.integers(0, bounds, size=(2 * count, len(bounds)), endpoint=True)[:, :m]
     for t in range(1, m):
         repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
         picks[:, t] = np.where(repeat, k - m + t, picks[:, t])
-    return picks.reshape(count, 2, m)
-
-
-def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
-    """Sorted kept rows (count, 2, m) per image, positives then negatives.
-
-    Draws the stream :func:`rca.tags.subsample` would draw image by image,
-    ceil(fraction * k) rows without replacement, positives first, and
-    leaves ``rng`` in the same state. :func:`_bulk_picks` makes the whole
-    step's bounded draws in one call; when it declines (m >= 3 or a pool
-    past 10,000), numpy's calls are replayed one by one instead.
-    """
-    m = math.ceil(fraction * k)
-    picks = _bulk_picks(rng, count, k, m)
-    if picks is None:
-        picks = [rng.choice(k, size=m, replace=False) for _ in range(2 * count)]
-    return np.sort(np.reshape(picks, (count, 2, m)), axis=-1)
+    return np.sort(picks.reshape(count, 2, m), axis=-1)
 
 
 def train_alignment(

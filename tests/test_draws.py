@@ -3,13 +3,16 @@
 ``trainer._draw_subsets`` makes a whole step's bounded draws in one
 ``Generator.integers`` call and reproduces what ``Generator.choice(k, m,
 replace=False)`` would pick, image by image. That depends on ``choice``
-running Floyd's algorithm (one bounded draw per bound, then a shuffle) and
-on ``integers`` making one bounded draw per entry of its bounds, in order;
-only m >= 3 or a pool past 10,000 replays the calls. If numpy changes
-either, these tests fail loudly; the pinned training totals below fail
-with them. The benchmark's pinned CLI stdout digests are replayed here
-too, so a byte change in ``rank``, ``uasr``, ``loss`` or ``gradcheck``
-shows in the regular suite.
+running Floyd's algorithm and then a shuffle, one bounded draw per bound,
+and on ``integers`` making one bounded draw per entry of its bounds, in
+order. That the shuffle's draws are bounded, not masked, matters for m >= 3
+and was checked on numpy 2.4.6 only. Past a pool of 10,000 with m > k // 50,
+``choice`` shuffles the pool's tail instead and the rows depart from its
+rows; there they are still uniform m-subsets. If numpy changes either call,
+these tests fail loudly; the pinned training totals below fail with them.
+The benchmark's pinned CLI stdout digests are replayed here too, so a byte
+change in ``rank``, ``uasr``, ``loss`` or ``gradcheck`` shows in the
+regular suite.
 """
 
 import importlib.util
@@ -25,7 +28,6 @@ from hypothesis import strategies as st
 
 from rca import trainer
 from rca.tags import subsample
-from rca.trainer import SyntheticConfig, TrainerConfig
 
 
 def _load_workloads():
@@ -65,20 +67,22 @@ def _twin_generators(seed, pending, bit_generator=np.random.PCG64):
     return pair
 
 
-def _generator_before(output, seed=0):
-    """A PCG64 generator whose next 64-bit output is ``output``.
+def _generator_before(output, seed=0, ahead=0):
+    """A PCG64 generator whose 64-bit output after ``ahead`` others is ``output``.
 
     The output of state S is (hi ^ lo) rotated right by hi's top 6 bits, so
     a state whose top 6 bits are 0 and whose low half is ``hi ^ output``
-    emits ``output``; the LCG step into it is inverted modulo 2^128.
+    emits ``output``; the ``ahead + 1`` LCG steps into it are inverted
+    modulo 2^128.
     """
     rng = np.random.default_rng(seed)
     state = rng.bit_generator.state
     hi = 0x0123456789ABCDEF >> 6
     target = (hi << 64) | (hi ^ output)
     inc = state["state"]["inc"]
-    state["state"]["state"] = (
-        (target - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128)) % (1 << 128)
+    for _ in range(ahead + 1):
+        target = ((target - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128)) % (1 << 128)
+    state["state"]["state"] = target
     rng.bit_generator.state = state
     return rng
 
@@ -113,46 +117,47 @@ def test_draws_equal_the_choice_stream_of_any_bit_generator(bit_generator, pendi
     assert bulk.integers(2**62) == loop.integers(2**62)
 
 
-def test_a_lemire_rejection_stays_on_the_one_call_path():
+@pytest.mark.parametrize("ahead, k, fraction", [
     # a zero low word makes Floyd's first draw on [0, 2] a Lemire rejection
-    bulk, loop = _generator_before(0xDEADBEEF00000000), _generator_before(0xDEADBEEF00000000)
-    picks = trainer._bulk_picks(bulk, 200, 4, 2)
-    assert picks is not None
-    assert np.array_equal(np.sort(picks, axis=-1), _loop(loop, 200, 4, 0.5))
-    # 400 calls of three words each read an even count; the redrawn word leaves a half buffered
+    (0, 4, 0.5),
+    # at k = m = 3 the third 32-bit word is the shuffle's draw on [0, 2]; a
+    # draw on [0, 1] would take the zero word
+    (1, 3, 1.0),
+], ids=["floyd", "shuffle"])
+def test_a_lemire_rejection_stays_on_the_one_call_path(ahead, k, fraction):
+    bulk, loop = (_generator_before(0xDEADBEEF00000000, ahead=ahead) for _ in range(2))
+    got = trainer._draw_subsets(bulk, 200, k, fraction)
+    assert np.array_equal(got, _loop(loop, 200, k, fraction))
+    # 400 calls read an even count of words; the redrawn word leaves a half buffered
     assert loop.bit_generator.state["has_uint32"] == 1
     assert bulk.bit_generator.state == loop.bit_generator.state
 
 
-@pytest.mark.parametrize("rng_of, k, fraction", [
-    # m = 3: a masked shuffle draw on [0, 2] rejects one word in four
-    (lambda: np.random.default_rng(0), 4, 0.75),
-    # past a pool of 10,000 numpy's choice need not run Floyd's algorithm
-    (lambda: np.random.default_rng(0), 10_001, 1e-4),
+@pytest.mark.parametrize("k, fraction", [
+    # m = 3: 400 shuffle draws on [0, 2], where a masked draw would reject
+    # one word in four and a bounded one rejects almost none, pin that the
+    # shuffle's draws are bounded
+    (4, 0.75),
+    # past a pool of 10,000 numpy's choice still runs Floyd's algorithm for m <= k // 50
+    (10_001, 1e-4),
 ])
-def test_a_rejecting_draw_replays_the_calls(rng_of, k, fraction):
-    bulk, loop = rng_of(), rng_of()
-    saved = bulk.bit_generator.state
-    assert trainer._bulk_picks(bulk, 200, k, math.ceil(fraction * k)) is None
-    assert bulk.bit_generator.state == saved
+def test_bounded_shuffle_and_large_pool_equal_the_choice_stream(k, fraction):
+    bulk, loop = np.random.default_rng(0), np.random.default_rng(0)
     got = trainer._draw_subsets(bulk, 200, k, fraction)
     assert np.array_equal(got, _loop(loop, 200, k, fraction))
     assert bulk.bit_generator.state == loop.bit_generator.state
 
 
-@pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)
-def test_benchmark_shapes_never_replay(name):
-    """Every step of every pinned training unit reads its draws in bulk."""
-    syn, tr = workloads.TRAIN_SHAPES[name]
-    data, config = SyntheticConfig(**syn), TrainerConfig(**tr)
-    batch = min(config.batch_size, data.n_images)
-    m = math.ceil(config.subsample_fraction * data.regions_per_image)
-    for seed in range(workloads.PINNED_SEEDS):
-        rng = np.random.default_rng(seed)
-        for _ in range(workloads.TRAIN_STEPS):
-            if batch < data.n_images:
-                rng.choice(data.n_images, size=batch, replace=False)
-            assert trainer._bulk_picks(rng, batch, data.regions_per_image, m) is not None
+def test_a_tail_shuffled_pool_departs_with_valid_rows():
+    """Past 10,000 with m > k // 50, ``choice`` shuffles the pool's tail; these rows depart from it."""
+    k, fraction = 10_001, 0.5
+    first, again, loop = (np.random.default_rng(0) for _ in range(3))
+    got = trainer._draw_subsets(first, 2, k, fraction)
+    assert got.shape == (2, 2, 5001)
+    assert np.array_equal(got, trainer._draw_subsets(again, 2, k, fraction))
+    assert (np.diff(got, axis=-1) > 0).all()  # sorted and distinct
+    assert got.min() >= 0 and got.max() < k
+    assert not np.array_equal(got, _loop(loop, 2, k, fraction))
 
 
 @pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)

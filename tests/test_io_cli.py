@@ -422,6 +422,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             env_seed()
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["gradcheck"], 2, "error: RCA_SEED must be an integer, got 'abc'\n"),
+        (["train", "--config", RUN_CFG, "--state_out", "state.jsonl"], 2,
+         "error: RCA_SEED must be an integer, got 'abc'\n"),
+        # only the commands with a seed read it
+        (["rank", VOCAB, INSTANCES, "--M", "4"], 0, ""),
+    ], ids=["gradcheck", "train", "rank"])
+    def test_malformed_env_seed_is_one_error_line_where_read(self, argv, code, err, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "rca", *argv], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env={**os.environ, "RCA_SEED": "abc"})
+        assert (proc.returncode, proc.stderr) == (code, err)
+
 
 # ---------------------------------------------------------------------------
 # rank / uasr / loss subcommands
