@@ -11,9 +11,11 @@ negative seed) is a configuration error (2). The corpus subcommands
 as unparseable input (2). uasr and loss check every record, in file
 order, before computing any, then run the records grouped by shape. A
 failing corpus call reports its first bad record and prints nothing to
-stdout. train checks that its output paths can be written before it
-generates any data, and prints its history only once its files are
-written, so a failing train call prints nothing to stdout either.
+stdout; rank checks that its --out path can be written before it reads
+its input, and prints only once that file is written. train checks that
+its output paths can be written before it generates any data, and prints
+its history only once its files are written, so a failing train call
+prints nothing to stdout either.
 """
 
 from __future__ import annotations
@@ -185,10 +187,12 @@ def _select(table, group: _ShapeGroup, normalize: bool):
 # subcommands
 
 def cmd_rank(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     vocab, records = _load_corpus(args)
     k = args.M // 2
     ranked = list(rank_corpus((rec.image_embedding for rec in records), vocab, args.M))
-    _print_lines([
+    lines = [
         to_json(
             {
                 "image_id": rec.image_id,
@@ -200,10 +204,11 @@ def cmd_rank(args) -> int:
             }
         )
         for rec, tags in zip(records, ranked)
-    ])
+    ]
     if args.out:
         augmented = [dataclasses.replace(rec, tags=tags) for rec, tags in zip(records, ranked)]
         write_instances(args.out, augmented, records[0].regions.shape[1])
+    _print_lines(lines)
     return 0
 
 

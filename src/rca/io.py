@@ -5,7 +5,9 @@ Two line formats share one convention: a header object carrying
 record per line. Floats are always written with 17 significant digits so
 that write -> read -> write is byte-identical and golden files stay
 stable across platforms. Each line is decoded by ``orjson.loads``, whose
-doubles and 64-bit integers are those of ``json.loads``.
+doubles and 64-bit integers are those of ``json.loads``. Lines end at
+``\\n``, ``\\r\\n`` or ``\\r``, and errors name a line by its number in
+the file, blank lines counted.
 
 The run configuration is a flat ``key = value`` text file whose keys are
 the synthetic-data and trainer fields. Unknown keys are rejected rather
@@ -15,10 +17,12 @@ than ignored; a silently dropped typo would be worse than an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -54,59 +58,80 @@ _NUMBER_TYPES = {int, float}
 # objects by recursion in C, which overflows the C stack (a segfault) near
 # 100k levels; json.loads stopped near 1,000 levels with a RecursionError
 _MAX_NESTING = 1000
-_NOT_BRACKETS = re.compile(r"[^\[\]{}]+")
+_NOT_BRACKETS = re.compile(rb"[^\[\]{}]+")
+# a window of embedding rows is checked in one pass once it holds at least this many;
+# a larger one holds more decoded lines at once
+_WINDOW_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value) -> str:
+def _template(value, floats: list) -> str:
+    """``value`` as JSON text with ``%.17g`` for each float, appended in order to ``floats``.
+
+    A ``%`` in a string or key is doubled, so ``template % tuple(floats)``
+    is the JSON text.
+    """
     # commonest types first; bool must still come before int, its base class
     if isinstance(value, str):
-        return _quote(value)
+        return _quote(value).replace("%", "%%")
     if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if not math.isfinite(f):
-            raise ValidationError("cannot serialize non-finite number")
-        return format(f, ".17g")
+        floats.append(float(value))
+        return "%.17g"
     if isinstance(value, dict):
-        items = ", ".join(f"{_quote(str(k))}: {_fmt(v)}" for k, v in value.items())
-        return "{" + items + "}"
+        return "{" + ", ".join([_key(k) + _template(v, floats) for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+        return "[" + ", ".join([_template(v, floats) for v in value]) + "]"
     if isinstance(value, np.ndarray):
         if value.dtype == np.float64 and value.ndim and value.size:
-            return _fmt_floats(value)
-        return _fmt(value.tolist())
+            floats.extend(value.ravel().tolist())
+            return _array_template(value.shape)
+        return _template(value.tolist(), floats)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if value is None:
         return "null"
+    _check_finite(floats)  # a non-finite float met earlier is the first error
     raise ValidationError(f"cannot serialize {type(value).__name__}")
 
 
-def _fmt_floats(arr: np.ndarray) -> str:
-    """A non-empty float64 array as nested lists: one ``%`` template filled from ``.tolist()``.
+@functools.lru_cache(maxsize=256, typed=True)  # typed: 1, 1.0 and True are different keys
+def _key(key) -> str:
+    return _quote(str(key)).replace("%", "%%") + ": "
 
-    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does, so
-    the bytes equal the per-number route's.
-    """
-    if not np.isfinite(arr).all():
-        raise ValidationError("cannot serialize non-finite number")
+
+def _array_template(shape: tuple) -> str:
     template = "%.17g"
-    for n in reversed(arr.shape):
+    for n in reversed(shape):
         template = "[" + ", ".join([template] * n) + "]"
-    return template % tuple(arr.ravel().tolist())
+    return template
+
+
+def _check_finite(floats: list) -> None:
+    # a sum is finite only if every term is; a sum that overflows is checked term by term
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+        raise ValidationError("cannot serialize non-finite number")
 
 
 def to_json(value) -> str:
-    """Compact JSON with floats at 17 significant digits (lossless doubles)."""
-    return _fmt(value)
+    """Compact JSON with floats at 17 significant digits (lossless doubles).
+
+    One ``%`` template per value, filled from one tuple of its floats;
+    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does.
+    """
+    floats: list[float] = []
+    template = _template(value, floats)
+    _check_finite(floats)
+    return template % tuple(floats)
 
 
-def _nesting(line: str) -> int:
+# ---------------------------------------------------------------------------
+# reading lines
+
+def _nesting(line: bytes) -> int:
     """How deep the arrays and objects of a JSON text nest; exact when the text is valid JSON.
 
     Valid JSON has backslashes only inside strings. Dropping the escaped
@@ -114,17 +139,18 @@ def _nesting(line: str) -> int:
     and close strings, so the text outside strings is every other piece
     between quotes.
     """
-    unescaped = line.replace("\\\\", "").replace('\\"', "")
-    brackets = _NOT_BRACKETS.sub("", "".join(unescaped.split('"')[::2])).encode()
+    unescaped = line.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _NOT_BRACKETS.sub(b"", b"".join(unescaped.split(b'"')[::2]))
     codes = np.frombuffer(brackets, dtype=np.uint8)
     steps = np.where((codes == ord("[")) | (codes == ord("{")), 1, -1)
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _parse_line(line: str, lineno: int) -> dict:
-    # a text nested d deep has at least 2d characters and d brackets that open,
-    # so an ordinary line skips the exact scan
-    if (len(line) > 2 * _MAX_NESTING and line.count("[") + line.count("{") > _MAX_NESTING
+def _parse_line(line: bytes, lineno: int) -> dict:
+    # a text nested d deep has at least 2d bytes and d brackets that open ("[" | 0x20
+    # is "{", and no other byte is either), so an ordinary line skips the exact scan
+    if (len(line) > 2 * _MAX_NESTING
+            and np.count_nonzero(np.frombuffer(line, np.uint8) | 0x20 == ord("{")) > _MAX_NESTING
             and _nesting(line) > _MAX_NESTING):
         raise ParseError(f"invalid JSON (nested deeper than {_MAX_NESTING} levels)", line=lineno)
     try:
@@ -171,38 +197,117 @@ def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> 
     return arr
 
 
+class _Window:
+    """Embedding rows and tag scores, as decoded, waiting to be checked in one pass.
+
+    Values are added in the order a value-by-value reader checks them:
+    within a line, every row before every score. :meth:`take` passes them
+    all when each row is a list of ``dim`` numbers and each score a number,
+    of exact type int or float, all finite as doubles. Otherwise it checks
+    each in that order with :func:`_embedding` or :func:`_number`, so the
+    error raised is the first one that order meets. A reader takes the
+    window before it raises an error of its own, which comes later still.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list = []
+        self.row_at: list[tuple[int, str]] = []  # (line, what) per row
+        self.scores: list = []
+        self.score_at: list[int] = []            # line per score
+
+    def add_row(self, value, lineno: int, what: str) -> None:
+        self.rows.append(value)
+        self.row_at.append((lineno, what))
+
+    def add_score(self, value, lineno: int) -> None:
+        self.scores.append(value)
+        self.score_at.append(lineno)
+
+    def take(self) -> tuple[np.ndarray, list[float]]:
+        """The waiting rows as one (n, dim) float64 array and the scores as floats; empties the window."""
+        rows, row_at, scores, score_at = self.rows, self.row_at, self.scores, self.score_at
+        self.rows, self.row_at, self.scores, self.score_at = [], [], [], []
+        dim = self.dim
+        if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}
+                and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+                and set(map(type, scores)) <= _NUMBER_TYPES):
+            table = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * dim)
+            table = table.reshape(len(rows), dim)
+            values = np.array(scores, dtype=np.float64)
+            if np.isfinite(table).all() and np.isfinite(values).all():
+                return table, values.tolist()
+        order = sorted([(lineno, 0, i) for i, (lineno, _) in enumerate(row_at)]
+                       + [(lineno, 1, i) for i, lineno in enumerate(score_at)])
+        for lineno, is_score, i in order:
+            if is_score:
+                scores[i] = _number(scores[i], lineno, "tag score")
+            else:
+                rows[i] = _embedding(rows[i], dim, lineno, row_at[i][1])
+        return np.array(rows).reshape(len(rows), dim), scores
+
+
 def _is_version(value) -> bool:
     return type(value) is int and value == VERSION  # not true, not 1.0
 
 
-def _read_header(line: str, expected_format: str) -> dict:
-    header = _parse_line(line, 1)
+def _read_header(line: bytes, lineno: int, expected_format: str) -> dict:
+    header = _parse_line(line, lineno)
     if header.get("format") != expected_format:
-        raise ParseError(f"expected header with format {expected_format!r}", line=1)
+        raise ParseError(f"expected header with format {expected_format!r}", line=lineno)
     if not _is_version(header.get("version")):
-        raise ParseError(f"unsupported version {header.get('version')!r}", line=1)
+        raise ParseError(f"unsupported version {header.get('version')!r}", line=lineno)
     dim = header.get("dim")
     if type(dim) is not int or dim < 1:  # exact type: true is an int subclass
-        raise ParseError("header dim must be a positive integer", line=1)
+        raise ParseError("header dim must be a positive integer", line=lineno)
     return header
 
 
-def _read_text(path) -> str:
-    """A file's text; bytes that are not UTF-8 raise :class:`ParseError` naming their line."""
+def _read_bytes(path) -> bytes:
+    """A file's bytes once they are known to be UTF-8; otherwise :class:`ParseError` naming the line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
+        line = len((raw[:exc.start] + b".").splitlines())
         raise ParseError(f"not valid UTF-8 ({exc.reason})", line=line) from None
+    return raw
 
 
-def _lines(path) -> list[str]:
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
+def _lines(path) -> list[tuple[int, bytes]]:
+    """A file's non-blank lines, each with its line number counted over every line from 1.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so a string
+    holding another line separator (U+2028, U+0085, ...) stays on its line.
+    """
+    lines = [(n, ln) for n, ln in enumerate(_read_bytes(path).splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty file", line=1)
     return lines
+
+
+def _read_records(path, expected_format: str, check_line, build):
+    """Records and the dimension of a header-and-records file.
+
+    ``check_line(obj, lineno, window)`` checks a decoded line's structure,
+    adds its numbers to the window and returns what ``build(items, table,
+    scores)`` needs to make the line's records once its window is checked.
+    """
+    (header_line, header), *lines = _lines(path)
+    dim = _read_header(header, header_line, expected_format)["dim"]
+    window, items, records = _Window(dim), [], []
+    try:
+        for lineno, line in lines:
+            items.append(check_line(_parse_line(line, lineno), lineno, window))
+            if len(window.rows) >= _WINDOW_ROWS:
+                records += build(items, *window.take())
+                items = []
+    except ParseError:
+        window.take()  # a number on an earlier line, or earlier on this one, fails first
+        raise
+    records += build(items, *window.take())
+    return records, dim
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +315,19 @@ def _lines(path) -> list[str]:
 
 def read_vocab(path) -> tuple[list[tuple[str, np.ndarray]], int]:
     """Load (tag_id, embedding) pairs and the dimension from a vocabulary file."""
-    lines = _lines(path)
-    header = _read_header(lines[0], VOCAB_FORMAT)
-    dim = header["dim"]
-    vocab: list[tuple[str, np.ndarray]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        obj = _parse_line(line, lineno)
+
+    def check_line(obj, lineno, window):
         tag_id = _expect(obj, "tag_id", lineno)
         if not isinstance(tag_id, str):
             raise ParseError("tag_id must be a string", line=lineno)
         if tag_id in seen:
             raise ParseError(f"duplicate tag_id {tag_id!r}", line=lineno)
         seen.add(tag_id)
-        emb = _embedding(_expect(obj, "embedding", lineno), dim, lineno)
-        vocab.append((tag_id, emb))
-    return vocab, dim
+        window.add_row(_expect(obj, "embedding", lineno), lineno, "embedding")
+        return tag_id
+
+    return _read_records(path, VOCAB_FORMAT, check_line, lambda ids, table, _: zip(ids, table))
 
 
 def write_vocab(path, vocab, dim: int) -> None:
@@ -262,72 +364,74 @@ class InstanceRecord:
         return np.vstack(nouns)
 
 
-def read_instances(path) -> tuple[list[InstanceRecord], int]:
-    lines = _lines(path)
-    header = _read_header(lines[0], INSTANCE_FORMAT)
-    dim = header["dim"]
-    records: list[InstanceRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        obj = _parse_line(line, lineno)
-        image_id = _expect(obj, "image_id", lineno)
-        if not isinstance(image_id, str):
-            raise ParseError("image_id must be a string", line=lineno)
-        image_emb = _embedding(_expect(obj, "image_embedding", lineno), dim, lineno)
+def _check_instance(obj: dict, lineno: int, window: _Window):
+    """One instance line's structure; its numbers go to ``window``. Returns (id, R, tokens, tag ids)."""
+    image_id = _expect(obj, "image_id", lineno)
+    if not isinstance(image_id, str):
+        raise ParseError("image_id must be a string", line=lineno)
+    window.add_row(_expect(obj, "image_embedding", lineno), lineno, "embedding")
 
-        regions_raw = _expect(obj, "regions", lineno)
-        if not isinstance(regions_raw, list) or not regions_raw:
-            raise ParseError("regions must be a non-empty list", line=lineno)
-        regions = np.vstack(
-            [_embedding(r, dim, lineno, what="region") for r in regions_raw]
-        )
+    regions = _expect(obj, "regions", lineno)
+    if not isinstance(regions, list) or not regions:
+        raise ParseError("regions must be a non-empty list", line=lineno)
+    for region in regions:
+        window.add_row(region, lineno, "region")
 
-        tokens = []
-        tokens_raw = _expect(obj, "caption_tokens", lineno)
-        if not isinstance(tokens_raw, list):
-            raise ParseError("caption_tokens must be a list", line=lineno)
-        for tok in tokens_raw:
-            if not isinstance(tok, dict):
-                raise ParseError("caption token must be an object", line=lineno)
-            text = _expect(tok, "text", lineno)
-            if not isinstance(text, str):
-                raise ParseError("caption token text must be a string", line=lineno)
-            is_noun = _expect(tok, "is_noun", lineno)
-            if not isinstance(is_noun, bool):
-                raise ParseError("is_noun must be a boolean", line=lineno)
-            tokens.append(
-                CaptionToken(
-                    text=text,
-                    is_noun=is_noun,
-                    embedding=_embedding(
-                        _expect(tok, "embedding", lineno), dim, lineno, what="token embedding"
-                    ),
-                )
-            )
+    tokens = []
+    tokens_raw = _expect(obj, "caption_tokens", lineno)
+    if not isinstance(tokens_raw, list):
+        raise ParseError("caption_tokens must be a list", line=lineno)
+    for tok in tokens_raw:
+        if not isinstance(tok, dict):
+            raise ParseError("caption token must be an object", line=lineno)
+        text = _expect(tok, "text", lineno)
+        if not isinstance(text, str):
+            raise ParseError("caption token text must be a string", line=lineno)
+        is_noun = _expect(tok, "is_noun", lineno)
+        if not isinstance(is_noun, bool):
+            raise ParseError("is_noun must be a boolean", line=lineno)
+        window.add_row(_expect(tok, "embedding", lineno), lineno, "token embedding")
+        tokens.append((text, is_noun))
 
+    tag_ids = None
+    if "tags" in obj and obj["tags"] is not None:
+        if not isinstance(obj["tags"], list):
+            raise ParseError("tags must be a list or null", line=lineno)
+        tag_ids = []
+        for t in obj["tags"]:
+            if not isinstance(t, dict):
+                raise ParseError("tag entry must be an object", line=lineno)
+            tid = _expect(t, "tag_id", lineno)
+            if not isinstance(tid, str):
+                raise ParseError("tag_id must be a string", line=lineno)
+            window.add_score(_expect(t, "score", lineno), lineno)
+            tag_ids.append(tid)
+    return image_id, len(regions), tokens, tag_ids
+
+
+def _instance_records(items, table: np.ndarray, scores: list[float]) -> list[InstanceRecord]:
+    """The records of checked instance lines; their arrays are views of ``table``."""
+    records, row, at = [], 0, 0
+    for image_id, n_regions, tokens, tag_ids in items:
+        first_token = row + 1 + n_regions
         tags = None
-        if "tags" in obj and obj["tags"] is not None:
-            if not isinstance(obj["tags"], list):
-                raise ParseError("tags must be a list or null", line=lineno)
-            tags = []
-            for t in obj["tags"]:
-                if not isinstance(t, dict):
-                    raise ParseError("tag entry must be an object", line=lineno)
-                tid = _expect(t, "tag_id", lineno)
-                if not isinstance(tid, str):
-                    raise ParseError("tag_id must be a string", line=lineno)
-                score = _number(_expect(t, "score", lineno), lineno, "tag score")
-                tags.append(TagRef(tag_id=tid, score=score))
+        if tag_ids is not None:
+            tags = list(map(TagRef, tag_ids, scores[at:at + len(tag_ids)]))
+            at += len(tag_ids)
+        records.append(InstanceRecord(
+            image_id=image_id,
+            image_embedding=table[row],
+            regions=table[row + 1:first_token],
+            caption_tokens=[CaptionToken(text=text, is_noun=is_noun, embedding=table[first_token + j])
+                            for j, (text, is_noun) in enumerate(tokens)],
+            tags=tags,
+        ))
+        row = first_token + len(tokens)
+    return records
 
-        records.append(
-            InstanceRecord(
-                image_id=image_id,
-                image_embedding=image_emb,
-                regions=regions,
-                caption_tokens=tokens,
-                tags=tags,
-            )
-        )
-    return records, dim
+
+def read_instances(path) -> tuple[list[InstanceRecord], int]:
+    return _read_records(path, INSTANCE_FORMAT, _check_instance, _instance_records)
 
 
 def write_instances(path, records, dim: int) -> None:
@@ -402,8 +506,8 @@ def read_run_config(path) -> dict:
     """
     kinds = config_kinds()
     values = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+    for lineno, line in enumerate(_read_bytes(path).splitlines(), start=1):
+        stripped = line.decode().split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -448,7 +552,7 @@ def _table(obj: dict, name: str) -> np.ndarray:
 
 
 def read_state(path) -> tuple[TrainState, SyntheticConfig, TrainerConfig]:
-    obj = _parse_line(_read_text(path), 1)
+    obj = _parse_line(_read_bytes(path), 1)
     if obj.get("format") != STATE_FORMAT or not _is_version(obj.get("version")):
         raise ParseError("not a state file", line=1)
     try:

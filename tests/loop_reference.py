@@ -8,19 +8,36 @@ synthetic generator as it ran before its arithmetic was blocked: each
 image's draws, noise, flip, cosines and sort in turn, with the absent
 concepts from ``np.setdiff1d``. And the finite-difference oracle as it ran
 before its nudged copies were stacked: one entry nudged in place at a
-time, one :func:`rca.losses.total_loss` call per nudge. Keep them slow and
+time, one :func:`rca.losses.total_loss` call per nudge. The corpus file
+readers and writers as they ran before their numbers were checked and
+formatted a window or a record at a time: each embedding row and tag score
+checked as it is met, each float formatted on its own. Keep them slow and
 literal, so the library's stacked code is checked against an independent
 route.
 """
 
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from rca.core import ContrastiveInstance
-from rca.errors import DivergenceError
+from rca.errors import DivergenceError, ParseError, ValidationError
+from rca.io import (
+    INSTANCE_FORMAT,
+    VERSION,
+    VOCAB_FORMAT,
+    CaptionToken,
+    InstanceRecord,
+    _embedding,
+    _expect,
+    _lines,
+    _number,
+    _parse_line,
+    _read_header,
+)
 from rca.losses import GradientBundle, nll_terms, total_loss
-from rca.tags import subsample
+from rca.tags import TagRef, subsample
 from rca.trainer import HistoryRecord, SyntheticDataset, initial_state
 from rca.uasr import apply_uasr, pool_cosines
 
@@ -309,3 +326,115 @@ def finite_diff_grad_loop(instance, uasr, lambda_cross, lambda_inner, h):
         central_difference(evaluate, arr, h)
         for arr in (live.regions, live.positives, live.negatives, live.caption_nouns)
     ))
+
+
+def to_json_loop(value) -> str:
+    """JSON with each float formatted on its own at 17 significant digits."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        if not math.isfinite(f):
+            raise ValidationError("cannot serialize non-finite number")
+        return format(f, ".17g")
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_quote(str(k))}: {to_json_loop(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(to_json_loop(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return to_json_loop(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return "null"
+    raise ValidationError(f"cannot serialize {type(value).__name__}")
+
+
+def read_vocab_loop(path):
+    (header_line, header), *lines = _lines(path)
+    dim = _read_header(header, header_line, VOCAB_FORMAT)["dim"]
+    vocab, seen = [], set()
+    for lineno, line in lines:
+        obj = _parse_line(line, lineno)
+        tag_id = _expect(obj, "tag_id", lineno)
+        if not isinstance(tag_id, str):
+            raise ParseError("tag_id must be a string", line=lineno)
+        if tag_id in seen:
+            raise ParseError(f"duplicate tag_id {tag_id!r}", line=lineno)
+        seen.add(tag_id)
+        vocab.append((tag_id, _embedding(_expect(obj, "embedding", lineno), dim, lineno)))
+    return vocab, dim
+
+
+def write_vocab_loop(path, vocab, dim):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(to_json_loop({"format": VOCAB_FORMAT, "version": VERSION, "dim": dim}) + "\n")
+        for tag_id, emb in vocab:
+            fh.write(to_json_loop({"tag_id": tag_id, "embedding": np.asarray(emb)}) + "\n")
+
+
+def read_instances_loop(path):
+    (header_line, header), *lines = _lines(path)
+    dim = _read_header(header, header_line, INSTANCE_FORMAT)["dim"]
+    records = []
+    for lineno, line in lines:
+        obj = _parse_line(line, lineno)
+        image_id = _expect(obj, "image_id", lineno)
+        if not isinstance(image_id, str):
+            raise ParseError("image_id must be a string", line=lineno)
+        image_emb = _embedding(_expect(obj, "image_embedding", lineno), dim, lineno)
+        regions_raw = _expect(obj, "regions", lineno)
+        if not isinstance(regions_raw, list) or not regions_raw:
+            raise ParseError("regions must be a non-empty list", line=lineno)
+        regions = np.vstack([_embedding(r, dim, lineno, what="region") for r in regions_raw])
+        tokens = []
+        tokens_raw = _expect(obj, "caption_tokens", lineno)
+        if not isinstance(tokens_raw, list):
+            raise ParseError("caption_tokens must be a list", line=lineno)
+        for tok in tokens_raw:
+            if not isinstance(tok, dict):
+                raise ParseError("caption token must be an object", line=lineno)
+            text = _expect(tok, "text", lineno)
+            if not isinstance(text, str):
+                raise ParseError("caption token text must be a string", line=lineno)
+            is_noun = _expect(tok, "is_noun", lineno)
+            if not isinstance(is_noun, bool):
+                raise ParseError("is_noun must be a boolean", line=lineno)
+            emb = _embedding(_expect(tok, "embedding", lineno), dim, lineno, what="token embedding")
+            tokens.append(CaptionToken(text=text, is_noun=is_noun, embedding=emb))
+        tags = None
+        if "tags" in obj and obj["tags"] is not None:
+            if not isinstance(obj["tags"], list):
+                raise ParseError("tags must be a list or null", line=lineno)
+            tags = []
+            for t in obj["tags"]:
+                if not isinstance(t, dict):
+                    raise ParseError("tag entry must be an object", line=lineno)
+                tid = _expect(t, "tag_id", lineno)
+                if not isinstance(tid, str):
+                    raise ParseError("tag_id must be a string", line=lineno)
+                score = _number(_expect(t, "score", lineno), lineno, "tag score")
+                tags.append(TagRef(tag_id=tid, score=score))
+        records.append(InstanceRecord(image_id=image_id, image_embedding=image_emb,
+                                      regions=regions, caption_tokens=tokens, tags=tags))
+    return records, dim
+
+
+def write_instances_loop(path, records, dim):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(to_json_loop({"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}) + "\n")
+        for rec in records:
+            obj = {
+                "image_id": rec.image_id,
+                "image_embedding": np.asarray(rec.image_embedding),
+                "regions": np.asarray(rec.regions),
+                "caption_tokens": [
+                    {"text": t.text, "is_noun": t.is_noun, "embedding": np.asarray(t.embedding)}
+                    for t in rec.caption_tokens
+                ],
+            }
+            if rec.tags is not None:
+                obj["tags"] = [{"tag_id": t.tag_id, "score": t.score} for t in rec.tags]
+            fh.write(to_json_loop(obj) + "\n")

@@ -25,10 +25,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from loop_reference import (
+    read_instances_loop,
+    read_vocab_loop,
+    to_json_loop,
+    write_instances_loop,
+    write_vocab_loop,
+)
 from rca import cli
 from rca import io as rca_io
 from rca.cli import main
@@ -183,7 +192,7 @@ class TestDecoder:
     def test_numbers_decode_to_the_same_bits_as_json_loads(self, floats, ints):
         obj = {"floats": floats, "ints": ints}
         for line in (to_json(obj), json.dumps(obj)):  # 17 digits, and the shortest repr
-            assert _same(rca_io._parse_line(line, 1), json.loads(line))
+            assert _same(rca_io._parse_line(line.encode(), 1), json.loads(line))
 
     @pytest.mark.parametrize("name", FIXTURE_FILES)
     def test_fixture_lines_decode_as_json_loads_does(self, name):
@@ -192,9 +201,9 @@ class TestDecoder:
                 expected = json.loads(line)
             except json.JSONDecodeError:
                 with pytest.raises(ParseError, match="invalid JSON"):
-                    rca_io._parse_line(line, lineno)
+                    rca_io._parse_line(line.encode(), lineno)
                 continue
-            assert _same(rca_io._parse_line(line, lineno), expected), (name, lineno)
+            assert _same(rca_io._parse_line(line.encode(), lineno), expected), (name, lineno)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(value=st.recursive(
@@ -203,13 +212,13 @@ class TestDecoder:
         max_leaves=30))
     def test_nesting_counts_only_brackets_outside_strings(self, value):
         for line in (json.dumps(value), json.dumps(value, ensure_ascii=False), to_json(value)):
-            assert rca_io._nesting(line) == _depth(value)
+            assert rca_io._nesting(line.encode()) == _depth(value)
 
     def test_lines_nested_past_the_limit_are_rejected(self):
         limit = rca_io._MAX_NESTING
-        assert rca_io._parse_line('{"a": %s1%s}' % ("[" * (limit - 1), "]" * (limit - 1)), 1)
+        assert rca_io._parse_line(b'{"a": %s1%s}' % (b"[" * (limit - 1), b"]" * (limit - 1)), 1)
         with pytest.raises(ParseError, match=rf"^line 4: invalid JSON \(nested deeper than {limit} "):
-            rca_io._parse_line('{"a": %s1%s}' % ("[" * limit, "]" * limit), 4)
+            rca_io._parse_line(b'{"a": %s1%s}' % (b"[" * limit, b"]" * limit), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,6 +1324,239 @@ def test_mutated_fixture_lines_raise_only_parse_errors(data, which, enable_uasr)
             warnings.simplefilter("ignore")
             code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# numbers checked a window of rows at a time, records formatted from one
+# template: the same arrays, errors and bytes as the value-by-value oracles
+
+def _outcome(reader, path):
+    """What a reader gives: its result, or its error's type, message and line."""
+    try:
+        return reader(path)
+    except (ParseError, DimensionError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _plain(result):
+    """A reader's result with every array as (dtype, shape, bytes), for exact comparison."""
+    def arr(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    if not isinstance(result, tuple) or not isinstance(result[0], list):
+        return result  # an error outcome
+    items, dim = result
+    if items and isinstance(items[0], tuple):
+        return [(tag_id, arr(emb)) for tag_id, emb in items], dim
+    return [(r.image_id, arr(r.image_embedding), arr(r.regions),
+             [(t.text, t.is_noun, arr(t.embedding)) for t in r.caption_tokens],
+             None if r.tags is None else [(t.tag_id, np.float64(t.score).tobytes()) for t in r.tags])
+            for r in items], dim
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), which=st.sampled_from(["vocab", "instances"]),
+       window=st.sampled_from([1, 2, 3, 64]), n_mutations=st.integers(1, 3))
+def test_readers_match_the_value_by_value_readers(data, which, window, n_mutations):
+    source = VOCAB if which == "vocab" else INSTANCES
+    lines = list(FIXTURE_BYTES[source])
+    for _ in range(n_mutations):
+        index, lines[index] = data.draw(mutated_line(FIXTURE_BYTES[source]))
+    reader, oracle = {"vocab": (read_vocab, read_vocab_loop),
+                      "instances": (read_instances, read_instances_loop)}[which]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, os.path.basename(source))
+        with open(mutated, "wb") as fh:
+            fh.write(b"".join(lines))
+        with mock.patch.object(rca_io, "_WINDOW_ROWS", window):
+            got = _outcome(reader, mutated)
+        assert _plain(got) == _plain(_outcome(oracle, mutated))
+
+
+WRITER_TEXT = st.text(alphabet='%"\\ab\u00e9\u2028\U0001f600', max_size=5)
+WRITER_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308]))
+
+
+@st.composite
+def writer_records(draw, finite=True):
+    """A dimension and instance records whose ids, texts and floats stress the writers."""
+    dim = draw(st.integers(1, 3))
+    floats = WRITER_FLOATS if finite else WRITER_FLOATS | st.sampled_from(
+        [math.nan, math.inf, -math.inf])
+
+    def rows(n):
+        return np.array(draw(st.lists(floats, min_size=n * dim, max_size=n * dim)),
+                        dtype=np.float64).reshape(n, dim)
+
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = [CaptionToken(text=draw(WRITER_TEXT), is_noun=draw(st.booleans()),
+                               embedding=rows(1)[0]) for _ in range(draw(st.integers(0, 2)))]
+        tags = draw(st.none() | st.lists(
+            st.builds(TagRef, tag_id=WRITER_TEXT, score=floats), max_size=4))
+        records.append(InstanceRecord(image_id=draw(WRITER_TEXT), image_embedding=rows(1)[0],
+                                      regions=rows(draw(st.integers(1, 3))),
+                                      caption_tokens=tokens, tags=tags))
+    return dim, records
+
+
+def _written(writer, *args):
+    """The bytes a writer leaves, or its error's type and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.jsonl")
+        try:
+            writer(path, *args)
+        except ValidationError as exc:
+            return type(exc), str(exc)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=writer_records(finite=False) | writer_records())
+def test_writers_match_the_value_by_value_writers(case):
+    dim, records = case
+    assert _written(write_instances, records, dim) == _written(write_instances_loop, records, dim)
+    vocab = [(r.image_id, r.image_embedding) for r in records]
+    assert _written(write_vocab, vocab, dim) == _written(write_vocab_loop, vocab, dim)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(value=st.recursive(
+    st.none() | st.booleans() | st.integers() | WRITER_TEXT
+    | WRITER_FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(WRITER_TEXT, kids, max_size=3)
+    | hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0, max_side=3),
+                 elements=WRITER_FLOATS),
+    max_leaves=20))
+def test_to_json_matches_the_value_by_value_route(value):
+    try:
+        expected = to_json_loop(value)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{exc}$"):
+            to_json(value)
+    else:
+        assert to_json(value) == expected
+
+
+def test_a_non_finite_float_before_an_unserializable_value_is_the_error():
+    with pytest.raises(ValidationError, match="non-finite"):
+        to_json([math.inf, {1, 2}])
+    with pytest.raises(ValidationError, match="cannot serialize set"):
+        to_json([{1, 2}, math.inf])
+
+
+class TestFirstErrorInReadingOrder:
+    """A row waiting for its window's check fails before a later line's or field's error."""
+
+    @pytest.mark.parametrize("row, error", [
+        ("[NaN, 1, 0, 0]", "line 3: invalid JSON"),
+        ("[true, 1, 0, 0]", "line 3: embedding must be a list of numbers"),
+        ("[1, 0, 0]", "line 3: embedding has dim 3, expected 4"),
+    ])
+    def test_bad_row_on_line_three_before_duplicate_tag_on_line_five(self, row, error, tmp_path):
+        lines = (VOCAB_HEADER + VOCAB_LINES).splitlines(keepends=True)
+        lines[2] = lines[2].replace("[1, 1, 0, 0]", row)
+        lines[4] = lines[4].replace('"t3"', '"t0"')
+        bad = tmp_path / "vocab.jsonl"
+        bad.write_text("".join(lines))
+        for reader in (read_vocab, read_vocab_loop):
+            with pytest.raises((ParseError, DimensionError), match=f"^{re.escape(error)}"):
+                reader(bad)
+
+    def test_bad_image_embedding_before_malformed_regions_on_one_line(self, tmp_path):
+        bad = tmp_path / "instances.jsonl"
+        bad.write_bytes(_instance('"image_embedding": [1, 0', '"image_embedding": [1, "0"')
+                        .replace(b'"regions": [[1, 0, 0, 0]]', b'"regions": []'))
+        for reader in (read_instances, read_instances_loop):
+            with pytest.raises(ParseError, match="^line 2: embedding must be a list of numbers$"):
+                reader(bad)
+
+    def test_bad_score_before_bad_region_on_the_next_line(self, tmp_path):
+        bad = tmp_path / "instances.jsonl"
+        bad.write_text(INSTANCE_HEADER + INSTANCE_LINE % ("", TAGS.replace("0.25", '"0.25"'))
+                       + (INSTANCE_LINE % ("", "")).replace("[[1, 0, 0, 0]]", "[[1, 0, 0]]"))
+        for reader in (read_instances, read_instances_loop):
+            with pytest.raises(ParseError, match="^line 2: tag score must be a number$"):
+                reader(bad)
+
+
+def _ranked_fixture(tmp_path) -> str:
+    path = tmp_path / "ranked.jsonl"
+    assert main(["rank", VOCAB, UNTAGGED, "--M", "4", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("window", [1, 64])
+def test_valid_files_never_reach_the_value_by_value_checks(window, tmp_path, capsys):
+    calls = []
+
+    def counted(check):
+        def wrapper(*args, **kwargs):
+            calls.append(check.__name__)
+            return check(*args, **kwargs)
+        return wrapper
+
+    ranked = _ranked_fixture(tmp_path)
+    with mock.patch.object(rca_io, "_embedding", counted(rca_io._embedding)), \
+            mock.patch.object(rca_io, "_number", counted(rca_io._number)), \
+            mock.patch.object(rca_io, "_WINDOW_ROWS", window):
+        read_vocab(VOCAB)
+        for path in (INSTANCES, UNTAGGED, ranked):
+            read_instances(path)
+        assert main(["loss", VOCAB, ranked, "--enable_uasr"]) == 0
+    assert calls == []
+
+
+class TestLines:
+    def test_errors_name_physical_lines_after_blank_lines(self, tmp_path, capsys):
+        bad = tmp_path / "vocab.jsonl"
+        bad.write_text(VOCAB_HEADER + "\n \n" + '{"tag_id": 5, "embedding": [1, 0, 0, 0]}\n')
+        for reader in (read_vocab, read_vocab_loop):
+            with pytest.raises(ParseError, match="^line 4: tag_id must be a string$"):
+                reader(bad)
+        code, out, err = run_cli(["rank", str(bad), UNTAGGED], capsys)
+        assert (code, out, err) == (2, "", "error: line 4: tag_id must be a string\n")
+
+    def test_header_after_a_blank_line_is_named_by_its_line(self, tmp_path):
+        bad = tmp_path / "vocab.jsonl"
+        bad.write_text("\n" + VOCAB_HEADER.replace('"version": 1', '"version": 2'))
+        with pytest.raises(ParseError, match="^line 2: unsupported version 2$"):
+            read_vocab(bad)
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_utf8_errors_name_physical_lines_at_any_line_ending(self, ending, tmp_path):
+        bad = tmp_path / "vocab.jsonl"
+        bad.write_bytes(ending.join([VOCAB_HEADER.strip().encode(), b"", b'{"tag_id": "\xff"}']))
+        with pytest.raises(ParseError, match=r"^line 3: not valid UTF-8"):
+            read_vocab(bad)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separators_inside_strings_stay_in_their_line(self, separator, tmp_path):
+        path = tmp_path / "vocab.jsonl"
+        path.write_text(VOCAB_HEADER + VOCAB_LINES.replace('"t1"', f'"a{separator}b"'),
+                        encoding="utf-8")
+        vocab, _ = read_vocab(path)
+        assert [tag_id for tag_id, _ in vocab] == ["t0", f"a{separator}b", "t2", "t3"]
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_other_line_endings_read_as_newlines(self, ending, tmp_path):
+        for source, reader in ((VOCAB, read_vocab), (INSTANCES, read_instances)):
+            path = tmp_path / os.path.basename(source)
+            path.write_bytes(b"".join(line.rstrip(b"\n") + ending for line in FIXTURE_BYTES[source]))
+            assert _plain(reader(path)) == _plain(reader(source))
+
+
+def test_rank_with_an_unwritable_out_path_prints_nothing(tmp_path):
+    out = tmp_path / "missing" / "ranked.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "rca", "rank", VOCAB, UNTAGGED, "--M", "2",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_module_entry_point_runs():
