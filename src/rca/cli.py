@@ -2,20 +2,22 @@
 
 Every subcommand prints one JSON object per line so output can be piped
 into the usual line tools, and every run with the same inputs and seed
-produces byte-identical bytes. Exit codes: 0 success, 1 failed check or
-invalid values, 2 unparseable input or configuration, 3 dimension
-mismatch. A numeric flag or config value out of its range (a negative
-or non-finite lambda or tolerance, a gradcheck shape below 1, a
-negative seed) is a configuration error (2). The corpus subcommands
-(rank, uasr, loss) treat an instances file with a header but no records
-as unparseable input (2). uasr and loss check every record, in file
-order, before computing any, then run the records grouped by shape. A
-failing corpus call reports its first bad record and prints nothing to
-stdout; rank checks that its --out path can be written before it reads
-its input, and prints only once that file is written. train checks that
-its output paths can be written before it generates any data, and prints
-its history only once its files are written, so a failing train call
-prints nothing to stdout either.
+produces byte-identical bytes. A subcommand returns its exit code and
+its lines, and :func:`main` prints the lines only after it returns, so a
+call that ends in an error prints nothing to stdout. Exit codes: 0
+success, 1 failed check or invalid values, 2 unparseable input or
+configuration, 3 dimension mismatch. A numeric flag or config value out
+of its range (a negative or non-finite lambda or tolerance, a gradcheck
+shape below 1, a negative seed, an --M that is not a positive even
+integer) is a configuration error (2), and so are sizes whose arrays
+numpy cannot address; running out of memory is 2 too. Under ``python -W
+error`` the clamped-score warning ends the call with 1. The corpus
+subcommands (rank, uasr, loss) treat an instances file with a header but
+no records as unparseable input (2). uasr and loss check every record,
+in file order, before computing any, then run the records grouped by
+shape, so a failing corpus call reports its first bad record. rank
+checks that its --out path can be written before it reads its input, and
+train that its output paths can be written before it generates any data.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .core import ContrastiveInstance
+from .core import ContrastiveInstance, check_addressable
 from .errors import (
     ConfigError,
     DimensionError,
@@ -63,10 +65,6 @@ from .uasr import _checked_norms, apply_uasr, pool_cosines, select_batch, warn_c
 __all__ = ["main", "build_parser"]
 
 
-def _emit(obj) -> None:
-    print(to_json(obj))
-
-
 def _check_flags(args, names, low=0) -> None:
     """Raise :class:`ConfigError` unless each named numeric flag is finite and at least ``low``."""
     for name in names:
@@ -76,6 +74,8 @@ def _check_flags(args, names, low=0) -> None:
 
 
 def _load_corpus(args):
+    if args.M < 2 or args.M % 2 != 0:
+        raise ConfigError(f"M must be a positive even integer, got {args.M}")
     vocab, vdim = read_vocab(args.vocab)
     records, idim = read_instances(args.instances)
     if not records:
@@ -98,11 +98,6 @@ def _check_writable(path) -> None:
     open(target, "a", encoding="utf-8").close()
     if not existed:
         os.remove(target)
-
-
-def _print_lines(lines: list[str]) -> None:
-    """Write a whole command's output at once, so a failing call prints no partial stdout."""
-    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 @dataclasses.dataclass
@@ -175,18 +170,10 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
     return table, all_tags, groups
 
 
-def _select(table, group: _ShapeGroup, normalize: bool):
-    """Selection for one shape group: :func:`select_batch` over its region-by-pool cosines."""
-    cosines = pool_cosines(
-        group.regions, table[group.positive_rows], table[group.negative_rows]
-    )
-    return select_batch(cosines, group.scores, normalize)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[int, list[str]]:
     if args.out:
         _check_writable(args.out)
     vocab, records = _load_corpus(args)
@@ -208,17 +195,17 @@ def cmd_rank(args) -> int:
     if args.out:
         augmented = [dataclasses.replace(rec, tags=tags) for rec, tags in zip(records, ranked)]
         write_instances(args.out, augmented, records[0].regions.shape[1])
-    _print_lines(lines)
-    return 0
+    return 0, lines
 
 
-def cmd_uasr(args) -> int:
+def cmd_uasr(args) -> tuple[int, list[str]]:
     vocab, records = _load_corpus(args)
     table, all_tags, groups = _corpus_groups(records, vocab, args.M, cosines=True)
     lines = [""] * len(records)
     clamped = 0
     for group in groups:
-        sel = _select(table, group, args.normalize)
+        pos, neg = table[group.positive_rows], table[group.negative_rows]
+        sel = select_batch(pool_cosines(group.regions, pos, neg), group.scores, args.normalize)
         clamped += int(sel.clamped.sum())
         k = sel.positive_indices.shape[1]
         for b, i in enumerate(group.members):
@@ -235,11 +222,10 @@ def cmd_uasr(args) -> int:
                 }
             )
     warn_clamped(clamped)
-    _print_lines(lines)
-    return 0
+    return 0, lines
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args) -> tuple[int, list[str]]:
     _check_flags(args, ("lambda_cross", "lambda_inner"))
     vocab, records = _load_corpus(args)
     table, _, groups = _corpus_groups(records, vocab, args.M, cosines=args.enable_uasr)
@@ -250,7 +236,8 @@ def cmd_loss(args) -> int:
         for group in groups:
             pos, neg, weights = group.positive_rows, group.negative_rows, None
             if args.enable_uasr:
-                sel = _select(table, group, args.normalize)
+                cosines = pool_cosines(group.regions, table[pos], table[neg])
+                sel = select_batch(cosines, group.scores, args.normalize)
                 rows = np.arange(len(group.members))[:, None]
                 pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
                 weights, clamped = sel.weights, clamped + int(sel.clamped.sum())
@@ -282,15 +269,18 @@ def cmd_loss(args) -> int:
             }
         )
     )
-    _print_lines(lines)
-    return 0
+    return 0, lines
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> tuple[int, list[str]]:
     if args.seed is None:
         args.seed = env_seed(0)
     _check_flags(args, ("seed", "n_nouns", "tolerance", "lambda_cross", "lambda_inner"))
     _check_flags(args, ("d", "n_regions", "k"), low=1)
+    # the tables, and their score matrices against the 2k tags
+    check_addressable(
+        (args.n_regions + 2 * args.k + args.n_nouns) * (args.d + 2 * args.k), "gradcheck shapes"
+    )
     rng = np.random.default_rng(args.seed)
     instance = ContrastiveInstance(
         regions=rng.standard_normal((args.n_regions, args.d)),
@@ -303,7 +293,7 @@ def cmd_gradcheck(args) -> int:
     report = gradient_check(
         instance, sel, args.lambda_cross, args.lambda_inner, args.h, args.tolerance
     )
-    _emit(
+    line = to_json(
         {
             "errors": report.errors,
             "max_error": report.max_error,
@@ -317,10 +307,10 @@ def cmd_gradcheck(args) -> int:
             "passed": report.passed,
         }
     )
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), [line]
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[int, list[str]]:
     # later sources win: the RCA_SEED default, then the config file, then the flags
     values = {"seed": env_seed(0)}
     if args.config:
@@ -346,21 +336,20 @@ def cmd_train(args) -> int:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
     write_state(args.state_out, state, syn, trainer_cfg)
-    _print_lines(lines)
-    return 0
+    return 0, lines
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, list[str]]:
     state, syn, _ = read_state(args.state)
     dataset = generate_synthetic(syn)
-    _emit(
+    line = to_json(
         {
             "step": state.step,
             "n_images": len(dataset),
             "retrieval_accuracy": evaluate_retrieval(dataset, state),
         }
     )
-    return 0
+    return 0, [line]
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +418,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a subcommand can end in. The first match wins:
+# ConfigError and DimensionError are ValidationErrors. A UserWarning is raised
+# only under ``python -W error``.
+_EXIT_CODES = {
+    ParseError: 2,
+    ConfigError: 2,
+    DimensionError: 3,
+    ValidationError: 1,
+    DivergenceError: 1,
+    OSError: 2,
+    MemoryError: 2,
+    UserWarning: 1,
+}
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; print its lines once it returns, or one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        code, lines = args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -35,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .errors import ConfigError, DimensionError, EmptyInputError, ValidationError
 
 __all__ = [
     "ContrastiveInstance",
     "as_matrix",
     "as_vector",
+    "check_addressable",
     "compat_forward",
     "compat_backward",
     "compatibility",
@@ -73,6 +74,18 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_addressable(entries: int, what: str) -> None:
+    """Raise :class:`ConfigError` if ``entries`` float64s are more bytes than numpy can address.
+
+    numpy refuses such an array with a ``ValueError`` before allocating
+    anything; ``entries`` bounds each array the sizes ``what`` declare.
+    """
+    if entries * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"{what}: {entries} float64 entries are more bytes than numpy can address"
+        )
 
 
 @dataclass

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContrastiveInstance, scatter_add
+from .core import ContrastiveInstance, check_addressable, scatter_add
 from .errors import ConfigError, DegenerateEmbeddingError, DivergenceError
 from .losses import batch_loss
 from .uasr import pool_cosines, select_batch, warn_clamped
@@ -127,6 +127,11 @@ class SyntheticConfig:
             raise ConfigError("flip_rate must lie in [0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        c, n, k = self.n_concepts, self.n_images, self.regions_per_image
+        # prototypes and concept tables, embeddings and cosines per (image, slot),
+        # and a generation block's absent-concept mask
+        entries = c * self.d + n * k * (3 * self.d + 2 * k) + min(n, BLOCK) * c
+        check_addressable(entries, "synthetic dataset")
 
 
 @dataclass

@@ -11,11 +11,12 @@ from rca.core import (
     _sum_last,
     as_matrix,
     as_vector,
+    check_addressable,
     compat_forward,
     compatibility,
     scatter_add,
 )
-from rca.errors import DimensionError, EmptyInputError, ValidationError
+from rca.errors import ConfigError, DimensionError, EmptyInputError, ValidationError
 
 from naive_reference import naive_compatibility
 
@@ -60,6 +61,15 @@ class TestCoercions:
             as_vector([[1.0]])
         with pytest.raises(ValidationError):
             as_vector([np.nan])
+
+    def test_check_addressable_stops_where_numpy_refuses(self):
+        most = np.iinfo(np.intp).max // 8
+        check_addressable(most, "tables")
+        with pytest.raises(ConfigError, match="^tables: "):
+            check_addressable(most + 1, "tables")
+        # numpy refuses one entry more before allocating anything
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(most + 1)
 
 
 class TestInstance:

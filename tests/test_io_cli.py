@@ -48,7 +48,7 @@ from loop_reference import (
 from rca import cli
 from rca import io as rca_io
 from rca.cli import main
-from rca.errors import ConfigError, DimensionError, ParseError, ValidationError
+from rca.errors import ConfigError, DimensionError, DivergenceError, ParseError, ValidationError
 from rca.io import (
     CaptionToken,
     InstanceRecord,
@@ -1073,6 +1073,15 @@ class TestCliTrainEval:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: cosine undefined for rows whose norm overflows\n")
 
+    def test_clamped_scores_print_only_the_warning_under_warnings_as_errors(self, tmp_path):
+        state_path = tmp_path / "state.jsonl"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "train",
+                               "--steps", "1", "--state_out", str(state_path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: 33 non-positive global score(s) clamped to 1e-06\n")
+        assert not state_path.exists()
+
 
 # ---------------------------------------------------------------------------
 # malformed input: exit 2 with an error line, never a traceback
@@ -1225,6 +1234,14 @@ MALFORMED_INPUTS = {
     "run-config-lambda-cross-inf": ("train", "config", b"steps = 1\nlambda_cross = inf\n"),
     "run-config-lambda-inner-nan": ("train", "config", b"steps = 1\nlambda_inner = nan\n"),
     "run-config-seed-negative": ("train", "config", b"steps = 1\nseed = -1\n"),
+    "loss-M-odd": ("loss", "flags", ["--M", "3"]),
+    # sizes whose arrays are more bytes than numpy can address
+    "run-config-n-images-past-numpy": (
+        "train", "config", b"steps = 1\nn_images = 100000000000000000000\n"),
+    "run-config-d-past-numpy": ("train", "config", b"steps = 1\nd = 100000000000000000000\n"),
+    "state-n-images-past-numpy": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set("synthetic_config", "n_images", 2**62))),
+    "gradcheck-k-past-numpy": ("gradcheck", "flags", ["--k", "100000000000000000000"]),
 }
 
 
@@ -1251,6 +1268,45 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("m", ["3", "0", "-7"])
+@pytest.mark.parametrize("command", ["rank", "uasr", "loss"])
+def test_a_bad_M_is_a_config_error_before_any_file_is_read(command, m, capsys):
+    missing = os.path.join(FIXTURES, "missing-instances.jsonl")
+    assert run_cli([command, VOCAB, missing, "--M", m], capsys) == (
+        2, "", f"error: M must be a positive even integer, got {m}\n")
+
+
+# each row of cli.main's exit table, as an error a subcommand ends in
+EXIT_TABLE = [
+    (ParseError("bad record", line=3), 2),
+    (ConfigError("bad value"), 2),
+    (DimensionError("bad dim"), 3),
+    (ValidationError("failed check"), 1),
+    (DivergenceError(7), 1),
+    (OSError("cannot open"), 2),
+    (MemoryError("Unable to allocate 179. GiB"), 2),
+    (UserWarning("33 non-positive global score(s) clamped to 1e-06"), 1),
+]
+
+
+@pytest.mark.parametrize("error, code", EXIT_TABLE, ids=[type(e).__name__ for e, _ in EXIT_TABLE])
+def test_each_exit_table_row_prints_one_error_line(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    assert run_cli(["eval", "state.jsonl"], capsys) == (code, "", f"error: {error}\n")
+
+
+def test_a_runtime_warning_is_not_in_the_exit_table(monkeypatch):
+    def fail(args):
+        raise RuntimeWarning("overflow encountered in matmul")
+
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    with pytest.raises(RuntimeWarning):
+        main(["eval", "state.jsonl"])
 
 
 # ---------------------------------------------------------------------------
