@@ -18,6 +18,14 @@ in file order, before computing any, then run the records grouped by
 shape, so a failing corpus call reports its first bad record. rank
 checks that its --out path can be written before it reads its input, and
 train that its output paths can be written before it generates any data.
+
+:func:`main` builds the parser per call for the subcommand its argv
+starts with: every subcommand name and help line is registered, but only
+that one gets its arguments, so a call does not pay for the other five
+(``train`` alone adds one flag per config field). An argv that starts
+with no subcommand name (``rca``, ``rca -h``, ``rca bogus``) gets the
+full parser. Either way the help text, usage errors and exit codes are
+those of the full parser.
 """
 
 from __future__ import annotations
@@ -361,32 +369,25 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M", type=int, default=50, help="ranked list width (2K)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rca",
-        description="relative contrastive alignment over tag/region/caption embeddings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rank", help="rank vocabulary tags per image")
+def _add_rank_args(p: argparse.ArgumentParser) -> None:
     _add_corpus_args(p)
     p.add_argument("--out", help="write instances with the ranked tags attached")
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("uasr", help="uncertainty-aware selection and re-weighting")
+
+def _add_uasr_args(p: argparse.ArgumentParser) -> None:
     _add_corpus_args(p)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
-    p.set_defaults(func=cmd_uasr)
 
-    p = sub.add_parser("loss", help="per-image and corpus-mean contrastive losses")
+
+def _add_loss_args(p: argparse.ArgumentParser) -> None:
     _add_corpus_args(p)
     p.add_argument("--enable_uasr", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--lambda_cross", type=float, default=1.0)
     p.add_argument("--lambda_inner", type=float, default=1.0)
-    p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("gradcheck", help="compare analytic and numeric gradients")
+
+def _add_gradcheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="default: RCA_SEED, else 0")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n_regions", type=int, default=3)
@@ -397,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enable_uasr", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--lambda_cross", type=float, default=1.0)
     p.add_argument("--lambda_inner", type=float, default=1.0)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="desk-scale synthetic alignment training")
+
+def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value run configuration file")
     p.add_argument("--state_out", required=True, help="path for the final state file")
     p.add_argument("--metrics_out", help="also write the metrics stream to this file")
@@ -409,12 +410,41 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", action=argparse.BooleanOptionalAction, default=None)
         else:
             p.add_argument(f"--{name}", type=kind, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="retrieval accuracy of a saved state")
+
+def _add_eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("state", help="state file written by train")
-    p.set_defaults(func=cmd_eval)
 
+
+# Each subcommand's help line and the function that adds its arguments; it runs as cmd_<name>.
+_SUBCOMMANDS = {
+    "rank": ("rank vocabulary tags per image", _add_rank_args),
+    "uasr": ("uncertainty-aware selection and re-weighting", _add_uasr_args),
+    "loss": ("per-image and corpus-mean contrastive losses", _add_loss_args),
+    "gradcheck": ("compare analytic and numeric gradients", _add_gradcheck_args),
+    "train": ("desk-scale synthetic alignment training", _add_train_args),
+    "eval": ("retrieval accuracy of a saved state", _add_eval_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rca`` parser, every subcommand registered by name and help line.
+
+    With ``command``, only that subcommand gets its arguments; any argv
+    whose first word is ``command`` parses, and fails, as it does with the
+    full parser, which ``command=None`` builds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="rca",
+        description="relative contrastive alignment over tag/region/caption embeddings",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_args(p)
+            # looked up per call, so the module attribute is what runs
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -435,7 +465,9 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     """Run one subcommand; print its lines once it returns, or one ``error:`` line."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code, lines = args.func(args)
     except tuple(_EXIT_CODES) as exc:

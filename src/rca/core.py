@@ -20,13 +20,22 @@ All functions are pure and operate on float64 numpy arrays.
 Short trailing axes are reduced by column folds. numpy reduces a trailing
 axis one row at a time, which costs far more than the arithmetic when the
 axis holds a handful of entries, as the context and tag axes here do.
-:func:`_max_last` and :func:`_sum_last` fold an axis of 1 <= n < 8 entries
-column by column instead: the max with ``np.maximum``, which is exact in
-any order, and the sum left to right from ``0.0 + x[..., 0]``
-(:func:`_fold_sum`), which is the order numpy's add-reduce uses below 8
-entries (from 8 on it sums a contiguous row pairwise with 8
-accumulators). Longer axes go to numpy's own reduction, so every result
-is bitwise numpy's. The mean is the sum over n, as in numpy.
+:func:`_sum_last` folds an axis of 1 <= n < 8 entries column by column,
+left to right from ``0.0 + x[..., 0]`` (:func:`_fold_sum`), which is the
+order numpy's add-reduce uses below 8 entries (from 8 on it sums a
+contiguous row pairwise with 8 accumulators); longer axes go to numpy's
+own sum, so every sum is bitwise numpy's. The mean is the sum over n, as
+in numpy. :func:`_max_last` folds with ``np.maximum`` every axis of
+1 <= n < 8 entries, and an axis of 8 to 16 entries when it has at least
+16 rows per entry, as the CLI's 8-wide region axis has in a corpus group
+or a gradcheck block; an axis with few rows, such as a 25-wide negatives
+axis, goes to numpy's max. A max is exact in any order, so the value is
+numpy's; only which zero a row of +0.0 and -0.0 entries returns may
+differ from 8 entries on, and no caller can see which: each subtracts
+the max from its row and exponentiates, and ``x - 0.0`` and ``x - (-0.0)``
+differ only in the sign of a zero, which ``exp`` maps to 1.0 either way.
+The log-sum-exp also adds the max back to the log of a sum of at least
+1.0, which is +0.0 or more, and ``-0.0 + y`` is ``0.0 + y`` for such y.
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ __all__ = [
 ]
 
 _FOLD_BELOW = 8  # numpy's add-reduce sums pairwise from this many entries on
+# from 8 entries on, a max folds only an axis this narrow with this many rows per
+# entry, where the fold's n ufunc calls cost less than numpy's row-by-row reduce
+_MAX_FOLD_WIDTH = 16
+_MAX_FOLD_ROWS_PER_COLUMN = 16
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -135,9 +148,10 @@ class ContrastiveInstance:
 
 
 def _max_last(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1)``, bit for bit, folded over columns on a short axis."""
+    """``x.max(axis=-1)``, folded over columns on a short axis; a max of zeros may differ in sign."""
     n = x.shape[-1]
-    if not 1 <= n < _FOLD_BELOW:
+    if not (1 <= n < _FOLD_BELOW
+            or n <= _MAX_FOLD_WIDTH and x.size >= _MAX_FOLD_ROWS_PER_COLUMN * n * n):
         return x.max(axis=-1)
     out = x[..., 0].copy()
     for j in range(1, n):

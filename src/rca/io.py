@@ -22,7 +22,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -73,16 +72,27 @@ def _template(value, floats: list) -> str:
     A ``%`` in a string or key is doubled, so ``template % tuple(floats)``
     is the JSON text.
     """
-    # commonest types first; bool must still come before int, its base class
+    # the commonest exact types first: a type test is cheaper than an isinstance chain
+    kind = type(value)
+    if kind is str:
+        return _quote(value).replace("%", "%%")
+    if kind is float:
+        floats.append(value)
+        return "%.17g"
+    if kind is dict:
+        return "{" + ", ".join([_key(k) + _template(v, floats) for k, v in value.items()]) + "}"
+    if kind is list:
+        return "[" + ", ".join([_template(v, floats) for v in value]) + "]"
+    # subclasses, tuples and numpy values; bool must come before int, its base class
     if isinstance(value, str):
         return _quote(value).replace("%", "%%")
     if isinstance(value, (float, np.floating)):
         floats.append(float(value))
         return "%.17g"
     if isinstance(value, dict):
-        return "{" + ", ".join([_key(k) + _template(v, floats) for k, v in value.items()]) + "}"
+        return _template(dict(value.items()), floats)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join([_template(v, floats) for v in value]) + "]"
+        return _template(list(value), floats)
     if isinstance(value, np.ndarray):
         if value.dtype == np.float64 and value.ndim and value.size:
             floats.extend(value.ravel().tolist())
@@ -197,16 +207,37 @@ def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> 
     return arr
 
 
+def _as_numbers(values: list, shape: tuple) -> np.ndarray | None:
+    """``values`` as a float64 array of ``shape``, or None unless it passes in one array pass.
+
+    One ``np.array`` call infers a dtype; it passes when that dtype is
+    numeric, its shape is ``shape`` and every value is finite and neither
+    0 nor 1. numpy reads a JSON ``true`` or ``false`` mixed with numbers as
+    the number 1 or 0, so a window holding an exact 0 or 1 (``0.0``,
+    ``-0.0``, ``1.0`` and the integers too) is left to the value-by-value
+    checks, which tell a boolean from a number. A string, ``null``, a
+    nested list or a ragged row gives a non-numeric dtype, another shape,
+    or an error.
+    """
+    try:
+        arr = np.array(values)
+    except ValueError:  # ragged rows
+        return None
+    if (arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all()
+            or ((arr == 0) | (arr == 1)).any()):
+        return None
+    return arr.astype(np.float64, copy=False)
+
+
 class _Window:
     """Embedding rows and tag scores, as decoded, waiting to be checked in one pass.
 
     Values are added in the order a value-by-value reader checks them:
-    within a line, every row before every score. :meth:`take` passes them
-    all when each row is a list of ``dim`` numbers and each score a number,
-    of exact type int or float, all finite as doubles. Otherwise it checks
-    each in that order with :func:`_embedding` or :func:`_number`, so the
-    error raised is the first one that order meets. A reader takes the
-    window before it raises an error of its own, which comes later still.
+    within a line, every row before every score. A window that
+    :meth:`take` cannot pass in one array pass is checked value by value
+    in that order with :func:`_embedding` or :func:`_number`, so the error
+    raised is the first one that order meets. A reader takes the window
+    before it raises an error of its own, which comes later still.
     """
 
     def __init__(self, dim: int):
@@ -225,18 +256,20 @@ class _Window:
         self.score_at.append(lineno)
 
     def take(self) -> tuple[np.ndarray, list[float]]:
-        """The waiting rows as one (n, dim) float64 array and the scores as floats; empties the window."""
+        """The waiting rows as one (n, dim) float64 array and the scores as floats; empties the window.
+
+        One array pass each (:func:`_as_numbers`) converts the rows and the
+        scores; a window it does not pass, because it holds a non-number or
+        an exact 0 or 1 that may have been a JSON boolean, is checked value
+        by value.
+        """
         rows, row_at, scores, score_at = self.rows, self.row_at, self.scores, self.score_at
         self.rows, self.row_at, self.scores, self.score_at = [], [], [], []
         dim = self.dim
-        if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}
-                and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
-                and set(map(type, scores)) <= _NUMBER_TYPES):
-            table = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * dim)
-            table = table.reshape(len(rows), dim)
-            values = np.array(scores, dtype=np.float64)
-            if np.isfinite(table).all() and np.isfinite(values).all():
-                return table, values.tolist()
+        table = _as_numbers(rows, (len(rows), dim))
+        values = _as_numbers(scores, (len(scores),)) if table is not None else None
+        if values is not None:
+            return table, values.tolist()
         order = sorted([(lineno, 0, i) for i, (lineno, _) in enumerate(row_at)]
                        + [(lineno, 1, i) for i, lineno in enumerate(score_at)])
         for lineno, is_score, i in order:

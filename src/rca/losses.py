@@ -12,7 +12,7 @@ axis, with its gradients. :func:`total_loss` is its one-image case, a
 batch of one. All losses are computed through log-sum-exp so large
 compatibility values cannot overflow.
 
-Short reductions fold column by column, with numpy's bits (see
+Short reductions fold column by column, with numpy's results (see
 :mod:`rca.core`). The log-sum-exp takes its maximum as the positive's
 against its negatives' maximum, exact in any order, and adds its exp
 terms left to right from +0.0, the positive first, then each negative,

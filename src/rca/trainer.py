@@ -97,6 +97,19 @@ def _check_types(config) -> None:
             raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
+def _check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless 0 <= seed < 2**64.
+
+    A state file holds its configs' seeds as JSON integers, and an integer
+    past 64 bits reads back as a float, so a larger seed would make a state
+    that ``read_state`` refuses.
+    """
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be below 2**64, got {seed}")
+
+
 @dataclass
 class SyntheticConfig:
     """Shape and noise knobs for the generated dataset."""
@@ -125,8 +138,7 @@ class SyntheticConfig:
             raise ConfigError("noise_sigma must be finite and non-negative")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ConfigError("flip_rate must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        _check_seed(self.seed)
         c, n, k = self.n_concepts, self.n_images, self.regions_per_image
         # prototypes and concept tables, embeddings and cosines per (image, slot),
         # and a generation block's absent-concept mask
@@ -166,8 +178,7 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be finite and non-negative")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError("subsample_fraction must lie in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        _check_seed(self.seed)
 
     @property
     def effective_lambda_inner(self) -> float:

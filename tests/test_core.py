@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rca import core, losses
 from rca.core import (
     ContrastiveInstance,
     _max_last,
@@ -293,3 +294,76 @@ class TestShortAxisFolds:
             assert_same_bits(_max_last(x), x.max(axis=-1))
             assert_same_bits(_sum_last(x), x.sum(axis=-1))
             assert_same_bits(_sum_last(x) / x.shape[-1], x.mean(axis=-1))
+
+
+MAX_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324, -1e308])
+
+
+def max_inputs(n, layout, seed):
+    """An (..., n) array of special values and normals, C-contiguous, strided or few-rowed.
+
+    The first two layouts have 64 rows per entry, so :func:`_max_last` folds
+    them at every width up to 16; a row in four holds only zeros of either
+    sign. The few-rowed layout is a single row, which numpy reduces from 8
+    entries on.
+    """
+    rng = np.random.default_rng([n, seed])
+    shape = {"contiguous": (4, 16 * n, n), "strided": (4, 16 * n, 2 * n), "few rows": (n,)}[layout]
+    base = np.where(rng.random(shape) < 0.5, rng.choice(MAX_VALUES, shape),
+                    rng.standard_normal(shape))
+    if base.ndim > 1:
+        base[:, ::4] = rng.choice([0.0, -0.0], base[:, ::4].shape)
+    return base[..., ::2] if layout == "strided" else base
+
+
+def flipped_zero_max(x):
+    """numpy's max over the last axis with the sign of each zero result flipped."""
+    out = x.max(axis=-1)
+    return np.where(out == 0.0, -out, out)
+
+
+class TestMaxFold:
+    """The max fold is numpy's max at every width 1 to 16, up to the sign of a zero."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "few rows"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_numpy_up_to_the_sign_of_a_zero(self, n, layout, seed):
+        x = max_inputs(n, layout, seed)
+        got, want = _max_last(x), x.max(axis=-1)
+        zero = want == 0.0
+        assert (got[zero] == 0.0).all()
+        assert_same_bits(np.where(zero, 0.0, got), np.where(zero, 0.0, want))
+        if n < 8 or layout == "few rows":  # no fold, or the fold numpy's own order keeps
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("r", [3, 8])
+    def test_compat_forward_cannot_see_the_sign(self, r, seed):
+        rng = np.random.default_rng(seed)
+        values = [0.0, -0.0, 1.0, -1.0, -2.0, 0.5]
+        tags = rng.choice(values, (64, 25, 2))
+        contexts = rng.choice(values, (64, r, 2))
+        outcomes = []
+        for max_last in (_max_last, lambda x: x.max(axis=-1), flipped_zero_max):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_max_last", max_last)
+                phi, cache = compat_forward(tags, contexts)
+            outcomes.append([a.tobytes() for a in (phi, *cache)])
+        scaled = tags @ contexts.swapaxes(-1, -2) / np.sqrt(2)
+        assert (scaled.max(axis=-1) == 0.0).any()
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_nll_terms_cannot_see_the_sign(self, k, seed):
+        rng = np.random.default_rng(seed)
+        values = [0.0, -0.0, -1.0, -3.0, 0.5]
+        phi_pos, phi_neg = rng.choice(values, (512, k)), rng.choice(values, (512, k))
+        outcomes = []
+        for max_last in (_max_last, lambda x: x.max(axis=-1), flipped_zero_max):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(losses, "_max_last", max_last)
+                outcomes.append(losses.nll_terms(phi_pos, phi_neg).tobytes())
+        assert (phi_neg.max(axis=-1) == 0.0).any()
+        assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -1623,3 +1623,134 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[-1])["n_images"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the parser a call builds: only its subcommand's arguments, the full parser's bytes
+
+def _parse_outcome(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+PARSER_ARGVS = [
+    # --help, a missing positional or required flag, a bad type=
+    ["rank", "--help"], ["rank", VOCAB], ["rank", VOCAB, INSTANCES, "--M", "six"],
+    ["uasr", "--help"], ["uasr"], ["uasr", VOCAB, INSTANCES, "--M", "2.5"],
+    ["loss", "--help"], ["loss", VOCAB], ["loss", VOCAB, INSTANCES, "--lambda_cross", "x"],
+    ["gradcheck", "--help"], ["gradcheck", "--k", "x"], ["gradcheck", "--tolerance", "tight"],
+    ["train", "--help"], ["train"], ["train", "--state_out", "s.json", "--steps", "1.5"],
+    ["eval", "--help"], ["eval"], ["eval", "a.json", "b.json"],
+    # no subcommand first: the full parser
+    [], ["-h"], ["bogus"], ["--M", "4", "rank"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_a_call_parses_as_the_full_parser_does(argv, capsys):
+    got = _parse_outcome(main, argv, capsys)
+    assert got == _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+# ---------------------------------------------------------------------------
+# the one-array-pass number check against the value-by-value readers
+
+GUARD_VOCAB = VOCAB_HEADER + "".join(
+    '{"tag_id": "t%d", "embedding": [%s, -0.25, 0.75, 1.5]}\n' % (i, 0.5 + i) for i in range(4))
+GUARD_INSTANCES = INSTANCE_HEADER + (
+    '{"image_id": "x", "image_embedding": [0.25, 0.5, -0.75, 2.5],'
+    ' "regions": [[0.5, -0.5, 0.25, 0.125], [1.5, 0.25, -0.25, 0.75]],'
+    ' "caption_tokens": [{"text": "ball", "is_noun": true, "embedding": [0.25, 0.75, -0.5, 0.5]}],'
+    ' "tags": [{"tag_id": "t0", "score": 0.5}, {"tag_id": "t1", "score": 0.25}]}\n')
+TOO_LARGE_FOR_A_DOUBLE = "1" + "0" * 400
+
+GUARD_CASES = {
+    # name: (file, text replaced once, its replacement)
+    "true-in-a-vocab-row": ("vocab", "[1.5, -0.25", "[true, -0.25"),
+    "false-in-a-vocab-row": ("vocab", "0.75, 1.5]", "false, 1.5]"),
+    "true-in-a-region": ("instances", "[0.5, -0.5", "[true, -0.5"),
+    "false-in-an-image-embedding": ("instances", "[0.25, 0.5,", "[false, 0.5,"),
+    "true-score": ("instances", '"score": 0.5', '"score": true'),
+    "false-score": ("instances", '"score": 0.25', '"score": false'),
+    "numeric-string-in-a-row": ("vocab", "-0.25, 0.75", '"-0.25", 0.75'),
+    "numeric-string-score": ("instances", '"score": 0.25', '"score": "0.25"'),
+    "null-in-a-row": ("instances", "0.125]", "null]"),
+    "null-score": ("instances", '"score": 0.5', '"score": null'),
+    "nested-list-in-a-row": ("vocab", "[2.5, -0.25", "[[2.5], -0.25"),
+    "nested-list-score": ("instances", '"score": 0.5', '"score": [0.5]'),
+    "ragged-vocab-row": ("vocab", "[1.5, -0.25, 0.75, 1.5]", "[1.5, -0.25, 0.75]"),
+    "ragged-region": ("instances", "[1.5, 0.25, -0.25, 0.75]", "[1.5, 0.25, -0.25]"),
+    "int-past-2**64-in-a-row": ("vocab", "[3.5,", "[18446744073709551616,"),
+    "int-past-2**64-score": ("instances", '"score": 0.25', '"score": 18446744073709551616'),
+    # at a window of one row, an all-integer row converts from uint64
+    "ints-past-2**63-in-a-row": ("vocab", "[1.5, -0.25, 0.75, 1.5]",
+                                 "[9223372036854775809, 18446744073709551615, 9223372036854777857, 2]"),
+    "int-too-large-for-a-double": ("instances", "[0.25, 0.75,", f"[{TOO_LARGE_FOR_A_DOUBLE}, 0.75,"),
+    "zero-in-a-vocab-row": ("vocab", "[0.5, -0.25", "[0.0, -0.25"),
+    "negative-zero-in-a-region": ("instances", "[0.5, -0.5", "[-0.0, -0.5"),
+    "one-in-a-token-embedding": ("instances", "0.75, -0.5, 0.5]", "1.0, -0.5, 0.5]"),
+    "integer-zero-and-one-in-a-row": ("vocab", "[2.5, -0.25", "[0, 1"),
+    "one-score": ("instances", '"score": 0.5', '"score": 1.0'),
+    "zero-score": ("instances", '"score": 0.25', '"score": 0'),
+}
+
+
+@pytest.mark.parametrize("window", [1, 64])
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_the_array_pass_reads_as_the_value_by_value_readers(case, window, tmp_path, capsys):
+    which, old, new = GUARD_CASES[case]
+    texts = {"vocab": GUARD_VOCAB, "instances": GUARD_INSTANCES}
+    assert texts[which].count(old) >= 1
+    texts[which] = texts[which].replace(old, new, 1)
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text)
+    reader, oracle = {"vocab": (read_vocab, read_vocab_loop),
+                      "instances": (read_instances, read_instances_loop)}[which]
+    argv = ["loss", str(paths["vocab"]), str(paths["instances"])]
+    with mock.patch.object(rca_io, "_WINDOW_ROWS", window):
+        got = _outcome(reader, paths[which])
+        cli_got = run_cli(argv, capsys)
+    assert _plain(got) == _plain(_outcome(oracle, paths[which]))
+    with mock.patch.object(cli, "read_vocab", read_vocab_loop), \
+            mock.patch.object(cli, "read_instances", read_instances_loop):
+        assert cli_got == run_cli(argv, capsys)
+
+
+# ---------------------------------------------------------------------------
+# seeds: a state file holds them as JSON integers, which read back exactly below 2**64
+
+@pytest.mark.parametrize("cls", [SyntheticConfig, TrainerConfig])
+def test_a_config_seed_must_be_below_2_to_the_64(cls):
+    assert cls(seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ConfigError, match=r"^seed must be below 2\*\*64, got 18446744073709551616$"):
+        cls(seed=2**64)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 10**20])
+@pytest.mark.parametrize("source", ["flag", "RCA_SEED", "run.cfg"])
+def test_train_takes_seeds_below_2_to_the_64_only(source, seed, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("steps = 0\nn_images = 2\n" + (f"seed = {seed}\n" if source == "run.cfg" else ""))
+    state = tmp_path / "state.json"
+    argv = ["train", "--config", str(config), "--state_out", str(state)]
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    if source == "RCA_SEED":
+        monkeypatch.setenv("RCA_SEED", str(seed))
+    else:
+        monkeypatch.delenv("RCA_SEED", raising=False)
+    code, out, err = run_cli(argv, capsys)
+    if seed >= 2**64:
+        assert (code, out, err) == (2, "", f"error: seed must be below 2**64, got {seed}\n")
+        assert not state.exists()
+        return
+    assert (code, err) == (0, "")
+    _, syn, cfg = read_state(state)
+    assert syn.seed == cfg.seed == seed
+    assert run_cli(["eval", str(state)], capsys)[0] == 0
