@@ -2,12 +2,15 @@
 
 Two line formats share one convention: a header object carrying
 ``format``, ``version``, and the embedding dimension, followed by one
-record per line. Floats are always written with 17 significant digits so
-that write -> read -> write is byte-identical and golden files stay
-stable across platforms. Each line is decoded by ``orjson.loads``, whose
-doubles and 64-bit integers are those of ``json.loads``. Lines end at
-``\\n``, ``\\r\\n`` or ``\\r``, and errors name a line by its number in
-the file, blank lines counted.
+record per line. Floats are always written with 17 significant digits
+(-0.0 as ``-0.0``) so that write -> read -> write is byte-identical and
+golden files stay stable across platforms. Each line is decoded by
+``orjson.loads``, whose doubles and 64-bit integers are those of
+``json.loads``. Embedding rows and state tables are converted by one
+numpy array pass, a line's tag scores by one exact-type pass; only input
+that fails is checked value by value, to name the first error. Lines end
+at ``\\n``, ``\\r\\n`` or ``\\r``, and errors name a line by its
+number in the file, blank lines counted.
 
 The run configuration is a flat ``key = value`` text file whose keys are
 the synthetic-data and trainer fields. Unknown keys are rejected rather
@@ -16,9 +19,11 @@ than ignored; a silently dropped typo would be worse than an error.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -58,6 +63,8 @@ _NUMBER_TYPES = {int, float}
 # 100k levels; json.loads stopped near 1,000 levels with a RecursionError
 _MAX_NESTING = 1000
 _NOT_BRACKETS = re.compile(rb"[^\[\]{}]+")
+# a template's "%" is an escaped "%%" or a float's "%.17g"; the escape matches first
+_PLACEHOLDER = re.compile(r"%%|%\.17g")
 # a window of embedding rows is checked in one pass once it holds at least this many;
 # a larger one holds more decoded lines at once
 _WINDOW_ROWS = 64
@@ -126,15 +133,27 @@ def _check_finite(floats: list) -> None:
         raise ValidationError("cannot serialize non-finite number")
 
 
+def _fill(floats, match) -> str:
+    """A template's escaped ``%``, or its next float from the iterator ``floats``."""
+    if match[0] == "%%":
+        return "%"
+    x = next(floats)
+    return "%.17g" % x if x or math.copysign(1.0, x) > 0.0 else "-0.0"
+
+
 def to_json(value) -> str:
     """Compact JSON with floats at 17 significant digits (lossless doubles).
 
     One ``%`` template per value, filled from one tuple of its floats;
-    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does.
+    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does,
+    except -0.0: ``%.17g`` gives ``-0``, which JSON reads as the integer
+    0, so it is written ``-0.0``.
     """
     floats: list[float] = []
     template = _template(value, floats)
     _check_finite(floats)
+    if not all(floats) and any(math.copysign(1.0, x) < 0.0 for x in floats if not x):
+        return _PLACEHOLDER.sub(functools.partial(_fill, iter(floats)), template)
     return template % tuple(floats)
 
 
@@ -207,77 +226,59 @@ def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> 
     return arr
 
 
-def _as_numbers(values: list, shape: tuple) -> np.ndarray | None:
-    """``values`` as a float64 array of ``shape``, or None unless it passes in one array pass.
+def _holds_bool(values, arr: np.ndarray) -> bool:
+    """Whether a JSON ``true`` or ``false`` is among ``values``, which numpy read as the numeric ``arr``.
 
-    One ``np.array`` call infers a dtype; it passes when that dtype is
-    numeric, its shape is ``shape`` and every value is finite and neither
-    0 nor 1. numpy reads a JSON ``true`` or ``false`` mixed with numbers as
-    the number 1 or 0, so a window holding an exact 0 or 1 (``0.0``,
-    ``-0.0``, ``1.0`` and the integers too) is left to the value-by-value
-    checks, which tell a boolean from a number. A string, ``null``, a
-    nested list or a ragged row gives a non-numeric dtype, another shape,
-    or an error.
+    numpy reads a boolean among numbers as 1 or 0, so only the innermost
+    lists holding a value that reads exactly 0 or 1 are looked at, by type.
     """
-    try:
-        arr = np.array(values)
-    except ValueError:  # ragged rows
-        return None
-    if (arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all()
-            or ((arr == 0) | (arr == 1)).any()):
+    hits = (arr == 0) | (arr == 1)
+    if not hits.any():
+        return False
+    if not arr.ndim:
+        return type(values) is bool
+    return any(bool in set(map(type, functools.reduce(operator.getitem, at, values)))
+               for at in np.argwhere(hits.any(axis=-1)).tolist())
+
+
+def _as_numbers(values) -> np.ndarray | None:
+    """Decoded JSON ``values`` as a float64 array in one array pass; None unless all are finite numbers.
+
+    One ``np.array`` call infers a dtype; the values pass when that dtype
+    is numeric, every value is finite and none was a JSON boolean
+    (:func:`_holds_bool`). A string or ``null`` gives a non-numeric dtype;
+    ragged lists raise ValueError.
+    """
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or _holds_bool(values, arr):
         return None
     return arr.astype(np.float64, copy=False)
 
 
-class _Window:
-    """Embedding rows and tag scores, as decoded, waiting to be checked in one pass.
+def _checked_rows(rows: list, dim: int) -> np.ndarray:
+    """Decoded embedding rows, each ``(value, lineno, what)``, as one (n, dim) float64 array.
 
-    Values are added in the order a value-by-value reader checks them:
-    within a line, every row before every score. A window that
-    :meth:`take` cannot pass in one array pass is checked value by value
-    in that order with :func:`_embedding` or :func:`_number`, so the error
-    raised is the first one that order meets. A reader takes the window
-    before it raises an error of its own, which comes later still.
+    One array pass (:func:`_as_numbers`) converts them. Rows it does not
+    pass are checked value by value with :func:`_embedding` in the order
+    they were added, so the error raised is the first one that order meets.
     """
+    try:
+        table = _as_numbers([value for value, _, _ in rows])
+    except ValueError:  # ragged rows
+        table = None
+    if table is None or table.shape != (len(rows), dim):
+        table = np.array([_embedding(value, dim, lineno, what) for value, lineno, what in rows])
+    return table.reshape(len(rows), dim)
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list = []
-        self.row_at: list[tuple[int, str]] = []  # (line, what) per row
-        self.scores: list = []
-        self.score_at: list[int] = []            # line per score
 
-    def add_row(self, value, lineno: int, what: str) -> None:
-        self.rows.append(value)
-        self.row_at.append((lineno, what))
-
-    def add_score(self, value, lineno: int) -> None:
-        self.scores.append(value)
-        self.score_at.append(lineno)
-
-    def take(self) -> tuple[np.ndarray, list[float]]:
-        """The waiting rows as one (n, dim) float64 array and the scores as floats; empties the window.
-
-        One array pass each (:func:`_as_numbers`) converts the rows and the
-        scores; a window it does not pass, because it holds a non-number or
-        an exact 0 or 1 that may have been a JSON boolean, is checked value
-        by value.
-        """
-        rows, row_at, scores, score_at = self.rows, self.row_at, self.scores, self.score_at
-        self.rows, self.row_at, self.scores, self.score_at = [], [], [], []
-        dim = self.dim
-        table = _as_numbers(rows, (len(rows), dim))
-        values = _as_numbers(scores, (len(scores),)) if table is not None else None
-        if values is not None:
-            return table, values.tolist()
-        order = sorted([(lineno, 0, i) for i, (lineno, _) in enumerate(row_at)]
-                       + [(lineno, 1, i) for i, lineno in enumerate(score_at)])
-        for lineno, is_score, i in order:
-            if is_score:
-                scores[i] = _number(scores[i], lineno, "tag score")
-            else:
-                rows[i] = _embedding(rows[i], dim, lineno, row_at[i][1])
-        return np.array(rows).reshape(len(rows), dim), scores
+def _scores(values: list, lineno: int) -> list[float]:
+    """A line's tag scores as floats after one exact-type pass; :func:`_number` names the first bad one."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        with contextlib.suppress(OverflowError):  # an integer too large for a double
+            scores = list(map(float, values))
+            if all(map(math.isfinite, scores)):
+                return scores
+    return [_number(value, lineno, "tag score") for value in values]
 
 
 def _is_version(value) -> bool:
@@ -323,23 +324,25 @@ def _lines(path) -> list[tuple[int, bytes]]:
 def _read_records(path, expected_format: str, check_line, build):
     """Records and the dimension of a header-and-records file.
 
-    ``check_line(obj, lineno, window)`` checks a decoded line's structure,
-    adds its numbers to the window and returns what ``build(items, table,
-    scores)`` needs to make the line's records once its window is checked.
+    ``check_line(obj, lineno, rows)`` checks a decoded line but for its
+    embedding rows, which it appends to ``rows`` as ``(value, lineno,
+    what)``, and returns what ``build(items, table)`` needs to make the
+    line's records once a window of rows is checked (:func:`_checked_rows`).
+    The waiting rows are checked before a line's own error is raised.
     """
     (header_line, header), *lines = _lines(path)
     dim = _read_header(header, header_line, expected_format)["dim"]
-    window, items, records = _Window(dim), [], []
-    try:
-        for lineno, line in lines:
-            items.append(check_line(_parse_line(line, lineno), lineno, window))
-            if len(window.rows) >= _WINDOW_ROWS:
-                records += build(items, *window.take())
-                items = []
-    except ParseError:
-        window.take()  # a number on an earlier line, or earlier on this one, fails first
-        raise
-    records += build(items, *window.take())
+    rows, items, records = [], [], []
+    for lineno, line in lines:
+        try:
+            items.append(check_line(_parse_line(line, lineno), lineno, rows))
+        except ParseError:
+            _checked_rows(rows, dim)  # a row on an earlier line, or earlier on this one, fails first
+            raise
+        if len(rows) >= _WINDOW_ROWS:
+            records += build(items, _checked_rows(rows, dim))
+            rows, items = [], []
+    records += build(items, _checked_rows(rows, dim))
     return records, dim
 
 
@@ -350,17 +353,17 @@ def read_vocab(path) -> tuple[list[tuple[str, np.ndarray]], int]:
     """Load (tag_id, embedding) pairs and the dimension from a vocabulary file."""
     seen: set[str] = set()
 
-    def check_line(obj, lineno, window):
+    def check_line(obj, lineno, rows):
         tag_id = _expect(obj, "tag_id", lineno)
         if not isinstance(tag_id, str):
             raise ParseError("tag_id must be a string", line=lineno)
         if tag_id in seen:
             raise ParseError(f"duplicate tag_id {tag_id!r}", line=lineno)
         seen.add(tag_id)
-        window.add_row(_expect(obj, "embedding", lineno), lineno, "embedding")
+        rows.append((_expect(obj, "embedding", lineno), lineno, "embedding"))
         return tag_id
 
-    return _read_records(path, VOCAB_FORMAT, check_line, lambda ids, table, _: zip(ids, table))
+    return _read_records(path, VOCAB_FORMAT, check_line, zip)
 
 
 def write_vocab(path, vocab, dim: int) -> None:
@@ -397,18 +400,17 @@ class InstanceRecord:
         return np.vstack(nouns)
 
 
-def _check_instance(obj: dict, lineno: int, window: _Window):
-    """One instance line's structure; its numbers go to ``window``. Returns (id, R, tokens, tag ids)."""
+def _check_instance(obj: dict, lineno: int, rows: list):
+    """One instance line's structure and tag scores, its rows appended to ``rows``: (id, R, tokens, tags)."""
     image_id = _expect(obj, "image_id", lineno)
     if not isinstance(image_id, str):
         raise ParseError("image_id must be a string", line=lineno)
-    window.add_row(_expect(obj, "image_embedding", lineno), lineno, "embedding")
+    rows.append((_expect(obj, "image_embedding", lineno), lineno, "embedding"))
 
     regions = _expect(obj, "regions", lineno)
     if not isinstance(regions, list) or not regions:
         raise ParseError("regions must be a non-empty list", line=lineno)
-    for region in regions:
-        window.add_row(region, lineno, "region")
+    rows += [(region, lineno, "region") for region in regions]
 
     tokens = []
     tokens_raw = _expect(obj, "caption_tokens", lineno)
@@ -423,34 +425,35 @@ def _check_instance(obj: dict, lineno: int, window: _Window):
         is_noun = _expect(tok, "is_noun", lineno)
         if not isinstance(is_noun, bool):
             raise ParseError("is_noun must be a boolean", line=lineno)
-        window.add_row(_expect(tok, "embedding", lineno), lineno, "token embedding")
+        rows.append((_expect(tok, "embedding", lineno), lineno, "token embedding"))
         tokens.append((text, is_noun))
 
-    tag_ids = None
+    tags = None
     if "tags" in obj and obj["tags"] is not None:
         if not isinstance(obj["tags"], list):
             raise ParseError("tags must be a list or null", line=lineno)
-        tag_ids = []
-        for t in obj["tags"]:
-            if not isinstance(t, dict):
-                raise ParseError("tag entry must be an object", line=lineno)
-            tid = _expect(t, "tag_id", lineno)
-            if not isinstance(tid, str):
-                raise ParseError("tag_id must be a string", line=lineno)
-            window.add_score(_expect(t, "score", lineno), lineno)
-            tag_ids.append(tid)
-    return image_id, len(regions), tokens, tag_ids
+        tag_ids, scores = [], []
+        try:
+            for t in obj["tags"]:
+                if not isinstance(t, dict):
+                    raise ParseError("tag entry must be an object", line=lineno)
+                tid = _expect(t, "tag_id", lineno)
+                if not isinstance(tid, str):
+                    raise ParseError("tag_id must be a string", line=lineno)
+                tag_ids.append(tid)
+                scores.append(_expect(t, "score", lineno))
+        except ParseError:
+            _scores(scores, lineno)  # a score in an earlier entry fails first
+            raise
+        tags = list(map(TagRef, tag_ids, _scores(scores, lineno)))
+    return image_id, len(regions), tokens, tags
 
 
-def _instance_records(items, table: np.ndarray, scores: list[float]) -> list[InstanceRecord]:
+def _instance_records(items, table: np.ndarray) -> list[InstanceRecord]:
     """The records of checked instance lines; their arrays are views of ``table``."""
-    records, row, at = [], 0, 0
-    for image_id, n_regions, tokens, tag_ids in items:
+    records, row = [], 0
+    for image_id, n_regions, tokens, tags in items:
         first_token = row + 1 + n_regions
-        tags = None
-        if tag_ids is not None:
-            tags = list(map(TagRef, tag_ids, scores[at:at + len(tag_ids)]))
-            at += len(tag_ids)
         records.append(InstanceRecord(
             image_id=image_id,
             image_embedding=table[row],
@@ -469,9 +472,7 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
 
 def write_instances(path, records, dim: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            to_json({"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}) + "\n"
-        )
+        fh.write(to_json({"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}) + "\n")
         for rec in records:
             obj = {
                 "image_id": rec.image_id,
@@ -574,14 +575,12 @@ def write_state(path, state: TrainState, syn: SyntheticConfig, cfg: TrainerConfi
 def _table(obj: dict, name: str) -> np.ndarray:
     """A state table as float64; :class:`ParseError` unless it is a grid of finite numbers."""
     try:
-        arr = np.asarray(obj[name])
+        arr = _as_numbers(obj[name])
     except ValueError as exc:
         raise ParseError(f"malformed state file: {name} is ragged", line=1) from exc
-    # exact types, as in _embedding: np.asarray([True, 1.5]) infers float64
-    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
-            or not set(map(type, np.asarray(obj[name], dtype=object).flat)) <= _NUMBER_TYPES):
+    if arr is None:
         raise ParseError(f"malformed state file: {name} must hold only finite numbers", line=1)
-    return arr.astype(np.float64)
+    return arr
 
 
 def read_state(path) -> tuple[TrainState, SyntheticConfig, TrainerConfig]:

@@ -336,7 +336,8 @@ def to_json_loop(value) -> str:
         f = float(value)
         if not math.isfinite(f):
             raise ValidationError("cannot serialize non-finite number")
-        return format(f, ".17g")
+        text = format(f, ".17g")
+        return "-0.0" if text == "-0" else text  # "-0" reads back as the integer 0
     if isinstance(value, dict):
         return "{" + ", ".join(f"{_quote(str(k))}: {to_json_loop(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

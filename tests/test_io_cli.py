@@ -1498,6 +1498,31 @@ def test_to_json_matches_the_value_by_value_route(value):
         assert to_json(value) == expected
 
 
+def test_negative_zero_survives_a_round_trip(tmp_path):
+    """-0.0 is written ``-0.0``: ``-0`` would read back as the integer 0, its sign lost."""
+    def round_trip(write, read, *args):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write(first, *args)
+        assert b"-0.0" in first.read_bytes()
+        got = read(first)
+        write(second, got[0], *args[1:])
+        assert second.read_bytes() == first.read_bytes()
+        return got
+
+    vocab, _ = round_trip(write_vocab, read_vocab, [("a", np.array([-0.0, 1.5]))], 2)
+    assert np.signbit(vocab[0][1]).tolist() == [True, False]
+    record = InstanceRecord(image_id="x", image_embedding=np.array([0.5, 1.5]),
+                            regions=np.array([[1.5, -0.0]]), tags=[TagRef("a", -0.0)])
+    (got,), _ = round_trip(write_instances, read_instances, [record], 2)
+    assert np.signbit(got.regions).tolist() == [[False, True]]
+    assert math.copysign(1.0, got.tags[0].score) == -1.0
+    syn = SyntheticConfig(n_concepts=3, d=2, n_images=1, regions_per_image=1)
+    state = TrainState(tag_table=np.array([[-0.0, 1.0], [0.5, 0.0], [1.0, 1.0]]),
+                       caption_table=np.eye(3, 2), region_table=np.ones((1, 2)))
+    got_state, _, _ = round_trip(write_state, read_state, state, syn, TrainerConfig())
+    assert np.signbit(got_state.tag_table[0]).tolist() == [True, False]
+
+
 def test_a_non_finite_float_before_an_unserializable_value_is_the_error():
     with pytest.raises(ValidationError, match="non-finite"):
         to_json([math.inf, {1, 2}])
@@ -1539,11 +1564,58 @@ class TestFirstErrorInReadingOrder:
             with pytest.raises(ParseError, match="^line 2: tag score must be a number$"):
                 reader(bad)
 
+    def test_bad_score_in_entry_one_before_a_non_object_entry_three(self, tmp_path):
+        tags = (', "tags": [{"tag_id": "t0", "score": 0.5}, {"tag_id": "t1", "score": true},'
+                ' {"tag_id": "t2", "score": 0.25}, 7]')
+        bad = tmp_path / "instances.jsonl"
+        bad.write_text(INSTANCE_HEADER + INSTANCE_LINE % ("", tags))
+        for reader in (read_instances, read_instances_loop):
+            with pytest.raises(ParseError, match="^line 2: tag score must be a number$"):
+                reader(bad)
+
+    def test_bad_region_before_bad_score_on_one_line(self, tmp_path):
+        bad = tmp_path / "instances.jsonl"
+        bad.write_bytes(_instance('"regions": [[1, 0,', '"regions": [[1, "0",',
+                                  tags=TAGS.replace("0.25", '"0.25"')))
+        for reader in (read_instances, read_instances_loop):
+            with pytest.raises(ParseError, match="^line 2: region must be a list of numbers$"):
+                reader(bad)
+
+
+NOT_2D = "state tables do not match the embedded config"
+NOT_NUMBERS = "line 1: malformed state file: tag_table must hold only finite numbers"
+
+
+@pytest.mark.parametrize("table, code, error", [
+    ([1, 0, 0.5], 3, NOT_2D),
+    (0, 3, NOT_2D),
+    (0.5, 3, NOT_2D),
+    ([[[1.0, 0]], [[0, 1]], [[0.5, 0.25]]], 3, NOT_2D),
+    ([0.5, True], 2, NOT_NUMBERS),
+    ([[[1.0, 0]], [[True, 1]], [[0.5, 0.25]]], 2, NOT_NUMBERS),
+    (True, 2, NOT_NUMBERS),
+], ids=["flat", "scalar-zero", "scalar", "3d", "flat-true", "3d-true", "scalar-true"])
+def test_eval_a_state_table_that_is_not_2d(table, code, error, tmp_path, capsys):
+    path = tmp_path / "state.jsonl"
+    path.write_bytes(_state_bytes(tmp_path, _set_top("tag_table", table)))
+    assert run_cli(["eval", str(path)], capsys) == (code, "", f"error: {error}\n")
+
 
 def _ranked_fixture(tmp_path) -> str:
     path = tmp_path / "ranked.jsonl"
     assert main(["rank", VOCAB, UNTAGGED, "--M", "4", "--out", str(path)]) == 0
     return str(path)
+
+
+ZERO_ONE_ROWS = ["[0.0, -0.0, 1.0, 0.5]", "[0, 1, -0.25, 0]", "[1, 1.0, 0, -0.0]"]
+ZERO_ONE_VOCAB = VOCAB_HEADER + "".join(
+    '{"tag_id": "t%d", "embedding": %s}\n' % (i, row) for i, row in enumerate(ZERO_ONE_ROWS))
+ZERO_ONE_INSTANCES = INSTANCE_HEADER + (
+    '{"image_id": "z", "image_embedding": %s, "regions": [%s, %s],'
+    ' "caption_tokens": [{"text": "ball", "is_noun": true, "embedding": %s}],'
+    ' "tags": [{"tag_id": "t0", "score": 0}, {"tag_id": "t1", "score": 1},'
+    ' {"tag_id": "t2", "score": 0.0}, {"tag_id": "t3", "score": 1.0}]}\n'
+    % (*ZERO_ONE_ROWS, ZERO_ONE_ROWS[0]))
 
 
 @pytest.mark.parametrize("window", [1, 64])
@@ -1557,6 +1629,10 @@ def test_valid_files_never_reach_the_value_by_value_checks(window, tmp_path, cap
         return wrapper
 
     ranked = _ranked_fixture(tmp_path)
+    zero_one = {"vocab": tmp_path / "zero-one-vocab.jsonl",
+                "instances": tmp_path / "zero-one-instances.jsonl"}
+    zero_one["vocab"].write_text(ZERO_ONE_VOCAB)
+    zero_one["instances"].write_text(ZERO_ONE_INSTANCES)
     with mock.patch.object(rca_io, "_embedding", counted(rca_io._embedding)), \
             mock.patch.object(rca_io, "_number", counted(rca_io._number)), \
             mock.patch.object(rca_io, "_WINDOW_ROWS", window):
@@ -1564,7 +1640,10 @@ def test_valid_files_never_reach_the_value_by_value_checks(window, tmp_path, cap
         for path in (INSTANCES, UNTAGGED, ranked):
             read_instances(path)
         assert main(["loss", VOCAB, ranked, "--enable_uasr"]) == 0
+        got = read_vocab(zero_one["vocab"]), read_instances(zero_one["instances"])
     assert calls == []
+    assert _plain(got[0]) == _plain(read_vocab_loop(zero_one["vocab"]))
+    assert _plain(got[1]) == _plain(read_instances_loop(zero_one["instances"]))
 
 
 class TestLines:
