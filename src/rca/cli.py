@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from .core import ContrastiveInstance, check_addressable
+from .core import ContrastiveInstance, check_addressable, check_cosines
 from .errors import (
     ConfigError,
     DimensionError,
@@ -77,7 +77,8 @@ def _check_flags(args, names, low=0) -> None:
     """Raise :class:`ConfigError` unless each named numeric flag is finite and at least ``low``."""
     for name in names:
         value = getattr(args, name)
-        if not (math.isfinite(value) and value >= low):
+        # an int is finite, and math.isfinite raises on one past a double's range
+        if not (value >= low and (type(value) is int or math.isfinite(value))):
             raise ConfigError(f"--{name} must be finite and at least {low}, got {value!r}")
 
 
@@ -152,11 +153,7 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
                 )
             rows.append(index[t.tag_id])
         k = len(tags) // 2
-        # the tolerance ContrastiveInstance allows
-        if max(abs(t.score) for t in tags[:k]) > 1.0 + 1e-9:
-            raise ValidationError(
-                f"image {rec.image_id!r}: global_scores must be cosines in [-1, 1]"
-            )
+        check_cosines([t.score for t in tags[:k]], image=rec.image_id)
         if cosines:
             _checked_norms(rec.regions, table[rows], image=rec.image_id)
         all_tags.append(tags)

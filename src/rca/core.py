@@ -51,6 +51,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "check_addressable",
+    "check_cosines",
     "compat_forward",
     "compat_backward",
     "compatibility",
@@ -101,6 +102,16 @@ def check_addressable(entries: int, what: str) -> None:
         )
 
 
+def check_cosines(scores, image: str | None = None) -> None:
+    """Raise :class:`ValidationError` unless each global score is a cosine, up to rounding.
+
+    ``image`` names the record in the message.
+    """
+    if np.abs(scores).max() > 1.0 + 1e-9:
+        prefix = "" if image is None else f"image {image!r}: "
+        raise ValidationError(f"{prefix}global_scores must be cosines in [-1, 1]")
+
+
 @dataclass
 class ContrastiveInstance:
     """One image's contrastive bundle.
@@ -142,8 +153,7 @@ class ContrastiveInstance:
             )
         if not np.isfinite(scores).all():
             raise ValidationError("global_scores contain non-finite entries")
-        if np.abs(scores).max() > 1.0 + 1e-9:
-            raise ValidationError("global_scores must be cosines in [-1, 1]")
+        check_cosines(scores)
         self.global_scores = scores
 
 

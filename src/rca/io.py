@@ -2,9 +2,10 @@
 
 Two line formats share one convention: a header object carrying
 ``format``, ``version``, and the embedding dimension, followed by one
-record per line. Floats are always written with 17 significant digits
-(-0.0 as ``-0.0``) so that write -> read -> write is byte-identical and
-golden files stay stable across platforms. Each line is decoded by
+record per line. One encoder writes every value, each JSON kind spelled
+once: floats with 17 significant digits, -0.0 as ``-0.0`` where it is
+met, so that write -> read -> write is byte-identical and golden files
+stay stable across platforms. Each line is decoded by
 ``orjson.loads``, whose doubles and 64-bit integers are those of
 ``json.loads``. Embedding rows and state tables are converted by one
 numpy array pass, a line's tag scores by one exact-type pass; only input
@@ -63,8 +64,6 @@ _NUMBER_TYPES = {int, float}
 # 100k levels; json.loads stopped near 1,000 levels with a RecursionError
 _MAX_NESTING = 1000
 _NOT_BRACKETS = re.compile(rb"[^\[\]{}]+")
-# a template's "%" is an escaped "%%" or a float's "%.17g"; the escape matches first
-_PLACEHOLDER = re.compile(r"%%|%\.17g")
 # a window of embedding rows is checked in one pass once it holds at least this many;
 # a larger one holds more decoded lines at once
 _WINDOW_ROWS = 64
@@ -73,44 +72,51 @@ _WINDOW_ROWS = 64
 # ---------------------------------------------------------------------------
 # serialization
 
+# subclasses, tuples and numpy values: each as the plain value it holds
+_PLAIN_VALUE = (
+    (str, str.__str__),
+    ((float, np.floating), float),
+    (dict, lambda value: dict(value.items())),
+    ((list, tuple), list),
+    (np.ndarray, np.ndarray.tolist),
+)
+
+
 def _template(value, floats: list) -> str:
     """``value`` as JSON text with ``%.17g`` for each float, appended in order to ``floats``.
 
     A ``%`` in a string or key is doubled, so ``template % tuple(floats)``
-    is the JSON text.
+    is the JSON text. -0.0 is written ``-0.0`` where it is met: ``%.17g``
+    would give ``-0``, which JSON reads as the integer 0.
     """
     # the commonest exact types first: a type test is cheaper than an isinstance chain
     kind = type(value)
     if kind is str:
         return _quote(value).replace("%", "%%")
     if kind is float:
-        floats.append(value)
-        return "%.17g"
+        if value or math.copysign(1.0, value) > 0.0:
+            floats.append(value)
+            return "%.17g"
+        return "-0.0"
     if kind is dict:
         return "{" + ", ".join([_key(k) + _template(v, floats) for k, v in value.items()]) + "}"
     if kind is list:
         return "[" + ", ".join([_template(v, floats) for v in value]) + "]"
-    # subclasses, tuples and numpy values; bool must come before int, its base class
-    if isinstance(value, str):
-        return _quote(value).replace("%", "%%")
-    if isinstance(value, (float, np.floating)):
-        floats.append(float(value))
-        return "%.17g"
-    if isinstance(value, dict):
-        return _template(dict(value.items()), floats)
-    if isinstance(value, (list, tuple)):
-        return _template(list(value), floats)
-    if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.ndim and value.size:
+    if kind is np.ndarray and value.dtype == np.float64 and value.size and value.ndim:
+        # an array holding -0.0 takes the .tolist() route below, one float at a time
+        if value.all() or not np.signbit(value[value == 0.0]).any():
             floats.extend(value.ravel().tolist())
             return _array_template(value.shape)
-        return _template(value.tolist(), floats)
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    # bool must come before int, its base class
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if value is None:
         return "null"
+    for kinds, plain in _PLAIN_VALUE:
+        if isinstance(value, kinds):
+            return _template(plain(value), floats)
     _check_finite(floats)  # a non-finite float met earlier is the first error
     raise ValidationError(f"cannot serialize {type(value).__name__}")
 
@@ -133,27 +139,17 @@ def _check_finite(floats: list) -> None:
         raise ValidationError("cannot serialize non-finite number")
 
 
-def _fill(floats, match) -> str:
-    """A template's escaped ``%``, or its next float from the iterator ``floats``."""
-    if match[0] == "%%":
-        return "%"
-    x = next(floats)
-    return "%.17g" % x if x or math.copysign(1.0, x) > 0.0 else "-0.0"
-
-
 def to_json(value) -> str:
     """Compact JSON with floats at 17 significant digits (lossless doubles).
 
     One ``%`` template per value, filled from one tuple of its floats;
-    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does,
-    except -0.0: ``%.17g`` gives ``-0``, which JSON reads as the integer
-    0, so it is written ``-0.0``.
+    ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does.
+    -0.0, which ``%.17g`` would spell ``-0``, is already ``-0.0`` in the
+    template and has no float in the tuple.
     """
     floats: list[float] = []
     template = _template(value, floats)
     _check_finite(floats)
-    if not all(floats) and any(math.copysign(1.0, x) < 0.0 for x in floats if not x):
-        return _PLACEHOLDER.sub(functools.partial(_fill, iter(floats)), template)
     return template % tuple(floats)
 
 
@@ -176,10 +172,10 @@ def _nesting(line: bytes) -> int:
 
 
 def _parse_line(line: bytes, lineno: int) -> dict:
-    # a text nested d deep has at least 2d bytes and d brackets that open ("[" | 0x20
-    # is "{", and no other byte is either), so an ordinary line skips the exact scan
+    # a text nested d deep has at least 2d bytes and d brackets that open,
+    # so an ordinary line skips the exact scan
     if (len(line) > 2 * _MAX_NESTING
-            and np.count_nonzero(np.frombuffer(line, np.uint8) | 0x20 == ord("{")) > _MAX_NESTING
+            and line.count(b"[") + line.count(b"{") > _MAX_NESTING
             and _nesting(line) > _MAX_NESTING):
         raise ParseError(f"invalid JSON (nested deeper than {_MAX_NESTING} levels)", line=lineno)
     try:

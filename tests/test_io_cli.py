@@ -93,6 +93,9 @@ def golden(name):
         return fh.read()
 
 
+PAST_DOUBLE_RANGE = "1" + "0" * 400  # an integer flag float() overflows on
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -842,6 +845,19 @@ class TestCliGradcheck:
         assert code == 2
         assert "h" in err
 
+    @pytest.mark.parametrize("source", ["flag", "RCA_SEED"])
+    def test_a_seed_past_a_doubles_range_runs_like_any_other(self, source, monkeypatch, capsys):
+        argv = ["gradcheck"]
+        if source == "flag":
+            argv += ["--seed", PAST_DOUBLE_RANGE]
+            monkeypatch.delenv("RCA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RCA_SEED", PAST_DOUBLE_RANGE)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        (line,) = out.splitlines()
+        assert json.loads(line)["passed"] is True
+
 
 # ---------------------------------------------------------------------------
 # train / eval subcommands
@@ -1242,6 +1258,10 @@ MALFORMED_INPUTS = {
     "state-n-images-past-numpy": (
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("synthetic_config", "n_images", 2**62))),
     "gradcheck-k-past-numpy": ("gradcheck", "flags", ["--k", "100000000000000000000"]),
+    # an int past a double's range is a size like any other, not an overflow
+    **{f"gradcheck-{flag.replace('_', '-')}-past-double-range":
+       ("gradcheck", "flags", [f"--{flag}", PAST_DOUBLE_RANGE])
+       for flag in ("k", "d", "n_regions", "n_nouns")},
 }
 
 
@@ -1480,14 +1500,42 @@ def test_writers_match_the_value_by_value_writers(case):
     assert _written(write_vocab, vocab, dim) == _written(write_vocab_loop, vocab, dim)
 
 
+class _Str(str):
+    def __str__(self):  # the text written is the one held, not this
+        return "other"
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+WRITER_SHAPES = hnp.array_shapes(max_dims=2, min_side=0, max_side=3)
+# numpy scalars, 0-d arrays and a str subclass: the values _template turns into plain ones
+WRITER_NUMPY_LEAVES = st.one_of(
+    WRITER_FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    WRITER_TEXT.map(_Str), hnp.arrays(np.float64, (), elements=WRITER_FLOATS),
+    hnp.arrays(np.int64, ()), hnp.arrays(np.bool_, ()))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(value=st.recursive(
     st.none() | st.booleans() | st.integers() | WRITER_TEXT
-    | WRITER_FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]),
+    | WRITER_FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]) | WRITER_NUMPY_LEAVES,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(WRITER_TEXT, kids, max_size=3)
-    | hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0, max_side=3),
-                 elements=WRITER_FLOATS),
+    | st.lists(kids, max_size=3).map(tuple) | st.lists(kids, max_size=3).map(_List)
+    | st.dictionaries(WRITER_TEXT, kids, max_size=3).map(_Dict)
+    | hnp.arrays(np.float64, WRITER_SHAPES, elements=WRITER_FLOATS)
+    # -0.0 next to negatives and zeros: the arrays that take the value-by-value route
+    | hnp.arrays(np.float64, WRITER_SHAPES, elements=st.sampled_from([-0.0, 0.0, -1.5, -5e-324]))
+    | hnp.arrays(np.float32, WRITER_SHAPES) | hnp.arrays(np.int64, WRITER_SHAPES),
     max_leaves=20))
+@example(value=np.array([[-1.5, -0.0], [0.0, -2.0]]))
+@example(value=(np.float64(-0.0), np.float32(-0.0), np.array(-0.0), _Str("a%"), _List([-0.0])))
 def test_to_json_matches_the_value_by_value_route(value):
     try:
         expected = to_json_loop(value)
