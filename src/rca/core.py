@@ -40,6 +40,7 @@ The log-sum-exp also adds the max back to the log of a sum of at least
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,9 @@ def check_addressable(entries: int, what: str) -> None:
     anything; ``entries`` bounds each array the sizes ``what`` declare.
     """
     if entries * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"{what}: {entries} float64 entries are more bytes than numpy can address"
-        )
+        # str() refuses an int past 4,300 digits; log10 takes any int
+        count = entries if entries < 10**100 else f"about 10**{math.floor(math.log10(entries))}"
+        raise ConfigError(f"{what}: {count} float64 entries are more bytes than numpy can address")
 
 
 def check_cosines(scores, image: str | None = None) -> None:

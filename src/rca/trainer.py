@@ -23,13 +23,18 @@ the training trajectory. Loss history records are full-dataset snapshots
 The dataset holds one stacked array per field, images on the leading
 axis, and computes the region-by-pool cosines of its frozen evidence once,
 when it is generated. Selection reads only that evidence and treats each
-image alone, so a run makes one selection call for all its snapshots (the
-plan: each image's selected concepts, weights and clamp counts) and one
-per step, over the images of its batch. The losses run ``BLOCK`` (256) images
-per forward (and, in a step, backward) pass, so the pass temporaries do
-not grow with the dataset. A snapshot adds its per-image losses in
-``SUM_GROUP`` (64) image groups, in image order, so its floats do not
-depend on ``BLOCK``. A step keeps its gradient rows in image order and
+image alone, so no step's selection depends on the tables it trains. A
+run makes one selection call for all its snapshots (the plan: each
+image's selected concepts, weights and clamp counts). It splits its steps
+into stretches that end at the next history record, at most ten steps,
+and fewer where a stretch's batches would pass ``STRETCH_IMAGES`` images
+(one step at the least). A stretch makes all its random draws first, in
+the order the steps would make them, then one selection call over all
+its batches; each step takes its own rows. The losses run ``BLOCK``
+(256) images per forward (and, in a step, backward) pass, so the pass
+temporaries do not grow with the dataset. A snapshot adds its per-image
+losses in ``SUM_GROUP`` (64) image groups, in image order, so its floats
+do not depend on ``BLOCK``. A step keeps its gradient rows in image order and
 folds them onto each concept table with one
 :func:`rca.core.scatter_add`. A batch holds each image once, so each
 region row gets at most one gradient row, and the step subtracts it from
@@ -78,6 +83,11 @@ __all__ = [
 
 BLOCK = 256  # images per loss pass, and per generation block
 SUM_GROUP = 64  # images per partial sum of a snapshot's losses, as the pinned histories were summed
+# Most images one selection call takes for a stretch of training steps (a
+# stretch always holds one step's batch), so that a full-batch run on a large
+# dataset does not hold ten steps' selection temporaries at once. The largest
+# are (images, K, 2K) floats: 1 MB at K = 4.
+STRETCH_IMAGES = 16 * BLOCK
 
 
 def field_kinds(config_class) -> dict[str, type]:
@@ -510,6 +520,29 @@ def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     return np.sort(picks.reshape(count, 2, m), axis=-1)
 
 
+def _step(dataset, state, config, batch, sel) -> None:
+    """One gradient step on ``batch`` under its selection ``sel``, in place.
+
+    Raises :class:`DivergenceError` if a table stops being finite.
+    """
+    _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, config, batch, sel,
+                                                   with_grad=True)
+    lr = config.learning_rate / len(batch)
+    if not config.freeze_tags:
+        tag_concepts = np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1)
+        state.tag_table -= lr * scatter_add(tag_concepts, d_tags, len(state.tag_table))
+    if not config.freeze_caption:
+        state.caption_table -= lr * scatter_add(dataset.caption_concepts[batch],
+                                                d_caption, len(state.caption_table))
+    if not config.freeze_regions:
+        # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
+        state.region_table[dataset.region_rows(batch)] -= lr * (0.0 + d_regions)
+    state.step += 1
+    for table in (state.tag_table, state.caption_table, state.region_table):
+        if not np.isfinite(table).all():
+            raise DivergenceError(state.step, "table values are not finite")
+
+
 def train_alignment(
     dataset: SyntheticDataset,
     config: TrainerConfig,
@@ -537,43 +570,30 @@ def train_alignment(
             raise DivergenceError(state.step, "snapshot loss is not finite")
         history.append(rec)
 
+    b = min(config.batch_size, n)  # images per step
+    per_stretch = max(1, STRETCH_IMAGES // b)
+    left = config.steps
     # A diverging run overflows on its way to a non-finite table or
-    # snapshot; the checks below report that as a DivergenceError.
+    # snapshot; the checks in _step and record report that as a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         record()
-        for _ in range(config.steps):
-            if config.batch_size >= n:
-                batch = np.arange(n)
-            else:
-                batch = rng.choice(n, size=config.batch_size, replace=False)
-            subsets = None
-            if config.enable_subsample:
-                subsets = _draw_subsets(rng, len(batch), k, config.subsample_fraction)
-
-            sel = _selection(dataset, config, batch, subsets)
-            clamped += int(sel.clamped.sum())
-            _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, config, batch, sel,
-                                                           with_grad=True)
-
-            lr = config.learning_rate / len(batch)
-            if not config.freeze_tags:
-                tag_concepts = np.concatenate([sel.positive_concepts, sel.negative_concepts],
-                                              axis=1)
-                state.tag_table -= lr * scatter_add(tag_concepts, d_tags, len(state.tag_table))
-            if not config.freeze_caption:
-                state.caption_table -= lr * scatter_add(dataset.caption_concepts[batch],
-                                                        d_caption, len(state.caption_table))
-            if not config.freeze_regions:
-                # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
-                state.region_table[dataset.region_rows(batch)] -= lr * (0.0 + d_regions)
-            state.step += 1
-
-            for table in (state.tag_table, state.caption_table, state.region_table):
-                if not np.isfinite(table).all():
-                    raise DivergenceError(state.step, "table values are not finite")
-
-            if state.step % 10 == 0:
-                record()
+        while left:
+            # a stretch ends at the next record: its draws first, in stream
+            # order, then one selection over all its batches, then its steps
+            count = min(10 - state.step % 10, left, per_stretch)
+            left -= count
+            batches, subsets = [], []
+            for _ in range(count):
+                batches.append(np.arange(n) if b == n else rng.choice(n, size=b, replace=False))
+                if config.enable_subsample:
+                    subsets.append(_draw_subsets(rng, b, k, config.subsample_fraction))
+            stretch_sel = _selection(dataset, config, np.concatenate(batches),
+                                     np.concatenate(subsets) if subsets else None)
+            clamped += int(stretch_sel.clamped.sum())
+            for i, batch in enumerate(batches):
+                _step(dataset, state, config, batch, stretch_sel.take(slice(i * b, (i + 1) * b)))
+                if state.step % 10 == 0:
+                    record()
 
         if history[-1].step != state.step:
             record()

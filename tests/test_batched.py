@@ -33,6 +33,7 @@ from loop_reference import (
 from naive_reference import naive_total_loss
 from rca import trainer
 from rca.core import ContrastiveInstance, compat_forward
+from rca.errors import DivergenceError
 from rca.gradients import loss_and_grad
 from rca.losses import batch_loss
 from rca.trainer import (
@@ -308,7 +309,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
 def test_clamp_warning_counted_once_per_call(monkeypatch):
     monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
-    # snapshots read the run's selection plan; each step selects once
+    # snapshots read the run's selection plan; each stretch of steps selects once
     for variant in ("default", "no-subsample", "minibatch"):
         cfg = TrainerConfig(**{**BASE, **VARIANTS[variant]})
         with warnings.catch_warnings(record=True) as batched:
@@ -328,11 +329,13 @@ def test_clamp_warning_counted_once_per_call(monkeypatch):
         assert len(_clamp_counts(snap)) == 1
 
 
-def _run(ds, cfg):
-    """History, final tables and clamp-warning total of one training run."""
+def _run(ds, cfg, start=0):
+    """History, final tables and clamp-warning total of one training run from step ``start``."""
+    state = initial_state(ds, seed=cfg.seed)
+    state.step = start
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        state, history = train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+        state, history = train_alignment(ds, cfg, state)
     tables = [state.tag_table, state.caption_table, state.region_table]
     return history, tables, sum(_clamp_counts(caught))
 
@@ -353,6 +356,48 @@ def test_compute_block_does_not_change_results(overrides, monkeypatch):
         assert other_clamped == clamped
 
 
+# a run from step 7 makes stretches of 3, 10, 10 and 2 steps
+STRETCH_RUNS = {name: (0, VARIANTS[name]) for name in
+                ("minibatch", "no-subsample", "no-selection", "freeze-tags", "freeze-regions")}
+STRETCH_RUNS["from-step-7"] = (7, {"steps": 25})
+
+
+@pytest.mark.parametrize("run", STRETCH_RUNS.values(), ids=STRETCH_RUNS.keys())
+def test_stretch_cap_does_not_change_results(run, monkeypatch):
+    start, overrides = run
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, **overrides})
+    runs = []
+    # one step per stretch (a selection per step), stretches cut short of
+    # the next record, and the default
+    for images in (1, 3 * NOISY.n_images, trainer.STRETCH_IMAGES):
+        monkeypatch.setattr(trainer, "STRETCH_IMAGES", images)
+        runs.append(_run(ds, cfg, start))
+    (history, tables, clamped), *others = runs
+    assert history[-1].step == start + cfg.steps
+    for other_history, other_tables, other_clamped in others:
+        assert other_history == history  # HistoryRecord fields compare exactly
+        for got, want in zip(other_tables, tables):
+            assert np.array_equal(got, want)
+        assert other_clamped == clamped
+
+
+@pytest.mark.parametrize("overrides", [{"learning_rate": 1e300},
+                                       {"learning_rate": 1e5, "batch_size": 24}])
+def test_stretch_cap_does_not_change_the_diverging_step(overrides, monkeypatch):
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, **overrides})
+    errors = []
+    for images in (1, trainer.STRETCH_IMAGES):
+        monkeypatch.setattr(trainer, "STRETCH_IMAGES", images)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as caught:
+            warnings.filterwarnings("ignore", message=".*clamped")
+            train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+        errors.append((caught.value.step, str(caught.value)))
+    assert errors[0] == errors[1]
+    assert 1 < errors[0][0] < 10  # in the middle of the first stretch
+
+
 @pytest.mark.parametrize("block", [16, trainer.BLOCK])
 @pytest.mark.parametrize("variant", ["default", "no-subsample", "minibatch",
                                      "minibatch-plain", "no-selection"])
@@ -370,8 +415,14 @@ def test_snapshots_select_once_per_run(variant, block, monkeypatch):
     _run(ds, cfg)
     n = len(ds)
     batch = min(cfg.batch_size, n)
-    # the plan, then one selection per step, whatever the block
-    assert len(calls) == (1 + cfg.steps if cfg.enable_uasr else 0)
+    # the plan, then one selection per stretch of steps, whatever the block: a
+    # stretch ends at the next record (every tenth step) or at the image cap
+    per_stretch = max(1, trainer.STRETCH_IMAGES // batch)
+    step, stretches = 0, 0  # _run starts from step 0
+    while step < cfg.steps:
+        step += min(10 - step % 10, cfg.steps - step, per_stretch)
+        stretches += 1
+    assert len(calls) == (1 + stretches if cfg.enable_uasr else 0)
     if cfg.enable_uasr:
         assert sum(calls) == n + cfg.steps * batch  # snapshots select each image once
 

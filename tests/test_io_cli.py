@@ -1258,6 +1258,12 @@ MALFORMED_INPUTS = {
     "state-n-images-past-numpy": (
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("synthetic_config", "n_images", 2**62))),
     "gradcheck-k-past-numpy": ("gradcheck", "flags", ["--k", "100000000000000000000"]),
+    # sizes that parse (int() takes up to 4,300 digits) but whose entry count
+    # is past the 4,300 digits str() writes
+    "gradcheck-entries-past-str-digits": (
+        "gradcheck", "flags", ["--d", "9" * 4001, "--k", "9" * 4001]),
+    "run-config-entries-past-str-digits": (
+        "train", "config", b"steps = 1\nd = %s\nn_images = %s\n" % (b"9" * 4001, b"9" * 4001)),
     # an int past a double's range is a size like any other, not an overflow
     **{f"gradcheck-{flag.replace('_', '-')}-past-double-range":
        ("gradcheck", "flags", [f"--{flag}", PAST_DOUBLE_RANGE])
