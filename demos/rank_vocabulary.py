@@ -1,7 +1,10 @@
 """Rank a tag vocabulary against an image embedding and split P/N.
 
 The top half of the 2K ranked list becomes positives, the bottom half
-negatives, exactly as the trainer consumes them.
+negatives, as ``rca rank`` writes them to a corpus file for ``rca uasr``
+and ``rca loss``. The trainer does not rank: its synthetic positives
+name the concepts an image shows and its negatives absent ones, planted
+by the generator.
 """
 
 import argparse
@@ -37,5 +40,5 @@ same = [t.tag_id for t in ranked] == [t.tag_id for t in ranked_scaled]
 print("\nsame ranking after scaling the image by 250:", same)
 
 pos_small, neg_small = subsample(positives, negatives, 0.5, seed=args.seed)
-print(f"subsample(0.5) keeps the top ceil(K/2): "
+print(f"subsample(0.5) keeps a uniform random ceil(K/2) of each side, in rank order: "
       f"{[t.tag_id for t in pos_small]} / {[t.tag_id for t in neg_small]}")

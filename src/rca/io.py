@@ -8,10 +8,11 @@ met, so that write -> read -> write is byte-identical and golden files
 stay stable across platforms. Each line is decoded by
 ``orjson.loads``, whose doubles and 64-bit integers are those of
 ``json.loads``. Embedding rows and state tables are converted by one
-numpy array pass, a line's tag scores by one exact-type pass; only input
-that fails is checked value by value, to name the first error. Lines end
-at ``\\n``, ``\\r\\n`` or ``\\r``, and errors name a line by its
-number in the file, blank lines counted.
+numpy array pass. One checker, :func:`_numbers`, takes a list of numbers
+and names its error: each embedding row that fails the array pass, and
+each line's tag scores as one list (``tag scores must be a list of
+numbers``). Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and errors
+name a line by its number in the file, blank lines counted.
 
 The run configuration is a flat ``key = value`` text file whose keys are
 the synthetic-data and trainer fields. Unknown keys are rejected rather
@@ -20,7 +21,6 @@ than ignored; a silently dropped typo would be worse than an error.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import math
@@ -193,19 +193,8 @@ def _expect(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
-def _number(value, lineno: int, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{what} must be a number", line=lineno)
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ParseError(f"{what} is too large for a double", line=lineno) from None
-    if not math.isfinite(number):
-        raise ParseError(f"{what} must be finite", line=lineno)
-    return number
-
-
-def _embedding(value, dim: int | None, lineno: int, what: str = "embedding") -> np.ndarray:
+def _numbers(value, dim: int | None, lineno: int, what: str = "embedding") -> np.ndarray:
+    """A decoded list of finite numbers as float64, ``dim`` of them unless None; else its error."""
     # exact types: a bool is an int subclass, and np.array([True, 1.5]) infers float64
     if not isinstance(value, list) or not set(map(type, value)) <= _NUMBER_TYPES:
         raise ParseError(f"{what} must be a list of numbers", line=lineno)
@@ -255,7 +244,7 @@ def _checked_rows(rows: list, dim: int) -> np.ndarray:
     """Decoded embedding rows, each ``(value, lineno, what)``, as one (n, dim) float64 array.
 
     One array pass (:func:`_as_numbers`) converts them. Rows it does not
-    pass are checked value by value with :func:`_embedding` in the order
+    pass are checked value by value with :func:`_numbers` in the order
     they were added, so the error raised is the first one that order meets.
     """
     try:
@@ -263,18 +252,8 @@ def _checked_rows(rows: list, dim: int) -> np.ndarray:
     except ValueError:  # ragged rows
         table = None
     if table is None or table.shape != (len(rows), dim):
-        table = np.array([_embedding(value, dim, lineno, what) for value, lineno, what in rows])
+        table = np.array([_numbers(value, dim, lineno, what) for value, lineno, what in rows])
     return table.reshape(len(rows), dim)
-
-
-def _scores(values: list, lineno: int) -> list[float]:
-    """A line's tag scores as floats after one exact-type pass; :func:`_number` names the first bad one."""
-    if set(map(type, values)) <= _NUMBER_TYPES:
-        with contextlib.suppress(OverflowError):  # an integer too large for a double
-            scores = list(map(float, values))
-            if all(map(math.isfinite, scores)):
-                return scores
-    return [_number(value, lineno, "tag score") for value in values]
 
 
 def _is_version(value) -> bool:
@@ -439,9 +418,9 @@ def _check_instance(obj: dict, lineno: int, rows: list):
                 tag_ids.append(tid)
                 scores.append(_expect(t, "score", lineno))
         except ParseError:
-            _scores(scores, lineno)  # a score in an earlier entry fails first
+            _numbers(scores, None, lineno, "tag scores")  # a score in an earlier entry fails first
             raise
-        tags = list(map(TagRef, tag_ids, _scores(scores, lineno)))
+        tags = list(map(TagRef, tag_ids, _numbers(scores, None, lineno, "tag scores").tolist()))
     return image_id, len(regions), tokens, tags
 
 

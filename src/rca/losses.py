@@ -22,6 +22,7 @@ contiguous row; it is the order the pinned losses and goldens hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,8 @@ def batch_loss(
     :class:`ContrastiveInstance` and :func:`rca.uasr.check_selection`
     check them at the boundary.
     """
-    if lambda_cross < 0.0 or lambda_inner < 0.0:
-        raise InvalidWeightError("lambda weights must be non-negative")
+    if not (0.0 <= lambda_cross < math.inf and 0.0 <= lambda_inner < math.inf):
+        raise InvalidWeightError("lambda weights must be finite and non-negative")
     k = positives.shape[-2]
     cross = inner = np.zeros(positives.shape[0])
     g_cross = g_inner = None

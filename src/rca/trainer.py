@@ -465,17 +465,22 @@ def _snapshot(dataset, state, config, plan) -> HistoryRecord:
     """Mean full-dataset loss record under the selection ``plan``.
 
     The per-image losses are added up in ``SUM_GROUP``-image groups, in
-    image order, whatever ``BLOCK`` is.
+    image order, whatever ``BLOCK`` is. Raises :class:`DivergenceError`
+    if the total is not finite.
     """
     n = len(dataset)
-    cross, inner, _ = _losses(dataset, state, config, np.arange(n), plan)
-    total = config.lambda_cross * cross + config.effective_lambda_inner * inner
-    sums = [0.0, 0.0, 0.0]
-    for start in range(0, n, SUM_GROUP):
-        group = slice(start, start + SUM_GROUP)
-        for j, losses in enumerate((cross, inner, total)):
-            sums[j] += float(losses[group].sum())
-    return HistoryRecord(state.step, *(s / n for s in sums))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        cross, inner, _ = _losses(dataset, state, config, np.arange(n), plan)
+        total = config.lambda_cross * cross + config.effective_lambda_inner * inner
+        sums = [0.0, 0.0, 0.0]
+        for start in range(0, n, SUM_GROUP):
+            group = slice(start, start + SUM_GROUP)
+            for j, losses in enumerate((cross, inner, total)):
+                sums[j] += float(losses[group].sum())
+    record = HistoryRecord(state.step, *(s / n for s in sums))
+    if not math.isfinite(record.total):
+        raise DivergenceError(state.step, "snapshot loss is not finite")
+    return record
 
 
 def snapshot_loss(
@@ -483,8 +488,9 @@ def snapshot_loss(
 ) -> HistoryRecord:
     """Mean full-dataset loss with the configured selection, no subsampling.
 
-    Warns at most once, with the total count, if selection clamped
-    non-positive global scores.
+    Raises :class:`DivergenceError` if it is not finite. Warns at most
+    once, with the total count, if selection clamped non-positive global
+    scores.
     """
     plan = _selection(dataset, config, np.arange(len(dataset)))
     record = _snapshot(dataset, state, config, plan)
@@ -565,16 +571,13 @@ def train_alignment(
     history: list[HistoryRecord] = []
 
     def record():
-        rec = _snapshot(dataset, state, config, plan)
-        if not math.isfinite(rec.total):
-            raise DivergenceError(state.step, "snapshot loss is not finite")
-        history.append(rec)
+        history.append(_snapshot(dataset, state, config, plan))
 
     b = min(config.batch_size, n)  # images per step
     per_stretch = max(1, STRETCH_IMAGES // b)
     left = config.steps
     # A diverging run overflows on its way to a non-finite table or
-    # snapshot; the checks in _step and record report that as a DivergenceError.
+    # snapshot; the checks in _step and _snapshot report that as a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         record()
         while left:

@@ -29,10 +29,9 @@ from rca.io import (
     VOCAB_FORMAT,
     CaptionToken,
     InstanceRecord,
-    _embedding,
     _expect,
     _lines,
-    _number,
+    _numbers,
     _parse_line,
     _read_header,
 )
@@ -365,7 +364,7 @@ def read_vocab_loop(path):
         if tag_id in seen:
             raise ParseError(f"duplicate tag_id {tag_id!r}", line=lineno)
         seen.add(tag_id)
-        vocab.append((tag_id, _embedding(_expect(obj, "embedding", lineno), dim, lineno)))
+        vocab.append((tag_id, _numbers(_expect(obj, "embedding", lineno), dim, lineno)))
     return vocab, dim
 
 
@@ -385,11 +384,11 @@ def read_instances_loop(path):
         image_id = _expect(obj, "image_id", lineno)
         if not isinstance(image_id, str):
             raise ParseError("image_id must be a string", line=lineno)
-        image_emb = _embedding(_expect(obj, "image_embedding", lineno), dim, lineno)
+        image_emb = _numbers(_expect(obj, "image_embedding", lineno), dim, lineno)
         regions_raw = _expect(obj, "regions", lineno)
         if not isinstance(regions_raw, list) or not regions_raw:
             raise ParseError("regions must be a non-empty list", line=lineno)
-        regions = np.vstack([_embedding(r, dim, lineno, what="region") for r in regions_raw])
+        regions = np.vstack([_numbers(r, dim, lineno, what="region") for r in regions_raw])
         tokens = []
         tokens_raw = _expect(obj, "caption_tokens", lineno)
         if not isinstance(tokens_raw, list):
@@ -403,7 +402,7 @@ def read_instances_loop(path):
             is_noun = _expect(tok, "is_noun", lineno)
             if not isinstance(is_noun, bool):
                 raise ParseError("is_noun must be a boolean", line=lineno)
-            emb = _embedding(_expect(tok, "embedding", lineno), dim, lineno, what="token embedding")
+            emb = _numbers(_expect(tok, "embedding", lineno), dim, lineno, what="token embedding")
             tokens.append(CaptionToken(text=text, is_noun=is_noun, embedding=emb))
         tags = None
         if "tags" in obj and obj["tags"] is not None:
@@ -416,7 +415,8 @@ def read_instances_loop(path):
                 tid = _expect(t, "tag_id", lineno)
                 if not isinstance(tid, str):
                     raise ParseError("tag_id must be a string", line=lineno)
-                score = _number(_expect(t, "score", lineno), lineno, "tag score")
+                # one score at a time, as a list of one
+                (score,) = _numbers([_expect(t, "score", lineno)], None, lineno, "tag scores").tolist()
                 tags.append(TagRef(tag_id=tid, score=score))
         records.append(InstanceRecord(image_id=image_id, image_embedding=image_emb,
                                       regions=regions, caption_tokens=tokens, tags=tags))

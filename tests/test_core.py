@@ -101,6 +101,14 @@ class TestInstance:
                 caption_nouns=[],
                 global_scores=[0.5, 0.25],
             )
+        with pytest.raises(DimensionError, match="^caption_nouns dim 3 != regions dim 4$"):
+            ContrastiveInstance(
+                regions=rng.standard_normal((2, 4)),
+                positives=rng.standard_normal((2, 4)),
+                negatives=rng.standard_normal((2, 4)),
+                caption_nouns=rng.standard_normal((1, 3)),
+                global_scores=[0.5, 0.25],
+            )
 
     def test_scores_must_be_cosines(self):
         rng = np.random.default_rng(3)
@@ -111,6 +119,14 @@ class TestInstance:
                 negatives=rng.standard_normal((2, 4)),
                 caption_nouns=[],
                 global_scores=[1.5, 0.25],
+            )
+        with pytest.raises(ValidationError, match="^global_scores contain non-finite entries$"):
+            ContrastiveInstance(
+                regions=rng.standard_normal((2, 4)),
+                positives=rng.standard_normal((2, 4)),
+                negatives=rng.standard_normal((2, 4)),
+                caption_nouns=[],
+                global_scores=[np.nan, 0.25],
             )
 
     def test_score_count_matches_positives(self):

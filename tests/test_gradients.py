@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ class TestLossParity:
         inst = rand_instance(np.random.default_rng(1))
         with pytest.raises(InvalidWeightError):
             loss_and_grad(inst, lambda_inner=-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidWeightError):
+                loss_and_grad(inst, lambda_cross=bad)
+            with pytest.raises(InvalidWeightError):
+                gradient_check(inst, lambda_inner=bad)
 
 
 class TestAgainstFiniteDifferences:

@@ -351,6 +351,17 @@ class TestInstanceIO:
         with pytest.raises(ParseError, match="is_noun"):
             read_instances(p)
 
+    def test_caption_token_must_be_an_object(self, tmp_path):
+        p = tmp_path / "i.jsonl"
+        p.write_text(
+            '{"format": "rca-instances", "version": 1, "dim": 2}\n'
+            '{"image_id": "x", "image_embedding": [1, 0], "regions": [[1, 0]],'
+            ' "caption_tokens": ["a"]}\n'
+        )
+        for reader in (read_instances, read_instances_loop):
+            with pytest.raises(ParseError, match="^line 2: caption token must be an object$"):
+                reader(p)
+
     def test_regions_must_be_non_empty(self, tmp_path):
         p = tmp_path / "i.jsonl"
         p.write_text(
@@ -1615,7 +1626,7 @@ class TestFirstErrorInReadingOrder:
         bad.write_text(INSTANCE_HEADER + INSTANCE_LINE % ("", TAGS.replace("0.25", '"0.25"'))
                        + (INSTANCE_LINE % ("", "")).replace("[[1, 0, 0, 0]]", "[[1, 0, 0]]"))
         for reader in (read_instances, read_instances_loop):
-            with pytest.raises(ParseError, match="^line 2: tag score must be a number$"):
+            with pytest.raises(ParseError, match="^line 2: tag scores must be a list of numbers$"):
                 reader(bad)
 
     def test_bad_score_in_entry_one_before_a_non_object_entry_three(self, tmp_path):
@@ -1624,7 +1635,7 @@ class TestFirstErrorInReadingOrder:
         bad = tmp_path / "instances.jsonl"
         bad.write_text(INSTANCE_HEADER + INSTANCE_LINE % ("", tags))
         for reader in (read_instances, read_instances_loop):
-            with pytest.raises(ParseError, match="^line 2: tag score must be a number$"):
+            with pytest.raises(ParseError, match="^line 2: tag scores must be a list of numbers$"):
                 reader(bad)
 
     def test_bad_region_before_bad_score_on_one_line(self, tmp_path):
@@ -1655,6 +1666,15 @@ def test_eval_a_state_table_that_is_not_2d(table, code, error, tmp_path, capsys)
     assert run_cli(["eval", str(path)], capsys) == (code, "", f"error: {error}\n")
 
 
+def test_eval_a_region_table_one_row_short(tmp_path, capsys):
+    error = "region table does not match the embedded config"
+    path = tmp_path / "state.jsonl"
+    path.write_bytes(_state_bytes(tmp_path, _set("synthetic_config", "regions_per_image", 2)))
+    with pytest.raises(DimensionError, match=f"^{error}$"):
+        read_state(path)
+    assert run_cli(["eval", str(path)], capsys) == (3, "", f"error: {error}\n")
+
+
 def _ranked_fixture(tmp_path) -> str:
     path = tmp_path / "ranked.jsonl"
     assert main(["rank", VOCAB, UNTAGGED, "--M", "4", "--out", str(path)]) == 0
@@ -1674,28 +1694,28 @@ ZERO_ONE_INSTANCES = INSTANCE_HEADER + (
 
 @pytest.mark.parametrize("window", [1, 64])
 def test_valid_files_never_reach_the_value_by_value_checks(window, tmp_path, capsys):
+    """No embedding row reaches the per-row check; each tagged line's scores reach it once, as a list."""
     calls = []
+    numbers = rca_io._numbers
 
-    def counted(check):
-        def wrapper(*args, **kwargs):
-            calls.append(check.__name__)
-            return check(*args, **kwargs)
-        return wrapper
+    def counted(value, dim, lineno, what="embedding"):
+        calls.append(what)
+        return numbers(value, dim, lineno, what)
 
     ranked = _ranked_fixture(tmp_path)
     zero_one = {"vocab": tmp_path / "zero-one-vocab.jsonl",
                 "instances": tmp_path / "zero-one-instances.jsonl"}
     zero_one["vocab"].write_text(ZERO_ONE_VOCAB)
     zero_one["instances"].write_text(ZERO_ONE_INSTANCES)
-    with mock.patch.object(rca_io, "_embedding", counted(rca_io._embedding)), \
-            mock.patch.object(rca_io, "_number", counted(rca_io._number)), \
+    with mock.patch.object(rca_io, "_numbers", counted), \
             mock.patch.object(rca_io, "_WINDOW_ROWS", window):
         read_vocab(VOCAB)
-        for path in (INSTANCES, UNTAGGED, ranked):
-            read_instances(path)
+        records = [rec for path in (INSTANCES, UNTAGGED, ranked) for rec in read_instances(path)[0]]
         assert main(["loss", VOCAB, ranked, "--enable_uasr"]) == 0
         got = read_vocab(zero_one["vocab"]), read_instances(zero_one["instances"])
-    assert calls == []
+    records += read_instances(ranked)[0] + got[1][0]  # the loss call read ranked once
+    tagged = sum(rec.tags is not None for rec in records)
+    assert tagged > 0 and calls == ["tag scores"] * tagged
     assert _plain(got[0]) == _plain(read_vocab_loop(zero_one["vocab"]))
     assert _plain(got[1]) == _plain(read_instances_loop(zero_one["instances"]))
 

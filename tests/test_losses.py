@@ -139,6 +139,12 @@ class TestTotalLoss:
         inst = rand_instance(rng)
         with pytest.raises(InvalidWeightError):
             total_loss(inst, lambda_cross=-1.0)
+        # a NaN weight would read as 0 and skip its term; an infinite one gives an infinite loss
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidWeightError):
+                total_loss(inst, None, bad, 1.0)
+            with pytest.raises(InvalidWeightError):
+                total_loss(inst, None, 1.0, bad)
 
     def test_nll_terms_nonnegative_lower_bound(self):
         # each term is at least log(1 + K * exp(min phi_n - phi_p)) > 0

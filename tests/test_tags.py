@@ -76,6 +76,11 @@ class TestRankTags:
         assert next(ranked)[0].tag_id == "a"
         with pytest.raises(DegenerateEmbeddingError, match="image embedding has zero norm"):
             next(ranked)
+        ranked = rank_corpus([[1.0, 0.0], [1.0, 0.0, 0.0]], vocab, 2)
+        assert next(ranked)[0].tag_id == "a"
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="vocabulary embeddings must all match the image embedding"):
+            next(ranked)
 
     def test_excluded_entries_score_no_higher(self):
         rng = np.random.default_rng(11)

@@ -295,6 +295,16 @@ class TestTraining:
         with pytest.raises(DivergenceError) as exc:
             train_alignment(ds, TrainerConfig(steps=10, learning_rate=1e90), initial_state(ds, seed=0))
         assert exc.value.step >= 1
+        # finite tables whose compatibility scores overflow: both snapshot routes raise at step 0
+        ds = generate_synthetic(dataclasses.replace(SMALL, seed=1))
+        state = initial_state(ds, seed=1)
+        state.tag_table *= 1e160
+        state.region_table *= 1e160
+        for snapshot in (lambda: snapshot_loss(ds, state, TrainerConfig()),
+                         lambda: train_alignment(ds, TrainerConfig(steps=5, learning_rate=0.0), state)):
+            with pytest.raises(DivergenceError, match="^snapshot loss is not finite$") as exc:
+                snapshot()
+            assert exc.value.step == 0
 
     def test_subsample_does_not_touch_snapshots(self):
         ds = generate_synthetic(SMALL)
