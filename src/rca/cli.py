@@ -14,10 +14,12 @@ numpy cannot address; running out of memory is 2 too. Under ``python -W
 error`` the clamped-score warning ends the call with 1. The corpus
 subcommands (rank, uasr, loss) treat an instances file with a header but
 no records as unparseable input (2). uasr and loss check every record,
-in file order, before computing any, then run the records grouped by
-shape, so a failing corpus call reports its first bad record. rank
-checks that its --out path can be written before it reads its input, and
-train that its output paths can be written before it generates any data.
+in file order, before computing any, so a failing corpus call reports its
+first bad record. Then each group of records of one shape becomes one
+corpus of the trainer's, run through the trainer's selection and loss
+helpers. rank checks that its --out path can be written before it reads
+its input, and train that its output paths can be written before it
+generates any data.
 
 :func:`main` builds the parser per call for the subcommand its argv
 starts with: every subcommand name and help line is registered, but only
@@ -59,16 +61,20 @@ from .io import (
     write_instances,
     write_state,
 )
-from .losses import batch_loss
 from .tags import rank_corpus
 from .trainer import (
+    TrainState,
+    _Corpus,
+    _losses,
+    _select,
+    _selection,
     aligned_state,
     evaluate_retrieval,
     generate_synthetic,
     initial_state,
     train_alignment,
 )
-from .uasr import _checked_norms, apply_uasr, pool_cosines, select_batch, warn_clamped
+from .uasr import apply_uasr, pool_cosines, warn_clamped
 
 __all__ = ["main", "build_parser"]
 
@@ -109,33 +115,23 @@ def _check_writable(path) -> None:
         os.remove(target)
 
 
-@dataclasses.dataclass
-class _ShapeGroup:
-    """The corpus records of one (R, P, K) shape, stacked on a leading batch axis."""
-
-    members: list[int]          # record positions, ascending
-    regions: np.ndarray         # (B, R, d)
-    caption_nouns: np.ndarray   # (B, P, d)
-    positive_rows: np.ndarray   # (B, K) rows of the vocabulary table
-    negative_rows: np.ndarray   # (B, K)
-    scores: np.ndarray          # (B, K) the positives' global scores
-
-
 def _corpus_groups(records, vocab, m: int, cosines: bool):
     """Check every record in record order, then group the records by shape.
 
     Tags come from the record, or from ranking when it has none. The
     checks are those a one-record run makes, in its order: an even tag
     count of at least 2, each tag in the vocabulary, scores that are
-    cosines, and, with ``cosines`` (selection runs), no region or tag row
-    whose norm is zero or overflows. So the first bad record is the one
-    reported, before any group is computed. Returns the (V, d) vocabulary
-    table, each record's tags, and the groups in order of first appearance.
+    cosines, and, with ``cosines`` (selection runs), the record's
+    region-by-pool cosines, which reject a row whose norm is zero or
+    overflows. So the first bad record is the one reported. Returns each
+    record's tags and, per (R, P, K) group in order of first appearance,
+    its record positions, its corpus, and the tables the corpus rows
+    index: the vocabulary, the group's caption nouns and its regions.
     """
     index = {tag_id: i for i, (tag_id, _) in enumerate(vocab)}
     table = np.array([emb for _, emb in vocab])
     ranked = rank_corpus((rec.image_embedding for rec in records if rec.tags is None), vocab, m)
-    all_tags, all_rows, members = [], [], {}
+    all_tags, all_rows, all_cosines, members = [], [], [], {}
     for i, rec in enumerate(records):
         if rec.tags is None:
             tags = next(ranked)
@@ -155,24 +151,27 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
         k = len(tags) // 2
         check_cosines([t.score for t in tags[:k]], image=rec.image_id)
         if cosines:
-            _checked_norms(rec.regions, table[rows], image=rec.image_id)
+            all_cosines.append(pool_cosines(rec.regions, table[rows[:k]], table[rows[k:]],
+                                            image=rec.image_id))
         all_tags.append(tags)
         all_rows.append(rows)
         shape = (rec.regions.shape[0], sum(t.is_noun for t in rec.caption_tokens), k)
         members.setdefault(shape, []).append(i)
 
     groups = []
-    for (_, _, k), idx in members.items():
-        rows = np.array([all_rows[i] for i in idx])
-        groups.append(_ShapeGroup(
-            members=idx,
-            regions=np.stack([records[i].regions for i in idx]),
-            caption_nouns=np.stack([records[i].caption_noun_matrix() for i in idx]),
-            positive_rows=rows[:, :k],
-            negative_rows=rows[:, k:],
-            scores=np.array([[t.score for t in all_tags[i][:k]] for i in idx]),
-        ))
-    return table, all_tags, groups
+    for (r, p, k), idx in members.items():
+        b, rows = len(idx), np.array([all_rows[i] for i in idx])
+        corpus = _Corpus(
+            positive_concepts=rows[:, :k], negative_concepts=rows[:, k:],
+            caption_concepts=np.arange(b * p).reshape(b, p),
+            region_rows=np.arange(b * r).reshape(b, r),
+            global_scores=np.array([[t.score for t in all_tags[i][:k]] for i in idx]),
+            cosines=np.stack([all_cosines[i] for i in idx]) if cosines else None,
+        )
+        state = TrainState(table, np.concatenate([records[i].caption_noun_matrix() for i in idx]),
+                           np.concatenate([records[i].regions for i in idx]))
+        groups.append((idx, corpus, state))
+    return all_tags, groups
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +204,14 @@ def cmd_rank(args) -> tuple[int, list[str]]:
 
 def cmd_uasr(args) -> tuple[int, list[str]]:
     vocab, records = _load_corpus(args)
-    table, all_tags, groups = _corpus_groups(records, vocab, args.M, cosines=True)
+    all_tags, groups = _corpus_groups(records, vocab, args.M, cosines=True)
     lines = [""] * len(records)
     clamped = 0
-    for group in groups:
-        pos, neg = table[group.positive_rows], table[group.negative_rows]
-        sel = select_batch(pool_cosines(group.regions, pos, neg), group.scores, args.normalize)
+    for members, corpus, _ in groups:
+        sel = _select(corpus, np.arange(len(members)), args.normalize)
         clamped += int(sel.clamped.sum())
         k = sel.positive_indices.shape[1]
-        for b, i in enumerate(group.members):
+        for b, i in enumerate(members):
             tags, row = all_tags[i], sel.row(b)
             lines[i] = to_json(
                 {
@@ -233,25 +231,19 @@ def cmd_uasr(args) -> tuple[int, list[str]]:
 def cmd_loss(args) -> tuple[int, list[str]]:
     _check_flags(args, ("lambda_cross", "lambda_inner"))
     vocab, records = _load_corpus(args)
-    table, _, groups = _corpus_groups(records, vocab, args.M, cosines=args.enable_uasr)
+    _, groups = _corpus_groups(records, vocab, args.M, cosines=args.enable_uasr)
+    lambdas = args.lambda_cross, args.lambda_inner
     losses = np.zeros((len(records), 3))  # cross, inner, total per record
     clamped = 0
     # huge finite entries can overflow on the way to a loss; rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
-            pos, neg, weights = group.positive_rows, group.negative_rows, None
-            if args.enable_uasr:
-                cosines = pool_cosines(group.regions, table[pos], table[neg])
-                sel = select_batch(cosines, group.scores, args.normalize)
-                rows = np.arange(len(group.members))[:, None]
-                pos, neg = pos[rows, sel.positive_indices], neg[rows, sel.negative_indices]
-                weights, clamped = sel.weights, clamped + int(sel.clamped.sum())
-            cross, inner, _ = batch_loss(
-                group.regions, table[pos], table[neg], group.caption_nouns, weights,
-                args.lambda_cross, args.lambda_inner, with_grad=False,
-            )
-            total = args.lambda_cross * cross + args.lambda_inner * inner
-            losses[group.members] = np.stack([cross, inner, total], axis=1)
+        for members, corpus, state in groups:
+            images = np.arange(len(members))
+            sel = _selection(corpus, images, args.enable_uasr, args.normalize)
+            cross, inner, _ = _losses(corpus, state, images, sel, lambdas)
+            clamped += int(sel.clamped.sum())
+            total = lambdas[0] * cross + lambdas[1] * inner
+            losses[members] = np.stack([cross, inner, total], axis=1)
         sums = np.zeros(3)
         for row in losses:  # in record order, as a one-by-one run adds them
             sums += row

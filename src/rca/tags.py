@@ -28,14 +28,15 @@ class TagRef:
     score: float
 
 
-_DIM_MISMATCH = "vocabulary embeddings must all match the image embedding dimension"
-
-
 def _vocabulary_table(vocabulary: Sequence[tuple], ids: list[str], dim: int):
     """The (V, dim) embedding matrix, its row norms, and each id's rank in ascending id order."""
     rows = [np.asarray(e, dtype=np.float64) for _, e in vocabulary]
-    if any(row.shape != (dim,) for row in rows):
-        raise DegenerateEmbeddingError(_DIM_MISMATCH)
+    for tag_id, row in zip(ids, rows):
+        if row.shape != (dim,):
+            raise DegenerateEmbeddingError(
+                f"vocabulary tag {tag_id!r} has embedding shape {row.shape}, "
+                f"but image 0 has dim {dim}"
+            )
     emb = np.array(rows)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norms = np.linalg.norm(emb, axis=1)
@@ -62,7 +63,8 @@ def rank_corpus(
     tag-id order are built once, at the first image, and each image then
     costs one matrix-vector product and one ``lexsort``. Each image is
     checked when its list is drawn, so a caller drawing lists between its
-    own per-record checks sees every error in record order.
+    own per-record checks sees every error in record order. A dim mismatch
+    names the image by its position among ``image_embeddings``.
     """
     if M < 2 or M % 2 != 0:
         raise ConfigError(f"M must be a positive even integer, got {M}")
@@ -72,7 +74,7 @@ def rank_corpus(
         )
     ids = [tag_id for tag_id, _ in vocabulary]
     emb = None
-    for image in image_embeddings:
+    for position, image in enumerate(image_embeddings):
         img = as_vector(image, "image_embedding")
         with np.errstate(over="ignore"):
             img_norm = np.linalg.norm(img)
@@ -83,7 +85,10 @@ def rank_corpus(
         if emb is None:
             emb, norms, id_rank = _vocabulary_table(vocabulary, ids, img.shape[0])
         elif emb.shape[1] != img.shape[0]:
-            raise DegenerateEmbeddingError(_DIM_MISMATCH)
+            raise DegenerateEmbeddingError(
+                f"image {position} has dim {img.shape[0]}, "
+                f"but the vocabulary has dim {emb.shape[1]}"
+            )
         scores = (emb @ img) / (norms * img_norm)
         order = np.lexsort((id_rank, -scores))[:M]
         yield [TagRef(ids[i], s) for i, s in zip(order.tolist(), scores[order].tolist())]

@@ -20,11 +20,13 @@ the trainable tables, so filter quality is a property of the data, not of
 the training trajectory. Loss history records are full-dataset snapshots
 (no subsampling), so a zero learning rate yields a perfectly flat history.
 
-The dataset holds one stacked array per field, images on the leading
-axis, and computes the region-by-pool cosines of its frozen evidence once,
-when it is generated. Selection reads only that evidence and treats each
-image alone, so no step's selection depends on the tables it trains. A
-run makes one selection call for all its snapshots (the plan: each
+A corpus holds, images on the leading axis, the table rows each image
+contrasts and the frozen region-by-pool cosines selection reads. The
+generated dataset is one, its cosines computed once, and ``rca uasr`` and
+``rca loss`` build one per shape group of a file and run the same
+selection and loss helpers. Selection reads only those cosines and treats
+each image alone, so no step's selection depends on the tables it trains.
+A run makes one selection call for all its snapshots (the plan: each
 image's selected concepts, weights and clamp counts). It splits its steps
 into stretches that end at the next history record, at most ten steps,
 and fewer where a stretch's batches would pass ``STRETCH_IMAGES`` images
@@ -191,49 +193,50 @@ class TrainerConfig:
         _check_seed(self.seed)
 
     @property
-    def effective_lambda_inner(self) -> float:
-        return self.lambda_inner if self.enable_inner else 0.0
+    def lambdas(self) -> tuple[float, float]:
+        """The losses' (lambda_cross, lambda_inner): no inner term without ``enable_inner``."""
+        return self.lambda_cross, (self.lambda_inner if self.enable_inner else 0.0)
 
 
 @dataclass
-class SyntheticDataset:
-    """A generated corpus: one stacked array per field, images on the leading axis.
+class _Corpus:
+    """Images on the leading axis, as rows of a :class:`TrainState`'s tables.
+
+    Each image contrasts K positive tags (by descending global score) with
+    K negatives, in the context of its R regions and of its P caption
+    nouns: rows of the tag, region and caption tables. ``cosines`` are the
+    frozen region-by-pool cosines (positives, then negatives) selection
+    reads; None where no selection runs.
+    """
+
+    positive_concepts: np.ndarray  # (n, K)
+    negative_concepts: np.ndarray  # (n, K)
+    caption_concepts: np.ndarray   # (n, P)
+    region_rows: np.ndarray        # (n, R)
+    global_scores: np.ndarray      # (n, K) the positives' global scores
+    cosines: np.ndarray | None     # (n, R, 2K)
+
+    def __len__(self) -> int:
+        return self.positive_concepts.shape[0]
+
+
+@dataclass
+class SyntheticDataset(_Corpus):
+    """A generated corpus and the planted world it was drawn from.
 
     The embedding fields are the frozen "pretrained encoder" view of each
-    image, and ``cosines`` holds their region-by-pool cosines (positives,
-    then negatives), computed once at generation. Selection and
-    re-weighting run on these, never on the trainable tables, so the filter
-    quality does not depend on how far training has gotten.
+    image and ``cosines`` are theirs, so the filter quality does not depend
+    on how far training has gotten. Each caption names exactly the concepts
+    its regions show; image i's regions are region-table rows i*K to i*K+K-1.
     """
 
     config: SyntheticConfig
     prototypes: np.ndarray           # (n_concepts, d) unit rows
     region_concepts: np.ndarray      # (n, K) one concept per region
-    positive_concepts: np.ndarray    # (n, K) sorted by descending global score
-    negative_concepts: np.ndarray    # (n, K) sorted by descending global score
-    global_scores: np.ndarray        # (n, K) cosine of positive tag vs mean region
     region_embeddings: np.ndarray    # (n, K, d) as generated, used for table init
     positive_embeddings: np.ndarray  # (n, K, d) as generated, evidence for selection
     negative_embeddings: np.ndarray  # (n, K, d)
     flipped: np.ndarray              # (n,) bool
-    cosines: np.ndarray              # (n, K, 2K)
-
-    def __len__(self) -> int:
-        return self.region_concepts.shape[0]
-
-    @property
-    def caption_concepts(self) -> np.ndarray:
-        """(n, K): each caption names exactly the concepts its regions show."""
-        return self.region_concepts
-
-    @property
-    def n_region_rows(self) -> int:
-        return self.region_concepts.size
-
-    def region_rows(self, images) -> np.ndarray:
-        """Rows of the region table that hold each image's regions, shape (..., K)."""
-        k = self.config.regions_per_image
-        return np.asarray(images)[..., None] * k + np.arange(k)
 
 
 def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
@@ -314,6 +317,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         region_concepts=region_concepts,
         positive_concepts=positive_concepts,
         negative_concepts=negative_concepts,
+        caption_concepts=region_concepts,
+        region_rows=np.arange(n * k).reshape(n, k),
         global_scores=global_scores,
         region_embeddings=region_embs,
         positive_embeddings=positive_embs,
@@ -347,7 +352,7 @@ def initial_state(
     if region_init == "data":
         regions = dataset.region_embeddings.reshape(-1, cfg.d)
     elif region_init == "random":
-        regions = rng.standard_normal((dataset.n_region_rows, cfg.d)) * scale
+        regions = rng.standard_normal((dataset.region_rows.size, cfg.d)) * scale
     else:
         raise ConfigError(f"unknown region_init {region_init!r}")
     return TrainState(tag_table=tag, caption_table=cap, region_table=regions.copy())
@@ -367,7 +372,7 @@ def gather_instance(
 ) -> ContrastiveInstance:
     """Materialize one image's validated contrastive arrays from the current tables."""
     return ContrastiveInstance(
-        regions=state.region_table[dataset.region_rows(index)],
+        regions=state.region_table[dataset.region_rows[index]],
         positives=state.tag_table[dataset.positive_concepts[index]],
         negatives=state.tag_table[dataset.negative_concepts[index]],
         caption_nouns=state.caption_table[dataset.caption_concepts[index]],
@@ -383,15 +388,15 @@ class HistoryRecord:
     total: float
 
 
-def _select(dataset, images, subsets=None):
-    """Selection for ``images`` over their frozen evidence, in one call.
+def _select(corpus, images, normalize, subsets=None):
+    """Selection for ``images`` over the corpus's frozen cosines, in one call.
 
     With ``subsets`` (b, 2, m), the sorted positive and negative rows a
     subsampled step keeps per image, the argmax runs over those pool
     columns only. Indices refer to the kept rows.
     """
-    cosines = dataset.cosines[images]
-    scores = dataset.global_scores[images]
+    cosines = corpus.cosines[images]
+    scores = corpus.global_scores[images]
     if subsets is not None:
         rows = np.arange(len(images))[:, None]
         k = scores.shape[1]
@@ -399,7 +404,7 @@ def _select(dataset, images, subsets=None):
         cosines = cosines[rows[:, :, None], np.arange(cosines.shape[1])[:, None],
                           cols[:, None, :]]
         scores = scores[rows, subsets[:, 0]]
-    return select_batch(cosines, scores)
+    return select_batch(cosines, scores, normalize)
 
 
 class _Selection(typing.NamedTuple):
@@ -415,30 +420,34 @@ class _Selection(typing.NamedTuple):
         return _Selection(*(None if f is None else f[part] for f in self))
 
 
-def _selection(dataset, config, images, subsets=None) -> _Selection:
-    """Selection for ``images``, as tag concepts; ``subsets`` as for :func:`_select`."""
+def _selection(corpus, images, enable, normalize, subsets=None) -> _Selection:
+    """The tag-table rows ``images`` contrast, selected by :func:`_select` if ``enable``.
+
+    ``subsets`` as there. Training and ``rca loss`` both select through here.
+    """
     rows = np.arange(len(images))[:, None]
-    pos_concepts = dataset.positive_concepts[images]
-    neg_concepts = dataset.negative_concepts[images]
+    pos_concepts = corpus.positive_concepts[images]
+    neg_concepts = corpus.negative_concepts[images]
     if subsets is not None:
         pos_concepts = pos_concepts[rows, subsets[:, 0]]
         neg_concepts = neg_concepts[rows, subsets[:, 1]]
-    if not config.enable_uasr:
+    if not enable:
         return _Selection(pos_concepts, neg_concepts, None, np.zeros(len(images), dtype=np.int64))
-    sel = _select(dataset, images, subsets)
+    sel = _select(corpus, images, normalize, subsets)
     return _Selection(pos_concepts[rows, sel.positive_indices],
                       neg_concepts[rows, sel.negative_indices], sel.weights, sel.clamped)
 
 
-def _losses(dataset, state, config, images, sel, with_grad=False):
+def _losses(corpus, state, images, sel, lambdas, with_grad=False):
     """Per-image cross and inner losses of ``images`` under selection ``sel``.
 
-    Runs ``BLOCK`` images per pass. Returns ``(cross, inner, grads)``. With
-    ``with_grad``, ``grads`` holds the gradient rows in image order: tag
-    (b, 2K, d) for the concepts ``sel.positive_concepts`` then
-    ``sel.negative_concepts``, caption (b, K, d) for
-    ``dataset.caption_concepts[images]``, and region (b, K, d) for
-    ``dataset.region_rows(images)``. Without, it is None.
+    ``state`` holds the tables the corpus rows index; ``lambdas`` is
+    ``(lambda_cross, lambda_inner)``. Training and ``rca loss`` both run
+    ``BLOCK`` images per pass through here. Returns ``(cross, inner,
+    grads)``; with ``with_grad``, ``grads`` holds the gradient rows in
+    image order: tag (b, 2K, d) for ``sel.positive_concepts`` then
+    ``sel.negative_concepts``, caption (b, P, d) for ``corpus.caption_concepts[images]``
+    and region (b, R, d) for ``corpus.region_rows[images]``. Else it is None.
     """
     cross, inner = np.empty(len(images)), np.empty(len(images))
     grads = []
@@ -446,13 +455,12 @@ def _losses(dataset, state, config, images, sel, with_grad=False):
         part = slice(start, start + BLOCK)
         block, block_sel = images[part], sel.take(part)
         cross[part], inner[part], g = batch_loss(
-            state.region_table[dataset.region_rows(block)],
+            state.region_table[corpus.region_rows[block]],
             state.tag_table[block_sel.positive_concepts],
             state.tag_table[block_sel.negative_concepts],
-            state.caption_table[dataset.caption_concepts[block]],
+            state.caption_table[corpus.caption_concepts[block]],
             block_sel.weights,
-            config.lambda_cross,
-            config.effective_lambda_inner,
+            *lambdas,
             with_grad=with_grad,
         )
         if with_grad:
@@ -461,7 +469,7 @@ def _losses(dataset, state, config, images, sel, with_grad=False):
     return cross, inner, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
 
 
-def _snapshot(dataset, state, config, plan) -> HistoryRecord:
+def _snapshot(dataset, state, plan, lambdas) -> HistoryRecord:
     """Mean full-dataset loss record under the selection ``plan``.
 
     The per-image losses are added up in ``SUM_GROUP``-image groups, in
@@ -470,8 +478,8 @@ def _snapshot(dataset, state, config, plan) -> HistoryRecord:
     """
     n = len(dataset)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        cross, inner, _ = _losses(dataset, state, config, np.arange(n), plan)
-        total = config.lambda_cross * cross + config.effective_lambda_inner * inner
+        cross, inner, _ = _losses(dataset, state, np.arange(n), plan, lambdas)
+        total = lambdas[0] * cross + lambdas[1] * inner
         sums = [0.0, 0.0, 0.0]
         for start in range(0, n, SUM_GROUP):
             group = slice(start, start + SUM_GROUP)
@@ -492,8 +500,8 @@ def snapshot_loss(
     once, with the total count, if selection clamped non-positive global
     scores.
     """
-    plan = _selection(dataset, config, np.arange(len(dataset)))
-    record = _snapshot(dataset, state, config, plan)
+    plan = _selection(dataset, np.arange(len(dataset)), config.enable_uasr, True)
+    record = _snapshot(dataset, state, plan, config.lambdas)
     warn_clamped(int(plan.clamped.sum()))
     return record
 
@@ -531,7 +539,7 @@ def _step(dataset, state, config, batch, sel) -> None:
 
     Raises :class:`DivergenceError` if a table stops being finite.
     """
-    _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, config, batch, sel,
+    _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, batch, sel, config.lambdas,
                                                    with_grad=True)
     lr = config.learning_rate / len(batch)
     if not config.freeze_tags:
@@ -542,7 +550,7 @@ def _step(dataset, state, config, batch, sel) -> None:
                                                 d_caption, len(state.caption_table))
     if not config.freeze_regions:
         # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
-        state.region_table[dataset.region_rows(batch)] -= lr * (0.0 + d_regions)
+        state.region_table[dataset.region_rows[batch]] -= lr * (0.0 + d_regions)
     state.step += 1
     for table in (state.tag_table, state.caption_table, state.region_table):
         if not np.isfinite(table).all():
@@ -564,14 +572,13 @@ def train_alignment(
     if state is None:
         state = initial_state(dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    n = len(dataset)
-    k = dataset.config.regions_per_image
-    plan = _selection(dataset, config, np.arange(n))
+    n, k = dataset.positive_concepts.shape
+    plan = _selection(dataset, np.arange(n), config.enable_uasr, True)
     clamped = 0  # by the steps; each snapshot adds the plan's
     history: list[HistoryRecord] = []
 
     def record():
-        history.append(_snapshot(dataset, state, config, plan))
+        history.append(_snapshot(dataset, state, plan, config.lambdas))
 
     b = min(config.batch_size, n)  # images per step
     per_stretch = max(1, STRETCH_IMAGES // b)
@@ -590,7 +597,7 @@ def train_alignment(
                 batches.append(np.arange(n) if b == n else rng.choice(n, size=b, replace=False))
                 if config.enable_subsample:
                     subsets.append(_draw_subsets(rng, b, k, config.subsample_fraction))
-            stretch_sel = _selection(dataset, config, np.concatenate(batches),
+            stretch_sel = _selection(dataset, np.concatenate(batches), config.enable_uasr, True,
                                      np.concatenate(subsets) if subsets else None)
             clamped += int(stretch_sel.clamped.sum())
             for i, batch in enumerate(batches):

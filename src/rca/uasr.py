@@ -10,13 +10,14 @@ Surviving positives are weighted by q = exp(best region cosine) * p(t),
 combining local (region-tag) and global (image-tag) evidence.
 
 :func:`select_batch` is the one implementation of this rule, over a
-stacked block of region-by-pool cosines (:func:`pool_cosines`); the
-trainer and the CLI select a whole block per call, and
-:func:`apply_uasr` is the one-image case. Both return a
-:class:`UasrResult`, which holds the selected rows by index with the
-batch axes kept; its :meth:`~UasrResult.row` is one image's selection.
-The losses gather the embeddings they see from those indices, after
-:func:`check_selection` has compared the selection with the instance.
+stacked block of region-by-pool cosines (:func:`pool_cosines`), and
+:func:`apply_uasr` is the one-image case. Training and the corpus CLI
+both select many images per call, through the trainer's corpus type.
+Both functions return a :class:`UasrResult`, which holds the selected
+rows by index with the batch axes kept; its :meth:`~UasrResult.row` is
+one image's selection. The losses gather the embeddings they see from
+those indices, after :func:`check_selection` has compared the selection
+with the instance.
 """
 
 from __future__ import annotations
@@ -115,14 +116,15 @@ def _checked_norms(*arrays: np.ndarray, image: str | None = None) -> list[np.nda
     return norms
 
 
-def pool_cosines(regions, positives, negatives) -> np.ndarray:
+def pool_cosines(regions, positives, negatives, image: str | None = None) -> np.ndarray:
     """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives.
 
     Leading axes are batch axes. A row whose norm is zero or overflows has
-    no cosine and raises :class:`DegenerateEmbeddingError`.
+    no cosine and raises :class:`DegenerateEmbeddingError`; ``image`` names
+    the record in the message.
     """
     pool = np.concatenate([positives, negatives], axis=-2)
-    rn, pn = _checked_norms(regions, pool)
+    rn, pn = _checked_norms(regions, pool, image=image)
     return (regions @ pool.swapaxes(-1, -2)) / (rn[..., :, None] * pn[..., None, :])
 
 

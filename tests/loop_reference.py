@@ -165,6 +165,8 @@ def generate_synthetic_loop(config) -> SyntheticDataset:
         region_concepts=region_concepts,
         positive_concepts=positive_concepts,
         negative_concepts=negative_concepts,
+        caption_concepts=region_concepts,
+        region_rows=np.arange(n * k).reshape(n, k),
         global_scores=global_scores,
         region_embeddings=region_embs,
         positive_embeddings=positive_embs,
@@ -212,7 +214,7 @@ def _image(state, dataset, image, config, pos_idx=None, neg_idx=None):
         sel = apply_uasr(evidence_view(dataset, image, pos_idx, neg_idx))
         wp, wn, q = positives[sel.positive_indices], negatives[sel.negative_indices], sel.weights
     cross, inner, d_wp, d_wn, d_reg, d_cap = loss_and_grad_2d(
-        regions, wp, wn, caption, q, config.lambda_cross, config.effective_lambda_inner
+        regions, wp, wn, caption, q, *config.lambdas
     )
     d_pos = np.zeros_like(positives)
     d_neg = np.zeros_like(negatives)
@@ -231,7 +233,7 @@ def snapshot_loss_loop(dataset, state, config) -> HistoryRecord:
         c, i, *_ = _image(state, dataset, image, config)
         cross += c
         inner += i
-        total += config.lambda_cross * c + config.effective_lambda_inner * i
+        total += config.lambdas[0] * c + config.lambdas[1] * i
     n = len(dataset)
     return HistoryRecord(step=state.step, cross=cross / n, inner=inner / n, total=total / n)
 

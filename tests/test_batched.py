@@ -199,7 +199,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
 
     with warnings.catch_warnings(record=True) as per_image:
         warnings.simplefilter("always")
-        sel = trainer._select(ds, images)
+        sel = trainer._select(ds, images, True)
         for i in images:
             check(sel, i, apply_uasr(evidence_view(ds, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
@@ -210,7 +210,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
             for m in range(1, k + 1):
                 rows = [i for i in images if len(picked[i][0]) == m]
                 subsets = np.array([picked[i] for i in rows])
-                sel = trainer._select(ds, np.array(rows), subsets)
+                sel = trainer._select(ds, np.array(rows), True, subsets)
                 for j, i in enumerate(rows):
                     pos, neg = picked[i]
                     check(sel, j, apply_uasr(evidence_view(ds, i, pos, neg)), exact=False)

@@ -45,6 +45,7 @@ from loop_reference import (
     write_instances_loop,
     write_vocab_loop,
 )
+from naive_reference import naive_select_reweight, naive_total_loss
 from rca import cli
 from rca import io as rca_io
 from rca.cli import main
@@ -554,6 +555,28 @@ class TestCliLoss:
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode()
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_selected_losses_match_the_naive_route(self, normalize, capsys):
+        """Each record's losses under selection are the direct-formula route's, at 1e-10."""
+        vocab = dict(read_vocab(VOCAB)[0])
+        records, _ = read_instances(INSTANCES)
+        flags = [] if normalize else ["--no-normalize"]
+        code, out, _ = run_cli(["loss", VOCAB, INSTANCES, "--enable_uasr", *flags], capsys)
+        assert code == 0
+        lines = [json.loads(ln) for ln in out.splitlines()]
+        assert len(lines) == len(records) + 1
+        for rec, line in zip(records, lines):
+            k = len(rec.tags) // 2
+            regions = rec.regions.tolist()
+            pos, neg = ([vocab[t.tag_id].tolist() for t in side]
+                        for side in (rec.tags[:k], rec.tags[k:]))
+            pos_idx, neg_idx, weights, *_ = naive_select_reweight(
+                regions, pos, neg, [t.score for t in rec.tags[:k]], normalize)
+            want = naive_total_loss(regions, [pos[i] for i in pos_idx], [neg[i] for i in neg_idx],
+                                    rec.caption_noun_matrix().tolist(), weights)
+            np.testing.assert_allclose([line["cross"], line["inner"], line["total"]], want,
+                                       rtol=1e-10, atol=0.0)
+
     def test_lambda_scaling(self, capsys):
         _, out_base, _ = run_cli(["loss", VOCAB, INSTANCES], capsys)
         _, out_scaled, _ = run_cli(
@@ -782,7 +805,7 @@ def _stdout(argv) -> str:
 
 
 CORPUS_COMMANDS = [["uasr"], ["uasr", "--no-normalize"], ["loss"], ["loss", "--enable_uasr"],
-                   ["loss", "--lambda_inner", "0.5"]]
+                   ["loss", "--enable_uasr", "--no-normalize"], ["loss", "--lambda_inner", "0.5"]]
 
 
 @settings(max_examples=40, deadline=None, database=None,
@@ -804,6 +827,22 @@ def test_mixed_shape_corpus_prints_the_one_record_lines(records):
             assert got[:len(records)] == alone
             if command == "loss":
                 _assert_summary_adds_in_record_order(got[-1], alone)
+
+
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(records=mixed_corpus())
+def test_corpus_stdout_does_not_depend_on_the_loss_block(records):
+    """Running a shape group's losses 1 or 2 images per pass changes no byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.jsonl")
+        write_instances(path, records, 4)
+        for argv in CORPUS_COMMANDS:
+            argv = [argv[0], VOCAB, path, "--M", "4", *argv[1:]]
+            want = _stdout(argv)
+            for block in (1, 2):
+                with mock.patch("rca.trainer.BLOCK", block):
+                    assert _stdout(argv) == want, (argv, block)
 
 
 def _assert_summary_adds_in_record_order(summary_line, record_lines):

@@ -61,8 +61,11 @@ class TestRankTags:
     def test_ragged_vocabulary_rejected(self):
         vocab = [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])]
         with pytest.raises(DegenerateEmbeddingError,
-                           match="vocabulary embeddings must all match the image embedding"):
+                           match=r"^vocabulary tag 'b' has embedding shape \(3,\), but image 0 has dim 2$"):
             rank_tags([1.0, 0.0], vocab, M=2)
+        with pytest.raises(DegenerateEmbeddingError,
+                           match=r"^vocabulary tag 'a' has embedding shape \(2,\), but image 0 has dim 3$"):
+            rank_tags([1.0, 0.0, 0.0], [("a", [1.0, 0.0]), ("b", [0.0, 1.0])], M=2)
 
     def test_corpus_ranking_is_the_one_image_ranking(self):
         rng = np.random.default_rng(5)
@@ -79,7 +82,7 @@ class TestRankTags:
         ranked = rank_corpus([[1.0, 0.0], [1.0, 0.0, 0.0]], vocab, 2)
         assert next(ranked)[0].tag_id == "a"
         with pytest.raises(DegenerateEmbeddingError,
-                           match="vocabulary embeddings must all match the image embedding"):
+                           match="^image 1 has dim 3, but the vocabulary has dim 2$"):
             next(ranked)
 
     def test_excluded_entries_score_no_higher(self):

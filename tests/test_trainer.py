@@ -277,7 +277,7 @@ class TestTraining:
                                       cfg.subsample_fraction)
             batched.update(batch.tolist())
         outside = np.array(sorted(set(range(len(ds))) - batched))
-        rows, inside = ds.region_rows(outside).ravel(), ds.region_rows(sorted(batched)).ravel()
+        rows, inside = ds.region_rows[outside].ravel(), ds.region_rows[sorted(batched)].ravel()
         for frozen in (False, True):
             start = initial_state(ds, seed=0)
             start.region_table[rows[0]] = -0.0
