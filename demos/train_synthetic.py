@@ -32,7 +32,7 @@ parser.add_argument("--noise_sigma", type=float, default=0.0)
 parser.add_argument("--steps", type=int, default=200)
 parser.add_argument("--learning_rate", type=float, default=1.0)
 parser.add_argument("--enable_uasr", action=argparse.BooleanOptionalAction, default=True)
-parser.add_argument("--enable_inner", action=argparse.BooleanOptionalAction, default=True)
+parser.add_argument("--lambda_inner", type=float, default=1.0)  # 0 drops the caption term
 parser.add_argument("--seed", type=int, default=0)
 args = parser.parse_args()
 
@@ -49,7 +49,7 @@ cfg = TrainerConfig(
     steps=args.steps,
     learning_rate=args.learning_rate,
     enable_uasr=args.enable_uasr,
-    enable_inner=args.enable_inner,
+    lambda_inner=args.lambda_inner,
     seed=args.seed,
 )
 

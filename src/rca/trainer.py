@@ -7,13 +7,15 @@ ones. Global tag scores are cosines against the mean region embedding,
 frozen at generation time. An optional flip swaps one positive/negative
 pair to emulate ranking noise. The generator makes its random draws image
 by image, in stream order, and runs the arithmetic on them (noise scaling,
-flips, means, cosines, sorts) per ``BLOCK`` of images.
+flips, means, cosines, sorts) per ``BLOCK`` of images. Tag embeddings live
+in a buffer reused per block; the dataset keeps their scores and cosines.
 
 Tag and caption embeddings live in per-concept tables shared across the
 whole dataset, so the contrastive objective can triangulate each concept
 from its co-occurrences; region embeddings get a row per (image, slot).
 Training runs plain gradient descent on the mean per-image loss, with
-optional candidate subsampling and uncertainty-aware selection. Selection
+candidate subsampling (none at a fraction of 1), optional uncertainty-aware
+selection, and a caption term (none at ``lambda_inner = 0``). Selection
 and its weights are computed on the frozen generation-time embeddings (the
 stand-in for pretrained encoder features) and applied straight-through to
 the trainable tables, so filter quality is a property of the data, not of
@@ -152,9 +154,9 @@ class SyntheticConfig:
             raise ConfigError("flip_rate must lie in [0, 1]")
         _check_seed(self.seed)
         c, n, k = self.n_concepts, self.n_images, self.regions_per_image
-        # prototypes and concept tables, embeddings and cosines per (image, slot),
-        # and a generation block's absent-concept mask
-        entries = c * self.d + n * k * (3 * self.d + 2 * k) + min(n, BLOCK) * c
+        # prototypes and concept tables, region embeddings and cosines per (image,
+        # slot), and a generation block's absent-concept mask and tag embeddings
+        entries = c * self.d + n * k * (self.d + 2 * k) + min(n, BLOCK) * (c + 2 * k * self.d)
         check_addressable(entries, "synthetic dataset")
 
 
@@ -168,8 +170,6 @@ class TrainerConfig:
     lambda_cross: float = 1.0
     lambda_inner: float = 1.0
     enable_uasr: bool = True
-    enable_inner: bool = True
-    enable_subsample: bool = True
     subsample_fraction: float = 0.5
     seed: int = 0
     freeze_tags: bool = False
@@ -194,8 +194,8 @@ class TrainerConfig:
 
     @property
     def lambdas(self) -> tuple[float, float]:
-        """The losses' (lambda_cross, lambda_inner): no inner term without ``enable_inner``."""
-        return self.lambda_cross, (self.lambda_inner if self.enable_inner else 0.0)
+        """The losses' (lambda_cross, lambda_inner)."""
+        return self.lambda_cross, self.lambda_inner
 
 
 @dataclass
@@ -224,18 +224,18 @@ class _Corpus:
 class SyntheticDataset(_Corpus):
     """A generated corpus and the planted world it was drawn from.
 
-    The embedding fields are the frozen "pretrained encoder" view of each
-    image and ``cosines`` are theirs, so the filter quality does not depend
-    on how far training has gotten. Each caption names exactly the concepts
-    its regions show; image i's regions are region-table rows i*K to i*K+K-1.
+    The region embeddings and the tag embeddings drawn with them (kept only
+    in per-block buffers) are the frozen "pretrained encoder" view of each
+    image; ``global_scores`` and ``cosines`` are theirs, so the filter
+    quality does not depend on how far training has gotten. Each caption
+    names exactly the concepts its regions show; image i's regions are
+    region-table rows i*K to i*K+K-1.
     """
 
     config: SyntheticConfig
     prototypes: np.ndarray           # (n_concepts, d) unit rows
     region_concepts: np.ndarray      # (n, K) one concept per region
     region_embeddings: np.ndarray    # (n, K, d) as generated, used for table init
-    positive_embeddings: np.ndarray  # (n, K, d) as generated, evidence for selection
-    negative_embeddings: np.ndarray  # (n, K, d)
     flipped: np.ndarray              # (n,) bool
 
 
@@ -251,25 +251,27 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     c, n, k = config.n_concepts, config.n_images, config.regions_per_image
     sigma, flip_rate = config.noise_sigma, config.flip_rate
+    pos_buf, neg_buf = np.empty((2, min(n, BLOCK), k, config.d))
     region_concepts, positive_concepts, negative_concepts = (
         np.empty((n, k), dtype=np.int64) for _ in range(3))
-    region_embs, positive_embs, negative_embs = (
-        np.empty((n, k, config.d)) for _ in range(3))
+    region_embs = np.empty((n, k, config.d))
     global_scores = np.empty((n, k))
     flipped = np.zeros(n, dtype=bool)
     swaps = np.zeros((n, 2), dtype=np.int64)  # flipped (positive, negative) slots
     cosines = np.empty((n, k, 2 * k))
     for start in range(0, n, BLOCK):
         part = slice(start, start + BLOCK)
-        for image in range(start, min(start + BLOCK, n)):
+        block = range(start, min(start + BLOCK, n))
+        pos_embs, neg_embs = pos_buf[:len(block)], neg_buf[:len(block)]
+        for row, image in enumerate(block):
             region_concepts[image] = rng.choice(c, size=k, replace=False)
             # for now, indices into the image's sorted absent concepts: the draw
             # that choosing from those concepts makes
             negative_concepts[image] = rng.choice(c - k, size=k, replace=c - k < k)
             if sigma != 0.0:
                 rng.standard_normal(out=region_embs[image])
-                rng.standard_normal(out=positive_embs[image])
-                rng.standard_normal(out=negative_embs[image])
+                rng.standard_normal(out=pos_embs[row])
+                rng.standard_normal(out=neg_embs[row])
             if flip_rate > 0.0 and rng.random() < flip_rate:
                 flipped[image] = True
                 swaps[image] = rng.integers(k), rng.integers(k)
@@ -282,14 +284,13 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         positives = present.copy()
         # a norm that overflows reads inf or nan here, and pool_cosines rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            for out, concepts in ((region_embs[part], present), (positive_embs[part], present),
-                                  (negative_embs[part], negatives)):
+            for out, concepts in ((region_embs[part], present), (pos_embs, present),
+                                  (neg_embs, negatives)):
                 if sigma == 0.0:
                     np.take(protos, concepts, axis=0, out=out)
                 else:
                     out *= sigma
                     out += protos[concepts]
-            pos_embs, neg_embs = positive_embs[part], negative_embs[part]
             flips = np.flatnonzero(flipped[part])
             i, j = swaps[part][flips].T
             positives[flips, i], negatives[flips, j] = negatives[flips, j], positives[flips, i]
@@ -308,9 +309,9 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         positive_concepts[part] = np.take_along_axis(positives, pos_order, axis=1)
         negative_concepts[part] = np.take_along_axis(negatives, neg_order, axis=1)
         global_scores[part] = np.take_along_axis(pos_scores, pos_order, axis=1)
-        pos_embs[...] = np.take_along_axis(pos_embs, pos_order[:, :, None], axis=1)
-        neg_embs[...] = np.take_along_axis(neg_embs, neg_order[:, :, None], axis=1)
-        cosines[part] = pool_cosines(region_embs[part], pos_embs, neg_embs)
+        cosines[part] = pool_cosines(region_embs[part],
+                                     np.take_along_axis(pos_embs, pos_order[:, :, None], axis=1),
+                                     np.take_along_axis(neg_embs, neg_order[:, :, None], axis=1))
     return SyntheticDataset(
         config=config,
         prototypes=protos,
@@ -321,8 +322,6 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         region_rows=np.arange(n * k).reshape(n, k),
         global_scores=global_scores,
         region_embeddings=region_embs,
-        positive_embeddings=positive_embs,
-        negative_embeddings=negative_embs,
         flipped=flipped,
         cosines=cosines,
     )
@@ -595,7 +594,7 @@ def train_alignment(
             batches, subsets = [], []
             for _ in range(count):
                 batches.append(np.arange(n) if b == n else rng.choice(n, size=b, replace=False))
-                if config.enable_subsample:
+                if config.subsample_fraction < 1.0:
                     subsets.append(_draw_subsets(rng, b, k, config.subsample_fraction))
             stretch_sel = _selection(dataset, np.concatenate(batches), config.enable_uasr, True,
                                      np.concatenate(subsets) if subsets else None)

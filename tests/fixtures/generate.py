@@ -106,7 +106,8 @@ def main():
             fh.write(to_json(line) + "\n")
 
     # malformed: valid header and records, garbage on line 5
-    good = open(os.path.join(HERE, "instances.jsonl"), encoding="utf-8").read().splitlines()
+    with open(os.path.join(HERE, "instances.jsonl"), encoding="utf-8") as fh:
+        good = fh.read().splitlines()
     with open(os.path.join(HERE, "malformed.jsonl"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(good[:4]) + "\n")
         fh.write('{"image_id": "broken", regions: oops}\n')
@@ -135,7 +136,7 @@ def main():
             "n_concepts = 6\n"
             "d = 8\n"
             "regions_per_image = 3\n"
-            "enable_subsample = false\n"
+            "subsample_fraction = 1.0\n"
             "seed = 7\n"
         )
     print("fixtures written to", HERE)

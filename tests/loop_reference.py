@@ -17,6 +17,7 @@ route.
 """
 
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -107,7 +108,19 @@ def _cosine_rows(image, rows):
     return num / np.maximum(den, 1e-12)
 
 
-def generate_synthetic_loop(config) -> SyntheticDataset:
+@dataclass
+class LoopDataset(SyntheticDataset):
+    """A generated corpus with the tag embeddings its scores and cosines come from.
+
+    The library's generator keeps those embeddings only while it generates;
+    this reference keeps them, as evidence for the per-image selection.
+    """
+
+    positive_embeddings: np.ndarray  # (n, K, d) sorted as positive_concepts
+    negative_embeddings: np.ndarray  # (n, K, d) sorted as negative_concepts
+
+
+def generate_synthetic_loop(config) -> LoopDataset:
     """The synthetic corpus built one image at a time, cosines too."""
     rng = np.random.default_rng(config.seed)
     protos = rng.standard_normal((config.n_concepts, config.d))
@@ -159,7 +172,7 @@ def generate_synthetic_loop(config) -> SyntheticDataset:
         negative_embs[image] = neg_emb[neg_order]
         cosines[image] = pool_cosines(region_emb, positive_embs[image], negative_embs[image])
 
-    return SyntheticDataset(
+    return LoopDataset(
         config=config,
         prototypes=protos,
         region_concepts=region_concepts,
@@ -176,7 +189,7 @@ def generate_synthetic_loop(config) -> SyntheticDataset:
     )
 
 
-def evidence_view(dataset, image, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
+def evidence_view(dataset: LoopDataset, image, pos_idx=None, neg_idx=None) -> ContrastiveInstance:
     """Frozen-embedding instance of one image for selection, optionally row-subset."""
     pos, neg = dataset.positive_embeddings[image], dataset.negative_embeddings[image]
     scores = dataset.global_scores[image]
@@ -238,7 +251,7 @@ def snapshot_loss_loop(dataset, state, config) -> HistoryRecord:
     return HistoryRecord(step=state.step, cross=cross / n, inner=inner / n, total=total / n)
 
 
-def train_alignment_loop(dataset, config, state=None):
+def train_alignment_loop(dataset: LoopDataset, config, state=None):
     if state is None:
         state = initial_state(dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
@@ -263,7 +276,7 @@ def train_alignment_loop(dataset, config, state=None):
         g_reg = np.zeros_like(state.region_table)
         for idx in batch:
             pos_idx = neg_idx = None
-            if config.enable_subsample:
+            if config.subsample_fraction < 1.0:
                 pos_idx, neg_idx = subsample(np.arange(k), np.arange(k),
                                              config.subsample_fraction, rng)
             _, _, grads, pos_concepts, neg_concepts = _image(state, dataset, idx, config,

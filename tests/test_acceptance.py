@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,11 +404,11 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
 
     vocab, dim = read_vocab(VOCAB)
     write_vocab(tmp_path / "v.jsonl", vocab, dim)
-    if (tmp_path / "v.jsonl").read_bytes() != open(VOCAB, "rb").read():
+    if (tmp_path / "v.jsonl").read_bytes() != Path(VOCAB).read_bytes():
         failures.append("vocabulary round trip not byte-identical")
     records, dim = read_instances(INSTANCES)
     write_instances(tmp_path / "i.jsonl", records, dim)
-    if (tmp_path / "i.jsonl").read_bytes() != open(INSTANCES, "rb").read():
+    if (tmp_path / "i.jsonl").read_bytes() != Path(INSTANCES).read_bytes():
         failures.append("instance round trip not byte-identical")
 
     expectations = (

@@ -57,6 +57,9 @@ assert trainer.SUM_GROUP < NOISY.n_images < 2 * trainer.SUM_GROUP
 SMALL_BLOCK = 32
 assert 2 * SMALL_BLOCK < NOISY.n_images < 3 * SMALL_BLOCK
 BASE = dict(steps=12, learning_rate=0.5, seed=2)
+# the loop reference's own NOISY dataset, which keeps the tag embeddings
+# selection reads
+NOISY_LOOP = generate_synthetic_loop(NOISY)
 
 
 def _clamp_counts(records):
@@ -201,7 +204,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
         warnings.simplefilter("always")
         sel = trainer._select(ds, images, True)
         for i in images:
-            check(sel, i, apply_uasr(evidence_view(ds, i)), exact=True)
+            check(sel, i, apply_uasr(evidence_view(NOISY_LOOP, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
         clamped += int(sel.clamped.sum())
         # every image meets every subset, and one block mixes many subsets
@@ -213,7 +216,8 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
                 sel = trainer._select(ds, np.array(rows), True, subsets)
                 for j, i in enumerate(rows):
                     pos, neg = picked[i]
-                    check(sel, j, apply_uasr(evidence_view(ds, i, pos, neg)), exact=False)
+                    check(sel, j, apply_uasr(evidence_view(NOISY_LOOP, i, pos, neg)),
+                          exact=False)
                 fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
                 clamped += int(sel.clamped.sum())
     assert clamped == sum(_clamp_counts(per_image)) > 0
@@ -223,14 +227,14 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
 VARIANTS = {
     "default": {},
     "no-selection": {"enable_uasr": False},
-    "no-subsample": {"enable_subsample": False},
-    "no-inner": {"enable_inner": False},
-    "plain": {"enable_uasr": False, "enable_subsample": False, "enable_inner": False},
+    "no-subsample": {"subsample_fraction": 1.0},
+    "no-inner": {"lambda_inner": 0.0},
+    "plain": {"enable_uasr": False, "subsample_fraction": 1.0, "lambda_inner": 0.0},
     "freeze-tags": {"freeze_tags": True},
     "freeze-regions": {"freeze_regions": True},
     "freeze-caption": {"freeze_caption": True},
     "minibatch": {"batch_size": 24},
-    "minibatch-plain": {"batch_size": 24, "enable_uasr": False, "enable_subsample": False},
+    "minibatch-plain": {"batch_size": 24, "enable_uasr": False, "subsample_fraction": 1.0},
 }
 
 
@@ -242,7 +246,8 @@ def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*clamped")
         got_state, got = train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
-        want_state, want = train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
+        want_state, want = train_alignment_loop(NOISY_LOOP, cfg,
+                                                initial_state(NOISY_LOOP, seed=cfg.seed))
     assert [h.step for h in got] == [h.step for h in want] == [0, 10, 12]
     for a, b in zip(got, want):
         np.testing.assert_allclose([a.cross, a.inner, a.total], [b.cross, b.inner, b.total],
@@ -274,7 +279,7 @@ def test_generator_equals_per_image_loop_bitwise(c, k_frac, d, n, sigma, flip_ra
     with mock.patch.object(trainer, "BLOCK", 7):
         got = generate_synthetic(cfg)
     want = generate_synthetic_loop(cfg)
-    for field in dataclasses.fields(want):
+    for field in dataclasses.fields(got):
         if field.name == "config":
             continue
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -317,7 +322,7 @@ def test_clamp_warning_counted_once_per_call(monkeypatch):
             train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
         with warnings.catch_warnings(record=True) as looped:
             warnings.simplefilter("always")
-            train_alignment_loop(ds, cfg, initial_state(ds, seed=cfg.seed))
+            train_alignment_loop(NOISY_LOOP, cfg, initial_state(NOISY_LOOP, seed=cfg.seed))
         per_image = _clamp_counts(looped)
         assert len(per_image) > 1
         assert _clamp_counts(batched) == [sum(per_image)]

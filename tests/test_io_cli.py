@@ -30,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -76,16 +77,16 @@ WRONGDIM = os.path.join(FIXTURES, "wrongdim.jsonl")
 RUN_CFG = os.path.join(FIXTURES, "run.cfg")
 
 # 600 noisy, flipped images: three 256-image compute blocks, the last one
-# partial. The second run's steps do not subsample.
+# partial. The second run's steps do not subsample: a fraction of 1 draws nothing.
 TRAIN_ARGS = ["--n_images", "600", "--batch_size", "300", "--steps", "20",
               "--learning_rate", "1.0", "--noise_sigma", "0.3", "--flip_rate", "0.2",
               "--seed", "3"]
 TRAIN_GOLDENS = {  # golden stdout: (extra flags, state-file SHA-256, clamp-warning count)
     "expected_train.jsonl": (
-        [], "1b9dd9ad4858e45ed2be4f2184ae47ee734a8fb130587356415121cf1e25853a", 2808),
+        [], "8d9abe5ec6a1743ca4337c95a8bf040ff1645f87eae30897c50b60f3d605ff59", 2808),
     "expected_train_no_subsample.jsonl": (
-        ["--batch_size", "200", "--no-enable_subsample"],
-        "eaa5543133c9786af5af3c0bd2390c5ba2680db58f3c0d24a192fb57fe6fa7e8", 2654),
+        ["--batch_size", "200", "--subsample_fraction", "1.0"],
+        "c8b990d67ac679e799b0cf073adcdbf81f687e9dcf05f623dccd96e95aa2ac65", 2654),
 }
 
 
@@ -241,7 +242,7 @@ class TestVocabIO:
         vocab, dim = read_vocab(VOCAB)
         out = tmp_path / "v.jsonl"
         write_vocab(out, vocab, dim)
-        assert out.read_bytes() == open(VOCAB, "rb").read()
+        assert out.read_bytes() == Path(VOCAB).read_bytes()
 
     def test_duplicate_tag_id_rejected(self, tmp_path):
         p = tmp_path / "v.jsonl"
@@ -331,7 +332,7 @@ class TestInstanceIO:
             records, dim = read_instances(src)
             out = tmp_path / os.path.basename(src)
             write_instances(out, records, dim)
-            assert out.read_bytes() == open(src, "rb").read()
+            assert out.read_bytes() == Path(src).read_bytes()
 
     def test_malformed_line_five(self):
         with pytest.raises(ParseError, match="line 5") as exc_info:
@@ -397,7 +398,7 @@ class TestRunConfig:
         assert values["n_concepts"] == 6
         assert values["d"] == 8
         assert values["regions_per_image"] == 3
-        assert values["enable_subsample"] is False
+        assert values["subsample_fraction"] == 1.0
         assert values["seed"] == 7
         syn, cfg = build_configs(values)
         # one seed feeds both configs, and untouched keys keep their defaults
@@ -411,6 +412,10 @@ class TestRunConfig:
             read_run_config(p)
         p.write_text("M = 4\n")  # the ranking width is a rank/uasr/loss flag, not a run knob
         with pytest.raises(ParseError, match="unknown config key 'M'"):
+            read_run_config(p)
+        # lambda_inner = 0 turns the caption term off; there is no switch for it
+        p.write_text("enable_inner = false\n")
+        with pytest.raises(ParseError, match="unknown config key 'enable_inner'"):
             read_run_config(p)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -497,7 +502,7 @@ class TestCliRank:
         code, text, _ = run_cli(["rank", VOCAB, UNTAGGED, "--M", "4", "--out", str(out)], capsys)
         assert code == 0
         assert text == golden("expected_rank.jsonl")
-        assert out.read_bytes() == open(os.path.join(FIXTURES, "expected_rank_out.jsonl"), "rb").read()
+        assert out.read_bytes() == Path(FIXTURES, "expected_rank_out.jsonl").read_bytes()
 
     def test_vocabulary_too_small_for_default_width(self, capsys):
         # default M is 50 but the fixture vocabulary has 10 tags
@@ -535,10 +540,7 @@ class TestCliLoss:
         code, out, _ = run_cli(["loss", VOCAB, INSTANCES], capsys)
         assert code == 0
         got = [json.loads(ln) for ln in out.splitlines()]
-        expected = [
-            json.loads(ln)
-            for ln in open(os.path.join(FIXTURES, "expected_loss.jsonl"))
-        ]
+        expected = [json.loads(ln) for ln in golden("expected_loss.jsonl").splitlines()]
         assert len(got) == len(expected) == 4
         for g, e in zip(got, expected):
             assert g.keys() == e.keys()
@@ -1286,6 +1288,13 @@ MALFORMED_INPUTS = {
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "steps", "5"))),
     "state-string-bool-field": (
         "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "enable_uasr", "no"))),
+    # switches a state file may still hold: lambda_inner = 0 and
+    # subsample_fraction = 1 took their place
+    "state-removed-enable-inner": (
+        "eval", "state", lambda tmp: _state_bytes(tmp, _set("trainer_config", "enable_inner", True))),
+    "state-removed-enable-subsample": (
+        "eval", "state",
+        lambda tmp: _state_bytes(tmp, _set("trainer_config", "enable_subsample", False))),
     # numeric flags and config values out of range
     "loss-lambda-cross-nan": ("loss", "flags", ["--lambda_cross", "nan"]),
     "loss-lambda-inner-inf": ("loss", "flags", ["--lambda_inner", "inf"]),
@@ -1346,6 +1355,16 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("key", ["enable_inner", "enable_subsample"])
+def test_a_state_with_a_removed_switch_names_it(key, tmp_path, capsys):
+    path = tmp_path / "state.jsonl"
+    path.write_bytes(_state_bytes(tmp_path, _set("trainer_config", key, True)))
+    code, out, err = run_cli(["eval", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and repr(key) in err
+
+
 @pytest.mark.parametrize("m", ["3", "0", "-7"])
 @pytest.mark.parametrize("command", ["rank", "uasr", "loss"])
 def test_a_bad_M_is_a_config_error_before_any_file_is_read(command, m, capsys):
@@ -1389,7 +1408,7 @@ def test_a_runtime_warning_is_not_in_the_exit_table(monkeypatch):
 # mutated fixture lines: the readers raise only their own errors, the CLI
 # exits with a documented code
 
-FIXTURE_BYTES = {path: open(path, "rb").read().splitlines(keepends=True)
+FIXTURE_BYTES = {path: Path(path).read_bytes().splitlines(keepends=True)
                  for path in (VOCAB, INSTANCES)}
 ODD_VALUES = [None, True, 0, -3, 1.5, 1e308, "s", "", [], {}, [1, "a"], [[1, 2], 3],
               {"tag_id": 1}, 10**400, 2**64]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loop_reference import generate_synthetic_loop
 from rca.core import compatibility
 from rca import trainer
 from rca.errors import ConfigError, DegenerateEmbeddingError, DivergenceError
@@ -26,8 +27,6 @@ from rca.uasr import pool_cosines
 SMALL = SyntheticConfig(n_concepts=6, d=8, n_images=20, regions_per_image=3, seed=0)
 FAST = dict(steps=5, learning_rate=0.5)
 
-
-EMBEDDINGS = ("region_embeddings", "positive_embeddings", "negative_embeddings")
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "expected_synthetic.json").read_text())
 
 
@@ -49,8 +48,7 @@ class TestGeneration:
         for name in ("region_concepts", "positive_concepts", "negative_concepts",
                      "caption_concepts", "global_scores"):
             assert getattr(ds, name).shape == (n, k)
-        for name in EMBEDDINGS:
-            assert getattr(ds, name).shape == (n, k, d)
+        assert ds.region_embeddings.shape == (n, k, d)
         assert ds.flipped.shape == (n,)
         assert ds.cosines.shape == (n, k, 2 * k)
         for i in range(n):
@@ -62,16 +60,21 @@ class TestGeneration:
     def test_noiseless_embeddings_are_prototypes(self):
         ds = generate_synthetic(SMALL)
         assert np.array_equal(ds.region_embeddings, ds.prototypes[ds.region_concepts])
-        assert np.array_equal(ds.positive_embeddings, ds.prototypes[ds.positive_concepts])
-        assert np.array_equal(ds.negative_embeddings, ds.prototypes[ds.negative_concepts])
+        # the selection evidence is the prototypes of the tag concepts too
+        for i in range(len(ds)):
+            want = pool_cosines(*(ds.prototypes[concepts[i]] for concepts in (
+                ds.region_concepts, ds.positive_concepts, ds.negative_concepts)))
+            assert np.array_equal(ds.cosines[i], want)
 
     def test_cosines_are_each_images_region_by_pool_cosines(self):
-        # 70 images span two blocks; each row must hold its own image's pool
-        ds = generate_synthetic(SyntheticConfig(n_concepts=6, d=8, n_images=70,
-                                                regions_per_image=3, noise_sigma=0.3,
-                                                flip_rate=0.2, seed=5))
+        # 70 images span two blocks; each row must hold its own image's pool,
+        # whose tag embeddings only the loop reference keeps
+        cfg = SyntheticConfig(n_concepts=6, d=8, n_images=70, regions_per_image=3,
+                              noise_sigma=0.3, flip_rate=0.2, seed=5)
+        ds, loop = generate_synthetic(cfg), generate_synthetic_loop(cfg)
         for i in range(len(ds)):
-            want = pool_cosines(*(getattr(ds, name)[i] for name in EMBEDDINGS))
+            want = pool_cosines(ds.region_embeddings[i], loop.positive_embeddings[i],
+                                loop.negative_embeddings[i])
             np.testing.assert_allclose(ds.cosines[i], want, rtol=1e-13, atol=1e-15)
 
     def test_without_flips_sides_partition_concepts(self):
@@ -151,7 +154,7 @@ class TestGeneration:
         (SyntheticConfig, "noise_sigma", "0.1"),
         (TrainerConfig, "steps", "5"),
         (TrainerConfig, "enable_uasr", "no"),
-        (TrainerConfig, "enable_inner", 1),
+        (TrainerConfig, "freeze_tags", 1),
         (TrainerConfig, "learning_rate", False),
         (TrainerConfig, "seed", None),
     ])
@@ -262,12 +265,13 @@ class TestTraining:
         assert np.array_equal(state.region_table, frozen_regions)
         assert state.step == 4
 
-    @pytest.mark.parametrize("subsample", [True, False])
-    def test_minibatch_steps_leave_other_region_rows_as_they_were(self, subsample):
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_minibatch_steps_leave_other_region_rows_as_they_were(self, fraction):
         ds = generate_synthetic(SyntheticConfig(n_concepts=6, d=8, n_images=60,
                                                 regions_per_image=3, noise_sigma=0.3, seed=4))
         cfg = TrainerConfig(steps=3, learning_rate=0.5, batch_size=8, seed=5,
-                            enable_subsample=subsample)
+                            subsample_fraction=fraction)
+        subsample = fraction < 1.0
         rng = np.random.default_rng(cfg.seed)  # the trainer's stream: batch, then its draws
         batched = set()
         for _ in range(cfg.steps):
@@ -309,18 +313,18 @@ class TestTraining:
     def test_subsample_does_not_touch_snapshots(self):
         ds = generate_synthetic(SMALL)
         state = initial_state(ds, seed=0)
-        for enable in (True, False):
-            cfg = TrainerConfig(steps=0, learning_rate=0.5, enable_subsample=enable)
+        for fraction in (0.5, 1.0):
+            cfg = TrainerConfig(steps=0, learning_rate=0.5, subsample_fraction=fraction)
             assert snapshot_loss(ds, state, cfg).total == snapshot_loss(ds, state, cfg).total
-        a = snapshot_loss(ds, state, TrainerConfig(enable_subsample=True))
-        b = snapshot_loss(ds, state, TrainerConfig(enable_subsample=False))
+        a = snapshot_loss(ds, state, TrainerConfig(subsample_fraction=0.5))
+        b = snapshot_loss(ds, state, TrainerConfig(subsample_fraction=1.0))
         assert a.total == b.total
 
     def test_inner_toggle_changes_loss(self):
         ds = generate_synthetic(SMALL)
         state = initial_state(ds, seed=0)
-        with_inner = snapshot_loss(ds, state, TrainerConfig(enable_inner=True))
-        without = snapshot_loss(ds, state, TrainerConfig(enable_inner=False))
+        with_inner = snapshot_loss(ds, state, TrainerConfig(lambda_inner=1.0))
+        without = snapshot_loss(ds, state, TrainerConfig(lambda_inner=0.0))
         assert without.inner == 0.0
         assert with_inner.total != without.total
 
