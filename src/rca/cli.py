@@ -235,37 +235,27 @@ def cmd_loss(args) -> tuple[int, list[str]]:
     lambdas = args.lambda_cross, args.lambda_inner
     losses = np.zeros((len(records), 3))  # cross, inner, total per record
     clamped = 0
-    # huge finite entries can overflow on the way to a loss; rejected below
+    # huge finite entries can overflow on the way to a loss or its mean; rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for members, corpus, state in groups:
             images = np.arange(len(members))
             sel = _selection(corpus, images, args.enable_uasr, args.normalize)
-            cross, inner, _ = _losses(corpus, state, images, sel, lambdas)
+            losses[members], _ = _losses(corpus, state, images, sel, lambdas)
             clamped += int(sel.clamped.sum())
-            total = lambdas[0] * cross + lambdas[1] * inner
-            losses[members] = np.stack([cross, inner, total], axis=1)
-        sums = np.zeros(3)
-        for row in losses:  # in record order, as a one-by-one run adds them
-            sums += row
-    bad = np.flatnonzero(~np.isfinite(losses).all(axis=1))
-    if bad.size:
-        raise ValidationError(f"image {records[bad[0]].image_id!r}: loss is not finite")
+        bad = np.flatnonzero(~np.isfinite(losses).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"image {records[bad[0]].image_id!r}: loss is not finite")
+        # in record order, as a one-by-one run adds them
+        means = (losses.sum(axis=0) / len(records)).tolist()
+        if not np.isfinite(means).all():
+            raise ValidationError("mean loss is not finite")
     warn_clamped(clamped)
     lines = [
         to_json({"image_id": rec.image_id, "cross": c, "inner": i, "total": t})
         for rec, (c, i, t) in zip(records, losses.tolist())
     ]
-    n = len(records)
-    lines.append(
-        to_json(
-            {
-                "n_images": n,
-                "mean_cross": sums[0] / n,
-                "mean_inner": sums[1] / n,
-                "mean_total": sums[2] / n,
-            }
-        )
-    )
+    lines.append(to_json({"n_images": len(records), "mean_cross": means[0],
+                          "mean_inner": means[1], "mean_total": means[2]}))
     return 0, lines
 
 

@@ -36,11 +36,11 @@ and fewer where a stretch's batches would pass ``STRETCH_IMAGES`` images
 the order the steps would make them, then one selection call over all
 its batches; each step takes its own rows. The losses run ``BLOCK``
 (256) images per forward (and, in a step, backward) pass, so the pass
-temporaries do not grow with the dataset. A snapshot adds its per-image
-losses in ``SUM_GROUP`` (64) image groups, in image order, so its floats
-do not depend on ``BLOCK``. A step keeps its gradient rows in image order and
-folds them onto each concept table with one
-:func:`rca.core.scatter_add`. A batch holds each image once, so each
+temporaries do not grow with the dataset. A history record is the mean of
+the per-image loss table, added in image order, so it does not depend on
+``BLOCK`` and equals what a per-image loop computes. A step keeps its
+gradient rows in image order and folds them onto each concept table with
+one :func:`rca.core.scatter_add`. A batch holds each image once, so each
 region row gets at most one gradient row, and the step subtracts it from
 that row alone.
 
@@ -86,7 +86,6 @@ __all__ = [
 ]
 
 BLOCK = 256  # images per loss pass, and per generation block
-SUM_GROUP = 64  # images per partial sum of a snapshot's losses, as the pinned histories were summed
 # Most images one selection call takes for a stretch of training steps (a
 # stretch always holds one step's batch), so that a full-batch run on a large
 # dataset does not hold ten steps' selection temporaries at once. The largest
@@ -438,22 +437,25 @@ def _selection(corpus, images, enable, normalize, subsets=None) -> _Selection:
 
 
 def _losses(corpus, state, images, sel, lambdas, with_grad=False):
-    """Per-image cross and inner losses of ``images`` under selection ``sel``.
+    """Per-image loss table of ``images`` under selection ``sel``.
 
     ``state`` holds the tables the corpus rows index; ``lambdas`` is
     ``(lambda_cross, lambda_inner)``. Training and ``rca loss`` both run
-    ``BLOCK`` images per pass through here. Returns ``(cross, inner,
-    grads)``; with ``with_grad``, ``grads`` holds the gradient rows in
-    image order: tag (b, 2K, d) for ``sel.positive_concepts`` then
-    ``sel.negative_concepts``, caption (b, P, d) for ``corpus.caption_concepts[images]``
-    and region (b, R, d) for ``corpus.region_rows[images]``. Else it is None.
+    ``BLOCK`` images per pass through here. Returns ``(table, grads)``:
+    ``table`` (b, 3) holds each image's cross, inner and total
+    ``lambda_cross * cross + lambda_inner * inner`` losses; being C-ordered,
+    its ``sum(axis=0)`` adds them row by row, in image order. With
+    ``with_grad``, ``grads`` holds the gradient rows in image order: tag
+    (b, 2K, d) for ``sel.positive_concepts`` then ``sel.negative_concepts``,
+    caption (b, P, d) for ``corpus.caption_concepts[images]`` and region
+    (b, R, d) for ``corpus.region_rows[images]``. Else it is None.
     """
-    cross, inner = np.empty(len(images)), np.empty(len(images))
+    table = np.empty((len(images), 3))
     grads = []
     for start in range(0, len(images), BLOCK):
         part = slice(start, start + BLOCK)
         block, block_sel = images[part], sel.take(part)
-        cross[part], inner[part], g = batch_loss(
+        table[part, 0], table[part, 1], g = batch_loss(
             state.region_table[corpus.region_rows[block]],
             state.tag_table[block_sel.positive_concepts],
             state.tag_table[block_sel.negative_concepts],
@@ -465,26 +467,20 @@ def _losses(corpus, state, images, sel, lambdas, with_grad=False):
         if with_grad:
             grads.append((np.concatenate([g.d_positives, g.d_negatives], axis=1),
                           g.d_caption_nouns, g.d_regions))
-    return cross, inner, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
+    table[:, 2] = lambdas[0] * table[:, 0] + lambdas[1] * table[:, 1]
+    return table, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
 
 
 def _snapshot(dataset, state, plan, lambdas) -> HistoryRecord:
     """Mean full-dataset loss record under the selection ``plan``.
 
-    The per-image losses are added up in ``SUM_GROUP``-image groups, in
-    image order, whatever ``BLOCK`` is. Raises :class:`DivergenceError`
-    if the total is not finite.
+    Its means add the per-image losses in image order, so they equal what
+    the per-image reference computes, whatever ``BLOCK`` is. Raises
+    :class:`DivergenceError` if the total is not finite.
     """
-    n = len(dataset)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        cross, inner, _ = _losses(dataset, state, np.arange(n), plan, lambdas)
-        total = lambdas[0] * cross + lambdas[1] * inner
-        sums = [0.0, 0.0, 0.0]
-        for start in range(0, n, SUM_GROUP):
-            group = slice(start, start + SUM_GROUP)
-            for j, losses in enumerate((cross, inner, total)):
-                sums[j] += float(losses[group].sum())
-    record = HistoryRecord(state.step, *(s / n for s in sums))
+        table, _ = _losses(dataset, state, np.arange(len(dataset)), plan, lambdas)
+        record = HistoryRecord(state.step, *(table.sum(axis=0) / len(table)).tolist())
     if not math.isfinite(record.total):
         raise DivergenceError(state.step, "snapshot loss is not finite")
     return record
@@ -538,8 +534,8 @@ def _step(dataset, state, config, batch, sel) -> None:
 
     Raises :class:`DivergenceError` if a table stops being finite.
     """
-    _, _, (d_tags, d_caption, d_regions) = _losses(dataset, state, batch, sel, config.lambdas,
-                                                   with_grad=True)
+    _, (d_tags, d_caption, d_regions) = _losses(dataset, state, batch, sel, config.lambdas,
+                                                with_grad=True)
     lr = config.learning_rate / len(batch)
     if not config.freeze_tags:
         tag_concepts = np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1)

@@ -7,10 +7,11 @@ bytes. The kernel's batched results must equal the 2-D results bit for
 bit, image by image. The trainer folds a step's gradient
 rows onto the tables in the loop's order, but it adds a tag that
 selection picked twice straight onto its concept row, where the loop
-first sums both picks onto the pool row; a subsampled step weighs its
-picks from columns of the full-pool cosines; and a snapshot sums its
-losses in 64-image groups. So its history and tables must match the loop
-within a relative 1e-12.
+first sums both picks onto the pool row, and a subsampled step weighs its
+picks from columns of the full-pool cosines. So its history and tables
+must match the loop within a relative 1e-12. A snapshot of given tables
+adds its per-image losses in the loop's order, so it must equal the
+loop's bit for bit.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from loop_reference import (
     evidence_view,
     generate_synthetic_loop,
     loss_and_grad_2d,
+    snapshot_loss_loop,
     train_alignment_loop,
 )
 from naive_reference import naive_total_loss
@@ -46,12 +48,10 @@ from rca.trainer import (
 )
 from rca.uasr import apply_uasr, select_batch
 
-# 70 images: one partial compute block at the default BLOCK, and two snapshot
-# sum groups, the second one partial. Noise and flips make the subsampled
-# steps hit both selection fallbacks and clamp some scores.
+# 70 images: one partial compute block at the default BLOCK. Noise and flips
+# make the subsampled steps hit both selection fallbacks and clamp some scores.
 NOISY = SyntheticConfig(n_concepts=6, d=8, n_images=70, regions_per_image=3,
                         noise_sigma=0.3, flip_rate=0.2, seed=5)
-assert trainer.SUM_GROUP < NOISY.n_images < 2 * trainer.SUM_GROUP
 # Tests against the loop reference patch BLOCK to this, so that their runs
 # cross block boundaries: three blocks, the last one partial.
 SMALL_BLOCK = 32
@@ -255,6 +255,17 @@ def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
     for name in ("tag_table", "caption_table", "region_table"):
         np.testing.assert_allclose(getattr(got_state, name), getattr(want_state, name),
                                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("variant", ["default", "no-selection", "no-inner"])
+def test_snapshot_equals_per_image_loop_bitwise(variant, monkeypatch):
+    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**{**BASE, "steps": 3, **VARIANTS[variant]})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*clamped")
+        state, _ = train_alignment(ds, cfg, initial_state(ds, seed=cfg.seed))
+        assert snapshot_loss(ds, state, cfg) == snapshot_loss_loop(NOISY_LOOP, state, cfg)
 
 
 # the generator's blocks are 7 images, so blocks and flips cross their boundaries

@@ -66,7 +66,13 @@ from rca.io import (
     write_vocab,
 )
 from rca.tags import TagRef
-from rca.trainer import SyntheticConfig, TrainerConfig, TrainState
+from rca.trainer import (
+    SyntheticConfig,
+    TrainerConfig,
+    TrainState,
+    generate_synthetic,
+    snapshot_loss,
+)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 VOCAB = os.path.join(FIXTURES, "vocab.jsonl")
@@ -753,6 +759,14 @@ class TestCliCorpusErrors:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: image 'img-b': loss is not finite\n"
 
+    def test_overflowing_mean_prints_only_its_error_under_warnings_as_errors(self):
+        # every record's total is finite, up to about 1.2e308, but their sum overflows
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "loss", VOCAB,
+                               INSTANCES, "--enable_uasr", "--lambda_cross", "1e308",
+                               "--lambda_inner", "0"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: mean loss is not finite\n"
+
     @pytest.mark.parametrize("argv", [["uasr"], ["uasr", "--no-normalize"],
                                       ["loss", "--enable_uasr"]])
     def test_clamp_warning_once_per_call_with_the_total(self, argv, tmp_path, capsys):
@@ -937,6 +951,9 @@ class TestCliTrainEval:
         assert state.step == 12
         assert syn.n_images == 16 and syn.seed == 7
         assert cfg.steps == 12 and cfg.learning_rate == 0.5
+        # the last printed record is the snapshot of the tables written, bit for bit
+        last = snapshot_loss(generate_synthetic(syn), state, cfg)
+        assert json.loads(out.splitlines()[-1]) == dataclasses.asdict(last)
 
         code, out, _ = run_cli(["eval", str(state_path)], capsys)
         assert code == 0
