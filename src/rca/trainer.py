@@ -5,10 +5,14 @@ image shows ``regions_per_image`` distinct concepts; its positive tags and
 caption nouns name exactly those concepts and its negative tags name absent
 ones. Global tag scores are cosines against the mean region embedding,
 frozen at generation time. An optional flip swaps one positive/negative
-pair to emulate ranking noise. The generator makes its random draws image
-by image, in stream order, and runs the arithmetic on them (noise scaling,
-flips, means, cosines, sorts) per ``BLOCK`` of images. Tag embeddings live
-in a buffer reused per block; the dataset keeps their scores and cosines.
+pair to emulate ranking noise. The generator reads the stream the
+per-image ``Generator.choice``, noise and flip calls would read, in their
+order: one ``Generator.integers`` call per image makes both its ``choice``
+calls' draws (one per block where no noise or flip comes between), and
+the picks and the arithmetic on them (noise scaling, flips, means,
+cosines, sorts) run per ``BLOCK`` of images. Draws and tag embeddings
+live in buffers reused per block; the dataset keeps the tags' scores and
+cosines.
 
 Tag and caption embeddings live in per-concept tables shared across the
 whole dataset, so the contrastive objective can triangulate each concept
@@ -47,13 +51,13 @@ that row alone.
 A subsampled step selects over the column subset of its kept rows,
 exactly as if the pool held only those rows. It draws those rows with
 one ``Generator.integers`` call, from the stream numpy's per-image
-``Generator.choice`` calls would read: ``choice`` runs Floyd's algorithm
-and a shuffle, one bounded draw per bound, and an array of those bounds
-makes the same draws, so the rows, the state after them and every
-trained table are the same (for m >= 3 kept rows this was checked on
-numpy 2.4.6 only). Only past a pool of 10,000 with m > k // 50 kept
-rows, where ``choice`` shuffles the whole pool instead, do the rows
-differ; each is still a uniform m-subset.
+``Generator.choice`` calls would read. :func:`_choice_picks` is the one
+replica of ``choice`` both callers share: ``choice`` runs Floyd's
+algorithm and a shuffle (past a pool of 10,000, for more than pool // 50
+picks, a shuffle of the pool's tail instead), one bounded draw per bound;
+an array of those bounds makes the same draws, so the picks, the state
+after them and every generated field and trained table are the same
+(checked on numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -154,8 +158,10 @@ class SyntheticConfig:
         _check_seed(self.seed)
         c, n, k = self.n_concepts, self.n_images, self.regions_per_image
         # prototypes and concept tables, region embeddings and cosines per (image,
-        # slot), and a generation block's absent-concept mask and tag embeddings
-        entries = c * self.d + n * k * (self.d + 2 * k) + min(n, BLOCK) * (c + 2 * k * self.d)
+        # slot), and a generation block's absent-concept mask or shuffled pool,
+        # choice draws, region noise and tag embeddings
+        entries = (c * self.d + n * k * (self.d + 2 * k)
+                   + min(n, BLOCK) * (c + 4 * k + 3 * k * self.d))
         check_addressable(entries, "synthetic dataset")
 
 
@@ -241,8 +247,13 @@ class SyntheticDataset(_Corpus):
 def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     """Sample a dataset of images with ranked positive and negative tags.
 
-    Each image's draws run in stream order, image by image; the arithmetic
-    on them runs per ``BLOCK`` of images.
+    Each image's draws run in stream order, image by image: one
+    ``Generator.integers`` call makes the draws of its two
+    ``Generator.choice`` calls (see :func:`_choice_picks`), one
+    ``standard_normal`` call its region, positive and negative noise, then
+    its flip draws. Where no noise or flip comes between them, a block's
+    choice draws are one call. The picks and the arithmetic on them run
+    per ``BLOCK`` of images.
     """
     rng = np.random.default_rng(config.seed)
     protos = rng.standard_normal((config.n_concepts, config.d))
@@ -250,7 +261,13 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     c, n, k = config.n_concepts, config.n_images, config.regions_per_image
     sigma, flip_rate = config.noise_sigma, config.flip_rate
-    pos_buf, neg_buf = np.empty((2, min(n, BLOCK), k, config.d))
+    pos_bounds = _choice_bounds(c, k)
+    # choosing k of fewer than k absent concepts draws with replacement
+    neg_bounds = np.full(k, c - k - 1) if c - k < k else _choice_bounds(c - k, k)
+    bounds = np.concatenate([pos_bounds, neg_bounds])
+    draw_buf = np.empty((min(n, BLOCK), len(bounds)), dtype=np.int64)
+    # per image: region noise (where there is noise), positive and negative tag embeddings
+    emb_buf = np.empty((min(n, BLOCK), 2 + (sigma != 0.0), k, config.d))
     region_concepts, positive_concepts, negative_concepts = (
         np.empty((n, k), dtype=np.int64) for _ in range(3))
     region_embs = np.empty((n, k, config.d))
@@ -261,28 +278,32 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     for start in range(0, n, BLOCK):
         part = slice(start, start + BLOCK)
         block = range(start, min(start + BLOCK, n))
-        pos_embs, neg_embs = pos_buf[:len(block)], neg_buf[:len(block)]
-        for row, image in enumerate(block):
-            region_concepts[image] = rng.choice(c, size=k, replace=False)
-            # for now, indices into the image's sorted absent concepts: the draw
-            # that choosing from those concepts makes
-            negative_concepts[image] = rng.choice(c - k, size=k, replace=c - k < k)
-            if sigma != 0.0:
-                rng.standard_normal(out=region_embs[image])
-                rng.standard_normal(out=pos_embs[row])
-                rng.standard_normal(out=neg_embs[row])
-            if flip_rate > 0.0 and rng.random() < flip_rate:
-                flipped[image] = True
-                swaps[image] = rng.integers(k), rng.integers(k)
+        draws, block_embs = draw_buf[:len(block)], emb_buf[:len(block)]
+        if sigma == 0.0 and flip_rate == 0.0:
+            draws[:] = rng.integers(0, bounds, size=draws.shape, endpoint=True)
+        else:
+            for row, image in enumerate(block):
+                draws[row] = rng.integers(0, bounds, endpoint=True)
+                if sigma != 0.0:
+                    rng.standard_normal(out=block_embs[row])
+                if flip_rate > 0.0 and rng.random() < flip_rate:
+                    flipped[image] = True
+                    swaps[image] = rng.integers(k), rng.integers(k)
 
-        present = region_concepts[part]
+        present = region_concepts[part] = _choice_picks(draws[:, :len(pos_bounds)], c, k)
+        absent_picks = draws[:, len(pos_bounds):]  # indices into the sorted absent concepts
+        if c - k >= k:
+            absent_picks = _choice_picks(absent_picks, c - k, k)
         absent = np.ones((len(present), c), dtype=bool)
         np.put_along_axis(absent, present, False, axis=1)
         absent = np.nonzero(absent)[1].reshape(len(present), c - k)
-        negatives = np.take_along_axis(absent, negative_concepts[part], axis=1)
+        negatives = np.take_along_axis(absent, absent_picks, axis=1)
         positives = present.copy()
+        pos_embs, neg_embs = block_embs[:, -2], block_embs[:, -1]
         # a norm that overflows reads inf or nan here, and pool_cosines rejects it
         with np.errstate(over="ignore", invalid="ignore"):
+            if sigma != 0.0:
+                region_embs[part] = block_embs[:, 0]
             for out, concepts in ((region_embs[part], present), (pos_embs, present),
                                   (neg_embs, negatives)):
                 if sigma == 0.0:
@@ -296,9 +317,10 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
             pos_embs[flips, i], neg_embs[flips, j] = neg_embs[flips, j], pos_embs[flips, i]
 
             # each dot product and norm sums in the order the per-image calls did:
-            # a stacked mat-vec, the row norms, and the ddot np.linalg.norm runs on a vector
+            # stacked mat-vecs, the row norms, and stacked (1, d) @ (d, 1) products,
+            # the ddot np.linalg.norm runs on a vector
             images = region_embs[part].mean(axis=1)
-            image_norms = np.sqrt([x @ x for x in images])
+            image_norms = np.sqrt((images[:, None, :] @ images[:, :, None])[:, 0, 0])
             pos_scores, neg_scores = (
                 (embs @ images[:, :, None])[:, :, 0]
                 / np.maximum(np.linalg.norm(embs, axis=-1) * image_norms[:, None], 1e-12)
@@ -501,32 +523,71 @@ def snapshot_loss(
     return record
 
 
+def _tail_shuffled(pop: int, size: int) -> bool:
+    """Whether ``Generator.choice`` of ``size`` of ``pop`` without replacement shuffles a tail.
+
+    It then shuffles the tail of the whole pool ``arange(pop)``; else it
+    runs Floyd's algorithm and then shuffles its picks.
+    """
+    return pop > 10_000 and size > pop // 50
+
+
+def _choice_bounds(pop: int, size: int) -> np.ndarray:
+    """The bounds b of the draws on [0, b] that ``choice`` of ``size`` of ``pop`` makes, in order.
+
+    Floyd's algorithm draws on [0, j] for each j in pop-size..pop-1 (a
+    bound of 0 reads no word), then the shuffle on [0, i] for each i in
+    size-1..1. A tail shuffle draws on [0, i] for each i in pop-1 down to
+    max(pop-size, 1).
+    """
+    if _tail_shuffled(pop, size):
+        return np.arange(pop - 1, max(pop - size, 1) - 1, -1)
+    return np.concatenate([np.arange(pop - size, pop), np.arange(size - 1, 0, -1)])
+
+
+def _choice_picks(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
+    """The picks of ``choice`` of ``size`` of ``pop``, in its order, per row of its draws.
+
+    ``draws`` holds one row of :func:`_choice_bounds` draws per call.
+    ``Generator.integers`` makes one bounded (Lemire) draw per entry of an
+    array of bounds, in order, as ``choice`` does per bound, so one
+    ``integers`` call over rows of those bounds reads the stream of that
+    many ``choice`` calls and leaves the generator where they would. Floyd's
+    picks take each draw, or j where the draw was already picked; the
+    shuffle then swaps position i with its draw, for i from the top down.
+    A tail shuffle makes those swaps on the whole pool ``arange(pop)`` and
+    keeps its last ``size`` entries. That ``choice`` draws this way was
+    checked on numpy 2.4.6.
+    """
+    if _tail_shuffled(pop, size):
+        picks, swaps = np.tile(np.arange(pop), (len(draws), 1)), draws
+    else:
+        picks, swaps = draws[:, :size].copy(), draws[:, size:]
+        for t in range(1, size):
+            repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+            picks[:, t] = np.where(repeat, pop - size + t, picks[:, t])
+    rows = np.arange(len(draws))
+    for col, j in enumerate(swaps.T):
+        i = picks.shape[1] - 1 - col
+        top = picks[:, i].copy()
+        picks[:, i] = picks[rows, j]
+        picks[rows, j] = top
+    return picks[:, picks.shape[1] - size:]
+
+
 def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     """Sorted kept rows (count, 2, m) per image, positives then negatives.
 
     Keeps m = ceil(fraction * k) of k rows without replacement, twice per
-    image, reading the stream the per-image ``Generator.choice`` calls of
-    :func:`rca.tags.subsample` read, and leaves ``rng`` where they would.
-    ``choice`` runs Floyd's algorithm: one bounded draw on [0, j] for each
-    j in k-m..k-1 (none for j = 0), where a value already picked becomes j,
-    then shuffles the picks with one bounded draw on [0, i] for each i in
-    m-1..1. ``Generator.integers`` makes one bounded draw per entry of its
-    bounds, in order and with the same rejections, so one call with a row
-    of bounds ``[k-m, ..., k-1, m-1, ..., 1]`` per ``choice`` call reads
-    the whole step's stream; the shuffle's draws are read and dropped, as
-    the rows are sorted. That the shuffle draws are bounded, not masked
-    (which matters for m >= 3), was checked on numpy 2.4.6 only. Past k =
-    10,000 with m > k // 50, ``choice`` shuffles the tail of the whole pool
-    instead: there the rows differ from its rows, but each is still a
-    uniform m-subset.
+    image: the rows the per-image ``Generator.choice`` calls of
+    :func:`rca.tags.subsample` pick, from the stream they read, drawn in one
+    ``Generator.integers`` call (see :func:`_choice_picks`), and leaves
+    ``rng`` where they would.
     """
     m = math.ceil(fraction * k)
-    bounds = np.concatenate([np.arange(k - m, k), np.arange(m - 1, 0, -1)])
-    picks = rng.integers(0, bounds, size=(2 * count, len(bounds)), endpoint=True)[:, :m]
-    for t in range(1, m):
-        repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
-        picks[:, t] = np.where(repeat, k - m + t, picks[:, t])
-    return np.sort(picks.reshape(count, 2, m), axis=-1)
+    bounds = _choice_bounds(k, m)
+    draws = rng.integers(0, bounds, size=(2 * count, len(bounds)), endpoint=True)
+    return np.sort(_choice_picks(draws, k, m).reshape(count, 2, m), axis=-1)
 
 
 def _step(dataset, state, config, batch, sel) -> None:

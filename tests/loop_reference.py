@@ -16,6 +16,7 @@ literal, so the library's stacked code is checked against an independent
 route.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -187,6 +188,14 @@ def generate_synthetic_loop(config) -> LoopDataset:
         flipped=flipped,
         cosines=cosines,
     )
+
+
+def differing_fields(got: SyntheticDataset, want: SyntheticDataset) -> list[str]:
+    """The fields of ``got``, the config aside, whose dtype, shape or bytes differ in ``want``."""
+    def key(a):
+        return a.dtype, a.shape, a.tobytes()
+    return [f.name for f in dataclasses.fields(got) if f.name != "config"
+            and key(getattr(got, f.name)) != key(getattr(want, f.name))]
 
 
 def evidence_view(dataset: LoopDataset, image, pos_idx=None, neg_idx=None) -> ContrastiveInstance:

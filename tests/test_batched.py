@@ -14,7 +14,6 @@ adds its per-image losses in the loop's order, so it must equal the
 loop's bit for bit.
 """
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -26,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loop_reference import (
+    differing_fields,
     evidence_view,
     generate_synthetic_loop,
     loss_and_grad_2d,
@@ -283,18 +283,23 @@ def test_snapshot_equals_per_image_loop_bitwise(variant, monkeypatch):
 @example(c=7, k_frac=0.9, d=3, n=16, sigma=0.0, flip_rate=1.0, seed=1)  # negatives repeat
 @example(c=9, k_frac=0.6, d=4, n=23, sigma=0.4, flip_rate=1.0, seed=2)  # with noise
 @example(c=6, k_frac=0.0, d=1, n=29, sigma=2.0, flip_rate=0.5, seed=3)  # k = 1, d = 1, noise
+# k = 4 = c - k: the negatives' first Floyd draw, on [0, 0], reads no word; the
+# first draws a block at a time, the second image by image
+@example(c=8, k_frac=0.5, d=2, n=20, sigma=0.0, flip_rate=0.0, seed=4)
+@example(c=8, k_frac=0.5, d=2, n=20, sigma=0.5, flip_rate=0.5, seed=5)
 def test_generator_equals_per_image_loop_bitwise(c, k_frac, d, n, sigma, flip_rate, seed):
     k = 1 + int(k_frac * (c - 2))
     cfg = SyntheticConfig(n_concepts=c, d=d, n_images=n, regions_per_image=k,
                           noise_sigma=sigma, flip_rate=flip_rate, seed=seed)
     with mock.patch.object(trainer, "BLOCK", 7):
         got = generate_synthetic(cfg)
-    want = generate_synthetic_loop(cfg)
-    for field in dataclasses.fields(got):
-        if field.name == "config":
-            continue
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+    assert differing_fields(got, generate_synthetic_loop(cfg)) == []
+
+
+def test_generator_equals_per_image_loop_past_a_pool_of_10000():
+    """201 of 10,001 concepts: ``choice`` shuffles the pool's tail for the present ones."""
+    cfg = SyntheticConfig(n_concepts=10_001, d=1, n_images=2, regions_per_image=201)
+    assert differing_fields(generate_synthetic(cfg), generate_synthetic_loop(cfg)) == []
 
 
 FULL_BATCH = generate_synthetic(NOISY)

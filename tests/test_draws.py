@@ -1,18 +1,19 @@
-"""The trainer's subsample draws against numpy's own per-image calls.
+"""The trainer's and the generator's draws against numpy's own per-image calls.
 
 ``trainer._draw_subsets`` makes a whole step's bounded draws in one
 ``Generator.integers`` call and reproduces what ``Generator.choice(k, m,
-replace=False)`` would pick, image by image. That depends on ``choice``
-running Floyd's algorithm and then a shuffle, one bounded draw per bound,
+replace=False)`` would pick, image by image; the synthetic generator makes
+each image's two ``choice`` calls' draws the same way. Both go through
+``trainer._choice_picks``. That depends on ``choice`` running Floyd's
+algorithm and then a shuffle, or past a pool of 10,000 with more than
+pool // 50 picks a shuffle of the pool's tail, one bounded draw per bound,
 and on ``integers`` making one bounded draw per entry of its bounds, in
-order. That the shuffle's draws are bounded, not masked, matters for m >= 3
-and was checked on numpy 2.4.6 only. Past a pool of 10,000 with m > k // 50,
-``choice`` shuffles the pool's tail instead and the rows depart from its
-rows; there they are still uniform m-subsets. If numpy changes either call,
-these tests fail loudly; the pinned training totals below fail with them.
-The benchmark's pinned CLI stdout digests are replayed here too, so a byte
-change in ``rank``, ``uasr``, ``loss`` or ``gradcheck`` shows in the
-regular suite.
+order. That the shuffles' draws are bounded, not masked, was checked on
+numpy 2.4.6 only. If numpy changes either call, these tests fail loudly;
+the benchmark's datasets, checked field by field against the per-image
+generator, and its pinned training totals fail with them. The benchmark's
+pinned CLI stdout digests are replayed here too, so a byte change in
+``rank``, ``uasr``, ``loss`` or ``gradcheck`` shows in the regular suite.
 """
 
 import importlib.util
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_reference import differing_fields, generate_synthetic_loop
 from rca import trainer
 from rca.tags import subsample
 
@@ -148,8 +150,8 @@ def test_bounded_shuffle_and_large_pool_equal_the_choice_stream(k, fraction):
     assert bulk.bit_generator.state == loop.bit_generator.state
 
 
-def test_a_tail_shuffled_pool_departs_with_valid_rows():
-    """Past 10,000 with m > k // 50, ``choice`` shuffles the pool's tail; these rows depart from it."""
+def test_a_tail_shuffled_pool_equals_the_choice_stream():
+    """Past 10,000 with m > k // 50, ``choice`` shuffles the pool's tail, and so do these rows."""
     k, fraction = 10_001, 0.5
     first, again, loop = (np.random.default_rng(0) for _ in range(3))
     got = trainer._draw_subsets(first, 2, k, fraction)
@@ -157,7 +159,30 @@ def test_a_tail_shuffled_pool_departs_with_valid_rows():
     assert np.array_equal(got, trainer._draw_subsets(again, 2, k, fraction))
     assert (np.diff(got, axis=-1) > 0).all()  # sorted and distinct
     assert got.min() >= 0 and got.max() < k
-    assert not np.array_equal(got, _loop(loop, 2, k, fraction))
+    assert np.array_equal(got, _loop(loop, 2, k, fraction))
+    assert first.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("pop, size", [
+    (10_001, 200),  # the last Floyd size past a pool of 10,000
+    (10_001, 201), (10_001, 5_001), (10_001, 10_001), (12_345, 300), (20_000, 10_000),
+])
+def test_choice_picks_equal_choice_in_both_regimes(pop, size):
+    bulk, loop = np.random.default_rng(3), np.random.default_rng(3)
+    bounds = trainer._choice_bounds(pop, size)
+    draws = bulk.integers(0, bounds, size=(3, len(bounds)), endpoint=True)
+    want = [loop.choice(pop, size, replace=False) for _ in range(3)]
+    assert np.array_equal(trainer._choice_picks(draws, pop, size), want)
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)
+@pytest.mark.parametrize("seed", [0, 31, 63])
+def test_benchmark_dataset_equals_the_per_image_generator(name, seed):
+    """The benchmark's own datasets, field by field, against the per-image generator."""
+    config = workloads.TrainWorkload(name, seed).synthetic
+    assert differing_fields(trainer.generate_synthetic(config),
+                            generate_synthetic_loop(config)) == []
 
 
 @pytest.mark.parametrize("name", workloads.TRAIN_SHAPES)
