@@ -120,17 +120,18 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
 
     Tags come from the record, or from ranking when it has none. The
     checks are those a one-record run makes, in its order: an even tag
-    count of at least 2, each tag in the vocabulary, scores that are
-    cosines, and, with ``cosines`` (selection runs), the record's
-    region-by-pool cosines, which reject a row whose norm is zero or
-    overflows. So the first bad record is the one reported. Returns each
+    count of at least 2, each tag in the vocabulary, no tag listed twice,
+    scores that are cosines, and, with ``cosines`` (selection runs), the
+    record's region-by-pool cosines, which reject a row whose norm is zero
+    or overflows. So the first bad record is the one reported. Returns each
     record's tags and, per (R, P, K) group in order of first appearance,
     its record positions, its corpus, and the tables the corpus rows
     index: the vocabulary, the group's caption nouns and its regions.
     """
     index = {tag_id: i for i, (tag_id, _) in enumerate(vocab)}
     table = np.array([emb for _, emb in vocab])
-    ranked = rank_corpus((rec.image_embedding for rec in records if rec.tags is None), vocab, m)
+    ranked = rank_corpus(((rec.image_id, rec.image_embedding) for rec in records
+                          if rec.tags is None), vocab, m)
     all_tags, all_rows, all_cosines, members = [], [], [], {}
     for i, rec in enumerate(records):
         if rec.tags is None:
@@ -148,6 +149,9 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
                     f"image {rec.image_id!r}: tag {t.tag_id!r} not in vocabulary"
                 )
             rows.append(index[t.tag_id])
+        if len(set(rows)) < len(rows):
+            twice = next(t.tag_id for j, t in enumerate(tags) if rows[j] in rows[:j])
+            raise ValidationError(f"image {rec.image_id!r}: tag {twice!r} is listed twice")
         k = len(tags) // 2
         check_cosines([t.score for t in tags[:k]], image=rec.image_id)
         if cosines:
@@ -182,7 +186,7 @@ def cmd_rank(args) -> tuple[int, list[str]]:
         _check_writable(args.out)
     vocab, records = _load_corpus(args)
     k = args.M // 2
-    ranked = list(rank_corpus((rec.image_embedding for rec in records), vocab, args.M))
+    ranked = list(rank_corpus(((r.image_id, r.image_embedding) for r in records), vocab, args.M))
     lines = [
         to_json(
             {

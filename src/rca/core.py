@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyInputError, ValidationError
+from .errors import (ConfigError, DegenerateEmbeddingError, DimensionError, EmptyInputError,
+                     ValidationError)
 
 __all__ = [
     "ContrastiveInstance",
@@ -53,6 +54,7 @@ __all__ = [
     "as_vector",
     "check_addressable",
     "check_cosines",
+    "check_norms",
     "compat_forward",
     "compat_backward",
     "compatibility",
@@ -111,6 +113,22 @@ def check_cosines(scores, image: str | None = None) -> None:
     if np.abs(scores).max() > 1.0 + 1e-9:
         prefix = "" if image is None else f"image {image!r}: "
         raise ValidationError(f"{prefix}global_scores must be cosines in [-1, 1]")
+
+
+def check_norms(norms, name) -> None:
+    """Raise :class:`DegenerateEmbeddingError` for the first row whose norm is zero or not finite.
+
+    Such a row has no cosine. ``norms`` are row norms the caller has taken,
+    of any shape, read in C order; the caller's arithmetic stays its own.
+    ``name(i)`` names the row at index ``i`` along the last axis (0 for a
+    single norm), as in ``image 'img-b': region 0``.
+    """
+    bad = (norms == 0.0) | ~np.isfinite(norms)
+    if bad.any():
+        first = int(np.argmax(bad))
+        row = first % np.shape(norms)[-1] if np.ndim(norms) else 0
+        what = "zero norm" if np.ravel(norms)[first] == 0.0 else "an overflowing norm"
+        raise DegenerateEmbeddingError(f"{name(row)} has {what}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ class InvalidWeightError(ValidationError):
 
 
 class DegenerateEmbeddingError(ValidationError):
-    """Cosine similarity requested for a zero-norm vector."""
+    """A cosine was requested for a row whose norm is zero or overflows."""
 
 
 class InsufficientVocabularyError(ValidationError):

@@ -14,8 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import as_vector
-from .errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
+from .core import as_vector, check_norms
+from .errors import ConfigError, DimensionError, InsufficientVocabularyError
 
 __all__ = ["TagRef", "rank_corpus", "rank_tags", "subsample"]
 
@@ -33,38 +33,33 @@ def _vocabulary_table(vocabulary: Sequence[tuple], ids: list[str], dim: int):
     rows = [np.asarray(e, dtype=np.float64) for _, e in vocabulary]
     for tag_id, row in zip(ids, rows):
         if row.shape != (dim,):
-            raise DegenerateEmbeddingError(
+            raise DimensionError(
                 f"vocabulary tag {tag_id!r} has embedding shape {row.shape}, "
-                f"but image 0 has dim {dim}"
+                f"but the first image has dim {dim}"
             )
     emb = np.array(rows)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norms = np.linalg.norm(emb, axis=1)
-    if (norms == 0.0).any():
-        bad = ids[int(np.argmin(norms))]
-        raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has zero-norm embedding")
-    if not np.isfinite(norms).all():
-        bad = ids[int(np.argmin(np.isfinite(norms)))]
-        raise DegenerateEmbeddingError(f"vocabulary tag {bad!r} has an overflowing embedding norm")
+    check_norms(norms, lambda i: f"vocabulary tag {ids[i]!r}")
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return emb, norms, id_rank
 
 
 def rank_corpus(
-    image_embeddings: Iterable, vocabulary: Sequence[tuple], M: int
+    images: Iterable[tuple], vocabulary: Sequence[tuple], M: int
 ) -> Iterator[list[TagRef]]:
     """Per image, the M vocabulary tags most cosine-similar to it, best first.
 
-    ``vocabulary`` is a sequence of (tag_id, embedding) pairs. Ties are
-    broken by ascending tag_id so the result is deterministic regardless
-    of vocabulary order. The first M / 2 tags are the positives, the rest
-    the negatives. A generator: the vocabulary matrix, its norms and the
-    tag-id order are built once, at the first image, and each image then
-    costs one matrix-vector product and one ``lexsort``. Each image is
-    checked when its list is drawn, so a caller drawing lists between its
-    own per-record checks sees every error in record order. A dim mismatch
-    names the image by its position among ``image_embeddings``.
+    ``images`` and ``vocabulary`` are iterables of (id, embedding) pairs;
+    an image id of None names no record. Ties are broken by ascending
+    tag_id so the result is deterministic regardless of vocabulary order.
+    The first M / 2 tags are the positives, the rest the negatives. A
+    generator: the vocabulary matrix, its norms and the tag-id order are
+    built once, at the first image, and each image then costs one
+    matrix-vector product and one ``lexsort``. Each image is checked when
+    its list is drawn, so a caller drawing lists between its own
+    per-record checks sees every error in record order.
     """
     if M < 2 or M % 2 != 0:
         raise ConfigError(f"M must be a positive even integer, got {M}")
@@ -74,20 +69,17 @@ def rank_corpus(
         )
     ids = [tag_id for tag_id, _ in vocabulary]
     emb = None
-    for position, image in enumerate(image_embeddings):
+    for image_id, image in images:
         img = as_vector(image, "image_embedding")
+        name = "image embedding" if image_id is None else f"image {image_id!r}: embedding"
         with np.errstate(over="ignore"):
             img_norm = np.linalg.norm(img)
-        if img_norm == 0.0:
-            raise DegenerateEmbeddingError("image embedding has zero norm")
-        if img_norm == np.inf:
-            raise DegenerateEmbeddingError("image embedding has an overflowing norm")
+        check_norms(img_norm, lambda _: name)
         if emb is None:
             emb, norms, id_rank = _vocabulary_table(vocabulary, ids, img.shape[0])
         elif emb.shape[1] != img.shape[0]:
-            raise DegenerateEmbeddingError(
-                f"image {position} has dim {img.shape[0]}, "
-                f"but the vocabulary has dim {emb.shape[1]}"
+            raise DimensionError(
+                f"{name} has dim {img.shape[0]}, but the vocabulary has dim {emb.shape[1]}"
             )
         scores = (emb @ img) / (norms * img_norm)
         order = np.lexsort((id_rank, -scores))[:M]
@@ -99,7 +91,7 @@ def rank_tags(image_embedding, vocabulary: Sequence[tuple], M: int) -> list[TagR
 
     The one-image case of :func:`rank_corpus`.
     """
-    return next(rank_corpus([image_embedding], vocabulary, M))
+    return next(rank_corpus([(None, image_embedding)], vocabulary, M))
 
 
 def _take(seq, indices):

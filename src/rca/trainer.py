@@ -300,7 +300,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         negatives = np.take_along_axis(absent, absent_picks, axis=1)
         positives = present.copy()
         pos_embs, neg_embs = block_embs[:, -2], block_embs[:, -1]
-        # a norm that overflows reads inf or nan here, and pool_cosines rejects it
+        # a norm that overflows reads inf or nan here; pool_cosines rejects the first such
+        # row, named by its place in its image (the generator has no record ids)
         with np.errstate(over="ignore", invalid="ignore"):
             if sigma != 0.0:
                 region_embs[part] = block_embs[:, 0]
@@ -685,7 +686,7 @@ def evaluate_retrieval(dataset: SyntheticDataset, state: TrainState) -> float:
         num = tags @ regions.swapaxes(-1, -2)
         den = rnorm[:, None, :] * tnorm[:, :, None]
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
-        raise DegenerateEmbeddingError("retrieval cosine undefined for rows whose norm overflows")
+        raise DegenerateEmbeddingError("retrieval cosine has an overflowing norm or dot product")
     cos = num / den
     winners = np.take_along_axis(dataset.region_concepts, cos.argmax(axis=-1), axis=1)
     hits = winners == dataset.positive_concepts

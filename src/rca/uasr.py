@@ -17,7 +17,9 @@ Both functions return a :class:`UasrResult`, which holds the selected
 rows by index with the batch axes kept; its :meth:`~UasrResult.row` is
 one image's selection. The losses gather the embeddings they see from
 those indices, after :func:`check_selection` has compared the selection
-with the instance.
+with the instance. :func:`pool_cosines` rejects a region or pool row
+with no cosine through :func:`rca.core.check_norms`, the one such rule
+that ranking shares, naming the record and the row.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ContrastiveInstance, _sum_last
-from .errors import DegenerateEmbeddingError, ValidationError
+from .core import ContrastiveInstance, _sum_last, check_norms
+from .errors import ValidationError
 
 __all__ = [
     "UasrResult",
@@ -98,33 +100,21 @@ def check_selection(uasr: UasrResult, k: int) -> None:
         raise ValidationError("kept negatives must not appear in the retrieved set")
 
 
-def _checked_norms(*arrays: np.ndarray, image: str | None = None) -> list[np.ndarray]:
-    """Row norms along each array's last axis, each positive and finite.
-
-    A zero or overflowing norm raises :class:`DegenerateEmbeddingError`;
-    ``image`` names the record in the message.
-    """
-    with np.errstate(over="ignore"):  # an overflowing norm reads inf, rejected below
-        norms = [np.linalg.norm(a, axis=-1) for a in arrays]
-    prefix = "" if image is None else f"image {image!r}: "
-    if any((n == 0.0).any() for n in norms):
-        raise DegenerateEmbeddingError(f"{prefix}cosine undefined for zero-norm rows")
-    if not all(np.isfinite(n).all() for n in norms):
-        raise DegenerateEmbeddingError(
-            f"{prefix}cosine undefined for rows whose norm overflows"
-        )
-    return norms
-
-
 def pool_cosines(regions, positives, negatives, image: str | None = None) -> np.ndarray:
     """Region-by-pool cosines, shape (..., R, 2K): pool slots are the positives, then the negatives.
 
     Leading axes are batch axes. A row whose norm is zero or overflows has
-    no cosine and raises :class:`DegenerateEmbeddingError`; ``image`` names
-    the record in the message.
+    no cosine: :func:`~rca.core.check_norms` rejects the first such row,
+    regions before pool rows, and names it by its place in its image, as
+    ``region 0`` or ``negative 1``; ``image`` names the record.
     """
     pool = np.concatenate([positives, negatives], axis=-2)
-    rn, pn = _checked_norms(regions, pool, image=image)
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, rejected below
+        rn, pn = np.linalg.norm(regions, axis=-1), np.linalg.norm(pool, axis=-1)
+    prefix = "" if image is None else f"image {image!r}: "
+    k = positives.shape[-2]
+    check_norms(rn, lambda i: f"{prefix}region {i}")
+    check_norms(pn, lambda i: f"{prefix}positive {i}" if i < k else f"{prefix}negative {i - k}")
     return (regions @ pool.swapaxes(-1, -2)) / (rn[..., :, None] * pn[..., None, :])
 
 

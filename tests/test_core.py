@@ -13,11 +13,13 @@ from rca.core import (
     as_matrix,
     as_vector,
     check_addressable,
+    check_norms,
     compat_forward,
     compatibility,
     scatter_add,
 )
-from rca.errors import ConfigError, DimensionError, EmptyInputError, ValidationError
+from rca.errors import (ConfigError, DegenerateEmbeddingError, DimensionError, EmptyInputError,
+                        ValidationError)
 
 from naive_reference import naive_compatibility
 
@@ -71,6 +73,23 @@ class TestCoercions:
         # numpy refuses one entry more before allocating anything
         with pytest.raises(ValueError, match="too big"):
             np.empty(most + 1)
+
+    def test_check_norms_names_the_first_bad_row(self):
+        name = "row {}".format
+        check_norms(np.array([[1.0, 2.0], [3.0, 4.0]]), name)
+        check_norms(np.float64(2.0), name)
+        # rows are read in C order, and the last-axis index names the row
+        norms = np.array([[1.0, 2.0, 3.0], [4.0, np.inf, 0.0]])
+        with pytest.raises(DegenerateEmbeddingError, match="^row 1 has an overflowing norm$"):
+            check_norms(norms, name)
+        norms[1, 1] = 5.0
+        with pytest.raises(DegenerateEmbeddingError, match="^row 2 has zero norm$"):
+            check_norms(norms, name)
+        # NaN, which an overflow can produce on the way to a norm, has no cosine either
+        with pytest.raises(DegenerateEmbeddingError, match="^row 0 has an overflowing norm$"):
+            check_norms(np.array([np.nan, 0.0]), name)
+        with pytest.raises(DegenerateEmbeddingError, match="^row 0 has zero norm$"):
+            check_norms(np.float64(0.0), name)
 
 
 class TestInstance:

@@ -671,6 +671,28 @@ class TestCliCorpusErrors:
     def _zero_region(rec):
         rec.regions[0] = 0.0
 
+    @staticmethod
+    def _zero_untagged_image(rec):
+        rec.tags = None
+        rec.image_embedding[:] = 0.0
+
+    @staticmethod
+    def _big_positive(rec):
+        rec.tags[1] = dataclasses.replace(rec.tags[1], tag_id="big")
+
+    @staticmethod
+    def _big_negative(rec):
+        rec.tags[3] = dataclasses.replace(rec.tags[3], tag_id="big")
+
+    @staticmethod
+    def _negative_copies_positive(rec):
+        rec.tags[3] = dataclasses.replace(rec.tags[3], tag_id=rec.tags[0].tag_id)
+
+    @staticmethod
+    def _repeated_and_unknown(rec):
+        rec.tags[1] = dataclasses.replace(rec.tags[1], tag_id=rec.tags[0].tag_id)
+        rec.tags[3] = dataclasses.replace(rec.tags[3], tag_id="zz")
+
     CASES = {
         # name: (fault of img-b, fault of img-c, {argv: expected error line})
         "unknown-then-odd": ("_unknown_tag", "_odd_tags", {
@@ -679,10 +701,26 @@ class TestCliCorpusErrors:
             "*": "error: image 'img-b': tags list must have even length >= 2"}),
         "score-then-odd": ("_score_over_one", "_odd_tags", {
             "*": "error: image 'img-b': global_scores must be cosines in [-1, 1]"}),
+        "twice-then-unknown": ("_negative_copies_positive", "_unknown_tag", {
+            "*": "error: image 'img-b': tag 't04' is listed twice"}),
+        # a record's tags are all looked up before any is checked for a repeat
+        "twice-and-unknown-then-odd": ("_repeated_and_unknown", "_odd_tags", {
+            "*": "error: image 'img-b': tag 'zz' not in vocabulary"}),
         # a zero-norm region only has no cosine when selection runs
         "zero-region-then-unknown": ("_zero_region", "_unknown_tag", {
-            "uasr": "error: image 'img-b': cosine undefined for zero-norm rows",
-            "loss --enable_uasr": "error: image 'img-b': cosine undefined for zero-norm rows",
+            "uasr": "error: image 'img-b': region 0 has zero norm",
+            "loss --enable_uasr": "error: image 'img-b': region 0 has zero norm",
+            "loss": "error: image 'img-c': tag 'zz' not in vocabulary"}),
+        # an untagged record is ranked, with or without selection
+        "zero-image-then-unknown": ("_zero_untagged_image", "_unknown_tag", {
+            "*": "error: image 'img-b': embedding has zero norm"}),
+        "big-positive-then-unknown": ("_big_positive", "_unknown_tag", {
+            "uasr": "error: image 'img-b': positive 1 has an overflowing norm",
+            "loss --enable_uasr": "error: image 'img-b': positive 1 has an overflowing norm",
+            "loss": "error: image 'img-c': tag 'zz' not in vocabulary"}),
+        "big-negative-then-unknown": ("_big_negative", "_unknown_tag", {
+            "uasr": "error: image 'img-b': negative 1 has an overflowing norm",
+            "loss --enable_uasr": "error: image 'img-b': negative 1 has an overflowing norm",
             "loss": "error: image 'img-c': tag 'zz' not in vocabulary"}),
     }
 
@@ -696,10 +734,15 @@ class TestCliCorpusErrors:
         getattr(self, second)(records[2])
         bad = tmp_path / "two-bad.jsonl"
         write_instances(bad, records, dim)
+        # the vocabulary gains a tag whose norm overflows; only a record that lists it sees it
+        vocab, _ = read_vocab(VOCAB)
+        big_vocab = tmp_path / "big-vocab.jsonl"
+        write_vocab(big_vocab, vocab + [("big", np.array([1e200, 0.0, 0.0, 0.0]))], dim)
         command, *flags = argv.split()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli([command, VOCAB, str(bad), *flags], capsys)
+            code, out, err = run_cli([command, str(big_vocab), str(bad), "--M", "4", *flags],
+                                     capsys)
         assert (code, out) == (1, "")
         assert err == errors.get(argv, errors.get("*")) + "\n"
 
@@ -711,13 +754,13 @@ class TestCliCorpusErrors:
         out_file = tmp_path / "ranked.jsonl"
         code, out, err = run_cli(["rank", VOCAB, str(bad), "--M", "4", "--out", str(out_file)],
                                  capsys)
-        assert (code, out, err) == (1, "", "error: image embedding has zero norm\n")
+        assert (code, out, err) == (1, "", "error: image 'img-b': embedding has zero norm\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["rank", UNTAGGED], "vocabulary tag 't00' has an overflowing embedding norm"),
-        (["uasr", UNTAGGED], "vocabulary tag 't00' has an overflowing embedding norm"),
-        (["uasr", INSTANCES], "image 'img-a': cosine undefined for rows whose norm overflows"),
+        (["rank", UNTAGGED], "vocabulary tag 't00' has an overflowing norm"),
+        (["uasr", UNTAGGED], "vocabulary tag 't00' has an overflowing norm"),
+        (["uasr", INSTANCES], "image 'img-a': positive 0 has an overflowing norm"),
     ])
     def test_overflowing_vocabulary_norm_exits_one(self, argv, message, tmp_path, capsys):
         # 1e200 squared overflows, so the norm is inf and every cosine would read 0
@@ -732,7 +775,7 @@ class TestCliCorpusErrors:
     @pytest.mark.parametrize("flags, argv, code, err", [
         # numpy's overflow warning stays inside the norm check, even as an error
         (["-W", "error"], ["rank", UNTAGGED], 1,
-         "error: vocabulary tag 't00' has an overflowing embedding norm\n"),
+         "error: vocabulary tag 't00' has an overflowing norm\n"),
         # without selection no norm is taken, so nothing is checked or printed
         ([], ["loss", INSTANCES], 0, ""),
     ], ids=["rank-warnings-as-errors", "loss-without-selection"])
@@ -1147,7 +1190,7 @@ class TestCliTrainEval:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "rca", "eval", str(state_path)],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", "error: retrieval cosine undefined for rows whose norm overflows\n")
+            1, "", "error: retrieval cosine has an overflowing norm or dot product\n")
 
     def test_train_overflowing_noise_prints_only_its_error_under_warnings_as_errors(
             self, tmp_path):
@@ -1156,7 +1199,7 @@ class TestCliTrainEval:
                                "--state_out", str(tmp_path / "state.jsonl")],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", "error: cosine undefined for rows whose norm overflows\n")
+            1, "", "error: region 0 has an overflowing norm\n")
 
     def test_clamped_scores_print_only_the_warning_under_warnings_as_errors(self, tmp_path):
         state_path = tmp_path / "state.jsonl"

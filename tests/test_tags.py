@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rca.errors import ConfigError, DegenerateEmbeddingError, InsufficientVocabularyError
+from rca.errors import (ConfigError, DegenerateEmbeddingError, DimensionError,
+                        InsufficientVocabularyError)
 from rca.tags import TagRef, rank_corpus, rank_tags, subsample
 
 
@@ -45,44 +46,55 @@ class TestRankTags:
             rank_tags([1.0, 0.0], vocab, M=0)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateEmbeddingError):
+        with pytest.raises(DegenerateEmbeddingError, match="^image embedding has zero norm$"):
             rank_tags([0.0, 0.0], [("a", [1.0, 0.0]), ("b", [0.0, 1.0])], M=2)
-        with pytest.raises(DegenerateEmbeddingError):
+        with pytest.raises(DegenerateEmbeddingError, match="^vocabulary tag 'a' has zero norm$"):
             rank_tags([1.0, 0.0], [("a", [0.0, 0.0]), ("b", [0.0, 1.0])], M=2)
 
     def test_overflowing_norm_rejected(self):
         # a's norm overflows to inf, which would read its 0.89 cosine as 0
         vocab = [("a", [1e200, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0]), ("d", [-1.0, 0.0])]
-        with pytest.raises(DegenerateEmbeddingError, match="'a' has an overflowing"):
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="^vocabulary tag 'a' has an overflowing norm$"):
             rank_tags([1.0, 0.5], vocab, M=2)
-        with pytest.raises(DegenerateEmbeddingError, match="image embedding has an overflow"):
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="^image embedding has an overflowing norm$"):
             rank_tags([1e200, 0.5], vocab[1:], M=2)
+
+    def test_first_bad_vocabulary_row_wins(self):
+        # a zero norm no longer beats an earlier overflowing one
+        vocab = [("a", [1.0, 0.0]), ("b", [1e200, 0.0]), ("c", [0.0, 0.0])]
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="^vocabulary tag 'b' has an overflowing norm$"):
+            rank_tags([1.0, 0.5], vocab, M=2)
 
     def test_ragged_vocabulary_rejected(self):
         vocab = [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])]
-        with pytest.raises(DegenerateEmbeddingError,
-                           match=r"^vocabulary tag 'b' has embedding shape \(3,\), but image 0 has dim 2$"):
+        with pytest.raises(DimensionError, match=r"^vocabulary tag 'b' has embedding shape "
+                                                 r"\(3,\), but the first image has dim 2$"):
             rank_tags([1.0, 0.0], vocab, M=2)
-        with pytest.raises(DegenerateEmbeddingError,
-                           match=r"^vocabulary tag 'a' has embedding shape \(2,\), but image 0 has dim 3$"):
+        with pytest.raises(DimensionError, match=r"^vocabulary tag 'a' has embedding shape "
+                                                 r"\(2,\), but the first image has dim 3$"):
             rank_tags([1.0, 0.0, 0.0], [("a", [1.0, 0.0]), ("b", [0.0, 1.0])], M=2)
 
     def test_corpus_ranking_is_the_one_image_ranking(self):
         rng = np.random.default_rng(5)
         vocab = [(f"t{i:02d}", rng.standard_normal(6)) for i in range(30)]
         images = rng.standard_normal((4, 6))
-        assert list(rank_corpus(images, vocab, 8)) == [rank_tags(im, vocab, 8) for im in images]
+        ranked = rank_corpus(((f"img-{i}", im) for i, im in enumerate(images)), vocab, 8)
+        assert list(ranked) == [rank_tags(im, vocab, 8) for im in images]
 
     def test_corpus_ranking_checks_each_image_when_drawn(self):
         vocab = [("a", [1.0, 0.0]), ("b", [0.0, 1.0])]
-        ranked = rank_corpus([[1.0, 0.0], [0.0, 0.0]], vocab, 2)
-        assert next(ranked)[0].tag_id == "a"
-        with pytest.raises(DegenerateEmbeddingError, match="image embedding has zero norm"):
-            next(ranked)
-        ranked = rank_corpus([[1.0, 0.0], [1.0, 0.0, 0.0]], vocab, 2)
+        ranked = rank_corpus([("img-a", [1.0, 0.0]), ("img-b", [0.0, 0.0])], vocab, 2)
         assert next(ranked)[0].tag_id == "a"
         with pytest.raises(DegenerateEmbeddingError,
-                           match="^image 1 has dim 3, but the vocabulary has dim 2$"):
+                           match="^image 'img-b': embedding has zero norm$"):
+            next(ranked)
+        ranked = rank_corpus([("img-a", [1.0, 0.0]), ("img-b", [1.0, 0.0, 0.0])], vocab, 2)
+        assert next(ranked)[0].tag_id == "a"
+        with pytest.raises(DimensionError,
+                           match="^image 'img-b': embedding has dim 3, but the vocabulary has dim 2$"):
             next(ranked)
 
     def test_excluded_entries_score_no_higher(self):

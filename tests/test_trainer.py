@@ -146,6 +146,14 @@ class TestGeneration:
             TrainerConfig(subsample_fraction=0.0)
         with pytest.raises(ConfigError):
             TrainerConfig(learning_rate=-1.0)
+        with pytest.raises(ConfigError, match="^need at least 2 concepts$"):
+            SyntheticConfig(n_concepts=1)
+        with pytest.raises(ConfigError, match="^embedding dimension must be positive$"):
+            SyntheticConfig(d=0)
+        with pytest.raises(ConfigError, match="^need at least 1 image$"):
+            SyntheticConfig(n_images=0)
+        with pytest.raises(ConfigError, match="^batch_size must be positive$"):
+            TrainerConfig(batch_size=0)
 
     @pytest.mark.parametrize("config_class, field, value", [
         (SyntheticConfig, "n_concepts", 10.5),
@@ -203,7 +211,8 @@ class TestStates:
         state.tag_table[concept] = 0.0
         assert 0.0 < evaluate_retrieval(ds, state) < 1.0
         state.tag_table[concept, 0] = 1e200
-        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+        with pytest.raises(DegenerateEmbeddingError,
+                           match="^retrieval cosine has an overflowing norm or dot product$"):
             evaluate_retrieval(ds, state)
 
     def test_random_tables_score_near_chance(self):

@@ -84,9 +84,31 @@ class TestLocalUncertainty:
 
     def test_overflowing_norm_rejected(self):
         big, unit = np.array([[1e200, 0.0]]), np.array([[1.0, 0.0]])
-        for regions, positives in ((big, unit), (unit, big)):
-            with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+        for regions, positives, row in ((big, unit, "region 0"), (unit, big, "positive 0")):
+            with pytest.raises(DegenerateEmbeddingError,
+                               match=f"^{row} has an overflowing norm$"):
                 pool_cosines(regions, positives, np.array([[0.0, 1.0]]))
+
+    def test_first_bad_row_is_named_regions_then_positives_then_negatives(self):
+        regions = np.array([[1.0, 0.0], [0.0, 1.0]])
+        positives = np.array([[1.0, 0.0], [0.0, 1.0]])
+        negatives = np.array([[1.0, 1.0], [0.0, 0.0]])
+
+        def error():
+            with pytest.raises(DegenerateEmbeddingError) as info:
+                pool_cosines(regions, positives, negatives, image="img-a")
+            return str(info.value)
+
+        assert error() == "image 'img-a': negative 1 has zero norm"
+        positives[1, 0] = 1e200  # an earlier overflow wins over a later zero
+        assert error() == "image 'img-a': positive 1 has an overflowing norm"
+        regions[1] = 0.0
+        assert error() == "image 'img-a': region 1 has zero norm"
+        # in a batch, every image's regions come before any pool row
+        batch = np.stack([np.ones((2, 2)), np.array([[1.0, 1.0], [1e200, 0.0]])])
+        pool = np.stack([np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]])])
+        with pytest.raises(DegenerateEmbeddingError, match="^region 1 has an overflowing norm$"):
+            pool_cosines(batch, pool, pool)
 
 
 class TestRetrieve:
