@@ -16,9 +16,9 @@ subcommands (rank, uasr, loss) treat an instances file with a header but
 no records as unparseable input (2). uasr and loss check every record,
 in file order, before computing any, so a failing corpus call reports its
 first bad record. Then each group of records of one shape becomes one
-corpus of the trainer's, run through the trainer's selection and loss
-helpers. rank checks that its --out path can be written before it reads
-its input, and train that its output paths can be written before it
+:class:`rca.losses.Corpus`, run through the selection and loss passes
+training runs. rank checks that its --out path can be written before it
+reads its input, and train that its output paths can be written before it
 generates any data.
 
 :func:`main` builds the parser per call for the subcommand its argv
@@ -61,20 +61,10 @@ from .io import (
     write_instances,
     write_state,
 )
+from .losses import Corpus, corpus_losses, corpus_selection
 from .tags import rank_corpus
-from .trainer import (
-    TrainState,
-    _Corpus,
-    _losses,
-    _select,
-    _selection,
-    aligned_state,
-    evaluate_retrieval,
-    generate_synthetic,
-    initial_state,
-    train_alignment,
-)
-from .uasr import apply_uasr, pool_cosines, warn_clamped
+from .trainer import evaluate_retrieval, generate_synthetic, initial_state, train_alignment
+from .uasr import apply_uasr, pool_cosines, select_corpus, warn_clamped
 
 __all__ = ["main", "build_parser"]
 
@@ -165,16 +155,16 @@ def _corpus_groups(records, vocab, m: int, cosines: bool):
     groups = []
     for (r, p, k), idx in members.items():
         b, rows = len(idx), np.array([all_rows[i] for i in idx])
-        corpus = _Corpus(
+        corpus = Corpus(
             positive_concepts=rows[:, :k], negative_concepts=rows[:, k:],
             caption_concepts=np.arange(b * p).reshape(b, p),
             region_rows=np.arange(b * r).reshape(b, r),
             global_scores=np.array([[t.score for t in all_tags[i][:k]] for i in idx]),
             cosines=np.stack([all_cosines[i] for i in idx]) if cosines else None,
         )
-        state = TrainState(table, np.concatenate([records[i].caption_noun_matrix() for i in idx]),
-                           np.concatenate([records[i].regions for i in idx]))
-        groups.append((idx, corpus, state))
+        tables = (table, np.concatenate([records[i].caption_noun_matrix() for i in idx]),
+                  np.concatenate([records[i].regions for i in idx]))
+        groups.append((idx, corpus, tables))
     return all_tags, groups
 
 
@@ -212,7 +202,7 @@ def cmd_uasr(args) -> tuple[int, list[str]]:
     lines = [""] * len(records)
     clamped = 0
     for members, corpus, _ in groups:
-        sel = _select(corpus, np.arange(len(members)), args.normalize)
+        sel = select_corpus(corpus, np.arange(len(members)), args.normalize)
         clamped += int(sel.clamped.sum())
         k = sel.positive_indices.shape[1]
         for b, i in enumerate(members):
@@ -241,10 +231,10 @@ def cmd_loss(args) -> tuple[int, list[str]]:
     clamped = 0
     # huge finite entries can overflow on the way to a loss or its mean; rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for members, corpus, state in groups:
+        for members, corpus, tables in groups:
             images = np.arange(len(members))
-            sel = _selection(corpus, images, args.enable_uasr, args.normalize)
-            losses[members], _ = _losses(corpus, state, images, sel, lambdas)
+            sel = corpus_selection(corpus, images, args.enable_uasr, args.normalize)
+            losses[members], _ = corpus_losses(corpus, tables, images, sel, lambdas)
             clamped += int(sel.clamped.sum())
         bad = np.flatnonzero(~np.isfinite(losses).all(axis=1))
         if bad.size:
@@ -313,10 +303,7 @@ def cmd_train(args) -> tuple[int, list[str]]:
         if path:
             _check_writable(path)
     dataset = generate_synthetic(syn)
-    if args.init == "aligned":
-        state = aligned_state(dataset)
-    else:
-        state = initial_state(dataset, seed=trainer_cfg.seed, region_init=args.init)
+    state = initial_state(dataset, seed=trainer_cfg.seed, init=args.init)
     state, history = train_alignment(dataset, trainer_cfg, state)
 
     lines = [

@@ -21,14 +21,15 @@ the selection result fixed while perturbing embeddings.
 
 The kernels that evaluate these (:func:`rca.core.compat_forward` and
 :func:`rca.core.compat_backward` for phi, :func:`rca.losses.batch_loss`
-for the loss) take leading batch axes, so the trainer evaluates a whole
-block of images per call; :func:`loss_and_grad` is the one-image case,
-and :func:`finite_diff_grad` runs an instance's nudged copies as the rows
-of forward-only batches.
+for the loss) take leading batch axes; one corpus pass,
+:func:`rca.losses.corpus_losses`, calls them for training, for
+:func:`loss_and_grad` on a one-image corpus, and for
+:func:`finite_diff_grad` on corpora of an instance's nudged copies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import ContrastiveInstance, scatter_add
 from .errors import ConfigError
-from .losses import GradientBundle, LossBreakdown, _selected_loss
+from .losses import GradientBundle, LossBreakdown, corpus_losses, one_image_corpus
 
 if TYPE_CHECKING:
     from .uasr import UasrResult
@@ -48,7 +49,7 @@ __all__ = [
     "gradient_check",
 ]
 
-_BLOCK = 64  # nudged copies per batch_loss call in finite_diff_grad
+_BLOCK = 64  # nudged copies per corpus_losses call in finite_diff_grad
 
 
 def loss_and_grad(
@@ -59,30 +60,20 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, GradientBundle]:
     """Total loss together with its gradients w.r.t. all four tables.
 
-    The single-image case of :func:`rca.losses.batch_loss`, through the
-    same path as :func:`rca.losses.total_loss`, so the breakdowns are
-    equal. When a selection result is supplied, the per-filtered-row
-    gradients are scatter-added back onto the source rows (a row picked
-    twice by oversampling accumulates both contributions).
+    The one-image corpus pass of :func:`rca.losses.total_loss`, with
+    gradients, so the breakdowns are equal. The tag gradient rows fold onto the
+    positives-then-negatives table with one :func:`rca.core.scatter_add`,
+    as a training step folds them, so a row picked twice sums both.
     """
-    total, cross, inner, grads = _selected_loss(
-        instance.regions[None], instance.positives[None], instance.negatives[None],
-        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad=True,
+    corpus, sel, tables = one_image_corpus(instance, uasr)
+    table, (d_tags, d_caption, d_regions) = corpus_losses(
+        corpus, tables, np.arange(1), sel, (lambda_cross, lambda_inner), with_grad=True
     )
-    d_wp, d_wn = grads.d_positives[0], grads.d_negatives[0]
-    if uasr is None:
-        d_positives, d_negatives = d_wp, d_wn
-    else:
-        k = instance.positives.shape[0]
-        d_positives = scatter_add(uasr.positive_indices, d_wp, k)
-        d_negatives = scatter_add(uasr.negative_indices, d_wn, k)
-
-    breakdown = LossBreakdown(float(cross[0]), float(inner[0]), float(total[0]))
-    return breakdown, GradientBundle(
-        d_regions=grads.d_regions[0],
-        d_positives=d_positives,
-        d_negatives=d_negatives,
-        d_caption_nouns=grads.d_caption_nouns[0],
+    k = instance.positives.shape[0]
+    tag_rows = np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1)
+    d_tag_table = scatter_add(tag_rows, d_tags, 2 * k)
+    return LossBreakdown(*table[0].tolist()), GradientBundle(
+        d_regions[0], d_tag_table[:k], d_tag_table[k:], d_caption[0]
     )
 
 
@@ -97,33 +88,47 @@ def finite_diff_grad(
 
     Evaluates the same objective as :func:`loss_and_grad` (selection held
     fixed) with central differences (f(x + h e_i) - f(x - h e_i)) / 2h.
-    Each table's nudged copies of the instance are the rows of forward-only
-    :func:`rca.losses.batch_loss` calls, up to ``_BLOCK`` copies per call;
-    each row's loss is bitwise that of the copy evaluated alone. The
-    instance is not modified.
+    The one-image corpus's tag, caption and region tables are nudged in
+    turn. Up to ``_BLOCK`` nudged copies are the images of one forward-only
+    :func:`rca.losses.corpus_losses` pass; each image's loss is bitwise
+    that of its copy evaluated alone. The instance is not modified.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ConfigError(f"step size h={h} outside [1e-7, 1e-3]")
 
-    tables = (instance.regions, instance.positives, instance.negatives, instance.caption_nouns)
+    corpus, sel, tables = one_image_corpus(instance, uasr)
     numeric = []
     for which, table in enumerate(tables):
         flat = table.reshape(-1)
         # copy 2i nudges entry i by +h, copy 2i + 1 by -h
         entries = np.repeat(np.arange(flat.size), 2)
         nudged = flat[entries] + np.tile([h, -h], flat.size)
+        # image j's rows of the nudged table index copy j in a stack of copies;
+        # its other rows index the shared tables
+        b = min(_BLOCK, entries.size)
+        shift = [np.arange(b)[:, None] * (len(table) if t == which else 0) for t in range(3)]
+        copies = dataclasses.replace(corpus, caption_concepts=corpus.caption_concepts + shift[1],
+                                     region_rows=corpus.region_rows + shift[2])
+        copies_sel = sel._replace(
+            positive_concepts=sel.positive_concepts + shift[0],
+            negative_concepts=sel.negative_concepts + shift[0],
+            weights=None if sel.weights is None else np.repeat(sel.weights, b, axis=0))
+        stack = np.tile(flat, b)
+        copies_tables = list(tables)
+        copies_tables[which] = stack.reshape(-1, table.shape[1])
         totals = np.empty(entries.size)
         for start in range(0, entries.size, _BLOCK):
             rows = np.arange(start, min(start + _BLOCK, entries.size))
-            copies = np.tile(flat, (rows.size, 1))
-            copies[rows - start, entries[rows]] = nudged[rows]
-            stacked = [np.broadcast_to(t, (rows.size,) + t.shape) for t in tables]
-            stacked[which] = copies.reshape((rows.size,) + table.shape)
-            totals[rows] = _selected_loss(
-                *stacked, uasr, lambda_cross, lambda_inner, with_grad=False
-            )[0]
+            at = (rows - start) * flat.size + entries[rows]
+            stack[at] = nudged[rows]
+            losses, _ = corpus_losses(copies, copies_tables, rows - start,
+                                      copies_sel.take(slice(len(rows))),
+                                      (lambda_cross, lambda_inner))
+            totals[rows] = losses[:, 2]
+            stack[at] = flat[entries[rows]]
         numeric.append(((totals[0::2] - totals[1::2]) / (2.0 * h)).reshape(table.shape))
-    return GradientBundle(*numeric)
+    k = instance.positives.shape[0]
+    return GradientBundle(numeric[2], numeric[0][:k], numeric[0][k:], numeric[1])
 
 
 def _elementwise_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:

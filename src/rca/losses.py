@@ -8,9 +8,12 @@ words; either one may scale each positive's term by a confidence weight
 q > 0.
 
 One kernel computes every loss: :func:`batch_loss` over a leading batch
-axis, with its gradients. :func:`total_loss` is its one-image case, a
-batch of one. All losses are computed through log-sum-exp so large
-compatibility values cannot overflow.
+axis, with its gradients. One pass calls it, :func:`corpus_losses`, over
+images of a :class:`Corpus` under the tag rows :func:`corpus_selection`
+picks: training and ``rca loss`` over their corpora, :func:`total_loss`
+and the gradient functions over a one-image corpus. All losses are
+computed through log-sum-exp so large compatibility values cannot
+overflow.
 
 Short reductions fold column by column, with numpy's results (see
 :mod:`rca.core`). The log-sum-exp takes its maximum as the positive's
@@ -23,6 +26,7 @@ contiguous row; it is the order the pinned losses and goldens hold.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +40,19 @@ from .core import (
     compat_forward,
 )
 from .errors import InvalidWeightError
-from .uasr import UasrResult, check_selection
+from .uasr import UasrResult, check_selection, select_corpus
 
 __all__ = [
+    "Corpus",
     "GradientBundle",
     "LossBreakdown",
     "batch_loss",
+    "corpus_losses",
+    "corpus_selection",
     "total_loss",
 ]
+
+BLOCK = 256  # images per loss pass in corpus_losses
 
 
 def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
@@ -135,7 +144,7 @@ def batch_loss(
     image's rows are C-contiguous (a broadcast batch axis is fine; on
     strided rows matmul sums in another order). Arrays are not validated;
     :class:`ContrastiveInstance` and :func:`rca.uasr.check_selection`
-    check them at the boundary.
+    check them at the boundary, and the corpus CLI checks its records.
     """
     if not (0.0 <= lambda_cross < math.inf and 0.0 <= lambda_inner < math.inf):
         raise InvalidWeightError("lambda weights must be finite and non-negative")
@@ -170,31 +179,113 @@ class LossBreakdown:
     total: float
 
 
-def _selected_loss(regions, positives, negatives, caption_nouns, uasr,
-                   lambda_cross, lambda_inner, with_grad):
-    """Tables with a leading batch axis through :func:`batch_loss`, under one selection.
+@dataclass
+class Corpus:
+    """Images on the leading axis, as rows of a tag, a caption and a region table.
 
-    With a selection result, every row of the batch sees the same
-    selection: its tag rows re-gathered by the stored source indices, so
-    the loss always reflects the current embeddings, and its frozen
-    selection-time weights. The selection is checked against the tables'
-    K first (:func:`rca.uasr.check_selection`). Returns ``(total, cross,
-    inner, grads)``: (B,) arrays with total = lambda_cross * cross +
-    lambda_inner * inner, and the gradients of the rows the loss saw.
+    Each image contrasts K positive tags (by descending global score) with
+    K negatives, in the context of its R regions and of its P caption
+    nouns: rows of the tag, region and caption tables. ``cosines`` are the
+    frozen region-by-pool cosines (positives, then negatives) selection
+    reads; None where no selection runs.
     """
-    q = None
+
+    positive_concepts: np.ndarray  # (n, K)
+    negative_concepts: np.ndarray  # (n, K)
+    caption_concepts: np.ndarray   # (n, P)
+    region_rows: np.ndarray        # (n, R)
+    global_scores: np.ndarray      # (n, K) the positives' global scores
+    cosines: np.ndarray | None     # (n, R, 2K)
+
+    def __len__(self) -> int:
+        return self.positive_concepts.shape[0]
+
+
+class _Selection(typing.NamedTuple):
+    """The tag concepts some images contrast, with their weights and clamp counts."""
+
+    positive_concepts: np.ndarray  # (b, K)
+    negative_concepts: np.ndarray  # (b, K)
+    weights: np.ndarray | None     # (b, K), None without selection
+    clamped: np.ndarray            # (b,) global scores clamped, with multiplicity
+
+    def take(self, part: slice) -> "_Selection":
+        """The rows in the slice ``part``."""
+        return _Selection(*(None if f is None else f[part] for f in self))
+
+
+def corpus_selection(corpus, images, enable, normalize, subsets=None) -> _Selection:
+    """The tag-table rows ``images`` contrast, selected if ``enable``.
+
+    Selection and ``subsets`` as in :func:`rca.uasr.select_corpus`.
+    """
+    rows = np.arange(len(images))[:, None]
+    pos_concepts = corpus.positive_concepts[images]
+    neg_concepts = corpus.negative_concepts[images]
+    if subsets is not None:
+        pos_concepts = pos_concepts[rows, subsets[:, 0]]
+        neg_concepts = neg_concepts[rows, subsets[:, 1]]
+    if not enable:
+        return _Selection(pos_concepts, neg_concepts, None, np.zeros(len(images), dtype=np.int64))
+    sel = select_corpus(corpus, images, normalize, subsets)
+    return _Selection(pos_concepts[rows, sel.positive_indices],
+                      neg_concepts[rows, sel.negative_indices], sel.weights, sel.clamped)
+
+
+def corpus_losses(corpus, tables, images, sel, lambdas, with_grad=False):
+    """Per-image loss table of ``images`` under ``sel``, ``BLOCK`` images per pass.
+
+    ``tables`` are the (tag, caption, region) tables the corpus rows
+    index; ``lambdas`` is ``(lambda_cross, lambda_inner)``. Returns ``(table, grads)``: ``table`` (b, 3) holds each
+    image's cross, inner and total ``lambda_cross * cross + lambda_inner *
+    inner`` losses; being C-ordered, its ``sum(axis=0)`` adds them row by
+    row, in image order. With ``with_grad``, ``grads`` holds the gradient
+    rows in image order: tag (b, 2K, d) for ``sel.positive_concepts`` then
+    ``sel.negative_concepts``, caption (b, P, d) for
+    ``corpus.caption_concepts[images]`` and region (b, R, d) for
+    ``corpus.region_rows[images]``. Else it is None.
+    """
+    tag_table, caption_table, region_table = tables
+    table = np.empty((len(images), 3))
+    grads = []
+    for start in range(0, len(images), BLOCK):
+        part = slice(start, start + BLOCK)
+        block, block_sel = images[part], sel.take(part)
+        table[part, 0], table[part, 1], g = batch_loss(
+            region_table[corpus.region_rows[block]],
+            tag_table[block_sel.positive_concepts],
+            tag_table[block_sel.negative_concepts],
+            caption_table[corpus.caption_concepts[block]],
+            block_sel.weights,
+            *lambdas,
+            with_grad=with_grad,
+        )
+        if with_grad:
+            grads.append((np.concatenate([g.d_positives, g.d_negatives], axis=1),
+                          g.d_caption_nouns, g.d_regions))
+    table[:, 2] = lambdas[0] * table[:, 0] + lambdas[1] * table[:, 1]
+    return table, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
+
+
+def one_image_corpus(instance: ContrastiveInstance, uasr: UasrResult | None):
+    """An instance as ``(corpus, sel, tables)`` of one image, for :func:`corpus_losses`.
+
+    The tag table is the positives, then the negatives; the caption and
+    region tables are the instance's own. A selection result, checked
+    against the instance by :func:`rca.uasr.check_selection`, becomes the
+    tag rows it picks and its frozen weights.
+    """
+    k = instance.positives.shape[0]
+    pos, neg = np.arange(k)[None], k + np.arange(k)[None]
+    corpus = Corpus(pos, neg, np.arange(len(instance.caption_nouns))[None],
+                    np.arange(len(instance.regions))[None], instance.global_scores[None], None)
+    sel = _Selection(pos, neg, None, np.zeros(1, dtype=np.int64))
     if uasr is not None:
-        check_selection(uasr, positives.shape[-2])
-        # take keeps each image's rows C-contiguous, as batch_loss's bitwise
-        # property needs; a fancy index behind a slice can lay the batch axis
-        # innermost
-        positives = np.take(positives, uasr.positive_indices, axis=-2)
-        negatives = np.take(negatives, uasr.negative_indices, axis=-2)
-        q = np.broadcast_to(uasr.weights, positives.shape[:-1])
-    cross, inner, grads = batch_loss(
-        regions, positives, negatives, caption_nouns, q, lambda_cross, lambda_inner, with_grad
-    )
-    return lambda_cross * cross + lambda_inner * inner, cross, inner, grads
+        check_selection(uasr, k)
+        sel = _Selection(pos[:, uasr.positive_indices], neg[:, uasr.negative_indices],
+                         np.asarray(uasr.weights)[None], sel.clamped)
+    tag_table = np.concatenate([instance.positives, instance.negatives])
+    return corpus, sel, (tag_table, instance.caption_nouns, instance.regions)
 
 
 def total_loss(
@@ -207,12 +298,10 @@ def total_loss(
 
     A zero lambda skips (and reports 0 for) its term; the inner term is
     also skipped when the instance has no caption nouns. The instance is
-    validated when it is built and the selection result against it here;
-    then this is :func:`batch_loss` on a batch of one, the path
-    :func:`rca.gradients.loss_and_grad` takes too.
+    validated when it is built and the selection result against it here,
+    by :func:`one_image_corpus`, the path :func:`rca.gradients.loss_and_grad`
+    takes too.
     """
-    total, cross, inner, _ = _selected_loss(
-        instance.regions[None], instance.positives[None], instance.negatives[None],
-        instance.caption_nouns[None], uasr, lambda_cross, lambda_inner, with_grad=False,
-    )
-    return LossBreakdown(float(cross[0]), float(inner[0]), float(total[0]))
+    corpus, sel, tables = one_image_corpus(instance, uasr)
+    table, _ = corpus_losses(corpus, tables, np.arange(1), sel, (lambda_cross, lambda_inner))
+    return LossBreakdown(*table[0].tolist())

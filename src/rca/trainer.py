@@ -2,17 +2,18 @@
 
 The synthetic world has ``n_concepts`` unit-norm prototype directions. Each
 image shows ``regions_per_image`` distinct concepts; its positive tags and
-caption nouns name exactly those concepts and its negative tags name absent
-ones. Global tag scores are cosines against the mean region embedding,
-frozen at generation time. An optional flip swaps one positive/negative
+caption nouns name exactly those concepts and its negative tags name as
+many distinct absent ones (so ``n_concepts >= 2 * regions_per_image``).
+Global tag scores are cosines against the mean region embedding, frozen
+at generation time. An optional flip swaps one positive/negative
 pair to emulate ranking noise. The generator reads the stream the
 per-image ``Generator.choice``, noise and flip calls would read, in their
 order: one ``Generator.integers`` call per image makes both its ``choice``
 calls' draws (one per block where no noise or flip comes between), and
 the picks and the arithmetic on them (noise scaling, flips, means,
-cosines, sorts) run per ``BLOCK`` of images. Draws and tag embeddings
-live in buffers reused per block; the dataset keeps the tags' scores and
-cosines.
+cosines, sorts) run per ``GENERATE_BLOCK`` of images. Draws and tag
+embeddings live in buffers reused per block; the dataset keeps the tags'
+scores and cosines.
 
 Tag and caption embeddings live in per-concept tables shared across the
 whole dataset, so the contrastive objective can triangulate each concept
@@ -26,21 +27,21 @@ the trainable tables, so filter quality is a property of the data, not of
 the training trajectory. Loss history records are full-dataset snapshots
 (no subsampling), so a zero learning rate yields a perfectly flat history.
 
-A corpus holds, images on the leading axis, the table rows each image
-contrasts and the frozen region-by-pool cosines selection reads. The
-generated dataset is one, its cosines computed once, and ``rca uasr`` and
-``rca loss`` build one per shape group of a file and run the same
-selection and loss helpers. Selection reads only those cosines and treats
-each image alone, so no step's selection depends on the tables it trains.
+The generated dataset is a :class:`rca.losses.Corpus`, its cosines
+computed once. Training selects through :func:`rca.losses.corpus_selection`
+and takes its losses through :func:`rca.losses.corpus_losses`, the passes
+``rca loss`` runs on its corpora too. Selection reads only those cosines
+and treats each image alone, so no step's selection depends on the
+tables it trains.
 A run makes one selection call for all its snapshots (the plan: each
 image's selected concepts, weights and clamp counts). It splits its steps
 into stretches that end at the next history record, at most ten steps,
 and fewer where a stretch's batches would pass ``STRETCH_IMAGES`` images
 (one step at the least). A stretch makes all its random draws first, in
 the order the steps would make them, then one selection call over all
-its batches; each step takes its own rows. The losses run ``BLOCK``
-(256) images per forward (and, in a step, backward) pass, so the pass
-temporaries do not grow with the dataset. A history record is the mean of
+its batches; each step takes its own rows. The losses run
+``rca.losses.BLOCK`` (256) images per forward (and, in a step, backward)
+pass, so the pass temporaries do not grow with the dataset. A history record is the mean of
 the per-image loss table, added in image order, so it does not depend on
 ``BLOCK`` and equals what a per-image loop computes. A step keeps its
 gradient rows in image order and folds them onto each concept table with
@@ -70,8 +71,8 @@ import numpy as np
 
 from .core import ContrastiveInstance, check_addressable, scatter_add
 from .errors import ConfigError, DegenerateEmbeddingError, DivergenceError
-from .losses import batch_loss
-from .uasr import pool_cosines, select_batch, warn_clamped
+from .losses import Corpus, corpus_losses, corpus_selection
+from .uasr import pool_cosines, warn_clamped
 
 __all__ = [
     "SyntheticConfig",
@@ -82,19 +83,19 @@ __all__ = [
     "HistoryRecord",
     "generate_synthetic",
     "initial_state",
-    "aligned_state",
     "gather_instance",
     "snapshot_loss",
     "train_alignment",
     "evaluate_retrieval",
 ]
 
-BLOCK = 256  # images per loss pass, and per generation block
+GENERATE_BLOCK = 256  # images per generation block
 # Most images one selection call takes for a stretch of training steps (a
 # stretch always holds one step's batch), so that a full-batch run on a large
 # dataset does not hold ten steps' selection temporaries at once. The largest
-# are (images, K, 2K) floats: 1 MB at K = 4.
-STRETCH_IMAGES = 16 * BLOCK
+# are (images, K, 2K) floats: 1 MB at K = 4. It is 16 loss passes of
+# rca.losses.BLOCK images.
+STRETCH_IMAGES = 4096
 
 
 def field_kinds(config_class) -> dict[str, type]:
@@ -147,9 +148,10 @@ class SyntheticConfig:
             raise ConfigError("embedding dimension must be positive")
         if self.n_images < 1:
             raise ConfigError("need at least 1 image")
-        if not 1 <= self.regions_per_image < self.n_concepts:
+        if not 1 <= self.regions_per_image <= self.n_concepts // 2:
             raise ConfigError(
-                "regions_per_image must be in [1, n_concepts) so negatives exist"
+                "regions_per_image must be in [1, n_concepts // 2] so that each image's "
+                "negatives are concepts it does not show, none named twice"
             )
         if self.noise_sigma < 0.0 or not math.isfinite(self.noise_sigma):
             raise ConfigError("noise_sigma must be finite and non-negative")
@@ -161,7 +163,7 @@ class SyntheticConfig:
         # slot), and a generation block's absent-concept mask or shuffled pool,
         # choice draws, region noise and tag embeddings
         entries = (c * self.d + n * k * (self.d + 2 * k)
-                   + min(n, BLOCK) * (c + 4 * k + 3 * k * self.d))
+                   + min(n, GENERATE_BLOCK) * (c + 4 * k + 3 * k * self.d))
         check_addressable(entries, "synthetic dataset")
 
 
@@ -204,29 +206,7 @@ class TrainerConfig:
 
 
 @dataclass
-class _Corpus:
-    """Images on the leading axis, as rows of a :class:`TrainState`'s tables.
-
-    Each image contrasts K positive tags (by descending global score) with
-    K negatives, in the context of its R regions and of its P caption
-    nouns: rows of the tag, region and caption tables. ``cosines`` are the
-    frozen region-by-pool cosines (positives, then negatives) selection
-    reads; None where no selection runs.
-    """
-
-    positive_concepts: np.ndarray  # (n, K)
-    negative_concepts: np.ndarray  # (n, K)
-    caption_concepts: np.ndarray   # (n, P)
-    region_rows: np.ndarray        # (n, R)
-    global_scores: np.ndarray      # (n, K) the positives' global scores
-    cosines: np.ndarray | None     # (n, R, 2K)
-
-    def __len__(self) -> int:
-        return self.positive_concepts.shape[0]
-
-
-@dataclass
-class SyntheticDataset(_Corpus):
+class SyntheticDataset(Corpus):
     """A generated corpus and the planted world it was drawn from.
 
     The region embeddings and the tag embeddings drawn with them (kept only
@@ -253,7 +233,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     ``standard_normal`` call its region, positive and negative noise, then
     its flip draws. Where no noise or flip comes between them, a block's
     choice draws are one call. The picks and the arithmetic on them run
-    per ``BLOCK`` of images.
+    per ``GENERATE_BLOCK`` of images.
     """
     rng = np.random.default_rng(config.seed)
     protos = rng.standard_normal((config.n_concepts, config.d))
@@ -262,12 +242,10 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     c, n, k = config.n_concepts, config.n_images, config.regions_per_image
     sigma, flip_rate = config.noise_sigma, config.flip_rate
     pos_bounds = _choice_bounds(c, k)
-    # choosing k of fewer than k absent concepts draws with replacement
-    neg_bounds = np.full(k, c - k - 1) if c - k < k else _choice_bounds(c - k, k)
-    bounds = np.concatenate([pos_bounds, neg_bounds])
-    draw_buf = np.empty((min(n, BLOCK), len(bounds)), dtype=np.int64)
+    bounds = np.concatenate([pos_bounds, _choice_bounds(c - k, k)])
+    draw_buf = np.empty((min(n, GENERATE_BLOCK), len(bounds)), dtype=np.int64)
     # per image: region noise (where there is noise), positive and negative tag embeddings
-    emb_buf = np.empty((min(n, BLOCK), 2 + (sigma != 0.0), k, config.d))
+    emb_buf = np.empty((min(n, GENERATE_BLOCK), 2 + (sigma != 0.0), k, config.d))
     region_concepts, positive_concepts, negative_concepts = (
         np.empty((n, k), dtype=np.int64) for _ in range(3))
     region_embs = np.empty((n, k, config.d))
@@ -275,9 +253,9 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     flipped = np.zeros(n, dtype=bool)
     swaps = np.zeros((n, 2), dtype=np.int64)  # flipped (positive, negative) slots
     cosines = np.empty((n, k, 2 * k))
-    for start in range(0, n, BLOCK):
-        part = slice(start, start + BLOCK)
-        block = range(start, min(start + BLOCK, n))
+    for start in range(0, n, GENERATE_BLOCK):
+        part = slice(start, start + GENERATE_BLOCK)
+        block = range(start, min(start + GENERATE_BLOCK, n))
         draws, block_embs = draw_buf[:len(block)], emb_buf[:len(block)]
         if sigma == 0.0 and flip_rate == 0.0:
             draws[:] = rng.integers(0, bounds, size=draws.shape, endpoint=True)
@@ -291,9 +269,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
                     swaps[image] = rng.integers(k), rng.integers(k)
 
         present = region_concepts[part] = _choice_picks(draws[:, :len(pos_bounds)], c, k)
-        absent_picks = draws[:, len(pos_bounds):]  # indices into the sorted absent concepts
-        if c - k >= k:
-            absent_picks = _choice_picks(absent_picks, c - k, k)
+        # indices into the sorted absent concepts
+        absent_picks = _choice_picks(draws[:, len(pos_bounds):], c - k, k)
         absent = np.ones((len(present), c), dtype=bool)
         np.put_along_axis(absent, present, False, axis=1)
         absent = np.nonzero(absent)[1].reshape(len(present), c - k)
@@ -356,36 +333,35 @@ class TrainState:
     region_table: np.ndarray   # (n_images * K, d)
     step: int = 0
 
+    @property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (tag, caption, region) tables, as :func:`rca.losses.corpus_losses` takes them."""
+        return self.tag_table, self.caption_table, self.region_table
 
-def initial_state(
-    dataset: SyntheticDataset, seed: int = 0, region_init: str = "data"
-) -> TrainState:
-    """Random concept tables; region rows copied from the data or random too.
 
-    The RNG stream is keyed away from the generator's so that reusing one
-    seed for data and init cannot hand the tables the true prototypes.
+def initial_state(dataset: SyntheticDataset, seed: int = 0, init: str = "data") -> TrainState:
+    """A run's first tables, by ``init``: ``"data"``, ``"random"`` or ``"aligned"``.
+
+    ``"data"`` draws random concept tables and copies the region rows from
+    the generated region embeddings; ``"random"`` draws the region rows too;
+    ``"aligned"`` is the oracle, both concept tables equal to the true
+    prototypes and the region rows from the data. The RNG stream is keyed
+    away from the generator's so that reusing one seed for data and init
+    cannot hand the tables the true prototypes.
     """
+    if init not in ("data", "random", "aligned"):
+        raise ConfigError(f"unknown init {init!r}")
     cfg = dataset.config
+    regions = dataset.region_embeddings.reshape(-1, cfg.d)
+    if init == "aligned":
+        return TrainState(dataset.prototypes.copy(), dataset.prototypes.copy(), regions.copy())
     rng = np.random.default_rng([seed, 0x1217])
     scale = 1.0 / np.sqrt(cfg.d)
     tag = rng.standard_normal((cfg.n_concepts, cfg.d)) * scale
     cap = rng.standard_normal((cfg.n_concepts, cfg.d)) * scale
-    if region_init == "data":
-        regions = dataset.region_embeddings.reshape(-1, cfg.d)
-    elif region_init == "random":
-        regions = rng.standard_normal((dataset.region_rows.size, cfg.d)) * scale
-    else:
-        raise ConfigError(f"unknown region_init {region_init!r}")
+    if init == "random":
+        regions = rng.standard_normal(regions.shape) * scale
     return TrainState(tag_table=tag, caption_table=cap, region_table=regions.copy())
-
-
-def aligned_state(dataset: SyntheticDataset) -> TrainState:
-    """Oracle state: concept tables equal the true prototypes."""
-    return TrainState(
-        tag_table=dataset.prototypes.copy(),
-        caption_table=dataset.prototypes.copy(),
-        region_table=dataset.region_embeddings.reshape(-1, dataset.config.d).copy(),
-    )
 
 
 def gather_instance(
@@ -409,91 +385,6 @@ class HistoryRecord:
     total: float
 
 
-def _select(corpus, images, normalize, subsets=None):
-    """Selection for ``images`` over the corpus's frozen cosines, in one call.
-
-    With ``subsets`` (b, 2, m), the sorted positive and negative rows a
-    subsampled step keeps per image, the argmax runs over those pool
-    columns only. Indices refer to the kept rows.
-    """
-    cosines = corpus.cosines[images]
-    scores = corpus.global_scores[images]
-    if subsets is not None:
-        rows = np.arange(len(images))[:, None]
-        k = scores.shape[1]
-        cols = np.concatenate([subsets[:, 0], k + subsets[:, 1]], axis=1)
-        cosines = cosines[rows[:, :, None], np.arange(cosines.shape[1])[:, None],
-                          cols[:, None, :]]
-        scores = scores[rows, subsets[:, 0]]
-    return select_batch(cosines, scores, normalize)
-
-
-class _Selection(typing.NamedTuple):
-    """The tag concepts some images contrast, with their weights and clamp counts."""
-
-    positive_concepts: np.ndarray  # (b, K)
-    negative_concepts: np.ndarray  # (b, K)
-    weights: np.ndarray | None     # (b, K), None without selection
-    clamped: np.ndarray            # (b,) global scores clamped, with multiplicity
-
-    def take(self, part: slice) -> "_Selection":
-        """The rows in the slice ``part``."""
-        return _Selection(*(None if f is None else f[part] for f in self))
-
-
-def _selection(corpus, images, enable, normalize, subsets=None) -> _Selection:
-    """The tag-table rows ``images`` contrast, selected by :func:`_select` if ``enable``.
-
-    ``subsets`` as there. Training and ``rca loss`` both select through here.
-    """
-    rows = np.arange(len(images))[:, None]
-    pos_concepts = corpus.positive_concepts[images]
-    neg_concepts = corpus.negative_concepts[images]
-    if subsets is not None:
-        pos_concepts = pos_concepts[rows, subsets[:, 0]]
-        neg_concepts = neg_concepts[rows, subsets[:, 1]]
-    if not enable:
-        return _Selection(pos_concepts, neg_concepts, None, np.zeros(len(images), dtype=np.int64))
-    sel = _select(corpus, images, normalize, subsets)
-    return _Selection(pos_concepts[rows, sel.positive_indices],
-                      neg_concepts[rows, sel.negative_indices], sel.weights, sel.clamped)
-
-
-def _losses(corpus, state, images, sel, lambdas, with_grad=False):
-    """Per-image loss table of ``images`` under selection ``sel``.
-
-    ``state`` holds the tables the corpus rows index; ``lambdas`` is
-    ``(lambda_cross, lambda_inner)``. Training and ``rca loss`` both run
-    ``BLOCK`` images per pass through here. Returns ``(table, grads)``:
-    ``table`` (b, 3) holds each image's cross, inner and total
-    ``lambda_cross * cross + lambda_inner * inner`` losses; being C-ordered,
-    its ``sum(axis=0)`` adds them row by row, in image order. With
-    ``with_grad``, ``grads`` holds the gradient rows in image order: tag
-    (b, 2K, d) for ``sel.positive_concepts`` then ``sel.negative_concepts``,
-    caption (b, P, d) for ``corpus.caption_concepts[images]`` and region
-    (b, R, d) for ``corpus.region_rows[images]``. Else it is None.
-    """
-    table = np.empty((len(images), 3))
-    grads = []
-    for start in range(0, len(images), BLOCK):
-        part = slice(start, start + BLOCK)
-        block, block_sel = images[part], sel.take(part)
-        table[part, 0], table[part, 1], g = batch_loss(
-            state.region_table[corpus.region_rows[block]],
-            state.tag_table[block_sel.positive_concepts],
-            state.tag_table[block_sel.negative_concepts],
-            state.caption_table[corpus.caption_concepts[block]],
-            block_sel.weights,
-            *lambdas,
-            with_grad=with_grad,
-        )
-        if with_grad:
-            grads.append((np.concatenate([g.d_positives, g.d_negatives], axis=1),
-                          g.d_caption_nouns, g.d_regions))
-    table[:, 2] = lambdas[0] * table[:, 0] + lambdas[1] * table[:, 1]
-    return table, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
-
-
 def _snapshot(dataset, state, plan, lambdas) -> HistoryRecord:
     """Mean full-dataset loss record under the selection ``plan``.
 
@@ -502,7 +393,7 @@ def _snapshot(dataset, state, plan, lambdas) -> HistoryRecord:
     :class:`DivergenceError` if the total is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        table, _ = _losses(dataset, state, np.arange(len(dataset)), plan, lambdas)
+        table, _ = corpus_losses(dataset, state.tables, np.arange(len(dataset)), plan, lambdas)
         record = HistoryRecord(state.step, *(table.sum(axis=0) / len(table)).tolist())
     if not math.isfinite(record.total):
         raise DivergenceError(state.step, "snapshot loss is not finite")
@@ -518,7 +409,7 @@ def snapshot_loss(
     once, with the total count, if selection clamped non-positive global
     scores.
     """
-    plan = _selection(dataset, np.arange(len(dataset)), config.enable_uasr, True)
+    plan = corpus_selection(dataset, np.arange(len(dataset)), config.enable_uasr, True)
     record = _snapshot(dataset, state, plan, config.lambdas)
     warn_clamped(int(plan.clamped.sum()))
     return record
@@ -596,8 +487,8 @@ def _step(dataset, state, config, batch, sel) -> None:
 
     Raises :class:`DivergenceError` if a table stops being finite.
     """
-    _, (d_tags, d_caption, d_regions) = _losses(dataset, state, batch, sel, config.lambdas,
-                                                with_grad=True)
+    _, (d_tags, d_caption, d_regions) = corpus_losses(dataset, state.tables, batch, sel,
+                                                      config.lambdas, with_grad=True)
     lr = config.learning_rate / len(batch)
     if not config.freeze_tags:
         tag_concepts = np.concatenate([sel.positive_concepts, sel.negative_concepts], axis=1)
@@ -609,7 +500,7 @@ def _step(dataset, state, config, batch, sel) -> None:
         # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
         state.region_table[dataset.region_rows[batch]] -= lr * (0.0 + d_regions)
     state.step += 1
-    for table in (state.tag_table, state.caption_table, state.region_table):
+    for table in state.tables:
         if not np.isfinite(table).all():
             raise DivergenceError(state.step, "table values are not finite")
 
@@ -630,7 +521,7 @@ def train_alignment(
         state = initial_state(dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     n, k = dataset.positive_concepts.shape
-    plan = _selection(dataset, np.arange(n), config.enable_uasr, True)
+    plan = corpus_selection(dataset, np.arange(n), config.enable_uasr, True)
     clamped = 0  # by the steps; each snapshot adds the plan's
     history: list[HistoryRecord] = []
 
@@ -654,8 +545,8 @@ def train_alignment(
                 batches.append(np.arange(n) if b == n else rng.choice(n, size=b, replace=False))
                 if config.subsample_fraction < 1.0:
                     subsets.append(_draw_subsets(rng, b, k, config.subsample_fraction))
-            stretch_sel = _selection(dataset, np.concatenate(batches), config.enable_uasr, True,
-                                     np.concatenate(subsets) if subsets else None)
+            stretch_sel = corpus_selection(dataset, np.concatenate(batches), config.enable_uasr,
+                                           True, np.concatenate(subsets) if subsets else None)
             clamped += int(stretch_sel.clamped.sum())
             for i, batch in enumerate(batches):
                 _step(dataset, state, config, batch, stretch_sel.take(slice(i * b, (i + 1) * b)))

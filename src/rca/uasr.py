@@ -12,12 +12,14 @@ combining local (region-tag) and global (image-tag) evidence.
 :func:`select_batch` is the one implementation of this rule, over a
 stacked block of region-by-pool cosines (:func:`pool_cosines`), and
 :func:`apply_uasr` is the one-image case. Training and the corpus CLI
-both select many images per call, through the trainer's corpus type.
+both select many images of a :class:`rca.losses.Corpus` per call through
+:func:`select_corpus`, over the corpus's frozen cosines or a column
+subset of them.
 Both functions return a :class:`UasrResult`, which holds the selected
 rows by index with the batch axes kept; its :meth:`~UasrResult.row` is
 one image's selection. The losses gather the embeddings they see from
 those indices, after :func:`check_selection` has compared the selection
-with the instance. :func:`pool_cosines` rejects a region or pool row
+with the instance, once per loss call. :func:`pool_cosines` rejects a region or pool row
 with no cosine through :func:`rca.core.check_norms`, the one such rule
 that ranking shares, naming the record and the row.
 """
@@ -38,6 +40,7 @@ __all__ = [
     "warn_clamped",
     "pool_cosines",
     "select_batch",
+    "select_corpus",
     "apply_uasr",
 ]
 
@@ -177,6 +180,26 @@ def select_batch(cosines: np.ndarray, global_scores: np.ndarray, normalize: bool
     weights, clamped = _weights_from(best, global_scores[rows, positive_indices], normalize)
     return UasrResult(positive_indices, _cycle_kept(neg_keep), weights, retrieved,
                       pos_fallback, neg_fallback, clamped)
+
+
+def select_corpus(corpus, images, normalize, subsets=None) -> UasrResult:
+    """:func:`select_batch` for ``images`` of a corpus, over its frozen cosines, in one call.
+
+    ``corpus`` holds ``cosines`` (n, R, 2K) and ``global_scores`` (n, K).
+    With ``subsets`` (b, 2, m), the sorted positive and negative rows a
+    subsampled step keeps per image, the argmax runs over those pool
+    columns only. Indices refer to the kept rows.
+    """
+    cosines = corpus.cosines[images]
+    scores = corpus.global_scores[images]
+    if subsets is not None:
+        rows = np.arange(len(images))[:, None]
+        k = scores.shape[1]
+        cols = np.concatenate([subsets[:, 0], k + subsets[:, 1]], axis=1)
+        cosines = cosines[rows[:, :, None], np.arange(cosines.shape[1])[:, None],
+                          cols[:, None, :]]
+        scores = scores[rows, subsets[:, 0]]
+    return select_batch(cosines, scores, normalize)
 
 
 def apply_uasr(instance: ContrastiveInstance, normalize: bool = True) -> UasrResult:

@@ -138,7 +138,7 @@ def generate_synthetic_loop(config) -> LoopDataset:
     for image in range(n):
         present = rng.choice(config.n_concepts, size=k, replace=False)
         absent = np.setdiff1d(np.arange(config.n_concepts), present)
-        negatives = rng.choice(absent, size=k, replace=len(absent) < k)
+        negatives = rng.choice(absent, size=k, replace=False)
 
         def noisy(concepts):
             base = protos[concepts]

@@ -33,7 +33,7 @@ from loop_reference import (
     train_alignment_loop,
 )
 from naive_reference import naive_total_loss
-from rca import trainer
+from rca import losses, trainer, uasr
 from rca.core import ContrastiveInstance, compat_forward
 from rca.errors import DivergenceError
 from rca.gradients import loss_and_grad
@@ -52,8 +52,8 @@ from rca.uasr import apply_uasr, select_batch
 # make the subsampled steps hit both selection fallbacks and clamp some scores.
 NOISY = SyntheticConfig(n_concepts=6, d=8, n_images=70, regions_per_image=3,
                         noise_sigma=0.3, flip_rate=0.2, seed=5)
-# Tests against the loop reference patch BLOCK to this, so that their runs
-# cross block boundaries: three blocks, the last one partial.
+# Tests against the loop reference patch the loss passes' rca.losses.BLOCK to
+# this, so that their runs cross block boundaries: three blocks, the last one partial.
 SMALL_BLOCK = 32
 assert 2 * SMALL_BLOCK < NOISY.n_images < 3 * SMALL_BLOCK
 BASE = dict(steps=12, learning_rate=0.5, seed=2)
@@ -202,7 +202,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
 
     with warnings.catch_warnings(record=True) as per_image:
         warnings.simplefilter("always")
-        sel = trainer._select(ds, images, True)
+        sel = uasr.select_corpus(ds, images, True)
         for i in images:
             check(sel, i, apply_uasr(evidence_view(NOISY_LOOP, i)), exact=True)
         fallbacks += [sel.positive_fallback.sum(), sel.negative_fallback.sum()]
@@ -213,7 +213,7 @@ def test_block_selection_equals_apply_uasr_for_every_image_and_subset():
             for m in range(1, k + 1):
                 rows = [i for i in images if len(picked[i][0]) == m]
                 subsets = np.array([picked[i] for i in rows])
-                sel = trainer._select(ds, np.array(rows), True, subsets)
+                sel = uasr.select_corpus(ds, np.array(rows), True, subsets)
                 for j, i in enumerate(rows):
                     pos, neg = picked[i]
                     check(sel, j, apply_uasr(evidence_view(NOISY_LOOP, i, pos, neg)),
@@ -240,7 +240,7 @@ VARIANTS = {
 
 @pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
 def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
-    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(losses, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
     cfg = TrainerConfig(**{**BASE, **overrides})
     with warnings.catch_warnings():
@@ -259,7 +259,7 @@ def test_train_alignment_matches_per_image_loop(overrides, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["default", "no-selection", "no-inner"])
 def test_snapshot_equals_per_image_loop_bitwise(variant, monkeypatch):
-    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(losses, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
     cfg = TrainerConfig(**{**BASE, "steps": 3, **VARIANTS[variant]})
     with warnings.catch_warnings():
@@ -280,20 +280,22 @@ def test_snapshot_equals_per_image_loop_bitwise(variant, monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(c=2, k_frac=0.0, d=1, n=1, sigma=0.0, flip_rate=0.0, seed=0)  # k = 1, d = 1
-@example(c=7, k_frac=0.9, d=3, n=16, sigma=0.0, flip_rate=1.0, seed=1)  # negatives repeat
-@example(c=9, k_frac=0.6, d=4, n=23, sigma=0.4, flip_rate=1.0, seed=2)  # with noise
+@example(c=9, k_frac=1.0, d=4, n=23, sigma=0.4, flip_rate=1.0, seed=2)  # with noise
 @example(c=6, k_frac=0.0, d=1, n=29, sigma=2.0, flip_rate=0.5, seed=3)  # k = 1, d = 1, noise
 # k = 4 = c - k: the negatives' first Floyd draw, on [0, 0], reads no word; the
 # first draws a block at a time, the second image by image
-@example(c=8, k_frac=0.5, d=2, n=20, sigma=0.0, flip_rate=0.0, seed=4)
-@example(c=8, k_frac=0.5, d=2, n=20, sigma=0.5, flip_rate=0.5, seed=5)
+@example(c=8, k_frac=1.0, d=2, n=20, sigma=0.0, flip_rate=0.0, seed=4)
+@example(c=8, k_frac=1.0, d=2, n=20, sigma=0.5, flip_rate=0.5, seed=5)
 def test_generator_equals_per_image_loop_bitwise(c, k_frac, d, n, sigma, flip_rate, seed):
-    k = 1 + int(k_frac * (c - 2))
+    k = 1 + int(k_frac * (c // 2 - 1))
     cfg = SyntheticConfig(n_concepts=c, d=d, n_images=n, regions_per_image=k,
                           noise_sigma=sigma, flip_rate=flip_rate, seed=seed)
-    with mock.patch.object(trainer, "BLOCK", 7):
+    with mock.patch.object(trainer, "GENERATE_BLOCK", 7):
         got = generate_synthetic(cfg)
     assert differing_fields(got, generate_synthetic_loop(cfg)) == []
+    # no image names a concept twice among its tags
+    tags = np.sort(np.concatenate([got.positive_concepts, got.negative_concepts], axis=1))
+    assert (np.diff(tags, axis=1) > 0).all()
 
 
 def test_generator_equals_per_image_loop_past_a_pool_of_10000():
@@ -316,7 +318,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
     for batch_size in (n, n + extra):
         cfg = TrainerConfig(**{**BASE, "steps": 6, **VARIANTS[variant],
                                "batch_size": batch_size})
-        with warnings.catch_warnings(), mock.patch.object(trainer, "BLOCK", SMALL_BLOCK):
+        with warnings.catch_warnings(), mock.patch.object(losses, "BLOCK", SMALL_BLOCK):
             warnings.filterwarnings("ignore", message=".*clamped")
             runs.append(train_alignment(FULL_BATCH, cfg,
                                         initial_state(FULL_BATCH, seed=cfg.seed)))
@@ -328,7 +330,7 @@ def test_training_is_identical_for_every_batch_covering_the_dataset(extra, varia
 
 
 def test_clamp_warning_counted_once_per_call(monkeypatch):
-    monkeypatch.setattr(trainer, "BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(losses, "BLOCK", SMALL_BLOCK)
     ds = generate_synthetic(NOISY)
     # snapshots read the run's selection plan; each stretch of steps selects once
     for variant in ("default", "no-subsample", "minibatch"):
@@ -366,8 +368,8 @@ def test_compute_block_does_not_change_results(overrides, monkeypatch):
     ds = generate_synthetic(NOISY)
     cfg = TrainerConfig(**{**BASE, **overrides})
     runs = []
-    for block in (16, 64, trainer.BLOCK):
-        monkeypatch.setattr(trainer, "BLOCK", block)
+    for block in (16, 64, losses.BLOCK):
+        monkeypatch.setattr(losses, "BLOCK", block)
         runs.append(_run(ds, cfg))
     (history, tables, clamped), *others = runs
     for other_history, other_tables, other_clamped in others:
@@ -419,7 +421,7 @@ def test_stretch_cap_does_not_change_the_diverging_step(overrides, monkeypatch):
     assert 1 < errors[0][0] < 10  # in the middle of the first stretch
 
 
-@pytest.mark.parametrize("block", [16, trainer.BLOCK])
+@pytest.mark.parametrize("block", [16, losses.BLOCK])
 @pytest.mark.parametrize("variant", ["default", "no-subsample", "minibatch",
                                      "minibatch-plain", "no-selection"])
 def test_snapshots_select_once_per_run(variant, block, monkeypatch):
@@ -431,8 +433,8 @@ def test_snapshots_select_once_per_run(variant, block, monkeypatch):
         calls.append(len(args[0]))
         return select_batch(*args, **kwargs)
 
-    monkeypatch.setattr(trainer, "BLOCK", block)
-    monkeypatch.setattr(trainer, "select_batch", counted)
+    monkeypatch.setattr(losses, "BLOCK", block)
+    monkeypatch.setattr(uasr, "select_batch", counted)
     _run(ds, cfg)
     n = len(ds)
     batch = min(cfg.batch_size, n)
@@ -452,3 +454,22 @@ def test_snapshots_select_once_per_run(variant, block, monkeypatch):
         warnings.filterwarnings("ignore", message=".*clamped")
         snapshot_loss(ds, initial_state(ds, seed=cfg.seed), cfg)
     assert len(calls) == (1 if cfg.enable_uasr else 0)
+
+
+def test_the_block_patch_reaches_every_loss_pass(monkeypatch):
+    """The loss passes read ``rca.losses.BLOCK``: at 16, a 70-image snapshot takes 5 passes."""
+    passes = []
+    batch_loss = losses.batch_loss
+
+    def counted(regions, *args, **kwargs):
+        passes.append(len(regions))
+        return batch_loss(regions, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "BLOCK", 16)
+    monkeypatch.setattr(losses, "batch_loss", counted)
+    ds = generate_synthetic(NOISY)
+    cfg = TrainerConfig(**BASE)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*clamped")
+        snapshot_loss(ds, initial_state(ds, seed=cfg.seed), cfg)
+    assert passes == [16, 16, 16, 16, 6]

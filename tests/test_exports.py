@@ -3,7 +3,8 @@
 Each ``rca`` module's ``__all__`` and each name ``rca/__init__.py`` imports
 must name something that exists, so deleting a function without its
 export fails here by name; a private module-level name must be read
-somewhere in the package, so a helper left behind fails too. Modules are
+somewhere in the package, so a helper left behind fails too, and no
+module imports another module's private name. Modules are
 found without importing the package, so a broken package import fails
 these tests rather than their collection.
 """
@@ -83,3 +84,22 @@ def test_every_private_name_is_used():
     unused = [name for statement, names in zip(statements, used)
               for name in sorted(_private_names(statement)) if readers[name] == (name in names)]
     assert unused == []
+
+
+# core's column folds are shared by the kernels in losses and uasr
+SHARED_PRIVATE = {("core", "_fold_sum"), ("core", "_max_last"), ("core", "_sum_last")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    """An ``rca`` module imports from another only names without a leading underscore.
+
+    A helper that another module needs is part of its module's surface, so
+    it loses its underscore; the core column folds are the one exception.
+    """
+    imported = []
+    for path in sorted(Path(SPEC.origin).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported += [(node.module, alias.name, path.stem) for alias in node.names
+                             if alias.name.startswith("_")]
+    assert {(module, name) for module, name, _ in imported} <= SHARED_PRIVATE, imported

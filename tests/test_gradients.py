@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loop_reference import finite_diff_grad_loop
-from rca import gradients
+from rca import gradients, losses
 from rca.core import ContrastiveInstance
 from rca.errors import ConfigError, InvalidWeightError
 from rca.gradients import (
@@ -174,18 +174,34 @@ class TestNumericOracle:
         assert {name: a.tobytes() for name, a in arrays.items()} == before
 
     def test_copies_run_in_blocks_of_64(self, monkeypatch):
-        # tables of 40, 32, 32 and 0 entries: 80, 64, 64 and no copies
+        # tag, caption and region tables of 64, 0 and 40 entries: 128, no and 80 copies
         sizes = []
-        selected_loss = gradients._selected_loss
+        corpus_losses = gradients.corpus_losses
 
-        def record(regions, *args, **kwargs):
-            sizes.append(regions.shape[0])
-            return selected_loss(regions, *args, **kwargs)
+        def record(corpus, tables, images, *args, **kwargs):
+            sizes.append(len(images))
+            return corpus_losses(corpus, tables, images, *args, **kwargs)
 
-        monkeypatch.setattr(gradients, "_selected_loss", record)
+        monkeypatch.setattr(gradients, "corpus_losses", record)
         finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
-        assert sizes == [64, 16, 64, 64]
+        assert sizes == [64, 64, 64, 16]
 
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_selection_is_checked_once_per_call(self, selected, monkeypatch):
+        # the oracle runs 7 blocks of nudged copies and checks the selection once
+        checks = []
+        check_selection = losses.check_selection
+
+        def record(uasr, k):
+            checks.append(k)
+            return check_selection(uasr, k)
+
+        monkeypatch.setattr(losses, "check_selection", record)
+        inst = rand_instance(np.random.default_rng(14), r=4, k=2, p=6, d=16)
+        sel = apply_uasr(inst) if selected else None
+        gradient_check(inst, sel)
+        total_loss(inst, sel)
+        assert checks == ([2, 2, 2] if selected else [])
     def test_step_size_bounds(self):
         inst = rand_instance(np.random.default_rng(8))
         for h in (1e-8, 1e-2, 0.0):

@@ -900,7 +900,7 @@ def test_corpus_stdout_does_not_depend_on_the_loss_block(records):
             argv = [argv[0], VOCAB, path, "--M", "4", *argv[1:]]
             want = _stdout(argv)
             for block in (1, 2):
-                with mock.patch("rca.trainer.BLOCK", block):
+                with mock.patch("rca.losses.BLOCK", block):
                     assert _stdout(argv) == want, (argv, block)
 
 
@@ -1787,7 +1787,9 @@ def test_eval_a_state_table_that_is_not_2d(table, code, error, tmp_path, capsys)
 def test_eval_a_region_table_one_row_short(tmp_path, capsys):
     error = "region table does not match the embedded config"
     path = tmp_path / "state.jsonl"
-    path.write_bytes(_state_bytes(tmp_path, _set("synthetic_config", "regions_per_image", 2)))
+    # a second image: its region rows are missing (two regions per image
+    # would need four concepts, and this state has three)
+    path.write_bytes(_state_bytes(tmp_path, _set("synthetic_config", "n_images", 2)))
     with pytest.raises(DimensionError, match=f"^{error}$"):
         read_state(path)
     assert run_cli(["eval", str(path)], capsys) == (3, "", f"error: {error}\n")

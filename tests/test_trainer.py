@@ -14,7 +14,6 @@ from rca.errors import ConfigError, DegenerateEmbeddingError, DivergenceError
 from rca.trainer import (
     SyntheticConfig,
     TrainerConfig,
-    aligned_state,
     evaluate_retrieval,
     gather_instance,
     generate_synthetic,
@@ -28,6 +27,10 @@ SMALL = SyntheticConfig(n_concepts=6, d=8, n_images=20, regions_per_image=3, see
 FAST = dict(steps=5, learning_rate=0.5)
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "expected_synthetic.json").read_text())
+# This golden world has 5 concepts and 3 regions per image, so each image's 3
+# negatives were drawn from 2 absent concepts and repeated one. Such a config
+# is refused; test_config_validation reads the entry's config to check that.
+REFUSED = "repeated-negatives"
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -116,7 +119,7 @@ class TestGeneration:
         assert np.array_equal(a.positive_concepts, b.positive_concepts)
         assert np.array_equal(a.global_scores, b.global_scores)
 
-    @pytest.mark.parametrize("name", GOLDEN)
+    @pytest.mark.parametrize("name", [name for name in GOLDEN if name != REFUSED])
     def test_matches_golden_bytes(self, name):
         """Every generated field, byte for byte, and retrieval on three states."""
         golden = GOLDEN[name]
@@ -131,13 +134,16 @@ class TestGeneration:
                 initial_state(ds, seed=cfg.seed))
         assert {
             "initial": evaluate_retrieval(ds, initial_state(ds, seed=cfg.seed)),
-            "aligned": evaluate_retrieval(ds, aligned_state(ds)),
+            "aligned": evaluate_retrieval(ds, initial_state(ds, init="aligned")),
             "trained": evaluate_retrieval(ds, trained),
         } == golden["retrieval"]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(n_concepts=4, regions_per_image=4)
+        # 3 negatives drawn from 2 absent concepts would name one twice
+        with pytest.raises(ConfigError, match=r"^regions_per_image must be in \[1, n_concepts // 2\]"):
+            SyntheticConfig(**GOLDEN[REFUSED]["config"])
         with pytest.raises(ConfigError):
             SyntheticConfig(flip_rate=1.5)
         with pytest.raises(ConfigError):
@@ -183,30 +189,39 @@ class TestStates:
                      / np.linalg.norm(state.tag_table, axis=1))
         assert cos.max() < 0.99
 
-    def test_region_init_modes(self):
+    def test_init_modes(self):
         ds = generate_synthetic(SMALL)
-        data = initial_state(ds, seed=0, region_init="data")
-        rand = initial_state(ds, seed=0, region_init="random")
+        data = initial_state(ds, seed=0, init="data")
+        rand = initial_state(ds, seed=0, init="random")
+        aligned = initial_state(ds, seed=0, init="aligned")
         stacked = ds.region_embeddings.reshape(-1, SMALL.d)
         assert np.array_equal(data.region_table, stacked)
+        assert np.array_equal(aligned.region_table, stacked)
         assert not np.allclose(rand.region_table, stacked)
-        with pytest.raises(ConfigError):
-            initial_state(ds, region_init="zeros")
+        # the random modes draw the same concept tables; the oracle's are the prototypes
+        for name in ("tag_table", "caption_table"):
+            assert np.array_equal(getattr(data, name), getattr(rand, name))
+            assert np.array_equal(getattr(aligned, name), ds.prototypes)
+        with pytest.raises(ConfigError, match="^unknown init 'zeros'$"):
+            initial_state(ds, init="zeros")
 
     def test_states_own_their_region_tables(self):
         ds = generate_synthetic(SMALL)
         before = ds.region_embeddings.copy()
-        for state in (initial_state(ds, seed=0), aligned_state(ds)):
+        for init in ("data", "aligned"):
+            state = initial_state(ds, seed=0, init=init)
             state.region_table += 1.0
+            state.tag_table += 1.0
         assert np.array_equal(ds.region_embeddings, before)
+        assert np.array_equal(ds.prototypes, generate_synthetic(SMALL).prototypes)
 
     def test_aligned_state_is_perfect_noiseless(self):
         ds = generate_synthetic(SMALL)
-        assert evaluate_retrieval(ds, aligned_state(ds)) == 1.0
+        assert evaluate_retrieval(ds, initial_state(ds, init="aligned")) == 1.0
 
     def test_overflowing_norm_rejected_zero_norm_clamped(self):
         ds = generate_synthetic(SMALL)
-        state = aligned_state(ds)
+        state = initial_state(ds, init="aligned")
         concept = ds.positive_concepts[0, 0]
         state.tag_table[concept] = 0.0
         assert 0.0 < evaluate_retrieval(ds, state) < 1.0
