@@ -2,12 +2,17 @@
 
 Two line formats share one convention: a header object carrying
 ``format``, ``version``, and the embedding dimension, followed by one
-record per line. One encoder writes every value, each JSON kind spelled
-once: floats with 17 significant digits, -0.0 as ``-0.0`` where it is
-met, so that write -> read -> write is byte-identical and golden files
-stay stable across platforms. Each line is decoded by
-``orjson.loads``, whose doubles and 64-bit integers are those of
-``json.loads``. Embedding rows and state tables are converted by one
+record per line. Data files (vocabularies, instances and trainer state)
+are written by one writer, :func:`_write_data`: one ``orjson.dumps`` per
+line, floats in shortest round-trip form, after it has refused
+non-finite numbers, widened narrower floats to float64 and made arrays
+C-contiguous (:func:`_data_value`). Every double reads back bit for bit,
+-0.0 included, so write -> read -> write is byte-identical. Report lines
+(each subcommand's stdout and ``rca train --metrics_out``) are written by
+:func:`to_json`, floats at 17 significant digits, because the stdout
+goldens and the benchmark's pinned digests hold those bytes. Each line is
+decoded by ``orjson.loads``, whose doubles and 64-bit integers are those
+of ``json.loads``. Embedding rows and state tables are converted by one
 numpy array pass. One checker, :func:`_numbers`, takes a list of numbers
 and names its error: each embedding row that fails the array pass, and
 each line's tag scores as one list (``tag scores must be a list of
@@ -67,6 +72,8 @@ _NOT_BRACKETS = re.compile(rb"[^\[\]{}]+")
 # a window of embedding rows is checked in one pass once it holds at least this many;
 # a larger one holds more decoded lines at once
 _WINDOW_ROWS = 64
+# a data-file line: numpy arrays and scalars written natively, each line ending "\n"
+_DATA_LINE = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +147,7 @@ def _check_finite(floats: list) -> None:
 
 
 def to_json(value) -> str:
-    """Compact JSON with floats at 17 significant digits (lossless doubles).
+    """A report line: compact JSON with floats at 17 significant digits (lossless doubles).
 
     One ``%`` template per value, filled from one tuple of its floats;
     ``"%.17g" % x`` spells every double as ``format(x, ".17g")`` does.
@@ -151,6 +158,48 @@ def to_json(value) -> str:
     template = _template(value, floats)
     _check_finite(floats)
     return template % tuple(floats)
+
+
+def _data_value(value):
+    """``value`` as orjson writes it back bit for bit; :class:`ValidationError` on a non-finite number.
+
+    orjson would write NaN and ±inf as ``null``, spell a float32 by its own
+    shortest digits (which read back as another double) and refuse an
+    array that is not C-contiguous. So every float, numpy float and
+    floating array is checked and widened to float64, and every array is
+    made C-contiguous, inside dicts and lists; other values are orjson's
+    to write or refuse.
+    """
+    # the commonest exact types first: a type test is cheaper than an isinstance chain
+    kind = type(value)
+    if kind is dict:
+        return {k: _data_value(v) for k, v in value.items()}
+    if kind is list:
+        return [_data_value(v) for v in value]
+    if kind is str:
+        return value
+    if kind is float or isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError("cannot serialize non-finite number")
+        return value
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            value = value.astype(np.float64, copy=False)
+            if not np.isfinite(value).all():
+                raise ValidationError("cannot serialize non-finite number")
+        return np.ascontiguousarray(value)
+    return value
+
+
+def _write_data(path, lines) -> None:
+    """Write each object of ``lines`` as one JSON line through orjson (see :func:`_data_value`)."""
+    with open(path, "wb") as fh:
+        for obj in lines:
+            try:
+                fh.write(orjson.dumps(_data_value(obj), option=_DATA_LINE))
+            except orjson.JSONEncodeError as exc:
+                raise ValidationError(f"cannot serialize: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +391,9 @@ def read_vocab(path) -> tuple[list[tuple[str, np.ndarray]], int]:
 
 
 def write_vocab(path, vocab, dim: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json({"format": VOCAB_FORMAT, "version": VERSION, "dim": dim}) + "\n")
-        for tag_id, emb in vocab:
-            fh.write(to_json({"tag_id": tag_id, "embedding": np.asarray(emb)}) + "\n")
+    header = {"format": VOCAB_FORMAT, "version": VERSION, "dim": dim}
+    _write_data(path, [header, *({"tag_id": tag_id, "embedding": np.asarray(emb)}
+                                 for tag_id, emb in vocab)])
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +493,24 @@ def read_instances(path) -> tuple[list[InstanceRecord], int]:
     return _read_records(path, INSTANCE_FORMAT, _check_instance, _instance_records)
 
 
+def _instance_line(rec: InstanceRecord) -> dict:
+    obj = {
+        "image_id": rec.image_id,
+        "image_embedding": np.asarray(rec.image_embedding),
+        "regions": np.asarray(rec.regions),
+        "caption_tokens": [
+            {"text": t.text, "is_noun": t.is_noun, "embedding": np.asarray(t.embedding)}
+            for t in rec.caption_tokens
+        ],
+    }
+    if rec.tags is not None:
+        obj["tags"] = [{"tag_id": t.tag_id, "score": t.score} for t in rec.tags]
+    return obj
+
+
 def write_instances(path, records, dim: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json({"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}) + "\n")
-        for rec in records:
-            obj = {
-                "image_id": rec.image_id,
-                "image_embedding": np.asarray(rec.image_embedding),
-                "regions": np.asarray(rec.regions),
-                "caption_tokens": [
-                    {"text": t.text, "is_noun": t.is_noun, "embedding": np.asarray(t.embedding)}
-                    for t in rec.caption_tokens
-                ],
-            }
-            if rec.tags is not None:
-                obj["tags"] = [{"tag_id": t.tag_id, "score": t.score} for t in rec.tags]
-            fh.write(to_json(obj) + "\n")
+    header = {"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}
+    _write_data(path, [header, *map(_instance_line, records)])
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +593,7 @@ def write_state(path, state: TrainState, syn: SyntheticConfig, cfg: TrainerConfi
         "caption_table": state.caption_table,
         "region_table": state.region_table,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(obj) + "\n")
+    _write_data(path, [obj])
 
 
 def _table(obj: dict, name: str) -> np.ndarray:

@@ -115,17 +115,19 @@ def _check_types(config) -> None:
             raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
-def _check_seed(seed: int) -> None:
-    """Raise :class:`ConfigError` unless 0 <= seed < 2**64.
+def _check_uint64(config, *names) -> None:
+    """Raise :class:`ConfigError` unless each named int field is in [0, 2**64).
 
-    A state file holds its configs' seeds as JSON integers, and an integer
-    past 64 bits reads back as a float, so a larger seed would make a state
-    that ``read_state`` refuses.
+    A state file holds its configs' ints as JSON integers, which it writes
+    only up to 64 bits, so a larger value would fail to write after training
+    (and an integer past 64 bits would read back as a float).
     """
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if seed >= 2**64:
-        raise ConfigError(f"seed must be below 2**64, got {seed}")
+    for name in names:
+        value = getattr(config, name)
+        if value < 0:
+            raise ConfigError(f"{name} must be non-negative")
+        if value >= 2**64:
+            raise ConfigError(f"{name} must be below 2**64, got {value}")
 
 
 @dataclass
@@ -157,7 +159,7 @@ class SyntheticConfig:
             raise ConfigError("noise_sigma must be finite and non-negative")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ConfigError("flip_rate must lie in [0, 1]")
-        _check_seed(self.seed)
+        _check_uint64(self, "seed")
         c, n, k = self.n_concepts, self.n_images, self.regions_per_image
         # prototypes and concept tables, region embeddings and cosines per (image,
         # slot), and a generation block's absent-concept mask or shuffled pool,
@@ -185,8 +187,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if self.steps < 0:
-            raise ConfigError("steps must be non-negative")
+        _check_uint64(self, "steps")
         if self.learning_rate < 0.0 or not math.isfinite(self.learning_rate):
             raise ConfigError("learning_rate must be finite and non-negative")
         if self.batch_size < 1:
@@ -197,7 +198,7 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be finite and non-negative")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError("subsample_fraction must lie in (0, 1]")
-        _check_seed(self.seed)
+        _check_uint64(self, "batch_size", "seed")
 
     @property
     def lambdas(self) -> tuple[float, float]:

@@ -1,11 +1,15 @@
 """One-off generator for the checked-in fixture corpus.
 
-Embeddings are drawn once, rounded to 4 decimals (so the on-disk text is
-the exact double), and the expected-loss golden is computed by the naive
-direct-formula evaluator, not by the library. Regenerate only if a file
-format changes:  python3 tests/fixtures/generate.py
+Embeddings are drawn once and rounded to 4 decimals, so the data files,
+whose floats are in shortest round-trip form, spell each as 4 decimals.
+The expected-loss golden is computed by the naive direct-formula
+evaluator, not by the library. The ``rank --out`` golden is the file the
+CLI writes from the untagged corpus. Regenerate only if a file format
+changes:  python3 tests/fixtures/generate.py
 """
 
+import contextlib
+import io
 import os
 import sys
 
@@ -15,6 +19,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from naive_reference import naive_total_loss  # noqa: E402
 
+from rca.cli import main as cli_main  # noqa: E402
 from rca.io import (  # noqa: E402
     CaptionToken,
     InstanceRecord,
@@ -113,19 +118,16 @@ def main():
         fh.write('{"image_id": "broken", regions: oops}\n')
 
     # wrong dimension: header says 4, record carries a 3-vector region
-    with open(os.path.join(HERE, "wrongdim.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(good[0] + "\n")
-        fh.write(
-            to_json(
-                {
-                    "image_id": "img-z",
-                    "image_embedding": [0.1, 0.2, 0.3, 0.4],
-                    "regions": [[0.1, 0.2, 0.3]],
-                    "caption_tokens": [],
-                }
-            )
-            + "\n"
-        )
+    wrong = InstanceRecord(image_id="img-z", image_embedding=np.array([0.1, 0.2, 0.3, 0.4]),
+                           regions=np.array([[0.1, 0.2, 0.3]]))
+    write_instances(os.path.join(HERE, "wrongdim.jsonl"), [wrong], D)
+
+    # the --out file of: rca rank vocab.jsonl instances_untagged.jsonl --M 4
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["rank", os.path.join(HERE, "vocab.jsonl"),
+                         os.path.join(HERE, "instances_untagged.jsonl"), "--M", "4",
+                         "--out", os.path.join(HERE, "expected_rank_out.jsonl")])
+    assert code == 0, f"rca rank exited {code}"
 
     with open(os.path.join(HERE, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(

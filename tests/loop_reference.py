@@ -9,9 +9,10 @@ image's draws, noise, flip, cosines and sort in turn, with the absent
 concepts from ``np.setdiff1d``. And the finite-difference oracle as it ran
 before its nudged copies were stacked: one entry nudged in place at a
 time, one :func:`rca.losses.total_loss` call per nudge. The corpus file
-readers and writers as they ran before their numbers were checked and
-formatted a window or a record at a time: each embedding row and tag score
-checked as it is met, each float formatted on its own. Keep them slow and
+readers as they ran before their numbers were checked a window at a time:
+each embedding row and tag score checked as it is met. And the report-line
+encoder as it ran before it formatted a value from one template: each float
+formatted on its own. Keep them slow and
 literal, so the library's stacked code is checked against an independent
 route.
 """
@@ -27,7 +28,6 @@ from rca.core import ContrastiveInstance
 from rca.errors import DivergenceError, ParseError, ValidationError
 from rca.io import (
     INSTANCE_FORMAT,
-    VERSION,
     VOCAB_FORMAT,
     CaptionToken,
     InstanceRecord,
@@ -392,13 +392,6 @@ def read_vocab_loop(path):
     return vocab, dim
 
 
-def write_vocab_loop(path, vocab, dim):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json_loop({"format": VOCAB_FORMAT, "version": VERSION, "dim": dim}) + "\n")
-        for tag_id, emb in vocab:
-            fh.write(to_json_loop({"tag_id": tag_id, "embedding": np.asarray(emb)}) + "\n")
-
-
 def read_instances_loop(path):
     (header_line, header), *lines = _lines(path)
     dim = _read_header(header, header_line, INSTANCE_FORMAT)["dim"]
@@ -446,20 +439,3 @@ def read_instances_loop(path):
                                       regions=regions, caption_tokens=tokens, tags=tags))
     return records, dim
 
-
-def write_instances_loop(path, records, dim):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json_loop({"format": INSTANCE_FORMAT, "version": VERSION, "dim": dim}) + "\n")
-        for rec in records:
-            obj = {
-                "image_id": rec.image_id,
-                "image_embedding": np.asarray(rec.image_embedding),
-                "regions": np.asarray(rec.regions),
-                "caption_tokens": [
-                    {"text": t.text, "is_noun": t.is_noun, "embedding": np.asarray(t.embedding)}
-                    for t in rec.caption_tokens
-                ],
-            }
-            if rec.tags is not None:
-                obj["tags"] = [{"tag_id": t.tag_id, "score": t.score} for t in rec.tags]
-            fh.write(to_json_loop(obj) + "\n")

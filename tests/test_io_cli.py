@@ -34,6 +34,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -43,8 +44,6 @@ from loop_reference import (
     read_instances_loop,
     read_vocab_loop,
     to_json_loop,
-    write_instances_loop,
-    write_vocab_loop,
 )
 from naive_reference import naive_select_reweight, naive_total_loss
 from rca import cli
@@ -89,10 +88,23 @@ TRAIN_ARGS = ["--n_images", "600", "--batch_size", "300", "--steps", "20",
               "--seed", "3"]
 TRAIN_GOLDENS = {  # golden stdout: (extra flags, state-file SHA-256, clamp-warning count)
     "expected_train.jsonl": (
-        [], "8d9abe5ec6a1743ca4337c95a8bf040ff1645f87eae30897c50b60f3d605ff59", 2808),
+        [], "48e4d55469d3bb8b7b16f34606560666e879f0dc209bc29c8d9dc840e246f2af", 2808),
     "expected_train_no_subsample.jsonl": (
         ["--batch_size", "200", "--subsample_fraction", "1.0"],
-        "c8b990d67ac679e799b0cf073adcdbf81f687e9dcf05f623dccd96e95aa2ac65", 2654),
+        "4ea172bcdb311aaa1067d33e90547322bccc007b54da407df65da9b4946da03f", 2654),
+}
+
+
+# SHA-256 of each data fixture's JSON numbers as float64, in file order (a line
+# that is not JSON skipped), taken from the files when they spelled floats with
+# 17 digits: a later spelling of the same doubles keeps them
+DATA_FIXTURE_DOUBLES = {
+    "vocab.jsonl": "949abe1215edbe69ea03d920d6834a50074620e0e84a1c9ab413c34efd2215ad",
+    "instances.jsonl": "d27dda4f2feeef09cf273c1be63c57694b6e4e169da086618bbe601a0524c067",
+    "instances_untagged.jsonl": "d36cbfd927f84be7ac4ed53154f43060de65270856b4023f27f81c4a5ee3cf88",
+    "malformed.jsonl": "d27dda4f2feeef09cf273c1be63c57694b6e4e169da086618bbe601a0524c067",
+    "wrongdim.jsonl": "b312196615c1cda16a6bce079bc0c20b7dcd90cc2b9c45b32578af056422958b",
+    "expected_rank_out.jsonl": "9961c1d0b66d4a71c891526941cfd20be6d44f822c73c89e4be0ce2df0431b96",
 }
 
 
@@ -515,6 +527,24 @@ class TestCliRank:
         code, _, err = run_cli(["rank", VOCAB, UNTAGGED], capsys)
         assert code == 1
         assert "vocabulary" in err.lower()
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    return [value] if type(value) in (int, float) else []
+
+
+@pytest.mark.parametrize("name", DATA_FIXTURE_DOUBLES)
+def test_data_fixtures_hold_their_doubles(name):
+    numbers = []
+    for line in Path(FIXTURES, name).read_bytes().splitlines():
+        with contextlib.suppress(orjson.JSONDecodeError):
+            numbers += _json_numbers(orjson.loads(line))
+    digest = hashlib.sha256(np.array(numbers, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == DATA_FIXTURE_DOUBLES[name]
 
 
 class TestCliUasr:
@@ -1626,13 +1656,86 @@ def _written(writer, *args):
             return fh.read()
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(case=writer_records(finite=False) | writer_records())
-def test_writers_match_the_value_by_value_writers(case):
+def _read_bytes(reader, raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return reader(path)
+
+
+def _with_arrays(rec, array, score):
+    """``rec`` with ``array`` applied to each of its arrays and ``score`` to each tag score."""
+    return InstanceRecord(
+        image_id=rec.image_id, image_embedding=array(rec.image_embedding),
+        regions=array(rec.regions),
+        caption_tokens=[CaptionToken(t.text, t.is_noun, array(t.embedding))
+                        for t in rec.caption_tokens],
+        tags=None if rec.tags is None else [TagRef(t.tag_id, score(t.score)) for t in rec.tags])
+
+
+# how a record's floats reach the writers: each reads back as its float64 value
+WRITER_LAYOUTS = {
+    "float64": (lambda a: a, float),
+    "float32": (lambda a: a.astype(np.float32), np.float32),
+    "strided": (lambda a: np.repeat(a, 2, axis=-1)[..., ::2], float),  # not C-contiguous
+}
+# a record whose float32 values orjson would spell by their own shortest digits
+WRITER_EXAMPLE = (2, [InstanceRecord(
+    image_id="x", image_embedding=np.array([0.1, -0.0]), regions=np.array([[1.1, 5e-324]]),
+    caption_tokens=[CaptionToken("n", True, np.array([0.3, -2.5]))], tags=[TagRef("t", 0.1)])])
+# values orjson refuses to write: an unserializable type, a lone surrogate, ints past 64 bits
+WRITER_UNWRITABLE = [{1, 2}, "\ud800", 2**64, -2**63 - 1]
+
+
+def _line_floats(item) -> np.ndarray:
+    """Every float of one vocabulary entry or instance record, as float64."""
+    if isinstance(item, tuple):
+        return np.asarray(item[1], dtype=np.float64)
+    return np.concatenate([np.ravel(a).astype(np.float64) for a in (
+        item.image_embedding, item.regions, *(t.embedding for t in item.caption_tokens),
+        [t.score for t in item.tags or []])])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=writer_records(finite=False) | writer_records(),
+       layout=st.sampled_from(sorted(WRITER_LAYOUTS)),
+       unwritable=st.sampled_from([None, *WRITER_UNWRITABLE]))
+@example(case=WRITER_EXAMPLE, layout="float32", unwritable=None)
+@example(case=WRITER_EXAMPLE, layout="strided", unwritable=None)
+def test_writers_keep_every_double_and_refuse_what_they_cannot_write(case, layout, unwritable):
+    """Each double reads back bit for bit, a rewrite is byte-identical, and the first bad line is the error.
+
+    A float32 is written as its float64 value and a strided array as a
+    contiguous one. A line's non-finite number is its error before a value
+    orjson refuses, which is a ValidationError, not orjson's own.
+    The 17-digit spelling of earlier writers reads back to the same doubles.
+    """
     dim, records = case
-    assert _written(write_instances, records, dim) == _written(write_instances_loop, records, dim)
-    vocab = [(r.image_id, r.image_embedding) for r in records]
-    assert _written(write_vocab, vocab, dim) == _written(write_vocab_loop, vocab, dim)
+    with np.errstate(over="ignore"):  # a double past float32's range becomes inf
+        records = [_with_arrays(r, *WRITER_LAYOUTS[layout]) for r in records]
+    vocab = [(f"{r.image_id}{i}", r.image_embedding) for i, r in enumerate(records)]
+    if unwritable is not None and records:
+        records[0] = dataclasses.replace(records[0], image_id=unwritable)
+        vocab[0] = (unwritable, vocab[0][1])
+    for writer, reader, items in ((write_instances, read_instances, records),
+                                  (write_vocab, read_vocab, vocab)):
+        written = _written(writer, items, dim)
+        finite = [np.isfinite(_line_floats(item)).all() for item in items]
+        if not all(finite) and (unwritable is None or not finite[0]):
+            assert written == (ValidationError, "cannot serialize non-finite number")
+            continue
+        if unwritable is not None and items:
+            assert written[0] is ValidationError and written[1].startswith("cannot serialize: ")
+            continue
+        got = _read_bytes(reader, written)
+        widened = [(tag_id, emb.astype(np.float64)) for tag_id, emb in items] if reader is read_vocab \
+            else [_with_arrays(r, lambda a: a.astype(np.float64), float) for r in items]
+        assert _plain(got) == _plain((widened, dim))
+        assert _written(writer, *got) == written
+        earlier = b"".join(to_json(orjson.loads(line)).encode() + b"\n"
+                           for line in written.splitlines())
+        assert _plain(_read_bytes(reader, earlier)) == _plain(got)
 
 
 class _Str(str):
@@ -1996,13 +2099,39 @@ def test_the_array_pass_reads_as_the_value_by_value_readers(case, window, tmp_pa
 
 
 # ---------------------------------------------------------------------------
-# seeds: a state file holds them as JSON integers, which read back exactly below 2**64
+# config ints: a state file holds them as JSON integers, written and read back
+# exactly below 2**64
 
-@pytest.mark.parametrize("cls", [SyntheticConfig, TrainerConfig])
-def test_a_config_seed_must_be_below_2_to_the_64(cls):
-    assert cls(seed=2**64 - 1).seed == 2**64 - 1
-    with pytest.raises(ConfigError, match=r"^seed must be below 2\*\*64, got 18446744073709551616$"):
-        cls(seed=2**64)
+@pytest.mark.parametrize("cls, name", [(SyntheticConfig, "seed"), (TrainerConfig, "seed"),
+                                       (TrainerConfig, "steps"), (TrainerConfig, "batch_size")])
+def test_a_config_int_must_be_below_2_to_the_64(cls, name):
+    assert getattr(cls(**{name: 2**64 - 1}), name) == 2**64 - 1
+    with pytest.raises(ConfigError,
+                       match=rf"^{name} must be below 2\*\*64, got 18446744073709551616$"):
+        cls(**{name: 2**64})
+
+
+@pytest.mark.parametrize("batch_size", [2**64 - 1, 2**64])
+def test_train_takes_a_batch_size_below_2_to_the_64_only(batch_size, tmp_path, monkeypatch,
+                                                         capsys):
+    def generate(config):
+        raise AssertionError("data generated before the config was checked")
+
+    state = tmp_path / "state.json"
+    argv = ["train", "--steps", "2", "--n_images", "4", "--batch_size", str(batch_size),
+            "--state_out", str(state)]
+    if batch_size >= 2**64:
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        assert run_cli(argv, capsys) == (
+            2, "", f"error: batch_size must be below 2**64, got {batch_size}\n")
+        assert not state.exists()
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clamped-score warning of a tiny world
+        code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert read_state(state)[2].batch_size == batch_size
+    assert run_cli(["eval", str(state)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 10**20])

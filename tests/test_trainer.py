@@ -27,10 +27,6 @@ SMALL = SyntheticConfig(n_concepts=6, d=8, n_images=20, regions_per_image=3, see
 FAST = dict(steps=5, learning_rate=0.5)
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "expected_synthetic.json").read_text())
-# This golden world has 5 concepts and 3 regions per image, so each image's 3
-# negatives were drawn from 2 absent concepts and repeated one. Such a config
-# is refused; test_config_validation reads the entry's config to check that.
-REFUSED = "repeated-negatives"
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -119,7 +115,7 @@ class TestGeneration:
         assert np.array_equal(a.positive_concepts, b.positive_concepts)
         assert np.array_equal(a.global_scores, b.global_scores)
 
-    @pytest.mark.parametrize("name", [name for name in GOLDEN if name != REFUSED])
+    @pytest.mark.parametrize("name", GOLDEN)
     def test_matches_golden_bytes(self, name):
         """Every generated field, byte for byte, and retrieval on three states."""
         golden = GOLDEN[name]
@@ -143,7 +139,8 @@ class TestGeneration:
             SyntheticConfig(n_concepts=4, regions_per_image=4)
         # 3 negatives drawn from 2 absent concepts would name one twice
         with pytest.raises(ConfigError, match=r"^regions_per_image must be in \[1, n_concepts // 2\]"):
-            SyntheticConfig(**GOLDEN[REFUSED]["config"])
+            SyntheticConfig(n_concepts=5, d=6, n_images=40, regions_per_image=3,
+                            noise_sigma=0.1, flip_rate=0.5, seed=7)
         with pytest.raises(ConfigError):
             SyntheticConfig(flip_rate=1.5)
         with pytest.raises(ConfigError):
