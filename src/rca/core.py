@@ -12,7 +12,11 @@ phi measures how compatible a tag is with the context it attends to: an
 irrelevant tag cannot collect a context average it is similar to.
 :func:`compat_forward` and :func:`compat_backward` are the one kernel for
 this pipeline and its gradient; they take leading batch axes, so a block
-of images is one call and a single image is the B=1 case.
+of images is one call and a single image is the B=1 case. The contexts
+broadcast against the tags, so a block's positives and negatives, stacked
+on one more leading axis, share one pass over the block's contexts. Their
+elementwise chains run in place on buffers they allocate, in the order of
+the formulas above.
 :func:`compatibility` is its validated 2-D front door. :func:`scatter_add`
 folds per-row gradients back onto the table rows they were gathered from.
 All functions are pure and operate on float64 numpy arrays.
@@ -209,17 +213,22 @@ def compat_forward(tags: np.ndarray, contexts: np.ndarray):
 
     Leading axes are batch axes, and each slice's result is bitwise equal
     to a call on that slice alone: stacked matmul works slice by slice,
-    and phi's row dot product is an einsum. Returns ``phi`` and the cache
+    and phi's row dot product is an einsum. The contexts broadcast against
+    the tags, so tags stacked on an extra leading axis, such as a block's
+    positives and negatives (2, B, J, d) against its contexts (B, R, d),
+    take one pass with the same (J x d) @ (d x R) product per slice. The
+    softmax chain runs in place on one buffer, in the order of
+    ``exp(t / sqrt(d) - max) / sum``. Returns ``phi`` and the cache
     ``(t_raw, alpha, ctx)`` that :func:`compat_backward` reads, where
     ``t_raw`` holds the unscaled dot products and ``alpha`` the attention
     rows. Inputs are not validated; :func:`compatibility` is the validated
     front door.
     """
     t_raw = tags @ contexts.swapaxes(-1, -2)
-    scaled = t_raw / np.sqrt(tags.shape[-1])
-    shifted = scaled - _max_last(scaled)[..., None]
-    e = np.exp(shifted)
-    alpha = e / _sum_last(e)[..., None]
+    alpha = t_raw / np.sqrt(tags.shape[-1])
+    alpha -= _max_last(alpha)[..., None]
+    np.exp(alpha, out=alpha)
+    alpha /= _sum_last(alpha)[..., None]
     ctx = alpha @ contexts
     phi = np.einsum("...jd,...jd->...j", tags, ctx)
     return phi, (t_raw, alpha, ctx)
@@ -228,15 +237,31 @@ def compat_forward(tags: np.ndarray, contexts: np.ndarray):
 def compat_backward(g: np.ndarray, tags: np.ndarray, contexts: np.ndarray, phi, cache):
     """Pull the upstream gradient g (..., J) of phi back onto tags and contexts.
 
-    The closed form is derived in :mod:`rca.gradients`.
+    The closed form is derived in :mod:`rca.gradients`. Returns the tags'
+    gradient (..., J, d) and the context weights ``b`` (..., J, R); the
+    contexts' gradient is ``b.swapaxes(-1, -2) @ tags``, which the caller
+    forms, one product per slice of an axis the contexts were broadcast
+    over, and adds in its own order. Each chain runs in place on a fresh
+    buffer, in the order of ``g * (ctx + (m - phi * ctx) / sqrt(d))`` and
+    ``g * alpha * (1 + (t - phi) / sqrt(d))``, the two operands of a ``+``
+    or ``*`` swapped where the buffer holds the right-hand one, which
+    leaves every bit as it is; the cache is not written.
     """
     t_raw, alpha, ctx = cache
     sd = np.sqrt(tags.shape[-1])
-    m = (alpha * t_raw) @ contexts
-    d_tags = g[..., None] * (ctx + (m - phi[..., None] * ctx) / sd)
-    b = g[..., None] * alpha * (1.0 + (t_raw - phi[..., None]) / sd)
-    d_contexts = b.swapaxes(-1, -2) @ tags
-    return d_tags, d_contexts
+    g = g[..., None]
+    b = alpha * t_raw
+    d_tags = b @ contexts  # m
+    d_tags -= phi[..., None] * ctx
+    d_tags /= sd
+    d_tags += ctx
+    d_tags *= g
+    np.multiply(g, alpha, out=b)
+    c = t_raw - phi[..., None]
+    c /= sd
+    c += 1.0
+    b *= c
+    return d_tags, b
 
 
 def compatibility(tags, contexts) -> np.ndarray:

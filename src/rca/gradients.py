@@ -21,7 +21,12 @@ the selection result fixed while perturbing embeddings.
 
 The kernels that evaluate these (:func:`rca.core.compat_forward` and
 :func:`rca.core.compat_backward` for phi, :func:`rca.losses.batch_loss`
-for the loss) take leading batch axes; one corpus pass,
+for the loss) take leading batch axes. The positives and negatives of a
+block are stacked on one more axis, so each context takes one forward and
+one backward pass for both; ``compat_backward`` returns the per-row
+context weights A_jk (1 + (t_jk - phi_j) / sqrt(d)) g_j, and the loss
+contracts each side with its tags and adds the positives' product to the
+negatives'. One corpus pass,
 :func:`rca.losses.corpus_losses`, calls them for training, for
 :func:`loss_and_grad` on a one-image corpus, and for
 :func:`finite_diff_grad` on corpora of an instance's nudged copies.

@@ -6,13 +6,14 @@ record per line. Data files (vocabularies, instances and trainer state)
 are written by one writer, :func:`_write_data`: one ``orjson.dumps`` per
 line, floats in shortest round-trip form, after it has refused
 non-finite numbers, widened narrower floats to float64 and made arrays
-C-contiguous (:func:`_data_value`). Every double reads back bit for bit,
--0.0 included, so write -> read -> write is byte-identical. Report lines
-(each subcommand's stdout and ``rca train --metrics_out``) are written by
-:func:`to_json`, floats at 17 significant digits, because the stdout
-goldens and the benchmark's pinned digests hold those bytes. Each line is
-decoded by ``orjson.loads``, whose doubles and 64-bit integers are those
-of ``json.loads``. Embedding rows and state tables are converted by one
+C-contiguous (:func:`_data_value`); a write that fails removes its file.
+Every double reads back bit for bit, -0.0 included, so write -> read ->
+write is byte-identical. Report lines (each subcommand's stdout and
+``rca train --metrics_out``) are written by :func:`to_json`, floats at 17
+significant digits, because the stdout goldens and the benchmark's
+pinned digests hold those bytes. Each line is decoded by
+``orjson.loads``, whose doubles and 64-bit integers are those of
+``json.loads``. Embedding rows and state tables are converted by one
 numpy array pass. One checker, :func:`_numbers`, takes a list of numbers
 and names its error: each embedding row that fails the array pass, and
 each line's tag scores as one list (``tag scores must be a list of
@@ -26,6 +27,7 @@ than ignored; a silently dropped typo would be worse than an error.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -193,13 +195,23 @@ def _data_value(value):
 
 
 def _write_data(path, lines) -> None:
-    """Write each object of ``lines`` as one JSON line through orjson (see :func:`_data_value`)."""
+    """Write each object of ``lines`` as one JSON line through orjson (see :func:`_data_value`).
+
+    On any error the file is removed, so no partial file reads as a valid
+    one; for a symbolic link that is its target, and the link stays.
+    """
     with open(path, "wb") as fh:
-        for obj in lines:
-            try:
-                fh.write(orjson.dumps(_data_value(obj), option=_DATA_LINE))
-            except orjson.JSONEncodeError as exc:
-                raise ValidationError(f"cannot serialize: {exc}") from None
+        try:
+            for obj in lines:
+                try:
+                    fh.write(orjson.dumps(_data_value(obj), option=_DATA_LINE))
+                except orjson.JSONEncodeError as exc:
+                    raise ValidationError(f"cannot serialize: {exc}") from None
+        except BaseException:
+            fh.close()
+            with contextlib.suppress(OSError):  # report the error that stopped the write
+                os.remove(os.path.realpath(path))
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ words; either one may scale each positive's term by a confidence weight
 q > 0.
 
 One kernel computes every loss: :func:`batch_loss` over a leading batch
-axis, with its gradients. One pass calls it, :func:`corpus_losses`, over
-images of a :class:`Corpus` under the tag rows :func:`corpus_selection`
-picks: training and ``rca loss`` over their corpora, :func:`total_loss`
-and the gradient functions over a one-image corpus. All losses are
+axis, with its gradients. It takes the positives and negatives stacked
+as one ``tags`` array, so each context (regions, caption nouns) takes one
+compatibility pass, forward and backward, for both sides. One pass calls
+it, :func:`corpus_losses`, over images of a :class:`Corpus` under the tag
+rows :func:`corpus_selection` picks, gathering a block's tag rows once:
+training and ``rca loss`` over their corpora, :func:`total_loss` and the
+gradient functions over a one-image corpus. All losses are
 computed through log-sum-exp so large compatibility values cannot
 overflow.
 
@@ -63,7 +66,8 @@ def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
     axes, shared by both arguments, are batch axes.
     """
     m = np.maximum(phi_pos, _max_last(phi_neg)[..., None])
-    e_neg = np.exp(phi_neg[..., None, :] - m[..., None])
+    e_neg = phi_neg[..., None, :] - m[..., None]
+    np.exp(e_neg, out=e_neg)
     e = [np.exp(phi_pos - m)] + [e_neg[..., l] for l in range(e_neg.shape[-1])]
     lse = m + np.log(_fold_sum(e))
     return lse - phi_pos
@@ -90,10 +94,14 @@ class GradientBundle:
         }
 
 
-def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
-    """Per-image mean of q_n * ell_n over one context block, and the gradients of scale times its sum."""
-    phi_p, cache_p = compat_forward(positives, contexts)
-    phi_n, cache_n = compat_forward(negatives, contexts)
+def _pair_block(contexts, tags, weights, scale, with_grad):
+    """Per-image mean of q_n * ell_n over one context block, and the gradients of scale times its sum.
+
+    ``tags`` (2, B, K, d) holds the positives, then the negatives; one
+    compatibility pass scores both against the shared contexts.
+    """
+    phi, cache = compat_forward(tags, contexts)
+    phi_p, phi_n = phi
     terms = nll_terms(phi_p, phi_n)
     loss = _sum_last(terms if weights is None else weights * terms) / terms.shape[-1]
     if not with_grad:
@@ -102,15 +110,18 @@ def _pair_block(contexts, positives, negatives, weights, scale, with_grad):
     # z is within an ulp of the true log-partition; plenty for gradients
     z = phi_p + terms
     p = np.exp(-terms)
-    r = np.exp(phi_n[..., None, :] - z[..., :, None])
+    r = phi_n[..., None, :] - z[..., :, None]
+    np.exp(r, out=r)
 
     q = np.ones_like(phi_p) if weights is None else weights
-    g_pos = scale * q * (p - 1.0)
-    g_neg = scale * (q[..., None, :] @ r)[..., 0, :]
+    g = np.empty_like(phi)
+    g[0] = scale * q * (p - 1.0)
+    g[1] = scale * (q[..., None, :] @ r)[..., 0, :]
 
-    d_pos, d_ctx_p = compat_backward(g_pos, positives, contexts, phi_p, cache_p)
-    d_neg, d_ctx_n = compat_backward(g_neg, negatives, contexts, phi_n, cache_n)
-    return loss, (d_pos, d_neg, d_ctx_p + d_ctx_n)
+    d_tags, b = compat_backward(g, tags, contexts, phi, cache)
+    d_contexts = b[0].swapaxes(-1, -2) @ tags[0]
+    d_contexts += b[1].swapaxes(-1, -2) @ tags[1]
+    return loss, (d_tags, d_contexts)
 
 
 def _from_zero(terms, like):
@@ -124,8 +135,7 @@ def _from_zero(terms, like):
 
 def batch_loss(
     regions: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
+    tags: np.ndarray,
     caption_nouns: np.ndarray,
     weights: np.ndarray | None = None,
     lambda_cross: float = 1.0,
@@ -134,39 +144,41 @@ def batch_loss(
 ):
     """Per-image cross and inner losses of a batch, and their gradients.
 
-    Arrays carry a leading batch axis B: regions (B, R, d), positives and
-    negatives (B, K, d), caption_nouns (B, P, d) with P possibly 0, weights
-    (B, K) or None. A zero lambda or P = 0 skips its term, which then
-    reads 0. Returns ``(cross, inner, grads)``: (B,) loss arrays and a
+    Arrays carry a batch axis B: regions (B, R, d), tags (2, B, K, d), the
+    positives stacked on the negatives, caption_nouns (B, P, d) with P
+    possibly 0, weights (B, K) or None. Each context (regions, then
+    caption nouns) takes one compatibility pass over both sides of
+    ``tags``, and each side's results are bitwise those of a pass over it
+    alone; the two sides' context gradients add side 0's then side 1's. A
+    zero lambda or P = 0 skips its term, which then reads 0. Returns
+    ``(cross, inner, grads)``: (B,) loss arrays and a
     :class:`GradientBundle` of each image's gradients of its total loss,
-    or ``None`` without ``with_grad``. Each image's results are bitwise
-    equal to those of a batch holding that image alone, provided each
-    image's rows are C-contiguous (a broadcast batch axis is fine; on
-    strided rows matmul sums in another order). Arrays are not validated;
-    :class:`ContrastiveInstance` and :func:`rca.uasr.check_selection`
-    check them at the boundary, and the corpus CLI checks its records.
+    or ``None`` without ``with_grad``; its ``d_positives`` and
+    ``d_negatives`` are the two sides of one stacked array. Each image's
+    results are bitwise equal to those of a batch holding that image
+    alone, provided each image's rows are C-contiguous (a broadcast batch
+    axis is fine; on strided rows matmul sums in another order). Arrays
+    are not validated; :class:`ContrastiveInstance` and
+    :func:`rca.uasr.check_selection` check them at the boundary, and the
+    corpus CLI checks its records.
     """
     if not (0.0 <= lambda_cross < math.inf and 0.0 <= lambda_inner < math.inf):
         raise InvalidWeightError("lambda weights must be finite and non-negative")
-    k = positives.shape[-2]
-    cross = inner = np.zeros(positives.shape[0])
+    k = tags.shape[-2]
+    cross = inner = np.zeros(tags.shape[1])
     g_cross = g_inner = None
     if lambda_cross > 0.0:
-        cross, g_cross = _pair_block(
-            regions, positives, negatives, weights, lambda_cross / k, with_grad
-        )
+        cross, g_cross = _pair_block(regions, tags, weights, lambda_cross / k, with_grad)
     if lambda_inner > 0.0 and caption_nouns.shape[-2] > 0:
-        inner, g_inner = _pair_block(
-            caption_nouns, positives, negatives, weights, lambda_inner / k, with_grad
-        )
+        inner, g_inner = _pair_block(caption_nouns, tags, weights, lambda_inner / k, with_grad)
     if not with_grad:
         return cross, inner, None
-    ran = [g for g in (g_cross, g_inner) if g is not None]
+    d_pos, d_neg = _from_zero([g[0] for g in (g_cross, g_inner) if g is not None], tags)
     return cross, inner, GradientBundle(
-        d_regions=_from_zero([] if g_cross is None else [g_cross[2]], regions),
-        d_positives=_from_zero([g[0] for g in ran], positives),
-        d_negatives=_from_zero([g[1] for g in ran], negatives),
-        d_caption_nouns=_from_zero([] if g_inner is None else [g_inner[2]], caption_nouns),
+        d_regions=_from_zero([] if g_cross is None else [g_cross[1]], regions),
+        d_positives=d_pos,
+        d_negatives=d_neg,
+        d_caption_nouns=_from_zero([] if g_inner is None else [g_inner[1]], caption_nouns),
     )
 
 
@@ -253,8 +265,7 @@ def corpus_losses(corpus, tables, images, sel, lambdas, with_grad=False):
         block, block_sel = images[part], sel.take(part)
         table[part, 0], table[part, 1], g = batch_loss(
             region_table[corpus.region_rows[block]],
-            tag_table[block_sel.positive_concepts],
-            tag_table[block_sel.negative_concepts],
+            tag_table[np.stack([block_sel.positive_concepts, block_sel.negative_concepts])],
             caption_table[corpus.caption_concepts[block]],
             block_sel.weights,
             *lambdas,

@@ -483,10 +483,14 @@ def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     return np.sort(_choice_picks(draws, k, m).reshape(count, 2, m), axis=-1)
 
 
-def _step(dataset, state, config, batch, sel) -> None:
+def _step(dataset, state, config, batch, sel, first: bool) -> None:
     """One gradient step on ``batch`` under its selection ``sel``, in place.
 
-    Raises :class:`DivergenceError` if a table stops being finite.
+    Raises :class:`DivergenceError` if a table stops being finite. It
+    checks both concept tables and the region rows it wrote, and the
+    whole region table on a run's ``first`` step: a row no later step
+    wrote still holds what that check saw. (The run's step-0 snapshot
+    reads every region row, but not at ``lambda_cross = 0``.)
     """
     _, (d_tags, d_caption, d_regions) = corpus_losses(dataset, state.tables, batch, sel,
                                                       config.lambdas, with_grad=True)
@@ -497,11 +501,19 @@ def _step(dataset, state, config, batch, sel) -> None:
     if not config.freeze_caption:
         state.caption_table -= lr * scatter_add(dataset.caption_concepts[batch],
                                                 d_caption, len(state.caption_table))
+    checked = [state.tag_table, state.caption_table]
     if not config.freeze_regions:
+        # what `table[rows] -= ...` does, keeping the written rows to check;
         # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
-        state.region_table[dataset.region_rows[batch]] -= lr * (0.0 + d_regions)
+        rows = dataset.region_rows[batch]
+        written = state.region_table[rows]
+        written -= lr * (0.0 + d_regions)
+        state.region_table[rows] = written
+        checked.append(written)
+    if first:
+        checked.append(state.region_table)
     state.step += 1
-    for table in state.tables:
+    for table in checked:
         if not np.isfinite(table).all():
             raise DivergenceError(state.step, "table values are not finite")
 
@@ -524,6 +536,7 @@ def train_alignment(
     n, k = dataset.positive_concepts.shape
     plan = corpus_selection(dataset, np.arange(n), config.enable_uasr, True)
     clamped = 0  # by the steps; each snapshot adds the plan's
+    start = state.step
     history: list[HistoryRecord] = []
 
     def record():
@@ -550,7 +563,8 @@ def train_alignment(
                                            True, np.concatenate(subsets) if subsets else None)
             clamped += int(stretch_sel.clamped.sum())
             for i, batch in enumerate(batches):
-                _step(dataset, state, config, batch, stretch_sel.take(slice(i * b, (i + 1) * b)))
+                _step(dataset, state, config, batch, stretch_sel.take(slice(i * b, (i + 1) * b)),
+                      first=state.step == start)
                 if state.step % 10 == 0:
                     record()
 

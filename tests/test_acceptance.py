@@ -197,7 +197,7 @@ def test_criterion_3_closed_form_anchors(capsys):
 
     for _ in range(20):
         inst = random_instance(rng, n_nouns=int(rng.integers(1, 4)))
-        tables = (inst.regions[None], inst.positives[None], inst.negatives[None],
+        tables = (inst.regions[None], np.stack([inst.positives, inst.negatives])[:, None],
                   inst.caption_nouns[None])
         ones = np.ones((1, inst.positives.shape[0]))
         weighted = batch_loss(*tables, ones, with_grad=False)

@@ -88,7 +88,8 @@ def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weight
     weights = rng.uniform(0.1, 2.0, (b, k)) if weighted else None
     lc, li = lambdas
 
-    cross, inner, g = batch_loss(regions, positives, negatives, caption, weights, lc, li)
+    tags = np.stack([positives, negatives])
+    cross, inner, g = batch_loss(regions, tags, caption, weights, lc, li)
     for out in (cross, inner, g.d_positives, g.d_negatives, g.d_regions, g.d_caption_nouns):
         assert np.isfinite(out).all()
     phi, _ = compat_forward(positives, regions)
@@ -111,8 +112,7 @@ def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weight
         one, _ = compat_forward(positives[i:i + 1], regions[i:i + 1])
         assert np.array_equal(phi[i], one[0])
 
-    c2, i2, none = batch_loss(regions, positives, negatives, caption, weights, lc, li,
-                              with_grad=False)
+    c2, i2, none = batch_loss(regions, tags, caption, weights, lc, li, with_grad=False)
     assert none is None
     assert np.array_equal(c2, cross) and np.array_equal(i2, inner)
 
@@ -136,6 +136,34 @@ def test_batched_kernel_equals_per_image_2d_bitwise(b, k, r, p, d, scale, weight
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("r, p, d", list(itertools.product([8, 3], [3, 0], [16, 64])))
+def test_stacked_kernel_equals_separate_passes_at_cli_shapes(r, p, d, weighted):
+    """One stacked pass gives each image the bits of the loop's separate 2-D passes.
+
+    At K = 25 (M = 50) and the region, noun and embedding sizes of ``rca
+    loss`` and ``rca gradcheck``, for batches of 1 to 64 images: losses
+    with and without gradients, and each gradient table.
+    """
+    k = 25
+    rng = np.random.default_rng([r, p, d, weighted])
+    for b in (1, 2, 7, 33, 64):
+        regions, positives, negatives, caption = (
+            rng.standard_normal((b, n, d)) / math.sqrt(d) for n in (r, k, k, p))
+        weights = rng.uniform(0.05, 1.0, (b, k)) if weighted else None
+        tags = np.stack([positives, negatives])
+        cross, inner, g = batch_loss(regions, tags, caption, weights)
+        cross_only, inner_only, _ = batch_loss(regions, tags, caption, weights, with_grad=False)
+        assert cross_only.tobytes() == cross.tobytes() and inner_only.tobytes() == inner.tobytes()
+        for i in range(b):
+            want = loss_and_grad_2d(regions[i], positives[i], negatives[i], caption[i],
+                                    None if weights is None else weights[i], 1.0, 1.0)
+            assert (cross[i], inner[i]) == want[:2]
+            for got, expected in zip((g.d_positives[i], g.d_negatives[i], g.d_regions[i],
+                                      g.d_caption_nouns[i]), want[2:]):
+                assert got.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     b=st.integers(1, 4),
@@ -157,9 +185,9 @@ def test_batch_loss_invariant_under_region_permutation(b, k, r, p, d, weighted, 
     perm = np.stack([rng.permutation(r) for _ in range(b)])  # one permutation per image
     shuffled = np.take_along_axis(regions, perm[:, :, None], axis=1)
 
-    cross, inner, g = batch_loss(regions, positives, negatives, caption, weights, *lambdas)
-    cross_s, inner_s, g_s = batch_loss(shuffled, positives, negatives, caption, weights,
-                                       *lambdas)
+    tags = np.stack([positives, negatives])
+    cross, inner, g = batch_loss(regions, tags, caption, weights, *lambdas)
+    cross_s, inner_s, g_s = batch_loss(shuffled, tags, caption, weights, *lambdas)
     close = dict(rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(cross_s, cross, **close)
     np.testing.assert_allclose(inner_s, inner, **close)

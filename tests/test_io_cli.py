@@ -1651,6 +1651,7 @@ def _written(writer, *args):
         try:
             writer(path, *args)
         except ValidationError as exc:
+            assert not os.path.lexists(path)  # a failed write leaves no partial file
             return type(exc), str(exc)
         with open(path, "rb") as fh:
             return fh.read()
@@ -1782,6 +1783,33 @@ def test_to_json_matches_the_value_by_value_route(value):
             to_json(value)
     else:
         assert to_json(value) == expected
+
+
+@pytest.mark.parametrize("links", [0, 1, 2], ids=["path", "symlink", "symlink-to-symlink"])
+@pytest.mark.parametrize("bad_tag", [("b", np.array([1.0, np.inf])), ("\ud800", np.ones(2))],
+                         ids=["non-finite", "lone-surrogate"])
+def test_a_failed_write_removes_its_partial_file(tmp_path, links, bad_tag):
+    """A writer that fails on a later line removes the file it wrote and keeps a link to it.
+
+    The lines before the bad one would otherwise read back as a valid file.
+    """
+    target = tmp_path / "target" / "vocab.jsonl"
+    target.parent.mkdir()
+    target.write_text("an earlier file\n")
+    path = target
+    for i in range(links):
+        link = tmp_path / f"link-{i}.jsonl"
+        link.symlink_to(path)
+        path = link
+    with pytest.raises(ValidationError, match="^cannot serialize"):
+        write_vocab(path, [("a", np.ones(2)), bad_tag], 2)
+    assert not target.exists()
+    assert path.is_symlink() == (links > 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["target", *(f"link-{i}.jsonl" for i in range(links))])
+    write_vocab(path, [("a", np.ones(2))], 2)  # the link still leads to the target
+    assert os.path.samefile(path, target)
+    assert [tag for tag, _ in read_vocab(target)[0]] == ["a"]
 
 
 def test_negative_zero_survives_a_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ def context_loss(contexts, positives, negatives, weights=None):
     )
     q = None if weights is None else np.asarray(weights, dtype=np.float64)[None]
     nouns = np.zeros((1, 0, contexts.shape[-1]))
-    cross, _, _ = batch_loss(contexts, positives, negatives, nouns, q, 1.0, 0.0, with_grad=False)
+    tags = np.stack([positives, negatives])
+    cross, _, _ = batch_loss(contexts, tags, nouns, q, 1.0, 0.0, with_grad=False)
     return float(cross[0])
 
 
@@ -208,6 +210,7 @@ class TestKernelsUnchangedBitForBit:
         if zero is not None:  # a zero tag column puts signed zeros in the gradients
             for table in tables[1:3]:
                 table[..., 0] = zero
+        tables[1:3] = [np.stack(tables[1:3])]
         weights = rng.uniform(0.1, 3.0, (b, k)) if weighted else None
         for with_grad in (False, True):
             got = batch_loss(*tables, weights, *lambdas, with_grad=with_grad)
@@ -241,3 +244,38 @@ class TestKernelsUnchangedBitForBit:
         with plain_numpy_kernels():
             want = select_batch(cosines, scores).weights
         assert got.tobytes() == want.tobytes()
+
+
+# (B, K, R, P, d, with_grad) -> tracemalloc peak of one batch_loss call, KiB, on numpy 2.4.6
+# before positives and negatives shared one compatibility pass
+WORKING_SETS = {
+    "train-c6-step": ((200, 2, 4, 4, 16, True), 786),
+    "snapshot-block": ((256, 4, 4, 4, 16, False), 511),
+}
+
+
+@pytest.mark.parametrize("shape, kib", WORKING_SETS.values(), ids=WORKING_SETS.keys())
+def test_batch_loss_working_set_stays_pinned(shape, kib):
+    """The peak of one call's temporaries stays within 5% of the figure it had.
+
+    The training loop is sensitive to its allocations (ROADMAP item 17), so
+    a kernel edit that grows them fails here before it shows as page churn.
+    """
+    b, k, r, p, d, with_grad = shape
+    rng = np.random.default_rng(0)
+    regions, caption = rng.standard_normal((b, r, d)), rng.standard_normal((b, p, d))
+    tags = rng.standard_normal((2, b, k, d))
+    weights = rng.uniform(0.1, 2.0, (b, k))
+    batch_loss(regions, tags, caption, weights, with_grad=with_grad)  # numpy's lazy set-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        batch_loss(regions, tags, caption, weights, with_grad=with_grad)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.05 * kib * 1024, f"peak {peak / 1024:.1f} KiB against {kib} KiB"

@@ -331,6 +331,25 @@ class TestTraining:
                 snapshot()
             assert exc.value.step == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+    def test_a_non_finite_region_row_fails_the_first_step(self, frozen, bad):
+        """A step checks the region rows it writes, and a run's first step the whole table.
+
+        At lambda_cross = 0 the step-0 snapshot does not read the regions,
+        so only that first check finds a bad row the first batch misses.
+        """
+        ds = generate_synthetic(SMALL)
+        for step in (0, 7):
+            state = initial_state(ds, seed=0)
+            state.step = step
+            state.region_table[-1, 0] = bad
+            cfg = TrainerConfig(steps=5, learning_rate=0.1, batch_size=1, lambda_cross=0.0,
+                                freeze_regions=frozen)
+            with pytest.raises(DivergenceError, match="^table values are not finite$") as exc:
+                train_alignment(ds, cfg, state)
+            assert exc.value.step == step + 1
+
     def test_subsample_does_not_touch_snapshots(self):
         ds = generate_synthetic(SMALL)
         state = initial_state(ds, seed=0)

@@ -270,7 +270,7 @@ class TestApplyUasr:
         wp = inst.positives[res.positive_indices]
         wn = inst.negatives[res.negative_indices]
         cross, inner, _ = batch_loss(
-            inst.regions[None], wp[None], wn[None], inst.caption_nouns[None],
+            inst.regions[None], np.stack([wp, wn])[:, None], inst.caption_nouns[None],
             res.weights[None], with_grad=False,
         )
         assert (bd.cross, bd.inner) == (cross[0], inner[0])
