@@ -24,18 +24,22 @@ All functions are pure and operate on float64 numpy arrays.
 Short trailing axes are reduced by column folds. numpy reduces a trailing
 axis one row at a time, which costs far more than the arithmetic when the
 axis holds a handful of entries, as the context and tag axes here do.
-:func:`_sum_last` folds an axis of 1 <= n < 8 entries column by column,
-left to right from ``0.0 + x[..., 0]`` (:func:`_fold_sum`), which is the
-order numpy's add-reduce uses below 8 entries (from 8 on it sums a
-contiguous row pairwise with 8 accumulators); longer axes go to numpy's
-own sum, so every sum is bitwise numpy's. The mean is the sum over n, as
-in numpy. :func:`_max_last` folds with ``np.maximum`` every axis of
-1 <= n < 8 entries, and an axis of 8 to 16 entries when it has at least
-16 rows per entry, as the CLI's 8-wide region axis has in a corpus group
-or a gradcheck block; an axis with few rows, such as a 25-wide negatives
-axis, goes to numpy's max. A max is exact in any order, so the value is
-numpy's; only which zero a row of +0.0 and -0.0 entries returns may
-differ from 8 entries on, and no caller can see which: each subtracts
+Both folds take an axis of 1 <= n < 8 entries, and an axis of 8 to 16
+entries when it has at least 16 rows per entry, as the CLI's 8-wide
+region axis has in a corpus group or a gradcheck block; an axis with few
+rows, such as a 25-wide negatives axis, goes to numpy's reduction.
+:func:`_sum_last` adds an axis of 1 <= n < 8 entries column by column,
+left to right from ``0.0 + x[..., 0]`` (:func:`_fold_sum`), the order
+numpy's add-reduce uses below 8 entries. From 8 entries on numpy sums
+each row of a C-contiguous array pairwise, with 8 accumulators, and
+:func:`_pairwise_fold` repeats that order column by column; numpy adds
+the last axis of any other layout (a column-major one, say) in another
+order, so such an array goes to numpy's own sum. Every sum is thus
+bitwise numpy's. The mean is the sum over n, as in numpy.
+:func:`_max_last` folds with ``np.maximum``, in any layout. A max is
+exact in any order, so the value is numpy's; only which zero a row of
++0.0 and -0.0 entries returns may differ from 8 entries on, and no
+caller can see which: each subtracts
 the max from its row and exponentiates, and ``x - 0.0`` and ``x - (-0.0)``
 differ only in the sign of a zero, which ``exp`` maps to 1.0 either way.
 The log-sum-exp also adds the max back to the log of a sum of at least
@@ -66,8 +70,8 @@ __all__ = [
 ]
 
 _FOLD_BELOW = 8  # numpy's add-reduce sums pairwise from this many entries on
-# from 8 entries on, a max folds only an axis this narrow with this many rows per
-# entry, where the fold's n ufunc calls cost less than numpy's row-by-row reduce
+# from 8 entries on, a max or a C-contiguous sum folds only an axis this narrow with this
+# many rows per entry, where the fold's n ufunc calls cost less than numpy's row-by-row reduce
 _MAX_FOLD_WIDTH = 16
 _MAX_FOLD_ROWS_PER_COLUMN = 16
 
@@ -200,12 +204,46 @@ def _fold_sum(terms) -> np.ndarray:
     return out
 
 
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)``, bit for bit, folded over columns on a short axis."""
+def _pairwise_fold(x: np.ndarray) -> np.ndarray:
+    """``0.0 +`` numpy's pairwise sum of each row of x (..., n), 8 <= n <= 16, by columns.
+
+    Eight accumulators start at columns 0-7 and take each further full
+    block of 8 columns; the tree ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7))`` joins them, and the leftover columns are added left to
+    right. That is the order in which numpy adds each row of a
+    C-contiguous array.
+    """
     n = x.shape[-1]
-    if not 1 <= n < _FOLD_BELOW:
-        return x.sum(axis=-1)
-    return _fold_sum([x[..., j] for j in range(n)])
+    full = n - n % _FOLD_BELOW
+    r = [x[..., j] for j in range(_FOLD_BELOW)]
+    for start in range(_FOLD_BELOW, full, _FOLD_BELOW):
+        r = [acc + x[..., start + j] for j, acc in enumerate(r)]
+    # in place where the left operand is a fresh buffer, so at most three are live
+    out = r[0] + r[1]
+    out += r[2] + r[3]
+    half = r[4] + r[5]
+    half += r[6] + r[7]
+    out += half
+    for j in range(full, n):
+        out += x[..., j]
+    out += 0.0
+    return out
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)``, bit for bit, folded over columns on a short axis.
+
+    Below 8 entries the fold adds left to right; from 8 to 16 entries, on
+    a C-contiguous array with at least 16 rows per entry, it adds in
+    numpy's pairwise order. Every other array goes to numpy's sum.
+    """
+    n = x.shape[-1]
+    if 1 <= n < _FOLD_BELOW:
+        return _fold_sum([x[..., j] for j in range(n)])
+    if (n <= _MAX_FOLD_WIDTH and x.size >= _MAX_FOLD_ROWS_PER_COLUMN * n * n
+            and x.flags.c_contiguous):
+        return _pairwise_fold(x)
+    return x.sum(axis=-1)
 
 
 def compat_forward(tags: np.ndarray, contexts: np.ndarray):

@@ -29,7 +29,10 @@ contracts each side with its tags and adds the positives' product to the
 negatives'. One corpus pass,
 :func:`rca.losses.corpus_losses`, calls them for training, for
 :func:`loss_and_grad` on a one-image corpus, and for
-:func:`finite_diff_grad` on corpora of an instance's nudged copies.
+:func:`finite_diff_grad` on corpora of an instance's nudged copies. A
+copy whose caption nouns are nudged runs only the inner term, and one
+whose regions are nudged only the cross term; the term a nudge cannot
+move is the instance's own, from one pass over the instance.
 """
 
 from __future__ import annotations
@@ -96,14 +99,25 @@ def finite_diff_grad(
     The one-image corpus's tag, caption and region tables are nudged in
     turn. Up to ``_BLOCK`` nudged copies are the images of one forward-only
     :func:`rca.losses.corpus_losses` pass; each image's loss is bitwise
-    that of its copy evaluated alone. The instance is not modified.
+    that of its copy evaluated alone. The instance is evaluated once, and
+    a pass over caption copies skips the cross term, one over region
+    copies the inner term: each total is then ``lambda_cross * cross +
+    lambda_inner * inner`` with the instance's term in place of the
+    skipped one, as :func:`rca.losses.corpus_losses` forms it. The
+    instance is not modified.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ConfigError(f"step size h={h} outside [1e-7, 1e-3]")
 
     corpus, sel, tables = one_image_corpus(instance, uasr)
+    lambdas = (lambda_cross, lambda_inner)
+    instance_terms = corpus_losses(corpus, tables, np.arange(1), sel, lambdas)[0][0, :2]
     numeric = []
     for which, table in enumerate(tables):
+        # a caption nudge cannot move the cross term, a region nudge the inner one:
+        # the copies skip it, and each total takes the instance's own
+        unmoved = {1: 0, 2: 1}.get(which)
+        block_lambdas = tuple(0.0 if t == unmoved else lam for t, lam in enumerate(lambdas))
         flat = table.reshape(-1)
         # copy 2i nudges entry i by +h, copy 2i + 1 by -h
         entries = np.repeat(np.arange(flat.size), 2)
@@ -121,16 +135,18 @@ def finite_diff_grad(
         stack = np.tile(flat, b)
         copies_tables = list(tables)
         copies_tables[which] = stack.reshape(-1, table.shape[1])
-        totals = np.empty(entries.size)
+        terms = np.empty((entries.size, 2))
         for start in range(0, entries.size, _BLOCK):
             rows = np.arange(start, min(start + _BLOCK, entries.size))
             at = (rows - start) * flat.size + entries[rows]
             stack[at] = nudged[rows]
             losses, _ = corpus_losses(copies, copies_tables, rows - start,
-                                      copies_sel.take(slice(len(rows))),
-                                      (lambda_cross, lambda_inner))
-            totals[rows] = losses[:, 2]
+                                      copies_sel.take(slice(len(rows))), block_lambdas)
+            terms[rows] = losses[:, :2]
             stack[at] = flat[entries[rows]]
+        if unmoved is not None:
+            terms[:, unmoved] = instance_terms[unmoved]
+        totals = lambda_cross * terms[:, 0] + lambda_inner * terms[:, 1]
         numeric.append(((totals[0::2] - totals[1::2]) / (2.0 * h)).reshape(table.shape))
     k = instance.positives.shape[0]
     return GradientBundle(numeric[2], numeric[0][:k], numeric[0][k:], numeric[1])

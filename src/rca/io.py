@@ -334,9 +334,14 @@ def _read_header(line: bytes, lineno: int, expected_format: str) -> dict:
 
 
 def _read_bytes(path) -> bytes:
-    """A file's bytes once they are known to be UTF-8; otherwise :class:`ParseError` naming the line."""
+    """A file's bytes once they are known to be UTF-8; otherwise :class:`ParseError` naming the line.
+
+    ASCII is UTF-8, so only a file with a byte past 0x7F is decoded.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if raw.isascii():
+        return raw
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:

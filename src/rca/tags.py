@@ -57,8 +57,10 @@ def rank_corpus(
     The first M / 2 tags are the positives, the rest the negatives. A
     generator: the vocabulary matrix, its norms and the tag-id order are
     built once, at the first image, and each image then costs one
-    matrix-vector product and one ``lexsort``. Each image is checked when
-    its list is drawn, so a caller drawing lists between its own
+    matrix-vector product, one ``partition`` for the M-th best score and
+    one ``lexsort`` of the tags scoring at least that, which orders them
+    as a ``lexsort`` of the whole vocabulary would. Each image is checked
+    when its list is drawn, so a caller drawing lists between its own
     per-record checks sees every error in record order.
     """
     if M < 2 or M % 2 != 0:
@@ -82,7 +84,11 @@ def rank_corpus(
                 f"{name} has dim {img.shape[0]}, but the vocabulary has dim {emb.shape[1]}"
             )
         scores = (emb @ img) / (norms * img_norm)
-        order = np.lexsort((id_rank, -scores))[:M]
+        neg = -scores
+        # every tag scoring at least the M-th best, ties included; a NaN key sorts
+        # last in both sorts and fails every comparison, so it stays a candidate
+        cand = np.flatnonzero(~(neg > np.partition(neg, M - 1)[M - 1]))
+        order = cand[np.lexsort((id_rank[cand], neg[cand]))[:M]]
         yield [TagRef(ids[i], s) for i, s in zip(order.tolist(), scores[order].tolist())]
 
 

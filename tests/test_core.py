@@ -331,6 +331,80 @@ class TestShortAxisFolds:
             assert_same_bits(_sum_last(x) / x.shape[-1], x.mean(axis=-1))
 
 
+SUM_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308])
+SUM_LAYOUTS = ["contiguous", "strided", "reversed", "column-major", "broadcast"]
+
+
+def sum_inputs(n, layout, seed):
+    """A (2, 8n, n) array, 16 n^2 entries, as a contiguous, strided, reversed, column-major
+    or broadcast view.
+
+    Each row holds normals of mixed magnitude with none, a tenth or half of
+    its entries drawn from the special values; a row in five holds only
+    zeros of either sign. The contiguous layout is the one :func:`_sum_last`
+    folds from 8 entries on; the others go to numpy's sum.
+    """
+    rng = np.random.default_rng([n, seed, SUM_LAYOUTS.index(layout)])
+    shape = {"strided": (2, 8 * n, 2 * n), "broadcast": (8 * n, n)}.get(layout, (2, 8 * n, n))
+    rate = rng.choice([0.0, 0.1, 0.5], shape[:-1] + (1,))
+    normals = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    base = np.where(rng.random(shape) < rate, rng.choice(SUM_VALUES, shape), normals)
+    base[..., ::5, :] = rng.choice([0.0, -0.0], base[..., ::5, :].shape)
+    return {
+        "contiguous": lambda: base,
+        "strided": lambda: base[..., ::2],
+        "reversed": lambda: base[..., ::-1],
+        "column-major": lambda: np.asfortranarray(base),
+        "broadcast": lambda: np.broadcast_to(base, (2, 8 * n, n)),
+    }[layout]()
+
+
+def record_folds(monkeypatch):
+    """The shapes :func:`_sum_last` hands to its pairwise fold, as a list that fills up."""
+    shapes = []
+    fold = core._pairwise_fold
+
+    def record(x):
+        shapes.append(x.shape)
+        return fold(x)
+
+    monkeypatch.setattr(core, "_pairwise_fold", record)
+    return shapes
+
+
+class TestWideSumFold:
+    """From 8 entries on, the sum folds a C-contiguous axis as numpy's pairwise sum adds a row."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", SUM_LAYOUTS)
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_equals_numpy_bit_for_bit(self, n, layout, seed, monkeypatch):
+        x = sum_inputs(n, layout, seed)
+        folds = record_folds(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(_sum_last(x), x.sum(axis=-1))
+            assert_same_bits(_sum_last(x) / n, x.mean(axis=-1))
+        assert folds == ([x.shape] * 2 if layout == "contiguous" else [])
+
+    def test_the_fold_starts_at_16_rows_per_entry(self, monkeypatch):
+        folds = record_folds(monkeypatch)
+        x = sum_inputs(8, "contiguous", 0).reshape(-1, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(_sum_last(x[:127]), x[:127].sum(axis=-1))  # one row short
+            assert_same_bits(_sum_last(x), x.sum(axis=-1))
+        assert folds == [(128, 8)]
+
+    def test_the_softmax_denominator_folds_at_the_gradcheck_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        tags, contexts = rng.standard_normal((2, 64, 25, 16)), rng.standard_normal((64, 8, 16))
+        folds = record_folds(monkeypatch)
+        got = compat_forward(tags, contexts)
+        assert folds == [(2, 64, 25, 8)]
+        monkeypatch.setattr(core, "_sum_last", lambda x: x.sum(axis=-1))
+        want = compat_forward(tags, contexts)
+        assert [a.tobytes() for a in (got[0], *got[1])] == [a.tobytes() for a in (want[0], *want[1])]
+
+
 MAX_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324, -1e308])
 
 

@@ -150,6 +150,9 @@ def drawn_selection(rng, k):
 )
 # regions 8 x 16: 256 copies, four full blocks; tags 25 x 16: 800 copies, 12.5 blocks
 @example(d=16, r=8, k=25, p=3, selected=True, lambdas=(1.0, 1.0), h=1e-4, seed=0)
+# one term at a time: a nudge of the other term's context moves nothing
+@example(d=16, r=8, k=25, p=3, selected=True, lambdas=(2.0, 0.0), h=1e-4, seed=3)
+@example(d=16, r=8, k=25, p=3, selected=False, lambdas=(0.0, 0.7), h=1e-4, seed=4)
 # tags 4 x 8: 64 copies, exactly one block
 @example(d=8, r=3, k=4, p=2, selected=True, lambdas=(1.0, 1.0), h=1e-5, seed=1)
 @example(d=8, r=3, k=4, p=0, selected=False, lambdas=(1.0, 1.0), h=1e-3, seed=2)
@@ -174,7 +177,8 @@ class TestNumericOracle:
         assert {name: a.tobytes() for name, a in arrays.items()} == before
 
     def test_copies_run_in_blocks_of_64(self, monkeypatch):
-        # tag, caption and region tables of 64, 0 and 40 entries: 128, no and 80 copies
+        # the instance once, then tag, caption and region tables of 64, 0 and 40 entries:
+        # 128, no and 80 copies
         sizes = []
         corpus_losses = gradients.corpus_losses
 
@@ -184,7 +188,34 @@ class TestNumericOracle:
 
         monkeypatch.setattr(gradients, "corpus_losses", record)
         finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
-        assert sizes == [64, 64, 64, 16]
+        assert sizes == [1, 64, 64, 64, 16]
+
+    def test_a_nudge_runs_only_the_terms_it_can_move(self, monkeypatch):
+        # 3 regions and 2 caption nouns: each context pass records how many contexts
+        # it scored, so 3 marks a cross pass and 2 an inner one
+        passes = []
+        pair_block = losses._pair_block
+
+        def record(contexts, *args):
+            passes.append(contexts.shape[-2])
+            return pair_block(contexts, *args)
+
+        monkeypatch.setattr(losses, "_pair_block", record)
+        inst = rand_instance(np.random.default_rng(15), r=3, k=4, p=2, d=8)
+        sizes = []
+        corpus_losses = gradients.corpus_losses
+
+        def blocks(corpus, tables, images, *args, **kwargs):
+            sizes.append((len(images), len(passes)))
+            return corpus_losses(corpus, tables, images, *args, **kwargs)
+
+        monkeypatch.setattr(gradients, "corpus_losses", blocks)
+        finite_diff_grad(inst)
+        starts = [start for _, start in sizes] + [len(passes)]
+        per_call = [passes[a:b] for a, b in zip(starts, starts[1:])]
+        # the instance, 128 tag copies, 32 caption copies, 48 region copies
+        assert [size for size, _ in sizes] == [1, 64, 64, 32, 48]
+        assert per_call == [[3, 2], [3, 2], [3, 2], [2], [3]]
 
     @pytest.mark.parametrize("selected", [False, True])
     def test_selection_is_checked_once_per_call(self, selected, monkeypatch):

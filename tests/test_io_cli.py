@@ -1994,6 +1994,16 @@ class TestLines:
         with pytest.raises(ParseError, match=r"^line 3: not valid UTF-8"):
             read_vocab(bad)
 
+    def test_a_non_ascii_file_is_checked_as_utf8(self, tmp_path):
+        path = tmp_path / "vocab.jsonl"
+        path.write_bytes(_vocab('"t1"', '"caf\u00e9"'))
+        vocab, _ = read_vocab(path)
+        assert [tag_id for tag_id, _ in vocab] == ["t0", "caf\u00e9", "t2", "t3"]
+        path.write_bytes(_vocab('"t1"', '"caf\u00e9"').replace("\u00e9".encode(), b"\xe9"))  # Latin-1
+        with pytest.raises(ParseError) as info:
+            read_vocab(path)
+        assert str(info.value) == "line 3: not valid UTF-8 (invalid continuation byte)"
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_line_separators_inside_strings_stay_in_their_line(self, separator, tmp_path):
         path = tmp_path / "vocab.jsonl"

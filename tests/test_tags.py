@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from rca.errors import (ConfigError, DegenerateEmbeddingError, DimensionError,
                         InsufficientVocabularyError)
+from rca import tags
 from rca.tags import TagRef, rank_corpus, rank_tags, subsample
 
 
@@ -139,6 +142,103 @@ class TestRankTags:
         assert all(isinstance(t, TagRef) for t in ranked)
         for a, b in zip(ranked, ranked[1:]):
             assert a.score > b.score or (a.score == b.score and a.tag_id < b.tag_id)
+
+
+def full_lexsort_ranking(images, vocabulary, M, nan_rows=0):
+    """Per image, the first M of a ``lexsort`` of the whole vocabulary, as :class:`TagRef` lists.
+
+    The first ``nan_rows`` tags score NaN.
+    """
+    ids = [tag_id for tag_id, _ in vocabulary]
+    emb = np.array([np.asarray(e, dtype=np.float64) for _, e in vocabulary])
+    norms = np.linalg.norm(emb, axis=1)
+    norms[:nan_rows] = np.nan
+    id_rank = np.argsort(np.argsort(np.array(ids)))
+    out = []
+    for image in images:
+        img = np.asarray(image, dtype=np.float64)
+        scores = (emb @ img) / (norms * np.linalg.norm(img))
+        order = np.lexsort((id_rank, -scores))[:M]
+        out.append([TagRef(ids[i], s) for i, s in zip(order.tolist(), scores[order].tolist())])
+    return out
+
+
+def assert_same_ranking(got, want):
+    """Equal ids, and scores equal bit for bit (a NaN matches a NaN)."""
+    assert [[t.tag_id for t in ranked] for ranked in got] == \
+        [[t.tag_id for t in ranked] for ranked in want]
+    got_scores = np.array([[t.score for t in ranked] for ranked in got])
+    want_scores = np.array([[t.score for t in ranked] for ranked in want])
+    assert np.isnan(got_scores).tolist() == np.isnan(want_scores).tolist()
+    nan = np.isnan(want_scores)
+    assert np.where(nan, 0.0, got_scores).tobytes() == np.where(nan, 0.0, want_scores).tobytes()
+
+
+class TestPartitionedTopM:
+    """The top M by partition equal the first M of a full ``lexsort``."""
+
+    def rank(self, images, vocab, m):
+        return list(rank_corpus(((f"img-{i}", im) for i, im in enumerate(images)), vocab, m))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ties_straddling_the_mth_place(self, seed):
+        rng = np.random.default_rng(seed)
+        image = rng.standard_normal(4)
+        rows = list(rng.standard_normal((20, 4)))
+        ranked = full_lexsort_ranking([image], [(f"t{i:02d}", r) for i, r in enumerate(rows)], 20)
+        mth = int(ranked[0][5].tag_id[1:])  # the 6th best, planted 4 more times: places 5-10
+        rows += [rows[mth].copy() for _ in range(4)]
+        vocab = [(f"t{i:02d}", r) for i, r in enumerate(rows)]
+        vocab = [vocab[i] for i in rng.permutation(len(vocab))]
+        for m in (6, 8, 10, 12):
+            got = self.rank([image], vocab, m)
+            assert_same_ranking(got, full_lexsort_ranking([image], vocab, m))
+            tied = [t for t in got[0] if t.score == got[0][5].score]
+            assert len(tied) == min(5, m - 5)
+
+    def test_all_scores_equal(self):
+        vocab = [(f"t{i:02d}", [2.0, 1.0]) for i in rng_order(30)]
+        got = self.rank([[1.0, 3.0]], vocab, 8)
+        assert [t.tag_id for t in got[0]] == [f"t{i:02d}" for i in range(8)]
+        assert_same_ranking(got, full_lexsort_ranking([[1.0, 3.0]], vocab, 8))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_m_equal_to_the_vocabulary_and_one_short(self, extra):
+        rng = np.random.default_rng(7 + extra)
+        vocab = [(f"t{i:02d}", rng.standard_normal(3)) for i in rng_order(10 + extra)]
+        images = rng.standard_normal((3, 3))
+        assert_same_ranking(self.rank(images, vocab, 10), full_lexsort_ranking(images, vocab, 10))
+
+    @pytest.mark.parametrize("n_nan", [1, 4, 9])
+    def test_a_nan_key_never_shortens_a_list(self, n_nan, monkeypatch):
+        # no finite embedding with a checked norm scores NaN, so the first tags' norms are made NaN
+        table = tags._vocabulary_table
+
+        def nan_norms(*args):
+            emb, norms, id_rank = table(*args)
+            norms[:n_nan] = np.nan
+            return emb, norms, id_rank
+
+        monkeypatch.setattr(tags, "_vocabulary_table", nan_norms)
+        rng = np.random.default_rng(n_nan)
+        vocab = [(f"t{i:02d}", rng.standard_normal(3)) for i in rng_order(10)]
+        images = rng.standard_normal((2, 3))
+        got = self.rank(images, vocab, 6)
+        assert all(len(ranked) == 6 for ranked in got)
+        assert any(math.isnan(t.score) for ranked in got for t in ranked) == (n_nan > 4)
+        assert_same_ranking(got, full_lexsort_ranking(images, vocab, 6, nan_rows=n_nan))
+
+    def test_the_cli_corpus_shape(self):
+        # 1,000 tags of d = 64 and 50 images at M = 50, as the benchmark's corpus
+        rng = np.random.default_rng(2024)
+        vocab = [(f"tag{i:04d}", rng.standard_normal(64)) for i in range(1000)]
+        images = rng.standard_normal((50, 8, 64)).mean(axis=1) + 0.1 * rng.standard_normal((50, 64))
+        assert_same_ranking(self.rank(images, vocab, 50), full_lexsort_ranking(images, vocab, 50))
+
+
+def rng_order(n):
+    """0..n-1 in a fixed shuffled order, so the vocabulary is not listed by id."""
+    return np.random.default_rng(n).permutation(n).tolist()
 
 
 class TestSubsample:
