@@ -29,10 +29,16 @@ contracts each side with its tags and adds the positives' product to the
 negatives'. One corpus pass,
 :func:`rca.losses.corpus_losses`, calls them for training, for
 :func:`loss_and_grad` on a one-image corpus, and for
-:func:`finite_diff_grad` on corpora of an instance's nudged copies. A
-copy whose caption nouns are nudged runs only the inner term, and one
-whose regions are nudged only the cross term; the term a nudge cannot
-move is the instance's own, from one pass over the instance.
+:func:`finite_diff_grad` on corpora of an instance's nudged caption and
+region copies. A copy whose caption nouns are nudged runs only the inner
+term, and one whose regions are nudged only the cross term; the term a
+nudge cannot move is the instance's own, from one pass over the
+instance. A tag nudge moves only the phi of the positions its row sits
+at, so the oracle packs the tag table's nudges, one slice of the
+instance's (2, K, d) tag rows per entry and sign, into forward passes of
+:func:`rca.core.compat_forward` and scores each nudged row once, at its
+own position; the loss of each nudged copy follows from the instance's
+phi with those positions replaced.
 """
 
 from __future__ import annotations
@@ -43,9 +49,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ContrastiveInstance, scatter_add
+from .core import ContrastiveInstance, compat_forward, scatter_add
 from .errors import ConfigError
-from .losses import GradientBundle, LossBreakdown, corpus_losses, one_image_corpus
+from .losses import (
+    GradientBundle,
+    LossBreakdown,
+    corpus_losses,
+    nll_terms,
+    one_image_corpus,
+    weighted_mean,
+)
 
 if TYPE_CHECKING:
     from .uasr import UasrResult
@@ -57,7 +70,9 @@ __all__ = [
     "gradient_check",
 ]
 
-_BLOCK = 64  # nudged copies per corpus_losses call in finite_diff_grad
+# nudged copies per corpus_losses call, tag slices per compat_forward call and negative
+# copies per nll_terms call in finite_diff_grad
+_BLOCK = 64
 
 
 def loss_and_grad(
@@ -85,6 +100,66 @@ def loss_and_grad(
     )
 
 
+def _tag_differences(corpus, sel, tables, lambdas, h):
+    """Central differences of a one-image corpus's loss over its tag table, (2K, d).
+
+    A table row sits at the positions (side, n) where ``sel`` placed it;
+    a nudge of its entry e moves only the phi at those positions. So
+    entry e and a sign pack one slice shaped like the image's (2, K, d)
+    tag rows, each row with its entry e nudged, and one
+    :func:`rca.core.compat_forward` per context scores up to ``_BLOCK``
+    slices: each nudged phi sits at its own position in a slice of the
+    image's shape, which keeps it bitwise the phi of a nudged copy. A
+    row's copy is the image's phi with the row's positions taken from a
+    slice. On the positive side only the terms at those positions move;
+    on the negative side every term does, and up to ``_BLOCK`` copies
+    run through one :func:`rca.losses.nll_terms` call. Each copy's terms
+    are averaged by :func:`rca.losses.weighted_mean` and its total is
+    ``lambda_cross * cross + lambda_inner * inner``, a skipped term
+    reading 0, as :func:`rca.losses.corpus_losses` forms them. A row
+    that selection dropped reads 0.
+    """
+    tag_table, caption_table, region_table = tables
+    rows = np.stack([sel.positive_concepts[0], sel.negative_concepts[0]])
+    weights = None if sel.weights is None else sel.weights[0]
+    tags = tag_table[rows]
+    contexts = {}
+    if lambdas[0] > 0.0:
+        contexts[0] = region_table[corpus.region_rows[0]]
+    if lambdas[1] > 0.0 and corpus.caption_concepts.shape[1] > 0:
+        contexts[1] = caption_table[corpus.caption_concepts[0]]
+    image_phi = {c: compat_forward(tags, context)[0] for c, context in contexts.items()}
+    image_terms = {c: nll_terms(*phi) for c, phi in image_phi.items()}
+    kept = np.unique(rows)
+    sits = rows == kept[:, None, None]  # the positions of each kept row
+    on_neg = np.flatnonzero(sits[:, 1].any(axis=1))
+    k, d = rows.shape[1], tag_table.shape[1]
+    terms = np.zeros((2, len(kept), 2 * d))  # cross and inner, per kept row and nudge
+    for start in range(0, d, _BLOCK // 2):
+        # slice 2i nudges entry start + i of every row by +h, slice 2i + 1 by -h
+        cols = np.repeat(np.arange(start, min(start + _BLOCK // 2, d)), 2)
+        slab = np.repeat(tags[None], len(cols), axis=0)
+        slab[np.arange(len(cols)), ..., cols] += np.tile([h, -h], len(cols) // 2)[:, None, None]
+        part = slice(2 * start, 2 * start + len(cols))
+        for c, context in contexts.items():
+            phi = compat_forward(slab, context)[0]
+            pos, neg = image_phi[c]
+            # a row on the positive side moves only the terms at its positions
+            copies = np.where(sits[:, 0, None], nll_terms(phi[:, 0], neg), image_terms[c])
+            # a row on the negative side moves every term
+            copy_pos = np.where(sits[on_neg, 0, None], phi[:, 0], pos).reshape(-1, k)
+            copy_neg = np.where(sits[on_neg, 1, None], phi[:, 1], neg).reshape(-1, k)
+            moved = np.empty_like(copy_neg)
+            for b in range(0, len(moved), _BLOCK):
+                moved[b:b + _BLOCK] = nll_terms(copy_pos[b:b + _BLOCK], copy_neg[b:b + _BLOCK])
+            copies[on_neg] = moved.reshape(len(on_neg), len(cols), k)
+            terms[c, :, part] = weighted_mean(copies, weights)
+    totals = lambdas[0] * terms[0] + lambdas[1] * terms[1]
+    numeric = np.zeros_like(tag_table)
+    numeric[kept] = (totals[:, 0::2] - totals[:, 1::2]) / (2.0 * h)
+    return numeric
+
+
 def finite_diff_grad(
     instance: ContrastiveInstance,
     uasr: "UasrResult | None" = None,
@@ -97,7 +172,9 @@ def finite_diff_grad(
     Evaluates the same objective as :func:`loss_and_grad` (selection held
     fixed) with central differences (f(x + h e_i) - f(x - h e_i)) / 2h.
     The one-image corpus's tag, caption and region tables are nudged in
-    turn. Up to ``_BLOCK`` nudged copies are the images of one forward-only
+    turn. A tag nudge is scored once, at the positions of its row
+    (:func:`_tag_differences`). Up to ``_BLOCK`` nudged caption or region
+    copies are the images of one forward-only
     :func:`rca.losses.corpus_losses` pass; each image's loss is bitwise
     that of its copy evaluated alone. The instance is evaluated once, and
     a pass over caption copies skips the cross term, one over region
@@ -112,11 +189,12 @@ def finite_diff_grad(
     corpus, sel, tables = one_image_corpus(instance, uasr)
     lambdas = (lambda_cross, lambda_inner)
     instance_terms = corpus_losses(corpus, tables, np.arange(1), sel, lambdas)[0][0, :2]
-    numeric = []
-    for which, table in enumerate(tables):
+    numeric = [_tag_differences(corpus, sel, tables, lambdas, h)]
+    for which in (1, 2):
+        table = tables[which]
         # a caption nudge cannot move the cross term, a region nudge the inner one:
         # the copies skip it, and each total takes the instance's own
-        unmoved = {1: 0, 2: 1}.get(which)
+        unmoved = which - 1
         block_lambdas = tuple(0.0 if t == unmoved else lam for t, lam in enumerate(lambdas))
         flat = table.reshape(-1)
         # copy 2i nudges entry i by +h, copy 2i + 1 by -h
@@ -144,8 +222,7 @@ def finite_diff_grad(
                                       copies_sel.take(slice(len(rows))), block_lambdas)
             terms[rows] = losses[:, :2]
             stack[at] = flat[entries[rows]]
-        if unmoved is not None:
-            terms[:, unmoved] = instance_terms[unmoved]
+        terms[:, unmoved] = instance_terms[unmoved]
         totals = lambda_cross * terms[:, 0] + lambda_inner * terms[:, 1]
         numeric.append(((totals[0::2] - totals[1::2]) / (2.0 * h)).reshape(table.shape))
     k = instance.positives.shape[0]

@@ -73,6 +73,16 @@ def nll_terms(phi_pos: np.ndarray, phi_neg: np.ndarray) -> np.ndarray:
     return lse - phi_pos
 
 
+def weighted_mean(terms: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Mean over the last axis of ``terms``, each scaled by its weight q_n if any.
+
+    Each image's loss from its per-positive terms: the one formula
+    :func:`batch_loss` and the finite-difference oracle
+    (:func:`rca.gradients.finite_diff_grad`) take it by.
+    """
+    return _sum_last(terms if weights is None else weights * terms) / terms.shape[-1]
+
+
 @dataclass
 class GradientBundle:
     """Gradients of the total loss w.r.t. each embedding table of an instance.
@@ -103,7 +113,7 @@ def _pair_block(contexts, tags, weights, scale, with_grad):
     phi, cache = compat_forward(tags, contexts)
     phi_p, phi_n = phi
     terms = nll_terms(phi_p, phi_n)
-    loss = _sum_last(terms if weights is None else weights * terms) / terms.shape[-1]
+    loss = weighted_mean(terms, weights)
     if not with_grad:
         return loss, None
 

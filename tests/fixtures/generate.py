@@ -4,8 +4,9 @@ Embeddings are drawn once and rounded to 4 decimals, so the data files,
 whose floats are in shortest round-trip form, spell each as 4 decimals.
 The expected-loss golden is computed by the naive direct-formula
 evaluator, not by the library. The ``rank --out`` golden is the file the
-CLI writes from the untagged corpus. Regenerate only if a file format
-changes:  python3 tests/fixtures/generate.py
+CLI writes from the untagged corpus, and the gradcheck-bench golden the
+CLI's stdout at the corpus benchmark's gradcheck shape. Regenerate only
+if a file format changes:  python3 tests/fixtures/generate.py
 """
 
 import contextlib
@@ -31,6 +32,11 @@ from rca.tags import TagRef  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 D = 4
+# the corpus benchmark's gradcheck shape, and the runs expected_gradcheck_bench.jsonl holds
+GRADCHECK_BENCH_ARGS = ["--d", "16", "--k", "25", "--n_regions", "8", "--n_nouns", "3",
+                        "--h", "1e-4"]
+GRADCHECK_BENCH_RUNS = [["--seed", "0"], ["--seed", "1"], ["--seed", "2"],
+                        ["--seed", "0", "--no-enable_uasr"]]
 
 
 def r4(a):
@@ -128,6 +134,15 @@ def main():
                          os.path.join(HERE, "instances_untagged.jsonl"), "--M", "4",
                          "--out", os.path.join(HERE, "expected_rank_out.jsonl")])
     assert code == 0, f"rca rank exited {code}"
+
+    # the stdout of rca gradcheck at the benchmark's shape, one run per line
+    with open(os.path.join(HERE, "expected_gradcheck_bench.jsonl"), "w", encoding="utf-8") as fh:
+        for flags in GRADCHECK_BENCH_RUNS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["gradcheck", *GRADCHECK_BENCH_ARGS, *flags])
+            assert code == 0, f"rca gradcheck {flags} exited {code}"
+            fh.write(out.getvalue())
 
     with open(os.path.join(HERE, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,11 @@ def drawn_selection(rng, k):
 # tags 4 x 8: 64 copies, exactly one block
 @example(d=8, r=3, k=4, p=2, selected=True, lambdas=(1.0, 1.0), h=1e-5, seed=1)
 @example(d=8, r=3, k=4, p=0, selected=False, lambdas=(1.0, 1.0), h=1e-3, seed=2)
+# d 64: where a gemm's result for a row shows the row's position
+@example(d=64, r=8, k=25, p=3, selected=True, lambdas=(1.0, 1.0), h=1e-4, seed=0)
+# negatives 2, 2, 2, 3, 3: two negative rows at several positions each
+@example(d=4, r=3, k=5, p=2, selected=True, lambdas=(1.0, 1.0), h=1e-5, seed=2)
+@example(d=1, r=2, k=1, p=1, selected=True, lambdas=(1.0, 1.0), h=1e-5, seed=5)
 def test_oracle_equals_the_per_entry_loop_bitwise(d, r, k, p, selected, lambdas, h, seed):
     rng = np.random.default_rng(seed)
     inst = rand_instance(rng, r=r, k=k, p=p, d=d)
@@ -177,8 +183,8 @@ class TestNumericOracle:
         assert {name: a.tobytes() for name, a in arrays.items()} == before
 
     def test_copies_run_in_blocks_of_64(self, monkeypatch):
-        # the instance once, then tag, caption and region tables of 64, 0 and 40 entries:
-        # 128, no and 80 copies
+        # the instance once, then caption and region tables of 0 and 40 entries: no and
+        # 80 copies; the tag table's nudges run no copies
         sizes = []
         corpus_losses = gradients.corpus_losses
 
@@ -188,7 +194,7 @@ class TestNumericOracle:
 
         monkeypatch.setattr(gradients, "corpus_losses", record)
         finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
-        assert sizes == [1, 64, 64, 64, 16]
+        assert sizes == [1, 64, 16]
 
     def test_a_nudge_runs_only_the_terms_it_can_move(self, monkeypatch):
         # 3 regions and 2 caption nouns: each context pass records how many contexts
@@ -213,9 +219,27 @@ class TestNumericOracle:
         finite_diff_grad(inst)
         starts = [start for _, start in sizes] + [len(passes)]
         per_call = [passes[a:b] for a, b in zip(starts, starts[1:])]
-        # the instance, 128 tag copies, 32 caption copies, 48 region copies
-        assert [size for size, _ in sizes] == [1, 64, 64, 32, 48]
-        assert per_call == [[3, 2], [3, 2], [3, 2], [2], [3]]
+        # the instance, 32 caption copies, 48 region copies
+        assert [size for size, _ in sizes] == [1, 32, 48]
+        assert per_call == [[3, 2], [2], [3]]
+
+    def test_each_nudged_tag_row_is_scored_once(self, monkeypatch):
+        # 3 regions, 2 caption nouns, K = 2, d = 40: per context, the image's 2K tag rows,
+        # then one (2, K, d) slice per entry and sign, 2d of them in chunks of up to 64
+        # slices: 2 * 2d * K rows, where a copy of the image per nudge would score
+        # 2K * 2d copies of 2K rows
+        scored = []
+        compat_forward = gradients.compat_forward
+
+        def record(tags, contexts):
+            scored.append((contexts.shape[-2], tags[..., 0].size))
+            return compat_forward(tags, contexts)
+
+        monkeypatch.setattr(gradients, "compat_forward", record)
+        finite_diff_grad(rand_instance(np.random.default_rng(16), r=3, k=2, p=2, d=40))
+        assert scored == [(3, 4), (2, 4), (3, 64 * 4), (2, 64 * 4), (3, 16 * 4), (2, 16 * 4)]
+        for context in (3, 2):
+            assert sum(rows for c, rows in scored if c == context) == 2 * 2 + 2 * (2 * 40) * 2
 
     @pytest.mark.parametrize("selected", [False, True])
     def test_selection_is_checked_once_per_call(self, selected, monkeypatch):
@@ -249,6 +273,36 @@ class TestNumericOracle:
         # the 1e-6 floor keeps near-zero entries from exploding the ratio
         tiny = _elementwise_error(np.array([[0.0]]), np.array([[1e-9]]))
         assert tiny.max() == pytest.approx(1e-3)
+
+
+# tracemalloc peaks, in KiB, of one finite_diff_grad call before tag nudges were packed,
+# under a selection (numpy 2.4.6): the corpus benchmark's gradcheck shape, and a wide d
+# that packs its tag nudges in chunks of entries
+ORACLE_WORKING_SETS = {
+    "benchmark-shape": ((8, 25, 3, 16), 2286),
+    "wide": ((3, 3, 2, 256), 3119),
+}
+
+
+@pytest.mark.parametrize("shape, kib", ORACLE_WORKING_SETS.values(),
+                         ids=ORACLE_WORKING_SETS.keys())
+def test_oracle_working_set_stays_within_the_copies_path(shape, kib):
+    r, k, p, d = shape
+    inst = rand_instance(np.random.default_rng(0), r=r, k=k, p=p, d=d)
+    sel = apply_uasr(inst)
+    finite_diff_grad(inst, sel, h=1e-4)  # numpy's lazy set-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        finite_diff_grad(inst, sel, h=1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= kib * 1024, f"peak {peak / 1024:.1f} KiB against {kib} KiB"
 
 
 class TestBundle:

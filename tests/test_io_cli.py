@@ -9,6 +9,9 @@ stdout of ``rca uasr fixtures/vocab.jsonl fixtures/instances.jsonl`` and
 expected_gradcheck_no_inner.jsonl are those of ``rca gradcheck --seed 3
 --no-enable_uasr`` and ``rca gradcheck --seed 3 --lambda_inner 0 --n_nouns
 0``, the loss path without a selection and without the inner term;
+expected_gradcheck_bench.jsonl holds, one line each, those of ``rca gradcheck
+--d 16 --k 25 --n_regions 8 --n_nouns 3 --h 1e-4`` at seeds 0, 1 and 2 and at
+seed 0 with ``--no-enable_uasr``, the corpus benchmark's shape;
 expected_rank.jsonl and expected_rank_out.jsonl
 are the stdout and the ``--out`` file of ``rca rank fixtures/vocab.jsonl
 fixtures/instances_untagged.jsonl --M 4``; expected_train.jsonl and
@@ -113,6 +116,11 @@ def golden(name):
         return fh.read()
 
 
+# the corpus benchmark's gradcheck shape, and the runs expected_gradcheck_bench.jsonl holds
+GRADCHECK_BENCH_ARGS = ["--d", "16", "--k", "25", "--n_regions", "8", "--n_nouns", "3",
+                        "--h", "1e-4"]
+GRADCHECK_BENCH_RUNS = [["--seed", "0"], ["--seed", "1"], ["--seed", "2"],
+                        ["--seed", "0", "--no-enable_uasr"]]
 PAST_DOUBLE_RANGE = "1" + "0" * 400  # an integer flag float() overflows on
 
 
@@ -971,6 +979,13 @@ class TestCliGradcheck:
         code, out, _ = run_cli(["gradcheck", "--seed", "3", *flags], capsys)
         assert code == 0
         assert out == golden(name)
+
+    @pytest.mark.parametrize("line, flags", enumerate(GRADCHECK_BENCH_RUNS),
+                             ids=[" ".join(f).lstrip("-") for f in GRADCHECK_BENCH_RUNS])
+    def test_benchmark_shape_matches_golden_bytes(self, capsys, line, flags):
+        code, out, _ = run_cli(["gradcheck", *GRADCHECK_BENCH_ARGS, *flags], capsys)
+        assert code == 0
+        assert out == golden("expected_gradcheck_bench.jsonl").splitlines(keepends=True)[line]
 
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run_cli(
