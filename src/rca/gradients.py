@@ -27,10 +27,11 @@ one backward pass for both; ``compat_backward`` returns the per-row
 context weights A_jk (1 + (t_jk - phi_j) / sqrt(d)) g_j, and the loss
 contracts each side with its tags and adds the positives' product to the
 negatives'. One corpus pass,
-:func:`rca.losses.corpus_losses`, calls them for training, for
-:func:`loss_and_grad` on a one-image corpus, and for
-:func:`finite_diff_grad` on corpora of an instance's nudged caption and
-region copies. A copy whose caption nouns are nudged runs only the inner
+:func:`rca.losses.corpus_losses`, calls them for training and for
+:func:`loss_and_grad` on a one-image corpus; :func:`finite_diff_grad`
+calls ``batch_loss`` on blocks of an instance's nudged caption and region
+copies, the instance's tag rows broadcast against them. A copy whose
+caption nouns are nudged runs only the inner
 term, and one whose regions are nudged only the cross term; the term a
 nudge cannot move is the instance's own, from one pass over the
 instance. A tag nudge moves only the phi of the positions its row sits
@@ -43,7 +44,6 @@ phi with those positions replaced.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,6 +54,7 @@ from .errors import ConfigError
 from .losses import (
     GradientBundle,
     LossBreakdown,
+    batch_loss,
     corpus_losses,
     nll_terms,
     one_image_corpus,
@@ -174,9 +175,10 @@ def finite_diff_grad(
     The one-image corpus's tag, caption and region tables are nudged in
     turn. A tag nudge is scored once, at the positions of its row
     (:func:`_tag_differences`). Up to ``_BLOCK`` nudged caption or region
-    copies are the images of one forward-only
-    :func:`rca.losses.corpus_losses` pass; each image's loss is bitwise
-    that of its copy evaluated alone. The instance is evaluated once, and
+    copies are the batch of one forward-only :func:`rca.losses.batch_loss`
+    call, the instance's (2, 1, K, d) tag rows and its other context
+    broadcast against them; each copy's loss is bitwise that of its copy
+    evaluated alone. The instance is evaluated once, and
     a pass over caption copies skips the cross term, one over region
     copies the inner term: each total is then ``lambda_cross * cross +
     lambda_inner * inner`` with the instance's term in place of the
@@ -190,6 +192,7 @@ def finite_diff_grad(
     lambdas = (lambda_cross, lambda_inner)
     instance_terms = corpus_losses(corpus, tables, np.arange(1), sel, lambdas)[0][0, :2]
     numeric = [_tag_differences(corpus, sel, tables, lambdas, h)]
+    tags = tables[0][np.stack([sel.positive_concepts, sel.negative_concepts])]
     for which in (1, 2):
         table = tables[which]
         # a caption nudge cannot move the cross term, a region nudge the inner one:
@@ -200,27 +203,18 @@ def finite_diff_grad(
         # copy 2i nudges entry i by +h, copy 2i + 1 by -h
         entries = np.repeat(np.arange(flat.size), 2)
         nudged = flat[entries] + np.tile([h, -h], flat.size)
-        # image j's rows of the nudged table index copy j in a stack of copies;
-        # its other rows index the shared tables
-        b = min(_BLOCK, entries.size)
-        shift = [np.arange(b)[:, None] * (len(table) if t == which else 0) for t in range(3)]
-        copies = dataclasses.replace(corpus, caption_concepts=corpus.caption_concepts + shift[1],
-                                     region_rows=corpus.region_rows + shift[2])
-        copies_sel = sel._replace(
-            positive_concepts=sel.positive_concepts + shift[0],
-            negative_concepts=sel.negative_concepts + shift[0],
-            weights=None if sel.weights is None else np.repeat(sel.weights, b, axis=0))
-        stack = np.tile(flat, b)
-        copies_tables = list(tables)
-        copies_tables[which] = stack.reshape(-1, table.shape[1])
+        # copy j of a block is row j of a stack of the instance's caption or region rows
+        stack = np.tile(flat, min(_BLOCK, entries.size))
+        contexts = [instance.caption_nouns[None], instance.regions[None]]
         terms = np.empty((entries.size, 2))
         for start in range(0, entries.size, _BLOCK):
             rows = np.arange(start, min(start + _BLOCK, entries.size))
             at = (rows - start) * flat.size + entries[rows]
             stack[at] = nudged[rows]
-            losses, _ = corpus_losses(copies, copies_tables, rows - start,
-                                      copies_sel.take(slice(len(rows))), block_lambdas)
-            terms[rows] = losses[:, :2]
+            contexts[which - 1] = stack[:len(rows) * flat.size].reshape(-1, *table.shape)
+            cross, inner, _ = batch_loss(contexts[1], tags, contexts[0], sel.weights,
+                                         *block_lambdas, with_grad=False)
+            terms[rows, 0], terms[rows, 1] = cross, inner
             stack[at] = flat[entries[rows]]
         terms[:, unmoved] = instance_terms[unmoved]
         totals = lambda_cross * terms[:, 0] + lambda_inner * terms[:, 1]

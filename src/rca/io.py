@@ -71,6 +71,7 @@ _NUMBER_TYPES = {int, float}
 # 100k levels; json.loads stopped near 1,000 levels with a RecursionError
 _MAX_NESTING = 1000
 _NOT_BRACKETS = re.compile(rb"[^\[\]{}]+")
+_NOT_OPENERS = bytes(c for c in range(256) if c not in b"[{")
 # a window of embedding rows is checked in one pass once it holds at least this many;
 # a larger one holds more decoded lines at once
 _WINDOW_ROWS = 64
@@ -233,10 +234,10 @@ def _nesting(line: bytes) -> int:
 
 
 def _parse_line(line: bytes, lineno: int) -> dict:
-    # a text nested d deep has at least 2d bytes and d brackets that open,
-    # so an ordinary line skips the exact scan
+    # a text nested d deep has at least 2d bytes and d brackets that open (one
+    # scan keeps those), so an ordinary line skips the exact scan
     if (len(line) > 2 * _MAX_NESTING
-            and line.count(b"[") + line.count(b"{") > _MAX_NESTING
+            and len(line.translate(None, _NOT_OPENERS)) > _MAX_NESTING
             and _nesting(line) > _MAX_NESTING):
         raise ParseError(f"invalid JSON (nested deeper than {_MAX_NESTING} levels)", line=lineno)
     try:

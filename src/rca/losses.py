@@ -14,9 +14,9 @@ compatibility pass, forward and backward, for both sides. One pass calls
 it, :func:`corpus_losses`, over images of a :class:`Corpus` under the tag
 rows :func:`corpus_selection` picks, gathering a block's tag rows once:
 training and ``rca loss`` over their corpora, :func:`total_loss` and the
-gradient functions over a one-image corpus. All losses are
-computed through log-sum-exp so large compatibility values cannot
-overflow.
+gradient functions over a one-image corpus (the oracle's nudged copies
+call :func:`batch_loss` itself). All losses are computed through
+log-sum-exp so large compatibility values cannot overflow.
 
 Short reductions fold column by column, with numpy's results (see
 :mod:`rca.core`). The log-sum-exp takes its maximum as the positive's
@@ -137,10 +137,14 @@ def _pair_block(contexts, tags, weights, scale, with_grad):
 def _from_zero(terms, like):
     """``terms`` added one by one onto a zero table shaped like ``like``.
 
-    Built as ``0.0 + terms[0] + terms[1]``, so a -0.0 reads +0.0 just as
-    on the zero table; without terms, the zero table itself.
+    Folds in place on ``terms[0]``, a fresh kernel buffer: ``terms[0] +
+    0.0 + terms[1]`` is ``0.0 + terms[0] + terms[1]`` (addition commutes),
+    so a -0.0 reads +0.0 just as on the zero table; without terms, the zero table itself.
     """
-    return _fold_sum(terms) if terms else np.zeros_like(like)
+    out = terms[0] if terms else np.zeros_like(like)
+    for term in [0.0, *terms[1:]]:
+        out += term
+    return out
 
 
 def batch_loss(
@@ -265,7 +269,8 @@ def corpus_losses(corpus, tables, images, sel, lambdas, with_grad=False):
     rows in image order: tag (b, 2K, d) for ``sel.positive_concepts`` then
     ``sel.negative_concepts``, caption (b, P, d) for
     ``corpus.caption_concepts[images]`` and region (b, R, d) for
-    ``corpus.region_rows[images]``. Else it is None.
+    ``corpus.region_rows[images]``. Else it is None. One block's rows are the arrays
+    :func:`batch_loss` made, more blocks' a concatenation: fresh arrays a caller may write.
     """
     tag_table, caption_table, region_table = tables
     table = np.empty((len(images), 3))
@@ -274,9 +279,10 @@ def corpus_losses(corpus, tables, images, sel, lambdas, with_grad=False):
         part = slice(start, start + BLOCK)
         block, block_sel = images[part], sel.take(part)
         table[part, 0], table[part, 1], g = batch_loss(
-            region_table[corpus.region_rows[block]],
-            tag_table[np.stack([block_sel.positive_concepts, block_sel.negative_concepts])],
-            caption_table[corpus.caption_concepts[block]],
+            np.take(region_table, corpus.region_rows[block], axis=0),
+            np.take(tag_table, np.stack([block_sel.positive_concepts,
+                                         block_sel.negative_concepts]), axis=0),
+            np.take(caption_table, corpus.caption_concepts[block], axis=0),
             block_sel.weights,
             *lambdas,
             with_grad=with_grad,
@@ -285,7 +291,9 @@ def corpus_losses(corpus, tables, images, sel, lambdas, with_grad=False):
             grads.append((np.concatenate([g.d_positives, g.d_negatives], axis=1),
                           g.d_caption_nouns, g.d_regions))
     table[:, 2] = lambdas[0] * table[:, 0] + lambdas[1] * table[:, 1]
-    return table, tuple(np.concatenate(r) for r in zip(*grads)) if with_grad else None
+    if len(grads) > 1:
+        grads = [tuple(np.concatenate(r) for r in zip(*grads))]
+    return table, grads[0] if with_grad else None
 
 
 def one_image_corpus(instance: ContrastiveInstance, uasr: UasrResult | None):

@@ -438,6 +438,15 @@ def _choice_bounds(pop: int, size: int) -> np.ndarray:
     return np.concatenate([np.arange(pop - size, pop), np.arange(size - 1, 0, -1)])
 
 
+def _floyd_picks(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
+    """Floyd's picks of ``size`` of ``pop`` per row: each its draw, or j if that was picked."""
+    picks = draws[:, :size].copy()
+    for t in range(1, size):
+        repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, pop - size + t, picks[:, t])
+    return picks
+
+
 def _choice_picks(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
     """The picks of ``choice`` of ``size`` of ``pop``, in its order, per row of its draws.
 
@@ -445,9 +454,9 @@ def _choice_picks(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
     ``Generator.integers`` makes one bounded (Lemire) draw per entry of an
     array of bounds, in order, as ``choice`` does per bound, so one
     ``integers`` call over rows of those bounds reads the stream of that
-    many ``choice`` calls and leaves the generator where they would. Floyd's
-    picks take each draw, or j where the draw was already picked; the
-    shuffle then swaps position i with its draw, for i from the top down.
+    many ``choice`` calls and leaves the generator where they would. After
+    :func:`_floyd_picks`, the shuffle swaps position i with its draw, for i
+    from the top down.
     A tail shuffle makes those swaps on the whole pool ``arange(pop)`` and
     keeps its last ``size`` entries. That ``choice`` draws this way was
     checked on numpy 2.4.6.
@@ -455,10 +464,7 @@ def _choice_picks(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
     if _tail_shuffled(pop, size):
         picks, swaps = np.tile(np.arange(pop), (len(draws), 1)), draws
     else:
-        picks, swaps = draws[:, :size].copy(), draws[:, size:]
-        for t in range(1, size):
-            repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
-            picks[:, t] = np.where(repeat, pop - size + t, picks[:, t])
+        picks, swaps = _floyd_picks(draws, pop, size), draws[:, size:]
     rows = np.arange(len(draws))
     for col, j in enumerate(swaps.T):
         i = picks.shape[1] - 1 - col
@@ -475,12 +481,13 @@ def _draw_subsets(rng, count: int, k: int, fraction: float) -> np.ndarray:
     image: the rows the per-image ``Generator.choice`` calls of
     :func:`rca.tags.subsample` pick, from the stream they read, drawn in one
     ``Generator.integers`` call (see :func:`_choice_picks`), and leaves
-    ``rng`` where they would.
+    ``rng`` where they would. The sort drops the shuffle's order, so Floyd's picks skip it.
     """
     m = math.ceil(fraction * k)
     bounds = _choice_bounds(k, m)
     draws = rng.integers(0, bounds, size=(2 * count, len(bounds)), endpoint=True)
-    return np.sort(_choice_picks(draws, k, m).reshape(count, 2, m), axis=-1)
+    pick = _choice_picks if _tail_shuffled(k, m) else _floyd_picks  # a tail shuffle picks
+    return np.sort(pick(draws, k, m).reshape(count, 2, m), axis=-1)
 
 
 def _step(dataset, state, config, batch, sel, first: bool) -> None:
@@ -490,7 +497,10 @@ def _step(dataset, state, config, batch, sel, first: bool) -> None:
     checks both concept tables and the region rows it wrote, and the
     whole region table on a run's ``first`` step: a row no later step
     wrote still holds what that check saw. (The run's step-0 snapshot
-    reads every region row, but not at ``lambda_cross = 0``.)
+    reads every region row, but not at ``lambda_cross = 0``.) Its arrays are the loss
+    pass's, the scatter tables and the written rows, which it updates in place with its
+    gradient rows. At train-c6 they stay under the 1 MiB heap trim threshold that freeing
+    the stretch's 512 KiB cosines gather sets in glibc, so no step re-faults the heap top.
     """
     _, (d_tags, d_caption, d_regions) = corpus_losses(dataset, state.tables, batch, sel,
                                                       config.lambdas, with_grad=True)
@@ -504,10 +514,12 @@ def _step(dataset, state, config, batch, sel, first: bool) -> None:
     checked = [state.tag_table, state.caption_table]
     if not config.freeze_regions:
         # what `table[rows] -= ...` does, keeping the written rows to check;
-        # 0.0 + d is what a scatter onto zeros would hold: -0.0 reads +0.0
+        # d + 0.0 is what a scatter onto zeros would hold: -0.0 reads +0.0
         rows = dataset.region_rows[batch]
         written = state.region_table[rows]
-        written -= lr * (0.0 + d_regions)
+        d_regions += 0.0
+        d_regions *= lr
+        written -= d_regions
         state.region_table[rows] = written
         checked.append(written)
     if first:

@@ -501,3 +501,35 @@ def test_the_block_patch_reaches_every_loss_pass(monkeypatch):
         warnings.filterwarnings("ignore", message=".*clamped")
         snapshot_loss(ds, initial_state(ds, seed=cfg.seed), cfg)
     assert passes == [16, 16, 16, 16, 6]
+
+
+def test_gradient_rows_own_their_memory(monkeypatch):
+    """A step writes into the gradient rows ``corpus_losses`` returns, so none may alias.
+
+    At the default ``BLOCK`` the 70 images are one block, whose rows come back
+    as ``batch_loss`` made them; at 16 they are concatenated from five blocks.
+    Both give the same bits.
+    """
+    ds = generate_synthetic(NOISY)
+    tables = initial_state(ds, seed=BASE["seed"]).tables
+    images = np.arange(len(ds))
+    sel = losses.corpus_selection(ds, images, True, True)
+    inputs = [*tables, images, *(field for field in sel if field is not None),
+              ds.positive_concepts, ds.negative_concepts, ds.caption_concepts, ds.region_rows,
+              ds.global_scores, ds.cosines]
+    before = [a.tobytes() for a in inputs]
+    runs = []
+    for block in (losses.BLOCK, 16):
+        monkeypatch.setattr(losses, "BLOCK", block)
+        _, grads = losses.corpus_losses(ds, tables, images, sel, (1.0, 1.0), with_grad=True)
+        assert not any(np.shares_memory(g, a) for g in grads for a in inputs)
+        assert not any(np.shares_memory(g, h) for g, h in itertools.combinations(grads, 2))
+        rows = [g.tobytes() for g in grads]
+        for g in grads:
+            g.fill(np.nan)
+        assert [a.tobytes() for a in inputs] == before
+        _, again = losses.corpus_losses(ds, tables, images, sel, (1.0, 1.0), with_grad=True)
+        assert [g.tobytes() for g in again] == rows
+        assert not any(np.shares_memory(g, h) for g in grads for h in again)
+        runs.append(rows)
+    assert runs[0] == runs[1]

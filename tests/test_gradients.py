@@ -31,6 +31,27 @@ def rand_instance(rng, r=3, k=4, p=2, d=8):
     )
 
 
+def record_images(monkeypatch, record):
+    """Call ``record(images, tags)`` on each loss pass of the oracle: its image count, its tags.
+
+    The oracle scores the instance through ``corpus_losses`` and each block
+    of nudged caption or region copies through ``batch_loss``, the copies
+    broadcasting the instance's tag rows.
+    """
+    corpus_losses, batch_loss = gradients.corpus_losses, gradients.batch_loss
+
+    def instance_pass(corpus, tables, images, *args, **kwargs):
+        record(len(images), None)  # the instance gathers its own tags
+        return corpus_losses(corpus, tables, images, *args, **kwargs)
+
+    def copies_pass(regions, tags, caption_nouns, *args, **kwargs):
+        record(max(len(regions), len(caption_nouns)), tags)
+        return batch_loss(regions, tags, caption_nouns, *args, **kwargs)
+
+    monkeypatch.setattr(gradients, "corpus_losses", instance_pass)
+    monkeypatch.setattr(gradients, "batch_loss", copies_pass)
+
+
 class TestLossParity:
     def test_breakdown_identical_to_loss_module(self):
         rng = np.random.default_rng(0)
@@ -184,17 +205,18 @@ class TestNumericOracle:
 
     def test_copies_run_in_blocks_of_64(self, monkeypatch):
         # the instance once, then caption and region tables of 0 and 40 entries: no and
-        # 80 copies; the tag table's nudges run no copies
-        sizes = []
-        corpus_losses = gradients.corpus_losses
+        # 80 copies, each block against the instance's (2, 1, K, d) tag rows; the tag
+        # table's nudges run no copies
+        sizes, tag_shapes = [], []
 
-        def record(corpus, tables, images, *args, **kwargs):
-            sizes.append(len(images))
-            return corpus_losses(corpus, tables, images, *args, **kwargs)
+        def record(size, tags):
+            sizes.append(size)
+            tag_shapes.append(None if tags is None else tags.shape)
 
-        monkeypatch.setattr(gradients, "corpus_losses", record)
+        record_images(monkeypatch, record)
         finite_diff_grad(rand_instance(np.random.default_rng(13), r=5, k=4, p=0, d=8))
         assert sizes == [1, 64, 16]
+        assert tag_shapes == [None, (2, 1, 4, 8), (2, 1, 4, 8)]
 
     def test_a_nudge_runs_only_the_terms_it_can_move(self, monkeypatch):
         # 3 regions and 2 caption nouns: each context pass records how many contexts
@@ -209,13 +231,7 @@ class TestNumericOracle:
         monkeypatch.setattr(losses, "_pair_block", record)
         inst = rand_instance(np.random.default_rng(15), r=3, k=4, p=2, d=8)
         sizes = []
-        corpus_losses = gradients.corpus_losses
-
-        def blocks(corpus, tables, images, *args, **kwargs):
-            sizes.append((len(images), len(passes)))
-            return corpus_losses(corpus, tables, images, *args, **kwargs)
-
-        monkeypatch.setattr(gradients, "corpus_losses", blocks)
+        record_images(monkeypatch, lambda size, _: sizes.append((size, len(passes))))
         finite_diff_grad(inst)
         starts = [start for _, start in sizes] + [len(passes)]
         per_call = [passes[a:b] for a, b in zip(starts, starts[1:])]
@@ -275,12 +291,12 @@ class TestNumericOracle:
         assert tiny.max() == pytest.approx(1e-3)
 
 
-# tracemalloc peaks, in KiB, of one finite_diff_grad call before tag nudges were packed,
-# under a selection (numpy 2.4.6): the corpus benchmark's gradcheck shape, and a wide d
-# that packs its tag nudges in chunks of entries
+# tracemalloc peaks, in KiB, of one finite_diff_grad call once its caption and region
+# copies broadcast the instance's tag rows, under a selection (numpy 2.4.6): the corpus
+# benchmark's gradcheck shape, and a wide d that packs its tag nudges in chunks of entries
 ORACLE_WORKING_SETS = {
-    "benchmark-shape": ((8, 25, 3, 16), 2286),
-    "wide": ((3, 3, 2, 256), 3119),
+    "benchmark-shape": ((8, 25, 3, 16), 1380),
+    "wide": ((3, 3, 2, 256), 1629),
 }
 
 

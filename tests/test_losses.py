@@ -246,10 +246,10 @@ class TestKernelsUnchangedBitForBit:
         assert got.tobytes() == want.tobytes()
 
 
-# (B, K, R, P, d, with_grad) -> tracemalloc peak of one batch_loss call, KiB, on numpy 2.4.6
-# before positives and negatives shared one compatibility pass
+# (B, K, R, P, d, with_grad) -> tracemalloc peak of one batch_loss call, KiB, on numpy 2.4.6,
+# since positives and negatives share one compatibility pass
 WORKING_SETS = {
-    "train-c6-step": ((200, 2, 4, 4, 16, True), 786),
+    "train-c6-step": ((200, 2, 4, 4, 16, True), 711),
     "snapshot-block": ((256, 4, 4, 4, 16, False), 511),
 }
 
